@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InsufficientLpTokens, InsufficientPoolSettled
+from .errors import InsufficientLpTokens, InsufficientPoolSettled, UnwrapDisabled
 from .ledger import WrapperLedger, check_amount
 from .oracle import RiskReport, SignerRegistry, validate_reports
 from .rates import PPM, check_rate
@@ -66,14 +66,6 @@ class PoolState(NamedTuple):
     lp_supply: int
 
 
-@dataclass
-class WithdrawalEntry:
-    lp: str
-    unsettled_out: int
-    time: int
-    transfer_id: int | None
-
-
 class AmmPool:
     """Automated R-Pool over one wrapper ledger account."""
 
@@ -108,11 +100,16 @@ class AmmPool:
         self.rate_cap_ppm = rate_cap_ppm
         self.lp_supply = 0
         self.lp_holdings: dict[str, int] = {}
-        self.withdrawal_log: list[WithdrawalEntry] = []
         self.receipts: list[SwapReceipt] = []
         # Pools must be able to unwrap their settled liquidity.
         if ledger.is_unwrap_disabled(address):
             raise ValueError(f"pool account {address} has unwrapping disabled")
+
+    def _check_unwrap(self) -> None:
+        """Reject a base payout before the operation's first write: the
+        pool's account may have disabled unwrapping after construction."""
+        if self.ledger.is_unwrap_disabled(self.address):
+            raise UnwrapDisabled(f"unwrapping is disabled for {self.address}")
 
     # -- views -----------------------------------------------------------
 
@@ -165,18 +162,16 @@ class AmmPool:
         else:
             unsettled_out = base_out = 0
 
-        transfer_id = None
+        if base_out:
+            self._check_unwrap()
         if unsettled_out:
-            transfer_id = self.ledger.transfer_unsettled(
-                self.address, lp, unsettled_out, now
-            )
+            self.ledger.transfer_unsettled(self.address, lp, unsettled_out, now)
         if base_out:
             self.ledger.unwrap_to(self.address, base_out, lp, now)
         self.lp_holdings[lp] = held - lp_tokens
         if self.lp_holdings[lp] == 0:
             del self.lp_holdings[lp]
         self.lp_supply -= lp_tokens
-        self.withdrawal_log.append(WithdrawalEntry(lp, unsettled_out, now, transfer_id))
         return base_out, unsettled_out
 
     # -- swapping --------------------------------------------------------
@@ -191,7 +186,7 @@ class AmmPool:
         requestor gets exactly the rate it could have computed beforehand.
         """
         check_amount(amount_in)
-        median = validate_reports(self, requestor, amount_in, reports, now, self.ledger)
+        median = validate_reports(self, requestor, amount_in, reports, now)
         state = self.pool_state(now)
         multiplier = settled_multiplier(state.settled, state.total, self.kappa_ppm)
         rate = min(self.rate_cap_ppm, median * multiplier // PPM)
@@ -200,6 +195,8 @@ class AmmPool:
             raise InsufficientPoolSettled(
                 f"pool has {state.settled} settled, swap needs {amount_out}"
             )
+        if amount_out:
+            self._check_unwrap()
         transfer_in = self.ledger.transfer_unsettled(
             requestor, self.address, amount_in, now
         )

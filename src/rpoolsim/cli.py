@@ -21,7 +21,7 @@ from pathlib import Path
 from .attack import AttackScenario, exact_threshold, profitability_threshold, simulate_attack
 from .errors import RPoolError
 from .rates import PPM, format_rate, parse_rate
-from .runner import RunResult, run_scenario
+from .runner import RunResult, log_line, run_scenario
 from .scenario import ParseError, format_scenario, parse_scenario
 
 
@@ -76,16 +76,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         try:
             result = run_scenario(script, name=path.stem)
-        except ValueError as exc:
+        except (ValueError, RPoolError) as exc:
             # world construction rejected the configuration (reserved names,
-            # inconsistent pool bounds, ...)
+            # inconsistent pool bounds, ...); steps report their own errors
             print(f"{path}: {exc}", file=sys.stderr)
             return 2
         results.append(result)
-        for line in result.event_log_lines():
-            record = json.loads(line)
-            record["scenario"] = result.name
-            log_lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        log_lines.extend(
+            log_line({**vars(event), "scenario": result.name}) for event in result.events
+        )
         _print_result(result, args.format)
     if args.log:
         Path(args.log).write_text("\n".join(log_lines) + "\n")

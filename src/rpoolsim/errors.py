@@ -66,6 +66,10 @@ class Uncoverable(RPoolError):
     """Recovery plan cannot reach the requested amount."""
 
 
+class ReservedName(RPoolError):
+    """The arbitrator and the wrapper's own address cannot hold an account."""
+
+
 # ---------------------------------------------------------------------------
 # risk oracle
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
     InsufficientSettled,
     InsufficientUnsettled,
     NotArbitrator,
+    ReservedName,
     SelfTransfer,
     Uncoverable,
     UnknownCase,
@@ -177,7 +178,7 @@ class WrapperLedger:
 
     def _account(self, name: str) -> Account:
         if name in (self.arbitrator, self.address, NOBODY):
-            raise ValueError(f"{name!r} is reserved and cannot hold an account")
+            raise ReservedName(f"{name!r} is reserved and cannot hold an account")
         acct = self.accounts.get(name)
         if acct is None:
             acct = Account()

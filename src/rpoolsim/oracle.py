@@ -213,7 +213,6 @@ def validate_reports(
     amount: int,
     reports: list[RiskReport],
     now: int,
-    ledger: WrapperLedger,
 ) -> int:
     """Run the pool's swap-validation checks and return the median quote.
 
@@ -242,7 +241,7 @@ def validate_reports(
     for report in reports:
         if not registry.is_authorized(report.signer_id):
             raise SignerNotAuthorized(f"{report.signer_id} is not authorized")
-    current_nonce = ledger.nonce(requestor)
+    current_nonce = pool.ledger.nonce(requestor)
     for report in reports:
         if report.account_nonce != current_nonce:
             raise StaleNonce(

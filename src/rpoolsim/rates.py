@@ -24,19 +24,9 @@ def check_rate(rate_ppm: int) -> int:
     return rate_ppm
 
 
-def mul_rate(amount: int, rate_ppm: int) -> int:
-    """floor(amount * rate)."""
-    return amount * rate_ppm // PPM
-
-
 def mul_rate_ceil(amount: int, rate_ppm: int) -> int:
     """ceil(amount * rate)."""
     return -(-(amount * rate_ppm) // PPM)
-
-
-def ratio_ppm(numerator: int, denominator: int) -> int:
-    """floor(numerator / denominator) expressed in ppm."""
-    return numerator * PPM // denominator
 
 
 def parse_rate(text: str) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .amm import AmmPool
 from .errors import RPoolError
@@ -25,14 +26,32 @@ from .ledger import BaseLedger, WrapperLedger
 from .oracle import (
     ConstantRiskModel,
     RatingEntity,
-    RiskReport,
     SignerRegistry,
     TaintAwareRiskModel,
     issue_report,
 )
 from .orderbook import OrderBook
-from .rates import format_rate
-from .scenario import ScenarioScript, Step
+from .scenario import ACTION_SPECS, Params, ScenarioScript, Step, format_value
+
+
+def log_line(fields: dict) -> str:
+    """One event-log line: compact JSON with sorted keys."""
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+#: expect_* step field -> (description template, result field checked; None
+#: checks the whole result).  The template receives the expected value in
+#: its canonical scenario text, so rates read as decimals.
+EXPECTATIONS: dict[str, tuple[str, str | None]] = {
+    "expect_minted": ("minted LP tokens == {}", "minted"),
+    "expect_base": ("base out == {}", "base"),
+    "expect_unsettled": ("unsettled out == {}", "unsettled"),
+    "expect_quote": ("report quote == {}", "quote_ppm"),
+    "expect_out": ("swap payout == {}", "out"),
+    "expect_rate": ("effective rate == {}", "rate_ppm"),
+    "expect_amount": ("recovered amount == {}", "amount"),
+    "expect": ("recovery plan", None),
+}
 
 
 @dataclass(frozen=True)
@@ -40,25 +59,13 @@ class EventRecord:
     seq: int
     time: int
     action: str
-    params: dict
+    params: Params
     outcome: str  # "ok" or an error name
     result: object
     deltas: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "time": self.time,
-                "action": self.action,
-                "params": self.params,
-                "outcome": self.outcome,
-                "result": self.result,
-                "deltas": self.deltas,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return log_line(vars(self))
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,8 @@ class ScenarioRunner:
         self.entities: dict[str, RatingEntity] = {}
         self.pools: dict[str, AmmPool] = {}
         self.books: dict[str, OrderBook] = {}
-        self.reports: dict[str, RiskReport] = {}
-        self.transfers: dict[str, int] = {}
-        self.bids: dict[str, int] = {}
+        #: as= label -> the transfer id, RiskReport or bid id it names
+        self.labels: dict[str, Any] = {}
         self._build_world()
 
     def _build_world(self) -> None:
@@ -218,10 +224,10 @@ class ScenarioRunner:
         outcome = "ok"
         op_result: object = None
         try:
-            op_result = self._dispatch(step, checks)
+            op_result = self.ACTIONS[step.action](self, step.params, step.time)
+            checks = self._checks(step, op_result)
         except RPoolError as exc:
-            outcome = exc.name
-            checks = []  # result expectations are moot on failure
+            outcome = exc.name  # result expectations are moot on failure
 
         if step.expect_error is not None:
             ok = outcome == step.expect_error
@@ -266,225 +272,191 @@ class ScenarioRunner:
                 seq=seq,
                 time=step.time,
                 action=step.action,
-                params=_json_params(step.params),
+                params=step.params,
                 outcome=outcome,
                 result=op_result,
                 deltas=self._deltas(before, after),
             )
         )
 
-    # -- dispatch ----------------------------------------------------------------
-
-    def _dispatch(self, step: Step, checks: list) -> object:
+    def _checks(self, step: Step, op_result: Any) -> list[tuple[str, object, object]]:
+        """(description, expected, observed) for a step that succeeded."""
         p = step.params
-        now = step.time
-        action = step.action
-        if action == "mint_base":
-            self.base.mint(str(p["account"]), int(p["amount"]))  # type: ignore[arg-type]
-            return None
-        if action == "wrap":
-            self.ledger.wrap(str(p["account"]), int(p["amount"]), now)  # type: ignore[arg-type]
-            return None
-        if action == "unwrap":
-            account = str(p["account"])
-            to = str(p.get("to", account))
-            self.ledger.unwrap_to(account, int(p["amount"]), to, now)  # type: ignore[arg-type]
-            return None
-        if action == "transfer":
-            tid = self.ledger.transfer(
-                str(p["from"]),
-                str(p["to"]),
-                int(p["amount"]),  # type: ignore[arg-type]
-                bool(p.get("unsettled", False)),
-                now,
-            )
-            self._label_transfer(p, tid)
-            return {"transfer_id": tid}
-        if action == "disable_unwrap":
-            self.ledger.disable_unwrap(str(p["account"]))
-            return None
-        if action == "deposit":
-            pool = self.pools[str(p["pool"])]
-            minted = pool.deposit(str(p["lp"]), int(p["amount"]), now)  # type: ignore[arg-type]
-            self._check(checks, p, "expect_minted", "minted LP tokens", minted)
-            return {"minted": minted}
-        if action == "withdraw":
-            pool = self.pools[str(p["pool"])]
-            base_out, unsettled_out = pool.withdraw(str(p["lp"]), int(p["tokens"]), now)  # type: ignore[arg-type]
-            self._check(checks, p, "expect_base", "base out", base_out)
-            self._check(checks, p, "expect_unsettled", "unsettled out", unsettled_out)
-            return {"base": base_out, "unsettled": unsettled_out}
-        if action == "issue_report":
-            entity = self.entities[str(p["signer"])]
-            report = issue_report(
-                entity,
-                self.registry,
-                str(p["requestor"]),
-                int(p["amount"]),  # type: ignore[arg-type]
-                now,
-                int(p["ttl"]),  # type: ignore[arg-type]
-                self.ledger,
-            )
-            self.reports[str(p["as"])] = report
-            if "expect_quote" in p:
-                checks.append(
-                    (
-                        f"report quote == {format_rate(int(p['expect_quote']))}",  # type: ignore[arg-type]
-                        int(p["expect_quote"]),  # type: ignore[arg-type]
-                        report.quote_ppm,
-                    )
-                )
-            return {"quote_ppm": report.quote_ppm, "nonce": report.account_nonce}
-        if action == "swap":
-            pool = self.pools[str(p["pool"])]
-            reports = [self.reports[str(label)] for label in p["reports"]]  # type: ignore[union-attr]
-            receipt = pool.swap(str(p["requestor"]), int(p["amount"]), reports, now)  # type: ignore[arg-type]
-            self._label_transfer(p, receipt.transfer_in_id)
-            self._check(checks, p, "expect_out", "swap payout", receipt.amount_out)
-            if "expect_rate" in p:
-                checks.append(
-                    (
-                        f"effective rate == {format_rate(int(p['expect_rate']))}",  # type: ignore[arg-type]
-                        int(p["expect_rate"]),  # type: ignore[arg-type]
-                        receipt.rate_ppm,
-                    )
-                )
-            return {
-                "out": receipt.amount_out,
-                "rate_ppm": receipt.rate_ppm,
-                "median_ppm": receipt.median_ppm,
-                "multiplier_ppm": receipt.multiplier_ppm,
-                "transfer_id": receipt.transfer_in_id,
-            }
-        if action == "post_bid":
-            book = self.books[str(p["book"])]
-            bid_id = book.post_bid(
-                str(p["bidder"]),
-                int(p["amount"]),  # type: ignore[arg-type]
-                int(p["min_rate"]),  # type: ignore[arg-type]
-                int(p["expiry"]),  # type: ignore[arg-type]
-                now,
-            )
-            if "as" in p:
-                self.bids[str(p["as"])] = bid_id
-            return {"bid_id": bid_id}
-        if action == "cancel_bid":
-            book = self.books[str(p["book"])]
-            book.cancel_bid(str(p["by"]), self._bid_id(p["bid"]))
-            return None
-        if action == "match_bid":
-            book = self.books[str(p["book"])]
-            fill = book.match_bid(
-                str(p["lp"]), self._bid_id(p["bid"]), int(p["offer"]), now  # type: ignore[arg-type]
-            )
-            return {
-                "unsettled": fill.amount_unsettled,
-                "base": fill.base_paid,
-                "transfer_id": fill.transfer_id,
-            }
-        if action == "freeze":
-            by = str(p.get("by", self.script.arbitrator))
-            if "targets" in p:
-                targets = list(p["targets"])  # type: ignore[arg-type]
-            else:
-                targets = self.ledger.plan_recovery(
-                    self.transfers[str(p["transfer"])], int(p["amount"]), now  # type: ignore[arg-type]
-                )
-            self.ledger.freeze(by, targets, str(p["case"]), now)
-            return {"targets": [[name, amount] for name, amount in targets]}
-        if action == "recover":
-            by = str(p.get("by", self.script.arbitrator))
-            amount = self.ledger.recover(by, str(p["case"]), str(p["victim"]), now)
-            self._check(checks, p, "expect_amount", "recovered amount", amount)
-            return {"amount": amount}
-        if action == "release":
-            by = str(p.get("by", self.script.arbitrator))
-            self.ledger.release(by, str(p["case"]), now)
-            return None
-        if action == "plan_recovery":
-            plan = self.ledger.plan_recovery(
-                self.transfers[str(p["transfer"])], int(p["amount"]), now  # type: ignore[arg-type]
-            )
-            if "expect" in p:
-                checks.append(
-                    (
-                        "recovery plan",
-                        [list(t) for t in p["expect"]],  # type: ignore[union-attr]
-                        [list(t) for t in plan],
-                    )
-                )
-            return [[name, amount] for name, amount in plan]
-        if action == "advance":
-            return None
-        if action == "assert":
-            self._assert(step, checks)
-            return None
-        raise AssertionError(f"unhandled action {action}")
+        if step.action == "assert":
+            observed = self.ASSERTS[p["kind"]](self, p, step.time)
+            return [(what, p[key], value) for key, (what, value) in observed.items() if key in p]
+        checks = []
+        for key, (kind, _) in ACTION_SPECS[step.action].items():
+            if key in EXPECTATIONS and key in p:
+                template, field_name = EXPECTATIONS[key]
+                observed = op_result if field_name is None else op_result[field_name]
+                checks.append((template.format(format_value(kind, p[key])), p[key], observed))
+        return checks
 
-    def _label_transfer(self, params: dict, transfer_id: int) -> None:
-        if "as" in params:
-            self.transfers[str(params["as"])] = transfer_id
-        if params.get("tainted"):
-            self.tainted.add(transfer_id)
+    def _bind(self, p: Params, value: Any) -> None:
+        """Name the object a step produced by its as= label; a transfer id
+        marked tainted= feeds the taint-aware risk models."""
+        if "as" in p:
+            self.labels[p["as"]] = value
+        if p.get("tainted"):
+            self.tainted.add(value)
 
-    def _bid_id(self, ref: object) -> int:
-        return ref if isinstance(ref, int) else self.bids[str(ref)]
+    def _bid_id(self, ref: int | str) -> int:
+        return ref if isinstance(ref, int) else self.labels[ref]
 
-    @staticmethod
-    def _check(checks: list, params: dict, key: str, what: str, observed: int) -> None:
-        if key in params:
-            checks.append((f"{what} == {params[key]}", params[key], observed))
+    # -- actions: one handler per ACTION_SPECS row -------------------------------
 
-    def _assert(self, step: Step, checks: list) -> None:
-        p = step.params
-        now = step.time
-        kind = str(p["kind"])
-        if kind == "balance":
-            account = str(p["account"])
-            settled, unsettled = self.ledger.settle_view(account, now)
-            if "settled" in p:
-                checks.append((f"{account} settled", p["settled"], settled))
-            if "unsettled" in p:
-                checks.append((f"{account} unsettled", p["unsettled"], unsettled))
-        elif kind == "base":
-            account = str(p["account"])
-            checks.append((f"{account} base", p["amount"], self.base.balance(account)))
-        elif kind == "nonce":
-            account = str(p["account"])
-            checks.append((f"{account} nonce", p["value"], self.ledger.nonce(account)))
-        elif kind == "pool":
-            pool = self.pools[str(p["pool"])]
-            state = pool.pool_state(now)
-            for key in ("settled", "unsettled", "total", "lp_supply"):
-                if key in p:
-                    checks.append(
-                        (f"pool {pool.address} {key}", p[key], getattr(state, key))
-                    )
-        elif kind == "lp":
-            pool = self.pools[str(p["pool"])]
-            account = str(p["account"])
-            checks.append(
-                (
-                    f"{account} LP tokens in {pool.address}",
-                    p["amount"],
-                    pool.lp_holdings.get(account, 0),
-                )
-            )
-        elif kind == "bid":
-            book = self.books[str(p["book"])]
-            bid = book.bids.get(self._bid_id(p["bid"]))
-            status = "absent" if bid is None else bid.status
-            checks.append((f"bid {p['bid']} status", p["status"], status))
+    def _mint_base(self, p: Params, now: int) -> None:
+        self.base.mint(p["account"], p["amount"])
 
+    def _wrap(self, p: Params, now: int) -> None:
+        self.ledger.wrap(p["account"], p["amount"], now)
 
-def _json_params(params: dict[str, object]) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, list) and value and isinstance(value[0], tuple):
-            out[key] = [[name, amount] for name, amount in value]  # type: ignore[misc]
+    def _unwrap(self, p: Params, now: int) -> None:
+        self.ledger.unwrap_to(p["account"], p["amount"], p.get("to", p["account"]), now)
+
+    def _transfer(self, p: Params, now: int) -> dict:
+        tid = self.ledger.transfer(p["from"], p["to"], p["amount"], p.get("unsettled", False), now)
+        self._bind(p, tid)
+        return {"transfer_id": tid}
+
+    def _disable_unwrap(self, p: Params, now: int) -> None:
+        self.ledger.disable_unwrap(p["account"])
+
+    def _deposit(self, p: Params, now: int) -> dict:
+        return {"minted": self.pools[p["pool"]].deposit(p["lp"], p["amount"], now)}
+
+    def _withdraw(self, p: Params, now: int) -> dict:
+        base_out, unsettled_out = self.pools[p["pool"]].withdraw(p["lp"], p["tokens"], now)
+        return {"base": base_out, "unsettled": unsettled_out}
+
+    def _issue_report(self, p: Params, now: int) -> dict:
+        report = issue_report(
+            self.entities[p["signer"]],
+            self.registry,
+            p["requestor"],
+            p["amount"],
+            now,
+            p["ttl"],
+            self.ledger,
+        )
+        self._bind(p, report)
+        return {"quote_ppm": report.quote_ppm, "nonce": report.account_nonce}
+
+    def _swap(self, p: Params, now: int) -> dict:
+        reports = [self.labels[label] for label in p["reports"]]
+        receipt = self.pools[p["pool"]].swap(p["requestor"], p["amount"], reports, now)
+        self._bind(p, receipt.transfer_in_id)
+        return {
+            "out": receipt.amount_out,
+            "rate_ppm": receipt.rate_ppm,
+            "median_ppm": receipt.median_ppm,
+            "multiplier_ppm": receipt.multiplier_ppm,
+            "transfer_id": receipt.transfer_in_id,
+        }
+
+    def _post_bid(self, p: Params, now: int) -> dict:
+        bid_id = self.books[p["book"]].post_bid(
+            p["bidder"], p["amount"], p["min_rate"], p["expiry"], now
+        )
+        self._bind(p, bid_id)
+        return {"bid_id": bid_id}
+
+    def _cancel_bid(self, p: Params, now: int) -> None:
+        self.books[p["book"]].cancel_bid(p["by"], self._bid_id(p["bid"]))
+
+    def _match_bid(self, p: Params, now: int) -> dict:
+        fill = self.books[p["book"]].match_bid(p["lp"], self._bid_id(p["bid"]), p["offer"], now)
+        return {
+            "unsettled": fill.amount_unsettled,
+            "base": fill.base_paid,
+            "transfer_id": fill.transfer_id,
+        }
+
+    def _freeze(self, p: Params, now: int) -> dict:
+        if "targets" in p:
+            targets = p["targets"]
         else:
-            out[key] = value
-    return out
+            targets = self.ledger.plan_recovery(self.labels[p["transfer"]], p["amount"], now)
+        self.ledger.freeze(p.get("by", self.script.arbitrator), targets, p["case"], now)
+        return {"targets": [[name, amount] for name, amount in targets]}
+
+    def _recover(self, p: Params, now: int) -> dict:
+        by = p.get("by", self.script.arbitrator)
+        return {"amount": self.ledger.recover(by, p["case"], p["victim"], now)}
+
+    def _release(self, p: Params, now: int) -> None:
+        self.ledger.release(p.get("by", self.script.arbitrator), p["case"], now)
+
+    def _plan_recovery(self, p: Params, now: int) -> list:
+        plan = self.ledger.plan_recovery(self.labels[p["transfer"]], p["amount"], now)
+        return [[name, amount] for name, amount in plan]
+
+    def _no_op(self, p: Params, now: int) -> None:
+        """advance moves only the clock; assert's checks run in _checks."""
+
+    ACTIONS: dict[str, Callable[[ScenarioRunner, Params, int], object]] = {
+        "mint_base": _mint_base,
+        "wrap": _wrap,
+        "unwrap": _unwrap,
+        "transfer": _transfer,
+        "disable_unwrap": _disable_unwrap,
+        "deposit": _deposit,
+        "withdraw": _withdraw,
+        "issue_report": _issue_report,
+        "swap": _swap,
+        "post_bid": _post_bid,
+        "cancel_bid": _cancel_bid,
+        "match_bid": _match_bid,
+        "freeze": _freeze,
+        "recover": _recover,
+        "release": _release,
+        "plan_recovery": _plan_recovery,
+        "advance": _no_op,
+        "assert": _no_op,
+    }
+
+    # -- assertions: comparison field -> (description, observed value) ----------
+
+    def _assert_balance(self, p: Params, now: int) -> dict:
+        settled, unsettled = self.ledger.settle_view(p["account"], now)
+        return {
+            "settled": (f"{p['account']} settled", settled),
+            "unsettled": (f"{p['account']} unsettled", unsettled),
+        }
+
+    def _assert_base(self, p: Params, now: int) -> dict:
+        return {"amount": (f"{p['account']} base", self.base.balance(p["account"]))}
+
+    def _assert_nonce(self, p: Params, now: int) -> dict:
+        return {"value": (f"{p['account']} nonce", self.ledger.nonce(p["account"]))}
+
+    def _assert_pool(self, p: Params, now: int) -> dict:
+        pool = self.pools[p["pool"]]
+        state = pool.pool_state(now)
+        return {
+            key: (f"pool {pool.address} {key}", value)
+            for key, value in state._asdict().items()
+        }
+
+    def _assert_lp(self, p: Params, now: int) -> dict:
+        pool = self.pools[p["pool"]]
+        held = pool.lp_holdings.get(p["account"], 0)
+        return {"amount": (f"{p['account']} LP tokens in {pool.address}", held)}
+
+    def _assert_bid(self, p: Params, now: int) -> dict:
+        bid = self.books[p["book"]].bids.get(self._bid_id(p["bid"]))
+        status = "absent" if bid is None else bid.status
+        return {"status": (f"bid {p['bid']} status", status)}
+
+    ASSERTS: dict[str, Callable[[ScenarioRunner, Params, int], dict]] = {
+        "balance": _assert_balance,
+        "base": _assert_base,
+        "nonce": _assert_nonce,
+        "pool": _assert_pool,
+        "lp": _assert_lp,
+        "bid": _assert_bid,
+    }
 
 
 def run_scenario(script: ScenarioScript, name: str = "scenario") -> RunResult:

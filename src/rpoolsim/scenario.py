@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .errors import ERRORS_BY_NAME
 from .rates import PPM, format_rate, parse_rate
@@ -33,13 +34,21 @@ DEFAULT_WINDOW = 86_400
 DEFAULT_ARBITRATOR = "arbiter"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_INT_RE = re.compile(r"[0-9]+")
 _TOKEN_RE = re.compile(r"\S+")
 
+#: INT fields and step times stay below this bound, so a report's expiry
+#: (step time + ttl) always fits the 8-byte field its signature covers.
+INT_LIMIT = 1 << 63
+
 BID_STATUSES = ("open", "cancelled", "filled")
+SIGNER_MODELS = ("constant", "taint")
 
 # Parameter schemas: name -> (type, required).  Types: int, name, rate,
-# bool, label (backward data-flow reference), labels, targets, ref
-# (label-or-int), status.
+# bool, targets, status, and the label types, which carry the kind K of
+# label (transfer, report or bid) after a colon: "as:K" binds a new label,
+# "label:K" and "labels:K" name one or more earlier labels, and "ref:K"
+# names an earlier label or gives an integer id.
 ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
     "mint_base": {"account": ("name", True), "amount": ("int", True)},
     "wrap": {"account": ("name", True), "amount": ("int", True)},
@@ -53,7 +62,7 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "to": ("name", True),
         "amount": ("int", True),
         "unsettled": ("bool", False),
-        "as": ("label", False),
+        "as": ("as:transfer", False),
         "tainted": ("bool", False),
     },
     "disable_unwrap": {"account": ("name", True)},
@@ -75,15 +84,15 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "requestor": ("name", True),
         "amount": ("int", True),
         "ttl": ("int", True),
-        "as": ("label", True),
+        "as": ("as:report", True),
         "expect_quote": ("rate", False),
     },
     "swap": {
         "pool": ("name", True),
         "requestor": ("name", True),
         "amount": ("int", True),
-        "reports": ("labels", True),
-        "as": ("label", False),
+        "reports": ("labels:report", True),
+        "as": ("as:transfer", False),
         "tainted": ("bool", False),
         "expect_out": ("int", False),
         "expect_rate": ("rate", False),
@@ -94,23 +103,23 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "amount": ("int", True),
         "min_rate": ("rate", True),
         "expiry": ("int", True),
-        "as": ("label", False),
+        "as": ("as:bid", False),
     },
     "cancel_bid": {
         "book": ("name", True),
-        "bid": ("ref", True),
+        "bid": ("ref:bid", True),
         "by": ("name", True),
     },
     "match_bid": {
         "book": ("name", True),
-        "bid": ("ref", True),
+        "bid": ("ref:bid", True),
         "lp": ("name", True),
         "offer": ("int", True),
     },
     "freeze": {
         "case": ("name", True),
         "targets": ("targets", False),
-        "transfer": ("label", False),
+        "transfer": ("label:transfer", False),
         "amount": ("int", False),
         "by": ("name", False),
     },
@@ -122,7 +131,7 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
     },
     "release": {"case": ("name", True), "by": ("name", False)},
     "plan_recovery": {
-        "transfer": ("label", True),
+        "transfer": ("label:transfer", True),
         "amount": ("int", True),
         "expect": ("targets", False),
     },
@@ -132,7 +141,7 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "account": ("name", False),
         "pool": ("name", False),
         "book": ("name", False),
-        "bid": ("ref", False),
+        "bid": ("ref:bid", False),
         "settled": ("int", False),
         "unsettled": ("int", False),
         "amount": ("int", False),
@@ -156,6 +165,27 @@ ASSERT_KINDS: dict[str, tuple[set[str], set[str]]] = {
 
 #: actions on which expect_error is meaningless and rejected
 NO_EXPECT_ERROR = {"advance", "assert"}
+
+#: Header directive fields: name -> type, from the same types as steps.
+#: Config fields name :class:`ScenarioScript` attributes; account and pool
+#: fields name :class:`GenesisAccount` and :class:`PoolSpec` fields.
+DIRECTIVE_FIELDS: dict[str, dict[str, str]] = {
+    "config": {"window": "int", "arbitrator": "name"},
+    "account": {"base": "int", "settled": "int"},
+    "signer": {"model": "model", "rate": "rate", "authorized": "bool"},
+    "pool": {
+        "kappa_ppm": "int",
+        "risk_lo_ppm": "int",
+        "risk_hi_ppm": "int",
+        "min_quorum": "int",
+        "min_lp_deposit": "int",
+        "rate_cap_ppm": "int",
+    },
+}
+
+#: Step parameters by field name; each value has the Python type its
+#: ACTION_SPECS type parses to (int, str, bool, list).
+Params = dict[str, Any]
 
 
 class ParseError(Exception):
@@ -200,7 +230,7 @@ class Step:
     line: int = field(compare=False)
     time: int
     action: str
-    params: dict[str, object]
+    params: Params
     expect_error: str | None = None
 
 
@@ -256,9 +286,12 @@ class _Parser:
 
     def parse_int(self, key: str, raw: tuple[int, str]) -> int:
         col, value = raw
-        if not value.isdigit():
+        if not _INT_RE.fullmatch(value):
             raise self.fail(f"{key} must be a non-negative integer, got {value!r}", col)
-        return int(value)
+        number = int(value)
+        if number >= INT_LIMIT:
+            raise self.fail(f"{key} must be below 2**63, got {value}", col)
+        return number
 
     def parse_name(self, key: str, raw: tuple[int, str]) -> str:
         col, value = raw
@@ -279,19 +312,78 @@ class _Parser:
             raise self.fail(f"{key} must be true or false, got {value!r}", col)
         return value == "true"
 
-    def parse_targets(self, key: str, raw: tuple[int, str]) -> list[tuple[str, int]]:
+    def parse_labels(self, key: str, raw: tuple[int, str]) -> list[str]:
+        return [self.parse_name(key, (raw[0], part)) for part in raw[1].split(",")]
+
+    def parse_targets(self, key: str, raw: tuple[int, str]) -> list[list[Any]]:
         col, value = raw
         targets = []
         for part in value.split(","):
             if ":" not in part:
                 raise self.fail(f"{key} entries are name:amount, got {part!r}", col)
             name, amount = part.rsplit(":", 1)
-            if not _NAME_RE.fullmatch(name) or not amount.isdigit():
+            if not _NAME_RE.fullmatch(name) or not _INT_RE.fullmatch(amount):
                 raise self.fail(f"{key} entries are name:amount, got {part!r}", col)
-            targets.append((name, int(amount)))
+            targets.append([name, self.parse_int(key, (col, amount))])
         return targets
 
+    def parse_ref(self, key: str, raw: tuple[int, str]) -> int | str:
+        if _INT_RE.fullmatch(raw[1]):
+            return self.parse_int(key, raw)
+        return self.parse_name(key, raw)
+
+    def parse_status(self, key: str, raw: tuple[int, str]) -> str:
+        if raw[1] not in BID_STATUSES:
+            raise self.fail(f"status must be one of {BID_STATUSES}", raw[0])
+        return raw[1]
+
+    def parse_model(self, key: str, raw: tuple[int, str]) -> str:
+        if raw[1] not in SIGNER_MODELS:
+            raise self.fail(
+                f"signer model must be constant or taint, got {raw[1]!r}", raw[0]
+            )
+        return raw[1]
+
+    #: field type (the part before any ":label-kind") -> parser
+    KINDS: dict[str, Callable[[_Parser, str, tuple[int, str]], Any]] = {
+        "int": parse_int,
+        "name": parse_name,
+        "rate": parse_rate_field,
+        "bool": parse_bool,
+        "as": parse_name,
+        "label": parse_name,
+        "labels": parse_labels,
+        "targets": parse_targets,
+        "ref": parse_ref,
+        "status": parse_status,
+        "model": parse_model,
+    }
+
+    def parse_field(self, kind: str, key: str, raw: tuple[int, str]) -> Any:
+        return self.KINDS[kind.partition(":")[0]](self, key, raw)
+
     # -- directives ----------------------------------------------------------
+
+    def directive_fields(
+        self, directive: str, tokens: list[tuple[int, str]]
+    ) -> Params:
+        schema = DIRECTIVE_FIELDS[directive]
+        values: Params = {}
+        for key, raw in self.split_fields(tokens).items():
+            if key not in schema:
+                raise self.fail(f"unknown {directive} field {key!r}", raw[0])
+            values[key] = self.parse_field(schema[key], key, raw)
+        return values
+
+    def named_directive(
+        self, directive: str, tokens: list[tuple[int, str]]
+    ) -> tuple[int, str, Params]:
+        """(column, name, typed fields) of an account/signer/pool line."""
+        if not tokens:
+            raise self.fail(f"{directive} needs a name")
+        col, name = tokens[0]
+        name = self.parse_name(directive, (col, name))
+        return col, name, self.directive_fields(directive, tokens[1:])
 
     def handle_config(self, tokens: list[tuple[int, str]]) -> None:
         if self.saw_config:
@@ -299,14 +391,8 @@ class _Parser:
         if self.script.steps:
             raise self.fail("config must precede all steps")
         self.saw_config = True
-        fields = self.split_fields(tokens)
-        for key, raw in fields.items():
-            if key == "window":
-                self.script.window = self.parse_int(key, raw)
-            elif key == "arbitrator":
-                self.script.arbitrator = self.parse_name(key, raw)
-            else:
-                raise self.fail(f"unknown config field {key!r}", raw[0])
+        for key, value in self.directive_fields("config", tokens).items():
+            setattr(self.script, key, value)
 
     def declare(self, name: str, directive: str, col: int) -> None:
         if name in self.names_seen:
@@ -316,46 +402,13 @@ class _Parser:
         self.names_seen[name] = directive
 
     def handle_account(self, tokens: list[tuple[int, str]]) -> None:
-        if not tokens:
-            raise self.fail("account needs a name")
-        col, name = tokens[0]
-        name = self.parse_name("account", (col, name))
-        fields = self.split_fields(tokens[1:])
-        base = settled = 0
-        for key, raw in fields.items():
-            if key == "base":
-                base = self.parse_int(key, raw)
-            elif key == "settled":
-                settled = self.parse_int(key, raw)
-            else:
-                raise self.fail(f"unknown account field {key!r}", raw[0])
+        col, name, values = self.named_directive("account", tokens)
         self.declare(name, "account", col)
-        self.script.accounts.append(GenesisAccount(name, base, settled))
+        self.script.accounts.append(GenesisAccount(name, **values))
 
     def handle_signer(self, tokens: list[tuple[int, str]]) -> None:
-        if not tokens:
-            raise self.fail("signer needs a name")
-        col, name = tokens[0]
-        name = self.parse_name("signer", (col, name))
-        fields = self.split_fields(tokens[1:])
-        model = None
-        rate_ppm = PPM
-        authorized = True
-        for key, raw in fields.items():
-            if key == "model":
-                if raw[1] not in ("constant", "taint"):
-                    raise self.fail(
-                        f"signer model must be constant or taint, got {raw[1]!r}",
-                        raw[0],
-                    )
-                model = raw[1]
-            elif key == "rate":
-                rate_ppm = self.parse_rate_field(key, raw)
-            elif key == "authorized":
-                authorized = self.parse_bool(key, raw)
-            else:
-                raise self.fail(f"unknown signer field {key!r}", raw[0])
-        if model is None:
+        col, name, values = self.named_directive("signer", tokens)
+        if "model" not in values:
             raise self.fail(f"signer {name} needs model=constant|taint", col)
         # Signers share the ledger namespace with accounts (they are LPs),
         # so the name may already be declared as an account.
@@ -365,27 +418,17 @@ class _Parser:
             )
         if any(s.name == name for s in self.script.signers):
             raise self.fail(f"duplicate signer {name!r}", col)
-        self.script.signers.append(SignerSpec(name, model, rate_ppm, authorized))
+        self.script.signers.append(
+            SignerSpec(
+                name,
+                values["model"],
+                values.get("rate", PPM),
+                values.get("authorized", True),
+            )
+        )
 
     def handle_pool(self, tokens: list[tuple[int, str]]) -> None:
-        if not tokens:
-            raise self.fail("pool needs a name")
-        col, name = tokens[0]
-        name = self.parse_name("pool", (col, name))
-        fields = self.split_fields(tokens[1:])
-        values = {}
-        for key, raw in fields.items():
-            if key in (
-                "kappa_ppm",
-                "risk_lo_ppm",
-                "risk_hi_ppm",
-                "min_quorum",
-                "min_lp_deposit",
-                "rate_cap_ppm",
-            ):
-                values[key] = self.parse_int(key, raw)
-            else:
-                raise self.fail(f"unknown pool field {key!r}", raw[0])
+        col, name, values = self.named_directive("pool", tokens)
         if "kappa_ppm" not in values:
             raise self.fail(f"pool {name} needs kappa_ppm", col)
         if not 0 < values["kappa_ppm"] < PPM:
@@ -431,34 +474,11 @@ class _Parser:
                 raise self.fail(f"unknown error name {err_name!r}", err_col)
             expect_error = err_name
 
-        params: dict[str, object] = {}
+        params: Params = {}
         for key, raw in fields.items():
             if key not in spec:
                 raise self.fail(f"unknown field {key!r} for {action}", raw[0])
-            kind = spec[key][0]
-            if kind == "int":
-                params[key] = self.parse_int(key, raw)
-            elif kind == "name":
-                params[key] = self.parse_name(key, raw)
-            elif kind == "rate":
-                params[key] = self.parse_rate_field(key, raw)
-            elif kind == "bool":
-                params[key] = self.parse_bool(key, raw)
-            elif kind == "label":
-                params[key] = self.parse_name(key, raw)
-            elif kind == "labels":
-                params[key] = [
-                    self.parse_name(key, (raw[0], part))
-                    for part in raw[1].split(",")
-                ]
-            elif kind == "targets":
-                params[key] = self.parse_targets(key, raw)
-            elif kind == "ref":
-                params[key] = int(raw[1]) if raw[1].isdigit() else self.parse_name(key, raw)
-            elif kind == "status":
-                if raw[1] not in BID_STATUSES:
-                    raise self.fail(f"status must be one of {BID_STATUSES}", raw[0])
-                params[key] = raw[1]
+            params[key] = self.parse_field(spec[key][0], key, raw)
         for key, (kind, required) in spec.items():
             if required and key not in params:
                 raise self.fail(f"{action} requires {key}=", col)
@@ -466,11 +486,9 @@ class _Parser:
         self.check_step_semantics(action, params, col)
         self.script.steps.append(Step(self.line_no, time, action, params, expect_error))
 
-    def check_step_semantics(
-        self, action: str, params: dict[str, object], col: int
-    ) -> None:
-        def need(kind: str, name: object) -> None:
-            if self.names_seen.get(str(name)) != kind:
+    def check_step_semantics(self, action: str, params: Params, col: int) -> None:
+        def need(kind: str, name: str) -> None:
+            if self.names_seen.get(name) != kind:
                 raise self.fail(f"{name!r} is not a declared {kind}", col)
 
         if "pool" in params:
@@ -492,7 +510,7 @@ class _Parser:
                 raise self.fail("freeze by plan needs both transfer= and amount=", col)
 
         if action == "assert":
-            kind = str(params["kind"])
+            kind = params["kind"]
             if kind not in ASSERT_KINDS:
                 raise self.fail(f"unknown assert kind {kind!r}", col)
             required, comparisons = ASSERT_KINDS[kind]
@@ -509,34 +527,34 @@ class _Parser:
                     f"{sorted(comparisons)}", col
                 )
 
-        # backward label references
-        for key, want in (("reports", "report"), ("transfer", "transfer")):
-            if key in params:
-                values = params[key] if isinstance(params[key], list) else [params[key]]
-                for label in values:
-                    if self.labels.get(str(label)) != want:
-                        raise self.fail(
-                            f"{label!r} does not label an earlier {want}", col
-                        )
-        if "bid" in params and not isinstance(params["bid"], int):
-            if self.labels.get(str(params["bid"])) != "bid":
-                raise self.fail(
-                    f"{params['bid']!r} does not label an earlier bid", col
-                )
+        # backward label references; integer refs are ids, checked at run time
+        spec = ACTION_SPECS[action]
+        for key, value in params.items():
+            use, _, label_kind = spec[key][0].partition(":")
+            if not label_kind or use == "as":
+                continue
+            for label in value if isinstance(value, list) else [value]:
+                if not isinstance(label, int) and self.labels.get(label) != label_kind:
+                    raise self.fail(
+                        f"{label!r} does not label an earlier {label_kind}", col
+                    )
 
         if "as" in params:
-            label = str(params["as"])
+            label = params["as"]
             if label in self.labels:
                 raise self.fail(f"label {label!r} already used", col)
-            kind = {
-                "transfer": "transfer",
-                "swap": "transfer",
-                "issue_report": "report",
-                "post_bid": "bid",
-            }[action]
-            self.labels[label] = kind
+            self.labels[label] = spec["as"][0].partition(":")[2]
 
     # -- driver -------------------------------------------------------------
+
+    DIRECTIVES: dict[str, Callable[[_Parser, list[tuple[int, str]]], None]] = {
+        "config": handle_config,
+        "account": handle_account,
+        "signer": handle_signer,
+        "pool": handle_pool,
+        "book": handle_book,
+        "at": handle_step,
+    }
 
     def parse(self) -> ScenarioScript:
         for self.line_no, line in enumerate(self.text.splitlines(), start=1):
@@ -545,20 +563,10 @@ class _Parser:
                 continue
             col, head = tokens[0]
             self.col = col
-            if head == "config":
-                self.handle_config(tokens[1:])
-            elif head == "account":
-                self.handle_account(tokens[1:])
-            elif head == "signer":
-                self.handle_signer(tokens[1:])
-            elif head == "pool":
-                self.handle_pool(tokens[1:])
-            elif head == "book":
-                self.handle_book(tokens[1:])
-            elif head == "at":
-                self.handle_step(tokens[1:])
-            else:
+            handler = self.DIRECTIVES.get(head)
+            if handler is None:
                 raise self.fail(f"unknown directive {head!r}")
+            handler(self, tokens[1:])
         return self.script
 
 
@@ -571,19 +579,17 @@ def parse_scenario(text: str) -> ScenarioScript:
 # canonical formatting
 # ---------------------------------------------------------------------------
 
-_RATE_KEYS = {"min_rate", "expect_rate", "expect_quote", "rate"}
+_FORMATTERS: dict[str, Callable[[Any], str]] = {
+    "rate": format_rate,
+    "bool": lambda value: "true" if value else "false",
+    "labels": ",".join,
+    "targets": lambda value: ",".join(f"{name}:{amount}" for name, amount in value),
+}
 
 
-def _format_value(key: str, value: object) -> str:
-    if key in _RATE_KEYS:
-        return format_rate(int(value))  # type: ignore[arg-type]
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        if value and isinstance(value[0], tuple):
-            return ",".join(f"{name}:{amount}" for name, amount in value)
-        return ",".join(str(v) for v in value)
-    return str(value)
+def format_value(kind: str, value: Any) -> str:
+    """Canonical text of a field value of the given spec type."""
+    return _FORMATTERS.get(kind.partition(":")[0], str)(value)
 
 
 def format_scenario(script: ScenarioScript) -> str:
@@ -610,12 +616,8 @@ def format_scenario(script: ScenarioScript) -> str:
     if script.signers:
         lines.append("")
     for pool in script.pools:
-        lines.append(
-            f"pool {pool.name} kappa_ppm={pool.kappa_ppm} "
-            f"risk_lo_ppm={pool.risk_lo_ppm} risk_hi_ppm={pool.risk_hi_ppm} "
-            f"min_quorum={pool.min_quorum} min_lp_deposit={pool.min_lp_deposit} "
-            f"rate_cap_ppm={pool.rate_cap_ppm}"
-        )
+        fields = " ".join(f"{key}={getattr(pool, key)}" for key in DIRECTIVE_FIELDS["pool"])
+        lines.append(f"pool {pool.name} {fields}")
     if script.pools:
         lines.append("")
     for book in script.books:
@@ -624,9 +626,9 @@ def format_scenario(script: ScenarioScript) -> str:
         lines.append("")
     for step in script.steps:
         parts = [f"at {step.time} {step.action}"]
-        for key in ACTION_SPECS[step.action]:
+        for key, (kind, _) in ACTION_SPECS[step.action].items():
             if key in step.params:
-                parts.append(f"{key}={_format_value(key, step.params[key])}")
+                parts.append(f"{key}={format_value(kind, step.params[key])}")
         if step.expect_error:
             parts.append(f"expect_error={step.expect_error}")
         lines.append(" ".join(parts))

@@ -9,6 +9,7 @@ from rpoolsim.errors import (
     InsufficientLpTokens,
     InsufficientPoolSettled,
     StaleNonce,
+    UnwrapDisabled,
     ZeroAmount,
 )
 
@@ -66,6 +67,41 @@ class TestDeposit:
         pool, _ = make_pool(base, ledger)
         with pytest.raises(ZeroAmount):
             pool.deposit("lp1", 0, 0)
+
+
+class TestUnwrapDisabledPool:
+    """A pool account that disables unwrapping after construction rejects
+    base payouts before any token moves."""
+
+    @staticmethod
+    def _state(ledger, pool):
+        accounts = ("bob", "lp1", "pool")
+        return (
+            [(ledger.settle_view(a, 0), ledger.nonce(a)) for a in accounts],
+            len(ledger.transfer_log),
+            dict(pool.lp_holdings),
+        )
+
+    def test_swap_is_atomic(self, world):
+        base, ledger = world
+        pool, rater = make_pool(base, ledger)
+        give_unsettled(base, ledger, "bob", 100)
+        reports = quorum(pool, rater, "bob", 100, 0, ledger)
+        ledger.disable_unwrap("pool")
+        before = self._state(ledger, pool)
+        with pytest.raises(UnwrapDisabled):
+            pool.swap("bob", 100, reports, 0)
+        assert self._state(ledger, pool) == before
+
+    def test_withdraw_is_atomic(self, world):
+        base, ledger = world
+        pool, _ = make_pool(base, ledger)
+        give_unsettled(base, ledger, "pool", 100)
+        ledger.disable_unwrap("pool")
+        before = self._state(ledger, pool)
+        with pytest.raises(UnwrapDisabled):
+            pool.withdraw("lp1", 100, 0)
+        assert self._state(ledger, pool) == before
 
 
 class TestWithdraw:

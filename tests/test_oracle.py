@@ -136,7 +136,7 @@ class TestValidateReports:
         base, ledger = world
         pool, rater = make_pool(base, ledger, min_quorum=1)
         reports = _reports(pool, rater, ledger)
-        assert validate_reports(pool, "alice", 100, reports, 0, ledger) == 500000
+        assert validate_reports(pool, "alice", 100, reports, 0) == 500000
 
     def test_three_signer_median(self, world):
         base, ledger = world
@@ -154,7 +154,7 @@ class TestValidateReports:
             registry.register(name, public)
             entity = RatingEntity(name, secret, ConstantRiskModel(rate))
             reports.append(issue_report(entity, registry, "alice", 100, 0, 60, ledger))
-        assert validate_reports(pool, "alice", 100, reports, 0, ledger) == 600000
+        assert validate_reports(pool, "alice", 100, reports, 0) == 600000
 
     def test_order_independence(self, world):
         base, ledger = world
@@ -172,7 +172,7 @@ class TestValidateReports:
             entity = RatingEntity(name, secret, ConstantRiskModel(rate))
             reports.append(issue_report(entity, registry, "alice", 100, 0, 60, ledger))
         medians = {
-            validate_reports(pool, "alice", 100, list(perm), 0, ledger)
+            validate_reports(pool, "alice", 100, list(perm), 0)
             for perm in itertools.permutations(reports)
         }
         assert medians == {400000}
@@ -182,21 +182,21 @@ class TestValidateReports:
         pool, rater = make_pool(base, ledger, min_quorum=3)
         reports = _reports(pool, rater, ledger)
         with pytest.raises(QuorumTooSmall):
-            validate_reports(pool, "alice", 100, reports, 0, ledger)
+            validate_reports(pool, "alice", 100, reports, 0)
 
     def test_duplicate_signer(self, world):
         base, ledger = world
         pool, rater = make_pool(base, ledger)
         reports = _reports(pool, rater, ledger, n=2)
         with pytest.raises(DuplicateSigner):
-            validate_reports(pool, "alice", 100, reports, 0, ledger)
+            validate_reports(pool, "alice", 100, reports, 0)
 
     def test_signer_not_lp(self, world):
         base, ledger = world
         pool, rater = make_pool(base, ledger, min_lp_deposit=500)
         reports = _reports(pool, rater, ledger)
         with pytest.raises(SignerNotLp):
-            validate_reports(pool, "alice", 100, reports, 0, ledger)
+            validate_reports(pool, "alice", 100, reports, 0)
 
     def test_signer_not_authorized(self, world):
         base, ledger = world
@@ -204,7 +204,7 @@ class TestValidateReports:
         pool.registry.set_authorized(rater.signer_id, False)
         reports = _reports(pool, rater, ledger)
         with pytest.raises(SignerNotAuthorized):
-            validate_reports(pool, "alice", 100, reports, 0, ledger)
+            validate_reports(pool, "alice", 100, reports, 0)
 
     def test_stale_nonce_after_any_touch(self, world):
         base, ledger = world
@@ -212,24 +212,24 @@ class TestValidateReports:
         reports = _reports(pool, rater, ledger)
         give_unsettled(base, ledger, "alice", 1, now=0)  # nonce moves
         with pytest.raises(StaleNonce):
-            validate_reports(pool, "alice", 100, reports, 0, ledger)
+            validate_reports(pool, "alice", 100, reports, 0)
 
     def test_expiry_is_strict(self, world):
         base, ledger = world
         pool, rater = make_pool(base, ledger)
         reports = _reports(pool, rater, ledger, ttl=60)
-        assert validate_reports(pool, "alice", 100, reports, 59, ledger) == 500000
+        assert validate_reports(pool, "alice", 100, reports, 59) == 500000
         with pytest.raises(ReportExpired):
-            validate_reports(pool, "alice", 100, reports, 60, ledger)
+            validate_reports(pool, "alice", 100, reports, 60)
 
     def test_request_mismatch(self, world):
         base, ledger = world
         pool, rater = make_pool(base, ledger)
         reports = _reports(pool, rater, ledger, amount=100)
         with pytest.raises(RequestMismatch):
-            validate_reports(pool, "alice", 999, reports, 0, ledger)
+            validate_reports(pool, "alice", 999, reports, 0)
         with pytest.raises(RequestMismatch):
-            validate_reports(pool, "bob", 100, reports, 0, ledger)
+            validate_reports(pool, "bob", 100, reports, 0)
 
     def test_bad_signature(self, world):
         base, ledger = world
@@ -245,7 +245,7 @@ class TestValidateReports:
             report.signature,
         )
         with pytest.raises(BadSignature):
-            validate_reports(pool, "alice", 100, [forged], 0, ledger)
+            validate_reports(pool, "alice", 100, [forged], 0)
 
     def test_median_outside_bounds(self, world):
         base, ledger = world
@@ -254,4 +254,4 @@ class TestValidateReports:
         )
         reports = _reports(pool, rater, ledger)
         with pytest.raises(OutOfRiskBounds):
-            validate_reports(pool, "alice", 100, reports, 0, ledger)
+            validate_reports(pool, "alice", 100, reports, 0)

@@ -325,7 +325,7 @@ def test_validate_reports_permutation_invariance(world):
         entity = RatingEntity(name, secret, ConstantRiskModel(rate))
         reports.append(issue_report(entity, registry, "alice", 9, 0, 60, ledger))
     medians = {
-        validate_reports(pool, "alice", 9, list(perm), 0, ledger)
+        validate_reports(pool, "alice", 9, list(perm), 0)
         for perm in itertools.permutations(reports)
     }
     assert len(medians) == 1

@@ -1,6 +1,7 @@
 """Runner and CLI behavior: the shipped corpus, determinism, error
 isolation, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from rpoolsim.cli import main
-from rpoolsim.runner import ScenarioRunner, run_scenario
-from rpoolsim.scenario import parse_scenario
+from rpoolsim.runner import EXPECTATIONS, ScenarioRunner, run_scenario
+from rpoolsim.scenario import ACTION_SPECS, ASSERT_KINDS, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CORPUS = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -82,6 +83,74 @@ def test_wrong_error_reported():
     assert failure.observed == "InsufficientBase"
 
 
+# Step forms that no shipped scenario runs: an LP-holding assertion, an
+# unwrap paying another account, and bids referenced by integer id.
+UNCOVERED_FORMS = """\
+config window=100 arbitrator=arb
+account lp base=500
+account whale settled=300
+pool main kappa_ppm=500000
+book ob
+at 0 deposit pool=main lp=lp amount=200
+at 0 assert kind=lp pool=main account=lp amount=200
+at 0 unwrap account=whale amount=50 to=carol
+at 0 transfer from=whale to=alice amount=100
+at 0 post_bid book=ob bidder=alice amount=100 min_rate=0.5 expiry=900
+at 5 assert kind=bid book=ob bid=1 status=open
+at 5 match_bid book=ob bid=1 lp=lp offer=50
+at 5 cancel_bid book=ob bid=1 by=alice expect_error=BidNotOpen
+at 5 assert kind=bid book=ob bid=1 status=filled
+"""
+
+
+def test_uncovered_step_forms_event_log():
+    result = run_scenario(parse_scenario(UNCOVERED_FORMS))
+    assert result.event_log_lines() == [
+        '{"action":"deposit","deltas":{"lp":{"base":-200},"main":{"nonce":1,"settled":200}},'
+        '"outcome":"ok","params":{"amount":200,"lp":"lp","pool":"main"},"result":{"minted":200},'
+        '"seq":1,"time":0}',
+        '{"action":"assert","deltas":{},"outcome":"ok","params":{"account":"lp","amount":200,'
+        '"kind":"lp","pool":"main"},"result":null,"seq":2,"time":0}',
+        '{"action":"unwrap","deltas":{"carol":{"base":50},"whale":{"nonce":1,"settled":-50}},'
+        '"outcome":"ok","params":{"account":"whale","amount":50,"to":"carol"},"result":null,'
+        '"seq":3,"time":0}',
+        '{"action":"transfer","deltas":{"alice":{"nonce":1,"unsettled":100},'
+        '"whale":{"nonce":1,"settled":-100}},"outcome":"ok",'
+        '"params":{"amount":100,"from":"whale","to":"alice"},"result":{"transfer_id":1},'
+        '"seq":4,"time":0}',
+        '{"action":"post_bid","deltas":{},"outcome":"ok","params":{"amount":100,"bidder":"alice",'
+        '"book":"ob","expiry":900,"min_rate":500000},"result":{"bid_id":1},"seq":5,"time":0}',
+        '{"action":"assert","deltas":{},"outcome":"ok","params":{"bid":1,"book":"ob","kind":"bid",'
+        '"status":"open"},"result":null,"seq":6,"time":5}',
+        '{"action":"match_bid","deltas":{"alice":{"base":50,"nonce":1,"unsettled":-100},'
+        '"lp":{"base":-50,"nonce":1,"unsettled":100}},"outcome":"ok",'
+        '"params":{"bid":1,"book":"ob","lp":"lp","offer":50},'
+        '"result":{"base":50,"transfer_id":2,"unsettled":100},"seq":7,"time":5}',
+        '{"action":"cancel_bid","deltas":{},"outcome":"BidNotOpen","params":{"bid":1,"book":"ob",'
+        '"by":"alice"},"result":null,"seq":8,"time":5}',
+        '{"action":"assert","deltas":{},"outcome":"ok","params":{"bid":1,"book":"ob","kind":"bid",'
+        '"status":"filled"},"result":null,"seq":9,"time":5}',
+    ]
+    assert [(a.description, a.passed) for a in result.assertions] == [
+        ("step 2: lp LP tokens in main", True),
+        ("step 6: bid 1 status", True),
+        ("step 8 (cancel_bid) fails with BidNotOpen", True),
+        ("step 9: bid 1 status", True),
+    ]
+
+
+def test_runner_tables_cover_the_scenario_schema():
+    assert ScenarioRunner.ACTIONS.keys() == ACTION_SPECS.keys()
+    assert ScenarioRunner.ASSERTS.keys() == ASSERT_KINDS.keys()
+    expect_keys = {
+        key
+        for spec in ACTION_SPECS.values()
+        for key in spec
+        if key.startswith("expect")
+    }
+    assert EXPECTATIONS.keys() == expect_keys
+
+
 def test_state_digest_is_stable_over_noops():
     script = parse_scenario("account alice base=5\nat 0 advance\nat 10 advance\n")
     runner = ScenarioRunner(script)
@@ -137,6 +206,38 @@ class TestCli:
             "pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000\nat 0 advance\n"
         )
         assert main(["run", str(bounds)]) == 2
+
+    # sha256 of the whole shipped corpus's output; any change to the log
+    # format, the report format or a step's behaviour moves these.
+    CORPUS_LOG_SHA256 = "9a2f951048cb56c69f76c40e1cfe4f60b54a2a6393e203c16b96a9785a56a9ce"
+    CORPUS_JSON_SHA256 = "5eb1005c0e098a7775c5ff6b47b4a5c3b8c8698ed07ec60ab7471675ff8a4f5a"
+
+    def test_corpus_log_golden(self, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        assert main(["run", *map(str, CORPUS), "--log", str(log)]) == 0
+        data = log.read_bytes()
+        assert data.count(b"\n") == 181
+        assert hashlib.sha256(data).hexdigest() == self.CORPUS_LOG_SHA256
+
+    def test_corpus_json_report_golden(self, capsys):
+        assert main(["run", *map(str, CORPUS), "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.CORPUS_JSON_SHA256
+
+    def test_reserved_name_in_a_step_is_its_outcome(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            "config arbitrator=arb\naccount a settled=5\n"
+            "at 0 transfer from=a to=arb amount=1\n"
+        )
+        argv = ["run", str(bad), str(SCENARIO_DIR / "rate_cap.scn"), "--format", "json"]
+        assert main(argv) == 1
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["scenario"], r["passed"]) for r in reports] == [
+            ("bad", False),
+            ("rate_cap", True),
+        ]
+        assert reports[0]["assertions"][0]["observed"] == "ReservedName"
 
     def test_fmt_round_trip(self, capsys):
         assert main(["fmt", str(SCENARIO_DIR / "recovery_L1.scn")]) == 0

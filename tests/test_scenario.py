@@ -69,6 +69,24 @@ def test_rate_above_one_rejected():
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        "at 9223372036854775808 advance",
+        "at 0 issue_report signer=rater requestor=alice amount=5 "
+        "ttl=100000000000000000000000 as=r1",
+        "at 0 freeze case=c1 targets=alice:9223372036854775808",
+        "at 0 cancel_bid book=ob bid=9223372036854775808 by=alice",
+        "at ² advance",
+    ],
+)
+def test_ints_outside_the_encodable_range_rejected(step):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(HEADER + step + "\n")
+    assert err.value.line == 6
+    parse_scenario(HEADER + "at 9223372036854775807 advance\n")
+
+
 def test_undefined_report_label():
     bad = HEADER + "at 0 swap pool=main requestor=alice amount=5 reports=ghost\n"
     with pytest.raises(ParseError) as err:
