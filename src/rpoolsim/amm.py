@@ -90,6 +90,7 @@ class AmmPool:
         if min_quorum < 1:
             raise ValueError("quorum must be at least 1")
         check_rate(rate_cap_ppm)
+        ledger.check_name(address)
         self.ledger = ledger
         self.address = address
         self.registry = registry

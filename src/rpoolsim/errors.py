@@ -143,7 +143,7 @@ class BidNotOpen(RPoolError):
 
 
 class BadExpiry(RPoolError):
-    """Bid expiry is not in the future."""
+    """Bid or report expiry is not in the future (a report ttl must be positive)."""
 
 
 class BidExpired(RPoolError):

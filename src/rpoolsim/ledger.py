@@ -13,10 +13,22 @@ records into the settled balance before acting.  A record is settled once
 ``now >= settlement_time``.  Frozen portions never mature while their case
 is open.
 
+Records are kept in ascending ``(settlement_time, record_id)`` order, so at
+any ``now`` the matured records form a prefix of the list; maturing,
+spending and freezing all act on that prefix.  Each account also carries
+``unsettled_sum`` and ``frozen_sum``, the totals of its records' ``amount``
+and ``frozen_amount``.  They are derived values, updated wherever a record
+changes, so that balance views cost the matured prefix instead of the whole
+list; :meth:`WrapperLedger.check_invariants` recounts them from the records.
+Likewise the per-sender outflow index behind :meth:`WrapperLedger.plan_recovery`
+holds the transfer-log rows that drew on unsettled records, in log order.
+
 Key invariants maintained here and asserted by :meth:`WrapperLedger.check_invariants`:
   - base-token total supply is conserved by every operation;
   - the base tokens locked at the wrapper address equal the sum of all
     settled and unsettled (including frozen) wrapper balances;
+  - each account's records are non-empty, in order, and sum to its
+    ``unsettled_sum`` and ``frozen_sum``;
   - each account's nonce increments by exactly one for every ledger event
     the account participates in;
   - no operation other than recover/release ever reduces a frozen amount.
@@ -86,12 +98,15 @@ class Account:
     unsettled: list[UnsettledRecord] = field(default_factory=list)
     nonce: int = 0
     unwrap_disabled: bool = False
+    #: totals of ``amount`` and ``frozen_amount`` over ``unsettled``
+    unsettled_sum: int = field(default=0, init=False)
+    frozen_sum: int = field(default=0, init=False)
 
     def unsettled_total(self) -> int:
-        return sum(rec.amount for rec in self.unsettled)
+        return self.unsettled_sum
 
     def frozen_total(self) -> int:
-        return sum(rec.frozen_amount for rec in self.unsettled)
+        return self.frozen_sum
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,27 @@ class Case:
     case_id: str
     #: (account, record_id, amount) marks placed by the freeze
     entries: list[tuple[str, int, int]]
+    #: the marked record of each entry, index-aligned with ``entries``
+    records: list[UnsettledRecord]
     status: str = "active"  # active | recovered | released
+
+
+def _record_key(rec: UnsettledRecord) -> tuple[int, int]:
+    return rec.settlement_time, rec.record_id
+
+
+#: sorts before every record key: the caller's clock may be negative
+_BEFORE_ANY_KEY = (float("-inf"),)
+
+
+def _matured_movable(records: list[UnsettledRecord], now: int) -> int:
+    """Unfrozen value of the matured prefix: what a fold at ``now`` moves."""
+    movable = 0
+    for rec in records:
+        if rec.settlement_time > now:
+            break
+        movable += rec.amount - rec.frozen_amount
+    return movable
 
 
 class BaseLedger:
@@ -170,15 +205,21 @@ class WrapperLedger:
         self.address = address
         self.accounts: dict[str, Account] = {}
         self.transfer_log: list[TransferEntry] = []
+        #: sender -> its transfer-log rows with ``unsettled_spent > 0``
+        self._outflows: dict[str, list[TransferEntry]] = {}
         self.cases: dict[str, Case] = {}
         self._next_record_id = 1
         self._next_transfer_id = 1
 
     # -- account plumbing ---------------------------------------------------
 
-    def _account(self, name: str) -> Account:
+    def check_name(self, name: str) -> None:
+        """Reject the names that can never hold an account."""
         if name in (self.arbitrator, self.address, NOBODY):
             raise ReservedName(f"{name!r} is reserved and cannot hold an account")
+
+    def _account(self, name: str) -> Account:
+        self.check_name(name)
         acct = self.accounts.get(name)
         if acct is None:
             acct = Account()
@@ -187,19 +228,23 @@ class WrapperLedger:
 
     def _settle_account(self, acct: Account, now: int) -> None:
         """Fold matured, unfrozen value into the settled balance."""
+        records = acct.unsettled
         kept: list[UnsettledRecord] = []
-        for rec in acct.unsettled:
-            if rec.settlement_time <= now:
-                movable = rec.amount - rec.frozen_amount
-                if movable:
-                    acct.settled += movable
-                if rec.frozen_amount:
-                    # Frozen remainder stays unsettled until the case closes.
-                    rec.amount = rec.frozen_amount
-                    kept.append(rec)
-            else:
+        moved = matured = 0
+        for rec in records:
+            if rec.settlement_time > now:
+                break
+            matured += 1
+            moved += rec.amount - rec.frozen_amount
+            if rec.frozen_amount:
+                # Frozen remainder stays unsettled until the case closes.
+                rec.amount = rec.frozen_amount
                 kept.append(rec)
-        acct.unsettled = kept
+        # Nothing moved means every matured record is wholly frozen and stays.
+        if moved:
+            acct.settled += moved
+            acct.unsettled_sum -= moved
+            records[:matured] = kept
 
     # -- views ---------------------------------------------------------------
 
@@ -208,15 +253,8 @@ class WrapperLedger:
         acct = self.accounts.get(account)
         if acct is None:
             return 0, 0
-        settled = acct.settled
-        unsettled = 0
-        for rec in acct.unsettled:
-            if rec.settlement_time <= now:
-                settled += rec.amount - rec.frozen_amount
-                unsettled += rec.frozen_amount
-            else:
-                unsettled += rec.amount
-        return settled, unsettled
+        movable = _matured_movable(acct.unsettled, now)
+        return acct.settled + movable, acct.unsettled_sum - movable
 
     def balance_of(self, account: str, include_unsettled: bool, now: int) -> int:
         settled, unsettled = self.settle_view(account, now)
@@ -227,8 +265,10 @@ class WrapperLedger:
         acct = self.accounts.get(account)
         if acct is None:
             return 0
-        return sum(
-            rec.spendable for rec in acct.unsettled if rec.settlement_time > now
+        return (
+            acct.unsettled_sum
+            - acct.frozen_sum
+            - _matured_movable(acct.unsettled, now)
         )
 
     def nonce(self, account: str) -> int:
@@ -243,8 +283,10 @@ class WrapperLedger:
         return self.base.balance(self.address)
 
     def wrapped_total(self) -> int:
+        """Recount of every settled and unsettled wrapper balance."""
         return sum(
-            acct.settled + acct.unsettled_total() for acct in self.accounts.values()
+            acct.settled + sum(rec.amount for rec in acct.unsettled)
+            for acct in self.accounts.values()
         )
 
     # -- wrapping ------------------------------------------------------------
@@ -326,7 +368,7 @@ class WrapperLedger:
         settled, _ = self.settle_view(sender, now)
         spendable_unsettled = self.available_unsettled(sender, now)
         acct = self.accounts.get(sender)
-        frozen = 0 if acct is None else acct.frozen_total()
+        frozen = 0 if acct is None else acct.frozen_sum
         if mode == SPEND_SETTLED:
             available, with_frozen = settled, settled
         elif mode == SPEND_SETTLED_THEN_UNSETTLED:
@@ -358,22 +400,20 @@ class WrapperLedger:
             origin_transfer_id=transfer_id,
         )
         self._next_record_id += 1
-        bisect.insort(
-            recipient_acct.unsettled,
-            record,
-            key=lambda r: (r.settlement_time, r.record_id),
+        bisect.insort(recipient_acct.unsettled, record, key=_record_key)
+        recipient_acct.unsettled_sum += amount
+        entry = TransferEntry(
+            transfer_id=transfer_id,
+            sender=sender,
+            recipient=recipient,
+            amount=amount,
+            time=now,
+            record_ids=(record.record_id,),
+            unsettled_spent=unsettled_spent,
         )
-        self.transfer_log.append(
-            TransferEntry(
-                transfer_id=transfer_id,
-                sender=sender,
-                recipient=recipient,
-                amount=amount,
-                time=now,
-                record_ids=(record.record_id,),
-                unsettled_spent=unsettled_spent,
-            )
-        )
+        self.transfer_log.append(entry)
+        if unsettled_spent:
+            self._outflows.setdefault(sender, []).append(entry)
         sender_acct.nonce += 1
         recipient_acct.nonce += 1
         self.base.journal.append(("transfer", sender, recipient, amount, mode, now))
@@ -386,18 +426,22 @@ class WrapperLedger:
             take = min(acct.settled, remaining)
             acct.settled -= take
             remaining -= take
-        unsettled_spent = 0
+        unsettled_spent = remaining
         if remaining:
+            records = acct.unsettled
             kept: list[UnsettledRecord] = []
-            for rec in acct.unsettled:
-                if remaining:
-                    take = min(rec.spendable, remaining)
-                    rec.amount -= take
-                    remaining -= take
-                    unsettled_spent += take
+            walked = 0
+            for rec in records:
+                if not remaining:
+                    break
+                walked += 1
+                take = min(rec.spendable, remaining)
+                rec.amount -= take
+                remaining -= take
                 if rec.amount:
                     kept.append(rec)
-            acct.unsettled = kept
+            records[:walked] = kept
+            acct.unsettled_sum -= unsettled_spent
         assert remaining == 0, "spend called without sufficient validated funds"
         return unsettled_spent
 
@@ -434,6 +478,7 @@ class WrapperLedger:
                 )
 
         entries: list[tuple[str, int, int]] = []
+        marked: list[UnsettledRecord] = []
         for account, total in wanted.items():
             acct = self.accounts[account]
             self._settle_account(acct, now)
@@ -445,10 +490,12 @@ class WrapperLedger:
                 if take:
                     rec.frozen_amount += take
                     entries.append((account, rec.record_id, take))
+                    marked.append(rec)
                     remaining -= take
             assert remaining == 0
+            acct.frozen_sum += total
             acct.nonce += 1
-        self.cases[case_id] = Case(case_id, entries)
+        self.cases[case_id] = Case(case_id, entries, marked)
         self.base.journal.append(
             ("freeze", case_id, tuple(sorted(wanted.items())), now)
         )
@@ -465,18 +512,21 @@ class WrapperLedger:
 
         total = 0
         affected: list[str] = []
-        for account, record_id, amount in case.entries:
+        for (account, _, amount), rec in zip(case.entries, case.records):
             acct = self.accounts[account]
-            rec = next(r for r in acct.unsettled if r.record_id == record_id)
             rec.frozen_amount -= amount
             rec.amount -= amount
+            acct.frozen_sum -= amount
+            acct.unsettled_sum -= amount
             total += amount
+            if not rec.amount:
+                records = acct.unsettled
+                index = bisect.bisect_left(records, _record_key(rec), key=_record_key)
+                del records[index]
             if account not in affected:
                 affected.append(account)
         for account in affected:
-            acct = self.accounts[account]
-            acct.unsettled = [rec for rec in acct.unsettled if rec.amount]
-            acct.nonce += 1
+            self.accounts[account].nonce += 1
         victim_acct.settled += total
         victim_acct.nonce += 1
         case.status = "recovered"
@@ -491,10 +541,9 @@ class WrapperLedger:
         if case is None or case.status != "active":
             raise UnknownCase(f"no active case {case_id!r}")
         affected: list[str] = []
-        for account, record_id, amount in case.entries:
-            acct = self.accounts[account]
-            rec = next(r for r in acct.unsettled if r.record_id == record_id)
+        for (account, _, amount), rec in zip(case.entries, case.records):
             rec.frozen_amount -= amount
+            self.accounts[account].frozen_sum -= amount
             if account not in affected:
                 affected.append(account)
         for account in affected:
@@ -517,7 +566,7 @@ class WrapperLedger:
         check_amount(amount)
         entry = self._transfer_entry(tainted_transfer_id)
         if amount > entry.amount:
-            raise ValueError(
+            raise Uncoverable(
                 f"cannot recover {amount} of a {entry.amount}-token transfer"
             )
         plan: dict[str, int] = {}
@@ -530,16 +579,14 @@ class WrapperLedger:
             remaining -= take
 
         if remaining:
-            outflows = [
-                e
-                for e in self.transfer_log
-                if e.sender == recipient
-                and e.transfer_id > tainted_transfer_id
-                and e.unsettled_spent > 0
-            ]
-            for out in reversed(outflows):  # most recent first
+            outflows = self._outflows.get(recipient, [])
+            first = bisect.bisect_right(
+                outflows, tainted_transfer_id, key=lambda e: e.transfer_id
+            )
+            for index in range(len(outflows) - 1, first - 1, -1):  # most recent first
                 if not remaining:
                     break
+                out = outflows[index]
                 headroom = self.available_unsettled(out.recipient, now) - plan.get(
                     out.recipient, 0
                 )
@@ -576,15 +623,15 @@ class WrapperLedger:
         self.base.journal.append(("genesis_settled", account, amount))
 
     def check_invariants(self) -> None:
+        """Recount every balance in one pass and compare the cached sums."""
         assert self.base.total_supply == sum(self.base.balances.values()), (
             "base supply out of balance"
         )
-        assert self.base_locked() == self.wrapped_total(), (
-            f"locked base {self.base_locked()} != wrapped total {self.wrapped_total()}"
-        )
+        wrapped = 0
         for name, acct in self.accounts.items():
             assert acct.settled >= 0, f"{name} settled negative"
-            last = (-1, -1)
+            unsettled = frozen = 0
+            last = _BEFORE_ANY_KEY
             for rec in acct.unsettled:
                 assert rec.amount > 0, f"{name} holds an empty record"
                 assert 0 <= rec.frozen_amount <= rec.amount, (
@@ -593,3 +640,15 @@ class WrapperLedger:
                 key = (rec.settlement_time, rec.record_id)
                 assert key > last, f"{name} records out of order"
                 last = key
+                unsettled += rec.amount
+                frozen += rec.frozen_amount
+            assert acct.unsettled_sum == unsettled, (
+                f"{name} unsettled_sum {acct.unsettled_sum} != recount {unsettled}"
+            )
+            assert acct.frozen_sum == frozen, (
+                f"{name} frozen_sum {acct.frozen_sum} != recount {frozen}"
+            )
+            wrapped += acct.settled + unsettled
+        assert self.base_locked() == wrapped, (
+            f"locked base {self.base_locked()} != wrapped total {wrapped}"
+        )

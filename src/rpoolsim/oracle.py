@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import (
+    BadExpiry,
     BadSignature,
     DuplicateSigner,
     EmptyQuoteSet,
@@ -187,7 +188,7 @@ def issue_report(
     if not registry.is_registered(entity.signer_id):
         raise UnknownSigner(f"{entity.signer_id} is not registered")
     if ttl <= 0:
-        raise ValueError("report ttl must be positive")
+        raise BadExpiry(f"report ttl must be positive, got {ttl}")
     quote = check_rate(entity.model.quote(ledger, requestor, amount, now))
     account_nonce = ledger.nonce(requestor)
     expiry = now + ttl

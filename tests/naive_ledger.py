@@ -165,6 +165,47 @@ def replay(journal: list[tuple], window: int) -> NaiveLedger:
     return model
 
 
+def naive_plan_recovery(ledger, tainted_id: int, amount: int, now: int):
+    """The deficiency rule by full scans: the whole transfer log for the
+    recipient's post-taint unsettled outflows, and every record for each
+    account's freezable value.  Returns the plan, or None where no plan
+    covers ``amount``."""
+    log = ledger.transfer_log
+    tainted = [e for e in log if e.transfer_id == tainted_id][0]
+    if amount > tainted.amount:
+        return None
+
+    def freezable(account: str) -> int:
+        acct = ledger.accounts.get(account)
+        records = [] if acct is None else acct.unsettled
+        return sum(
+            r.amount - r.frozen_amount for r in records if r.settlement_time > now
+        )
+
+    plan: dict[str, int] = {}
+    remaining = amount
+    take = min(remaining, freezable(tainted.recipient))
+    if take:
+        plan[tainted.recipient] = take
+        remaining -= take
+    outflows = [
+        e
+        for e in log
+        if e.sender == tainted.recipient
+        and e.transfer_id > tainted_id
+        and e.unsettled_spent > 0
+    ]
+    for out in sorted(outflows, key=lambda e: -e.transfer_id):
+        if not remaining:
+            break
+        headroom = freezable(out.recipient) - plan.get(out.recipient, 0)
+        take = min(remaining, out.unsettled_spent, headroom)
+        if take > 0:
+            plan[out.recipient] = plan.get(out.recipient, 0) + take
+            remaining -= take
+    return None if remaining else list(plan.items())
+
+
 def assert_matches(model: NaiveLedger, ledger, now: int) -> None:
     """Compare the oracle against the live engine, account by account."""
     base = ledger.base

@@ -3,17 +3,18 @@ and loss socialization."""
 
 import pytest
 
-from rpoolsim import settled_multiplier
+from rpoolsim import AmmPool, SignerRegistry, settled_multiplier
 from rpoolsim.errors import (
     InsufficientBalance,
     InsufficientLpTokens,
     InsufficientPoolSettled,
+    ReservedName,
     StaleNonce,
     UnwrapDisabled,
     ZeroAmount,
 )
 
-from conftest import WINDOW, give_unsettled, make_pool, quorum
+from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
 
 
 def loss_sharing_pool(world, lp_deposits):
@@ -67,6 +68,18 @@ class TestDeposit:
         pool, _ = make_pool(base, ledger)
         with pytest.raises(ZeroAmount):
             pool.deposit("lp1", 0, 0)
+
+    @pytest.mark.parametrize("address", [ARB, "<wrapper>", "<nobody>"])
+    def test_reserved_address_rejected_at_construction(self, world, address):
+        # A pool at a name that can hold no account could never wrap a
+        # deposit; rejecting it up front keeps deposit from moving base first.
+        base, ledger = world
+        with pytest.raises(ReservedName):
+            AmmPool(
+                ledger, address, SignerRegistry(),
+                kappa_ppm=500_000, risk_bounds=(0, 1_000_000),
+                min_quorum=1, min_lp_deposit=1,
+            )
 
 
 class TestUnwrapDisabledPool:

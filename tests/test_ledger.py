@@ -285,6 +285,78 @@ class TestRecoverRelease:
             ledger.recover("eve", "c1", "victim", 0)
 
 
+class TestPrefixWalks:
+    """Folds, spends and recoveries touch only a prefix of the record list
+    (or one bisected position) and keep the cached sums in step."""
+
+    def test_matured_frozen_record_stays_at_head_until_release(self, world):
+        base, ledger = world
+        give_unsettled(base, ledger, "a", 10, now=0, source="f1")
+        ledger.freeze(ARB, [("a", 10)], "c1", 0)
+        give_unsettled(base, ledger, "a", 20, now=100, source="f2")
+        give_unsettled(base, ledger, "a", 30, now=200, source="f3")
+        acct = ledger.accounts["a"]
+        base.mint("a", 5)
+        ledger.wrap("a", 5, WINDOW + 100)  # folds the 20, keeps the frozen 10
+        assert [(r.amount, r.frozen_amount) for r in acct.unsettled] == [(10, 10), (30, 0)]
+        ledger.transfer("a", "b", 5, False, WINDOW + 150)  # a later fold
+        assert [(r.amount, r.frozen_amount) for r in acct.unsettled] == [(10, 10), (30, 0)]
+        assert ledger.settle_view("a", WINDOW + 150) == (20, 40)
+        ledger.release(ARB, "c1", WINDOW + 150)
+        assert ledger.settle_view("a", WINDOW + 150) == (30, 30)
+        ledger.transfer("a", "b", 1, False, WINDOW + 150)
+        assert [r.amount for r in acct.unsettled] == [30]
+        assert (acct.settled, acct.unsettled_sum, acct.frozen_sum) == (29, 30, 0)
+        ledger.check_invariants()
+
+    def test_spend_passes_over_a_frozen_record_in_the_middle(self, world):
+        base, ledger = world
+        for i, amount in enumerate((10, 20, 30)):
+            give_unsettled(base, ledger, "a", amount, now=i, source=f"f{i}")
+        ledger.freeze(ARB, [("a", 10)], "c1", 5)  # marks the first record
+        ledger.freeze(ARB, [("a", 20)], "c2", 5)  # marks the second
+        ledger.release(ARB, "c1", 5)
+        assert ledger.transfer_unsettled("a", "b", 35, 5)
+        acct = ledger.accounts["a"]
+        assert [(r.record_id, r.amount, r.frozen_amount) for r in acct.unsettled] == [
+            (2, 20, 20),
+            (3, 5, 0),
+        ]
+        assert ledger.transfer_log[-1].unsettled_spent == 35
+        assert (acct.unsettled_sum, acct.frozen_sum) == (25, 20)
+        ledger.check_invariants()
+
+    def test_recover_empties_a_record_in_the_middle_of_a_large_account(self, world):
+        base, ledger = world
+        base.mint("f", 1000)
+        ledger.wrap("f", 1000, 0)
+        for t in range(1000):
+            ledger.transfer("f", "a", 1, False, t)
+        ledger.freeze(ARB, [("a", 499)], "c1", 1000)  # records 1..499
+        ledger.freeze(ARB, [("a", 1)], "c2", 1000)  # record 500
+        ledger.release(ARB, "c1", 1000)
+        assert ledger.recover(ARB, "c2", "victim", 1000) == 1
+        acct = ledger.accounts["a"]
+        assert [r.record_id for r in acct.unsettled] == [
+            *range(1, 500),
+            *range(501, 1001),
+        ]
+        assert (acct.unsettled_sum, acct.frozen_sum) == (999, 0)
+        assert ledger.settle_view("victim", 1000) == (1, 0)
+        ledger.check_invariants()
+
+    @pytest.mark.parametrize("cached", ["unsettled_sum", "frozen_sum"])
+    def test_invariants_catch_a_drifted_sum(self, world, cached):
+        base, ledger = world
+        give_unsettled(base, ledger, "a", 100, now=0)
+        ledger.freeze(ARB, [("a", 40)], "c1", 0)
+        ledger.check_invariants()
+        acct = ledger.accounts["a"]
+        setattr(acct, cached, getattr(acct, cached) + 1)
+        with pytest.raises(AssertionError, match=cached):
+            ledger.check_invariants()
+
+
 def _tainted_pool_world(world, pool_keep: int, lp_withdraw: int):
     """victim -> mallory -> pool chain, then the pool forwards part to l2."""
     base, ledger = world
@@ -343,7 +415,7 @@ class TestPlanRecovery:
 
     def test_amount_above_transfer_rejected(self, world):
         ledger, tainted = _tainted_pool_world(world, pool_keep=100, lp_withdraw=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(Uncoverable):
             ledger.plan_recovery(tainted, 101, 20)
         with pytest.raises(ValueError):
             ledger.plan_recovery(999, 10, 20)

@@ -15,6 +15,7 @@ from rpoolsim import (
     validate_reports,
 )
 from rpoolsim.errors import (
+    BadExpiry,
     BadSignature,
     DuplicateSigner,
     EmptyQuoteSet,
@@ -122,6 +123,16 @@ class TestIssueReport:
         entity = RatingEntity("ghost", secret, ConstantRiskModel(1))
         with pytest.raises(UnknownSigner):
             issue_report(entity, registry, "alice", 1, 0, 60, ledger)
+
+    @pytest.mark.parametrize("ttl", [0, -1])
+    def test_non_positive_ttl_is_a_modelled_rejection(self, world, ttl):
+        _, ledger = world
+        registry = SignerRegistry()
+        secret, public = registry.scheme.keygen("e")
+        registry.register("e", public)
+        entity = RatingEntity("e", secret, ConstantRiskModel(1))
+        with pytest.raises(BadExpiry):
+            issue_report(entity, registry, "alice", 1, 0, ttl, ledger)
 
 
 def _reports(pool, rater, ledger, requestor="alice", amount=100, now=0, n=1, ttl=600):

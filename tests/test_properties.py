@@ -18,12 +18,12 @@ from rpoolsim import (
     parse_rate,
     format_rate,
 )
-from rpoolsim.errors import RPoolError
+from rpoolsim.errors import RPoolError, Uncoverable
 from rpoolsim.oracle import validate_reports
 from rpoolsim.rates import PPM
 
 from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
-from naive_ledger import replay, assert_matches
+from naive_ledger import assert_matches, naive_plan_recovery, replay
 
 ACCOUNTS = ["a", "b", "c", "d"]
 
@@ -78,6 +78,27 @@ def test_oracle_equivalence_small_instances(seed, events):
         ledger.check_invariants()
     model = replay(base.journal, WINDOW)
     assert_matches(model, ledger, now)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), events=st.integers(1, 20))
+def test_oracle_equivalence_when_time_moves_backwards(seed, events):
+    """Library callers may pass any clock, negative included: records
+    received out of time order must still fold, spend and freeze as the
+    replay model says."""
+    rng = random.Random(seed)
+    base = BaseLedger()
+    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    for name in ACCOUNTS:
+        base.mint(name, 200)
+    now = 0
+    for _ in range(events):
+        now = rng.randrange(-2 * WINDOW, 2 * WINDOW)
+        _random_ledger_op(rng, base, ledger, now)
+        ledger.check_invariants()
+    model = replay(base.journal, WINDOW)
+    for probe in (now, rng.randrange(-2 * WINDOW, 2 * WINDOW)):
+        assert_matches(model, ledger, probe)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,6 +185,39 @@ def test_plan_recovery_always_freezable(seed, amount):
         return
     assert sum(q for _, q in plan) == amount
     ledger.freeze(ARB, plan, "c1", 20)  # must not raise
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_plan_recovery_matches_a_full_scan(seed):
+    """The indexed outflow lookup plans exactly what a scan of the whole
+    transfer log plans, for the tainted transfer and a sample of others."""
+    rng = random.Random(seed)
+    base = BaseLedger()
+    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    for name in ACCOUNTS:
+        give_unsettled(base, ledger, name, 300, now=0, source=f"seed_{name}")
+    now = 0
+    # The recipient "a" draws on unsettled records just before and just
+    # after the tainted transfer into it, which itself is an unsettled
+    # outflow of its sender "b": the bisection must split exactly there.
+    ledger.transfer_unsettled("a", "c", rng.randrange(1, 40), now)
+    tainted = ledger.transfer_unsettled("b", "a", rng.randrange(1, 100), now)
+    ledger.transfer_unsettled("a", "d", rng.randrange(1, 40), now)
+    for _ in range(rng.randrange(0, 25)):
+        now += rng.randrange(0, WINDOW // 4)
+        _random_ledger_op(rng, base, ledger, now)
+    others = rng.sample(range(1, len(ledger.transfer_log) + 1), 3)
+    for transfer_id in sorted({tainted, *others}):
+        amount = ledger.transfer_log[transfer_id - 1].amount
+        for want in {1, rng.randrange(1, amount + 1), amount, amount + 1}:
+            for at in (now, now + rng.randrange(0, WINDOW)):
+                expected = naive_plan_recovery(ledger, transfer_id, want, at)
+                if expected is None:
+                    with pytest.raises(Uncoverable):
+                        ledger.plan_recovery(transfer_id, want, at)
+                else:
+                    assert ledger.plan_recovery(transfer_id, want, at) == expected
 
 
 def _brute_force_median_floor(unchanged, k):

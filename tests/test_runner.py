@@ -159,6 +159,39 @@ def test_state_digest_is_stable_over_noops():
     assert runner.state_digest() == digest
 
 
+def test_rejected_match_bid_leaves_state_digest_unchanged():
+    # The runner compares state_digest before and after every step with
+    # expect_error= and fails the run if a rejected step moved it.
+    script = parse_scenario(
+        "config window=100 arbitrator=arb\n"
+        "account lp base=500\naccount poor base=10\naccount whale settled=300\n"
+        "book ob\n"
+        "at 0 transfer from=whale to=alice amount=100\n"
+        "at 0 post_bid book=ob bidder=alice amount=100 min_rate=0.5 expiry=140 as=b1\n"
+        "at 5 match_bid book=ob bid=b1 lp=lp offer=49 expect_error=QuoteTooLow\n"
+        "at 5 match_bid book=ob bid=b1 lp=poor offer=50 expect_error=InsufficientBase\n"
+        "at 120 match_bid book=ob bid=b1 lp=lp offer=50 expect_error=InsufficientUnsettled\n"
+        "at 150 match_bid book=ob bid=b1 lp=lp offer=50 expect_error=BidExpired\n"
+        "at 150 transfer from=whale to=bob amount=10\n"
+        "at 150 post_bid book=ob bidder=bob amount=10 min_rate=0.5 expiry=900 as=b2\n"
+        "at 150 transfer from=whale to=bob amount=1\n"
+        "at 160 match_bid book=ob bid=b2 lp=lp offer=5 expect_error=StaleNonce\n"
+        "at 160 cancel_bid book=ob bid=b1 by=alice\n"
+        "at 160 match_bid book=ob bid=b1 lp=lp offer=50 expect_error=BidNotOpen\n"
+    )
+    result = run_scenario(script)
+    assert [(a.description, a.passed) for a in result.assertions] == [
+        (f"step {seq} (match_bid) fails with {error}", True)
+        for seq, error in (
+            (3, "QuoteTooLow"),
+            (4, "InsufficientBase"),
+            (5, "InsufficientUnsettled"),
+            (6, "BidExpired"),
+            (10, "StaleNonce"),
+            (12, "BidNotOpen"),
+        )
+    ]
+
 class TestCli:
     def test_run_pass_and_log(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
@@ -238,6 +271,41 @@ class TestCli:
             ("rate_cap", True),
         ]
         assert reports[0]["assertions"][0]["observed"] == "ReservedName"
+
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            ("at 1 plan_recovery transfer=t1 amount=11", "Uncoverable"),
+            ("at 1 issue_report signer=s1 requestor=b amount=5 ttl=0 as=r1", "BadExpiry"),
+        ],
+    )
+    def test_rejected_step_is_its_outcome_and_later_files_run(
+        self, tmp_path, capsys, step, error
+    ):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            "account s1 base=100\naccount a settled=10\n"
+            "signer s1 model=constant rate=0.5\n"
+            "at 0 transfer from=a to=b amount=10 as=t1\n" + step + "\n"
+        )
+        argv = ["run", str(bad), str(SCENARIO_DIR / "rate_cap.scn"), "--format", "json"]
+        assert main(argv) == 1
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["scenario"], r["passed"]) for r in reports] == [
+            ("bad", False),
+            ("rate_cap", True),
+        ]
+        assert reports[0]["assertions"][0]["observed"] == error
+
+    def test_pool_named_like_the_arbitrator_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            "config arbitrator=main\naccount lp base=100\n"
+            "pool main kappa_ppm=500000\n"
+            "at 0 deposit pool=main lp=lp amount=40 expect_error=ReservedName\n"
+        )
+        assert main(["run", str(bad)]) == 2
+        assert "reserved" in capsys.readouterr().err
 
     def test_fmt_round_trip(self, capsys):
         assert main(["fmt", str(SCENARIO_DIR / "recovery_L1.scn")]) == 0
