@@ -7,7 +7,7 @@
     rpoolsim fmt <file>
 
 Exit codes: 0 success, 1 assertion or safety-verdict failure, 2 parse or
-configuration error.
+configuration error, 3 internal error (an exception escaped a run).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from .attack import AttackScenario, exact_threshold, profitability_threshold, simulate_attack
 from .errors import RPoolError
 from .rates import PPM, format_rate, parse_rate
-from .runner import RunResult, log_line, run_scenario
+from .runner import RunResult, ScenarioRunner, log_line
 from .scenario import ParseError, format_scenario, parse_scenario
 
 
@@ -75,12 +75,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{path}:{exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
             return 2
         try:
-            result = run_scenario(script, name=path.stem)
+            world = ScenarioRunner(script, name=path.stem)
         except (ValueError, RPoolError) as exc:
             # world construction rejected the configuration (reserved names,
             # inconsistent pool bounds, ...); steps report their own errors
             print(f"{path}: {exc}", file=sys.stderr)
             return 2
+        try:
+            result = world.run()
+        except Exception:  # a step reports modelled errors itself: this is a bug
+            print(f"{path}: internal error", file=sys.stderr)
+            sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+            return 3
         results.append(result)
         log_lines.extend(
             log_line({**vars(event), "scenario": result.name}) for event in result.events

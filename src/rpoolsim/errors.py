@@ -155,6 +155,14 @@ class QuoteTooLow(RPoolError):
 
 
 # ---------------------------------------------------------------------------
+# scenario runner
+# ---------------------------------------------------------------------------
+
+class UnboundLabel(RPoolError):
+    """A step names a label whose binding step failed."""
+
+
+# ---------------------------------------------------------------------------
 # attack lab
 # ---------------------------------------------------------------------------
 

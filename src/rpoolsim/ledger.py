@@ -23,6 +23,11 @@ list; :meth:`WrapperLedger.check_invariants` recounts them from the records.
 Likewise the per-sender outflow index behind :meth:`WrapperLedger.plan_recovery`
 holds the transfer-log rows that drew on unsettled records, in log order.
 
+Every operation records itself in the base ledger's journal.
+:meth:`WrapperLedger.effects_since` folds the entries appended since a
+mark into per-account balance changes, one rule per entry kind, so a
+caller can tell what an operation changed without rescanning every account.
+
 Key invariants maintained here and asserted by :meth:`WrapperLedger.check_invariants`:
   - base-token total supply is conserved by every operation;
   - the base tokens locked at the wrapper address equal the sum of all
@@ -37,6 +42,7 @@ Key invariants maintained here and asserted by :meth:`WrapperLedger.check_invari
 from __future__ import annotations
 
 import bisect
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -607,6 +613,43 @@ class WrapperLedger:
             raise ValueError(f"unknown transfer id {transfer_id}")
         return self.transfer_log[index]
 
+    # -- effects of journal entries ---------------------------------------------
+
+    def mark(self) -> tuple[int, int]:
+        """Position in the journal and the transfer log, for :meth:`effects_since`."""
+        return len(self.base.journal), len(self.transfer_log)
+
+    def effects_since(self, mark: tuple[int, int], now: int) -> dict[str, dict[str, int]]:
+        """Per-account changes to ``base``, effective ``settled`` and
+        ``unsettled`` at ``now``, and ``nonce``, made by the journal entries
+        appended since ``mark``.
+
+        Each entry is folded by its kind's rule in ``_EFFECTS``; the spend
+        split of a ``transfer`` comes from its transfer-log row, and the
+        marks a ``recover`` or ``release`` closed from ``cases``.  Zero
+        changes and the wrapper's own base address are left out; accounts
+        come out sorted by name.
+
+        The rules read maturity at ``now``, so the result equals the change
+        in :meth:`settle_view` only when the entries were made at ``now``,
+        as one scenario step's are: an operation folds what is due first,
+        so a freeze or a spend at ``now`` acts on records not yet due.
+        """
+        journal_at, log_at = mark
+        rows = iter(self.transfer_log[log_at:])
+        totals: dict[str, dict[str, int]] = {}
+        for entry in self.base.journal[journal_at:]:
+            for account, key, change in _EFFECTS[entry[0]](self, entry, rows, now):
+                fields = totals.setdefault(account, {})
+                fields[key] = fields.get(key, 0) + change
+        totals.pop(self.address, None)
+        effects = {}
+        for account in sorted(totals):
+            changed = {key: change for key, change in totals[account].items() if change}
+            if changed:
+                effects[account] = changed
+        return effects
+
     # -- genesis and invariants ------------------------------------------------
 
     def genesis_settled(self, account: str, amount: int) -> None:
@@ -652,3 +695,108 @@ class WrapperLedger:
         assert self.base_locked() == wrapped, (
             f"locked base {self.base_locked()} != wrapped total {wrapped}"
         )
+
+
+# -- journal kind -> its effect on (base, settled, unsettled, nonce) ----------
+#
+# Each rule reads one journal entry against the ledger as the step left it
+# and yields (account, field, change).  ``rows`` iterates the transfer-log
+# rows appended since the mark, one per ``transfer`` entry, in order.
+# Settled and unsettled are effective balances at ``now``, as settle_view
+# reports them: a record due at or before ``now`` counts as settled except
+# for its frozen part.
+
+_Effects = Iterator[tuple[str, str, int]]
+_Rows = Iterator[TransferEntry]
+
+
+def _mint_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, account, amount = entry
+    yield account, "base", amount
+
+
+def _base_transfer_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, sender, recipient, amount = entry
+    yield sender, "base", -amount
+    yield recipient, "base", amount
+
+
+def _genesis_settled_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, account, amount = entry
+    yield account, "settled", amount
+
+
+def _wrap_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, caller, amount, _ = entry
+    yield caller, "settled", amount
+    yield caller, "nonce", 1
+
+
+def _unwrap_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, caller, _, amount, _ = entry  # the base paid out is its own base_transfer
+    yield caller, "settled", -amount
+    yield caller, "nonce", 1
+
+
+def _transfer_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, sender, recipient, amount, _, _ = entry
+    row = next(rows)
+    spent = row.unsettled_spent
+    yield sender, "settled", spent - amount
+    yield sender, "unsettled", -spent
+    yield sender, "nonce", 1
+    # the recipient's record is due at row.time + window: with a zero
+    # window it is settled already
+    due = row.time + ledger.recovery_window
+    yield recipient, "settled" if due <= now else "unsettled", amount
+    yield recipient, "nonce", 1
+
+
+def _freeze_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, _, wanted, _ = entry
+    for account, _ in wanted:
+        yield account, "nonce", 1
+
+
+def _recover_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, case_id, victim, _ = entry
+    case = ledger.cases[case_id]
+    total = 0
+    for account, _, amount in case.entries:
+        yield account, "unsettled", -amount
+        total += amount
+    for account in {account for account, _, _ in case.entries}:
+        yield account, "nonce", 1
+    # the victim may also be a marked account: its nonce then rises twice
+    yield victim, "settled", total
+    yield victim, "nonce", 1
+
+
+def _release_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    _, case_id, _ = entry
+    case = ledger.cases[case_id]
+    for (account, _, amount), rec in zip(case.entries, case.records):
+        if rec.settlement_time <= now:
+            # a due record's frozen part was its only unsettled value
+            yield account, "settled", amount
+            yield account, "unsettled", -amount
+    for account in {account for account, _, _ in case.entries}:
+        yield account, "nonce", 1
+
+
+def _no_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+    return iter(())
+
+
+_EFFECTS: dict[str, Callable[[WrapperLedger, tuple, _Rows, int], _Effects]] = {
+    "mint": _mint_effects,
+    "base_transfer": _base_transfer_effects,
+    "genesis_settled": _genesis_settled_effects,
+    "wrap": _wrap_effects,
+    "unwrap": _unwrap_effects,
+    "transfer": _transfer_effects,
+    "freeze": _freeze_effects,
+    "recover": _recover_effects,
+    "release": _release_effects,
+    "disable_unwrap": _no_effects,
+}

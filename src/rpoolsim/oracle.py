@@ -258,8 +258,13 @@ def validate_reports(
                 f"request is ({requestor}, {amount})"
             )
     for report in reports:
+        try:
+            message = report.signed_bytes()
+        except (ValueError, OverflowError):
+            # an integer outside its field: no signature can cover the report
+            raise BadSignature(f"report by {report.signer_id} is not encodable") from None
         if not registry.scheme.verify(
-            registry.public_key(report.signer_id), report.signed_bytes(), report.signature
+            registry.public_key(report.signer_id), message, report.signature
         ):
             raise BadSignature(f"signature by {report.signer_id} does not verify")
     median = median_quote([r.quote_ppm for r in reports])

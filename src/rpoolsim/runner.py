@@ -7,6 +7,13 @@ effective balance deltas it caused.  Replaying the same script always
 yields byte-identical JSON lines: there is no wall clock and no ambient
 randomness anywhere in the engine.
 
+The deltas are folded by :meth:`WrapperLedger.effects_since` from the
+ledger journal entries the step appended (``mint``, ``base_transfer``,
+``wrap``, ``unwrap``, ``transfer``, ``freeze``, ``recover``, ``release``),
+so working them out costs the same in a world of any size.  What still
+grows with the number of accounts is the full invariant check after every
+step and the state digests around an ``expect_error`` step.
+
 Steps that declare ``expect_error`` must fail with exactly that error and
 must leave the world untouched; the runner verifies the latter with a
 state digest.  Failures of either kind surface as failed assertions in the
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .amm import AmmPool
-from .errors import RPoolError
+from .errors import RPoolError, UnboundLabel
 from .ledger import BaseLedger, WrapperLedger
 from .oracle import (
     ConstantRiskModel,
@@ -142,33 +149,6 @@ class ScenarioRunner:
 
     # -- state observation ---------------------------------------------------
 
-    def _snapshot(self, now: int) -> dict[str, tuple[int, int, int, int]]:
-        names = set(self.base.balances) | set(self.ledger.accounts)
-        names.discard(self.ledger.address)
-        out = {}
-        for name in names:
-            settled, unsettled = self.ledger.settle_view(name, now)
-            out[name] = (self.base.balance(name), settled, unsettled, self.ledger.nonce(name))
-        return out
-
-    @staticmethod
-    def _deltas(
-        before: dict[str, tuple[int, int, int, int]],
-        after: dict[str, tuple[int, int, int, int]],
-    ) -> dict:
-        deltas: dict[str, dict[str, int]] = {}
-        for name in sorted(set(before) | set(after)):
-            old = before.get(name, (0, 0, 0, 0))
-            new = after.get(name, (0, 0, 0, 0))
-            changed = {
-                label: new[i] - old[i]
-                for i, label in enumerate(("base", "settled", "unsettled", "nonce"))
-                if new[i] != old[i]
-            }
-            if changed:
-                deltas[name] = changed
-        return deltas
-
     def state_digest(self) -> str:
         """Hash of the complete raw world state (empty accounts excluded)."""
         accounts = {
@@ -218,7 +198,7 @@ class ScenarioRunner:
         return result
 
     def _run_step(self, seq: int, step: Step, result: RunResult) -> None:
-        before = self._snapshot(step.time)
+        mark = self.ledger.mark()
         digest_before = self.state_digest() if step.expect_error else None
         checks: list[tuple[str, object, object]] = []
         outcome = "ok"
@@ -266,7 +246,6 @@ class ScenarioRunner:
                     seq, f"step {seq}: {description}", expected == observed, expected, observed
                 )
             )
-        after = self._snapshot(step.time)
         result.events.append(
             EventRecord(
                 seq=seq,
@@ -275,7 +254,7 @@ class ScenarioRunner:
                 params=step.params,
                 outcome=outcome,
                 result=op_result,
-                deltas=self._deltas(before, after),
+                deltas=self.ledger.effects_since(mark, step.time),
             )
         )
 
@@ -301,8 +280,14 @@ class ScenarioRunner:
         if p.get("tainted"):
             self.tainted.add(value)
 
+    def _label(self, name: str) -> Any:
+        """What an earlier step bound by as=; that step may have failed."""
+        if name not in self.labels:
+            raise UnboundLabel(f"label {name!r} is unbound: the step that binds it failed")
+        return self.labels[name]
+
     def _bid_id(self, ref: int | str) -> int:
-        return ref if isinstance(ref, int) else self.labels[ref]
+        return ref if isinstance(ref, int) else self._label(ref)
 
     # -- actions: one handler per ACTION_SPECS row -------------------------------
 
@@ -344,7 +329,7 @@ class ScenarioRunner:
         return {"quote_ppm": report.quote_ppm, "nonce": report.account_nonce}
 
     def _swap(self, p: Params, now: int) -> dict:
-        reports = [self.labels[label] for label in p["reports"]]
+        reports = [self._label(label) for label in p["reports"]]
         receipt = self.pools[p["pool"]].swap(p["requestor"], p["amount"], reports, now)
         self._bind(p, receipt.transfer_in_id)
         return {
@@ -377,7 +362,7 @@ class ScenarioRunner:
         if "targets" in p:
             targets = p["targets"]
         else:
-            targets = self.ledger.plan_recovery(self.labels[p["transfer"]], p["amount"], now)
+            targets = self.ledger.plan_recovery(self._label(p["transfer"]), p["amount"], now)
         self.ledger.freeze(p.get("by", self.script.arbitrator), targets, p["case"], now)
         return {"targets": [[name, amount] for name, amount in targets]}
 
@@ -389,7 +374,7 @@ class ScenarioRunner:
         self.ledger.release(p.get("by", self.script.arbitrator), p["case"], now)
 
     def _plan_recovery(self, p: Params, now: int) -> list:
-        plan = self.ledger.plan_recovery(self.labels[p["transfer"]], p["amount"], now)
+        plan = self.ledger.plan_recovery(self._label(p["transfer"]), p["amount"], now)
         return [[name, amount] for name, amount in plan]
 
     def _no_op(self, p: Params, now: int) -> None:

@@ -434,3 +434,34 @@ class TestConservation:
         ledger.unwrap("a", 100, 40)
         ledger.check_invariants()
         assert base.total_supply == supply
+
+
+def test_effects_since_folds_every_journal_kind(world):
+    # Each fold covers operations made at the time it is read at, as a
+    # scenario step's are.
+    base, ledger = world
+    mark = ledger.mark()
+    ledger.genesis_settled("a", 100)
+    base.mint("b", 50)
+    ledger.wrap("b", 30, 0)
+    ledger.unwrap_to("a", 10, "c", 0)
+    ledger.transfer("a", "b", 40, False, 0)
+    ledger.disable_unwrap("c")
+    ledger.freeze(ARB, [("b", 15)], "c1", 0)
+    ledger.freeze(ARB, [("b", 5)], "c2", 0)
+    ledger.recover(ARB, "c2", "b", 0)
+    assert ledger.effects_since(mark, 0) == {
+        "a": {"settled": 50, "nonce": 2},
+        "b": {"base": 20, "settled": 35, "unsettled": 35, "nonce": 6},
+        "c": {"base": 10},
+    }
+    mark = ledger.mark()
+    ledger.release(ARB, "c1", WINDOW)  # the frozen record is due by now
+    assert ledger.effects_since(mark, WINDOW) == {
+        "b": {"settled": 15, "unsettled": -15, "nonce": 1},
+    }
+    kinds = {entry[0] for entry in ledger.base.journal}
+    assert kinds == {
+        "genesis_settled", "mint", "wrap", "base_transfer", "unwrap", "transfer",
+        "disable_unwrap", "freeze", "release", "recover",
+    }

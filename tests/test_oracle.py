@@ -1,5 +1,6 @@
 """Report encoding, signatures, the median, and the nine-check validation."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -255,6 +256,19 @@ class TestValidateReports:
             report.signer_id,
             report.signature,
         )
+        with pytest.raises(BadSignature):
+            validate_reports(pool, "alice", 100, [forged], 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("quote_ppm", -1), ("quote_ppm", 2**32), ("expiry", 2**64)],
+    )
+    def test_unencodable_field_is_a_bad_signature(self, world, field, value):
+        # canonical_encode cannot write the field, so no signature covers it
+        base, ledger = world
+        pool, rater = make_pool(base, ledger)
+        (report,) = _reports(pool, rater, ledger)
+        forged = dataclasses.replace(report, **{field: value})
         with pytest.raises(BadSignature):
             validate_reports(pool, "alice", 100, [forged], 0)
 

@@ -21,6 +21,8 @@ from rpoolsim import (
 from rpoolsim.errors import RPoolError, Uncoverable
 from rpoolsim.oracle import validate_reports
 from rpoolsim.rates import PPM
+from rpoolsim.runner import ScenarioRunner
+from rpoolsim.scenario import parse_scenario
 
 from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
 from naive_ledger import assert_matches, naive_plan_recovery, replay
@@ -383,3 +385,145 @@ def test_validate_reports_permutation_invariance(world):
         for perm in itertools.permutations(reports)
     }
     assert len(medians) == 1
+
+
+# -- runner deltas: the journal fold against the two-snapshot diff -----------
+
+DELTA_FIELDS = ("base", "settled", "unsettled", "nonce")
+DELTA_USERS = ["a", "b", "c", "d"]
+
+
+def _snapshot(runner, now):
+    """Every account's (base, settled, unsettled, nonce), effective at now."""
+    ledger = runner.ledger
+    names = (set(runner.base.balances) | set(ledger.accounts)) - {ledger.address}
+    return {
+        name: (runner.base.balance(name), *ledger.settle_view(name, now), ledger.nonce(name))
+        for name in names
+    }
+
+
+def _snapshot_diff(before, after):
+    """The nonzero per-account field changes between two snapshots, by name."""
+    deltas = {}
+    for name in sorted(set(before) | set(after)):
+        old = before.get(name, (0, 0, 0, 0))
+        new = after.get(name, (0, 0, 0, 0))
+        changed = {key: n - o for key, o, n in zip(DELTA_FIELDS, old, new) if n != o}
+        if changed:
+            deltas[name] = changed
+    return deltas
+
+
+class SnapshotDiffRunner(ScenarioRunner):
+    """Also derives each step's deltas by diffing the whole world before
+    and after the step, which costs O(accounts) but needs no rules."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.snapshot_deltas = []
+
+    def _run_step(self, seq, step, result):
+        before = _snapshot(self, step.time)
+        super()._run_step(seq, step, result)
+        self.snapshot_deltas.append(_snapshot_diff(before, _snapshot(self, step.time)))
+
+
+def _delta_scenario(rng, window):
+    """A random script over every ledger-moving action; many steps fail.
+    Most episodes first fund an account from the whale, so that freezes,
+    bids and swaps find unsettled tokens to act on."""
+    lines = [
+        f"config window={window} arbitrator=arb",
+        *(f"account {name} base=300 settled=300" for name in DELTA_USERS),
+        "account whale settled=100000",
+        "account lp base=2000",
+        "signer lp model=constant rate=0.9",
+        "pool p kappa_ppm=500000",
+        "book ob",
+        "at 0 deposit pool=p lp=lp amount=600",
+    ]
+    now = 0
+    transfers = []
+
+    def step(text):
+        lines.append(f"at {now} {text}")
+
+    def fund(name, amount):
+        if rng.random() < 0.8:
+            step(f"transfer from=whale to={name} amount={amount}")
+
+    for k in range(rng.randrange(5, 25)):
+        who, other = rng.sample(DELTA_USERS, 2)
+        if rng.random() < 0.2:
+            other = "p"
+        amount = rng.randrange(1, 200)
+        kind = rng.choice([
+            "wrap", "unwrap", "transfer", "freeze_release", "freeze_recover",
+            "planned_freeze", "deposit", "withdraw", "swap", "bid", "reject", "base",
+        ])
+        if kind == "wrap":
+            step(f"wrap account={who} amount={amount}")
+        elif kind == "unwrap":
+            step(f"unwrap account={who} amount={amount} to={rng.choice([who, other, 'z'])}")
+        elif kind == "transfer":
+            unsettled = rng.choice(["", " unsettled=true"])
+            step(f"transfer from={who} to={other} amount={amount}{unsettled} as=t{k}")
+            transfers.append(f"t{k}")
+        elif kind == "freeze_release":
+            fund(other, amount)
+            step(f"freeze case=c{k} targets={other}:{rng.randrange(1, amount + 1)}")
+            now += rng.randrange(0, 2 * window + 2)
+            step(f"release case=c{k}")
+        elif kind == "freeze_recover":
+            held = rng.sample([*DELTA_USERS, "p"], rng.randrange(1, 3))
+            for name in held:
+                fund(name, 60)
+            targets = ",".join(f"{name}:{rng.randrange(1, 60)}" for name in held)
+            step(f"freeze case=c{k} targets={targets}")
+            now += rng.randrange(0, 2 * window + 2)
+            victim = rng.choice(held) if rng.random() < 0.5 else who
+            step(f"recover case=c{k} victim={victim}")
+        elif kind == "planned_freeze" and transfers:
+            step(f"freeze case=c{k} transfer={rng.choice(transfers)} amount={amount}")
+            step(f"recover case=c{k} victim={who}")
+        elif kind == "deposit":
+            step(f"deposit pool=p lp={who} amount={amount}")
+        elif kind == "withdraw":
+            step(f"withdraw pool=p lp={rng.choice(['lp', who])} tokens={amount}")
+        elif kind == "swap":
+            fund(who, amount)
+            step(f"issue_report signer=lp requestor={who} amount={amount} ttl=60 as=r{k}")
+            step(f"swap pool=p requestor={who} amount={amount} reports=r{k}")
+        elif kind == "bid":
+            fund(who, amount)
+            step(f"post_bid book=ob bidder={who} amount={amount} min_rate=0.5 "
+                 f"expiry={now + 100} as=b{k}")
+            step(f"match_bid book=ob bid=b{k} lp={other} offer={amount // 2 + rng.randrange(2)}")
+        elif kind == "reject":
+            step(rng.choice([
+                f"transfer from={who} to={who} amount={amount}",
+                f"wrap account={who} amount=100000",
+                f"unwrap account={who} amount=100000",
+                f"recover case=none victim={who}",
+                f"freeze case=x{k} targets={who}:1 by={other}",
+                f"withdraw pool=p lp={who} tokens=100000",
+            ]))
+        elif kind == "base":
+            step(f"mint_base account={who} amount={amount}")
+        if rng.random() < 0.3:
+            now += rng.randrange(0, 2 * window + 2)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([0, 1, 100]))
+def test_step_deltas_match_the_snapshot_diff(seed, window):
+    """The deltas the runner folds from each step's journal entries equal
+    the diff of every account's effective balances around the step."""
+    runner = SnapshotDiffRunner(parse_scenario(_delta_scenario(random.Random(seed), window)))
+    result = runner.run()
+    assert [event.deltas for event in result.events] == runner.snapshot_deltas
+    for event in result.events:
+        if event.outcome != "ok":
+            assert event.deltas == {}, event

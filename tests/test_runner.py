@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rpoolsim.cli import main
+from rpoolsim.ledger import WrapperLedger
 from rpoolsim.runner import EXPECTATIONS, ScenarioRunner, run_scenario
 from rpoolsim.scenario import ACTION_SPECS, ASSERT_KINDS, parse_scenario
 
@@ -192,6 +193,84 @@ def test_rejected_match_bid_leaves_state_digest_unchanged():
         )
     ]
 
+
+def test_label_of_a_failed_step_is_unbound():
+    # Each labelled step fails, so its label names nothing; the steps that
+    # name it fail with a modelled error and leave the state unchanged.
+    script = parse_scenario(
+        "config window=100 arbitrator=arb\n"
+        "account a base=5 settled=5\nsigner s model=constant rate=0.5\n"
+        "pool p kappa_ppm=500000\nbook ob\n"
+        "at 0 transfer from=a to=b amount=50 as=t1 expect_error=InsufficientBalance\n"
+        "at 0 plan_recovery transfer=t1 amount=5 expect_error=UnboundLabel\n"
+        "at 0 freeze case=c1 transfer=t1 amount=5 expect_error=UnboundLabel\n"
+        "at 0 issue_report signer=s requestor=a amount=5 ttl=0 as=r1 expect_error=BadExpiry\n"
+        "at 0 swap pool=p requestor=a amount=5 reports=r1 expect_error=UnboundLabel\n"
+        "at 0 post_bid book=ob bidder=a amount=5 min_rate=0.5 expiry=9 as=b1"
+        " expect_error=InsufficientUnsettled\n"
+        "at 0 match_bid book=ob bid=b1 lp=a offer=3 expect_error=UnboundLabel\n"
+        "at 0 cancel_bid book=ob bid=b1 by=a expect_error=UnboundLabel\n"
+    )
+    result = run_scenario(script)
+    assert result.passed, [a for a in result.assertions if not a.passed]
+    assert len(result.assertions) == 8
+
+
+def _wide_world(accounts):
+    """The same dozen steps among a few accounts of a world of any size."""
+    return "\n".join([
+        "config window=100 arbitrator=arb",
+        "account lp base=1000",
+        "signer lp model=constant rate=0.9",
+        "pool p kappa_ppm=500000",
+        "book ob",
+        *(f"account u{i} base=10 settled=100" for i in range(accounts)),
+        "at 0 deposit pool=p lp=lp amount=500",
+        "at 0 wrap account=u0 amount=10",
+        "at 0 transfer from=u0 to=u1 amount=50",
+        "at 0 unwrap account=u2 amount=10 to=u3",
+        "at 1 issue_report signer=lp requestor=u1 amount=20 ttl=60 as=r1",
+        "at 1 swap pool=p requestor=u1 amount=20 reports=r1",
+        "at 2 freeze case=c1 targets=u1:10",
+        "at 3 recover case=c1 victim=u0",
+        "at 4 post_bid book=ob bidder=u1 amount=10 min_rate=0.5 expiry=90 as=b1",
+        "at 5 match_bid book=ob bid=b1 lp=u3 offer=5",
+        "at 6 swap pool=p requestor=u1 amount=20 reports=r1 expect_error=StaleNonce",
+        "at 7 withdraw pool=p lp=lp tokens=100",
+    ]) + "\n"
+
+
+def test_step_work_does_not_grow_with_the_account_count(monkeypatch):
+    """A step's deltas come from the journal entries it appended: outside
+    the full check_invariants recount, a run reads as many balances in a
+    world of 2000 accounts as in one of 250."""
+    count = {"calls": 0, "checking": False}
+    settle_view = WrapperLedger.settle_view
+    check_invariants = WrapperLedger.check_invariants
+
+    def counting_settle_view(self, account, now):
+        count["calls"] += not count["checking"]
+        return settle_view(self, account, now)
+
+    def marked_check_invariants(self):
+        count["checking"] = True
+        try:
+            check_invariants(self)
+        finally:
+            count["checking"] = False
+
+    monkeypatch.setattr(WrapperLedger, "settle_view", counting_settle_view)
+    monkeypatch.setattr(WrapperLedger, "check_invariants", marked_check_invariants)
+    calls = []
+    for accounts in (250, 2000):
+        runner = ScenarioRunner(parse_scenario(_wide_world(accounts)))
+        count["calls"] = 0
+        result = runner.run()
+        assert result.passed, [a for a in result.assertions if not a.passed]
+        calls.append(count["calls"])
+    assert calls[0] == calls[1] > 0
+
+
 class TestCli:
     def test_run_pass_and_log(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
@@ -296,6 +375,21 @@ class TestCli:
             ("rate_cap", True),
         ]
         assert reports[0]["assertions"][0]["observed"] == error
+
+    def test_exception_escaping_a_run_is_an_internal_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken_wrap(runner, p, now):
+            raise ValueError("wrap is broken")
+
+        monkeypatch.setitem(ScenarioRunner.ACTIONS, "wrap", broken_wrap)
+        bad = tmp_path / "bad.scn"
+        bad.write_text("account a base=5\nat 0 wrap account=a amount=1\n")
+        assert main(["run", str(bad), str(SCENARIO_DIR / "rate_cap.scn")]) == 3
+        captured = capsys.readouterr()
+        assert f"{bad}: internal error" in captured.err
+        assert "ValueError: wrap is broken" in captured.err
+        assert "rate_cap" not in captured.out
 
     def test_pool_named_like_the_arbitrator_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
