@@ -131,14 +131,19 @@ def simulate_attack(scenario: AttackScenario) -> ProfitBreakdown:
 
 
 def exact_profit(scenario: AttackScenario, rate: Fraction | None = None) -> Fraction:
-    """Attack profit in exact rationals (the model the safety bound lives in)."""
+    """Attack profit in exact rationals (the model the safety bound lives in).
+
+    With payout x = stolen*rate, the short sells at total/L and buys back at
+    (total-x)/L per token, so b - m = shorted*x/L and the profit x + b - m
+    is stolen*rate*(L+shorted)/L, built as one fraction.
+    """
     if rate is None:
         rate = Fraction(scenario.rate_ppm, PPM)
-    total = Fraction(scenario.pool_total)
-    swap_out = Fraction(scenario.stolen) * rate
-    sale = Fraction(scenario.shorted) * total / scenario.lp_supply
-    buyback = Fraction(scenario.shorted) * (total - swap_out) / scenario.lp_supply
-    return swap_out + sale - buyback
+    lp_supply = scenario.lp_supply
+    return Fraction(
+        scenario.stolen * rate.numerator * (lp_supply + scenario.shorted),
+        rate.denominator * lp_supply,
+    )
 
 
 def profitability_threshold(lp_supply: int, shorted: int) -> int:

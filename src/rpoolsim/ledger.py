@@ -82,7 +82,7 @@ def check_amount(amount: int) -> int:
     return amount
 
 
-@dataclass
+@dataclass(slots=True)
 class UnsettledRecord:
     """One freezable chunk of a recipient's balance."""
 
@@ -97,7 +97,7 @@ class UnsettledRecord:
         return self.amount - self.frozen_amount
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     settled: int = 0
     #: ascending (settlement_time, record_id)
@@ -145,7 +145,7 @@ def _record_key(rec: UnsettledRecord) -> tuple[int, int]:
 
 
 #: sorts before every record key: the caller's clock may be negative
-_BEFORE_ANY_KEY = (float("-inf"),)
+_BEFORE_ANY_KEY = (float("-inf"), 0)
 
 
 def _matured_movable(records: list[UnsettledRecord], now: int) -> int:
@@ -276,6 +276,29 @@ class WrapperLedger:
             - acct.frozen_sum
             - _matured_movable(acct.unsettled, now)
         )
+
+    def holds_record_from(self, account: str, transfer_id: int) -> bool:
+        """Whether ``account`` still holds an unsettled record made by the
+        transfer ``transfer_id``.
+
+        A transfer's record is made at its recipient, never moves, and
+        keeps its key ``(time + window, record id)`` for life, so only the
+        recipient is searched, by one bisection.  An id outside the
+        transfer log names no record.
+        """
+        if not 0 < transfer_id <= len(self.transfer_log):
+            return False
+        entry = self.transfer_log[transfer_id - 1]
+        acct = self.accounts.get(account)
+        if acct is None or entry.recipient != account:
+            return False
+        records = acct.unsettled
+        due = entry.time + self.recovery_window
+        for record_id in entry.record_ids:
+            index = bisect.bisect_left(records, (due, record_id), key=_record_key)
+            if index < len(records) and records[index].record_id == record_id:
+                return True
+        return False
 
     def nonce(self, account: str) -> int:
         acct = self.accounts.get(account)
@@ -666,35 +689,57 @@ class WrapperLedger:
         self.base.journal.append(("genesis_settled", account, amount))
 
     def check_invariants(self) -> None:
-        """Recount every balance in one pass and compare the cached sums."""
-        assert self.base.total_supply == sum(self.base.balances.values()), (
-            "base supply out of balance"
-        )
+        """Recount every balance in one pass and compare the cached sums.
+
+        Raises :class:`AssertionError` explicitly rather than through
+        ``assert``, so the check also runs under ``python -O``.  An account
+        without records is checked in one comparison: both its cached sums
+        must be zero.
+        """
+        if self.base.total_supply != sum(self.base.balances.values()):
+            raise AssertionError("base supply out of balance")
         wrapped = 0
         for name, acct in self.accounts.items():
-            assert acct.settled >= 0, f"{name} settled negative"
+            settled = acct.settled
+            if settled < 0:
+                raise AssertionError(f"{name} settled negative")
+            records = acct.unsettled
+            if not records:
+                if not acct.unsettled_sum == acct.frozen_sum == 0:
+                    raise AssertionError(_sum_mismatch(name, acct, 0, 0))
+                wrapped += settled
+                continue
             unsettled = frozen = 0
-            last = _BEFORE_ANY_KEY
-            for rec in acct.unsettled:
-                assert rec.amount > 0, f"{name} holds an empty record"
-                assert 0 <= rec.frozen_amount <= rec.amount, (
-                    f"{name} record {rec.record_id} frozen amount out of range"
-                )
-                key = (rec.settlement_time, rec.record_id)
-                assert key > last, f"{name} records out of order"
-                last = key
-                unsettled += rec.amount
-                frozen += rec.frozen_amount
-            assert acct.unsettled_sum == unsettled, (
-                f"{name} unsettled_sum {acct.unsettled_sum} != recount {unsettled}"
+            last_time, last_id = _BEFORE_ANY_KEY
+            for rec in records:
+                amount = rec.amount
+                frozen_amount = rec.frozen_amount
+                if amount <= 0:
+                    raise AssertionError(f"{name} holds an empty record")
+                if not 0 <= frozen_amount <= amount:
+                    raise AssertionError(
+                        f"{name} record {rec.record_id} frozen amount out of range"
+                    )
+                time = rec.settlement_time
+                if time < last_time or (time == last_time and rec.record_id <= last_id):
+                    raise AssertionError(f"{name} records out of order")
+                last_time, last_id = time, rec.record_id
+                unsettled += amount
+                frozen += frozen_amount
+            if acct.unsettled_sum != unsettled or acct.frozen_sum != frozen:
+                raise AssertionError(_sum_mismatch(name, acct, unsettled, frozen))
+            wrapped += settled + unsettled
+        if self.base_locked() != wrapped:
+            raise AssertionError(
+                f"locked base {self.base_locked()} != wrapped total {wrapped}"
             )
-            assert acct.frozen_sum == frozen, (
-                f"{name} frozen_sum {acct.frozen_sum} != recount {frozen}"
-            )
-            wrapped += acct.settled + unsettled
-        assert self.base_locked() == wrapped, (
-            f"locked base {self.base_locked()} != wrapped total {wrapped}"
-        )
+
+
+def _sum_mismatch(name: str, acct: Account, unsettled: int, frozen: int) -> str:
+    """The message for a cached sum that disagrees with its recount."""
+    if acct.unsettled_sum != unsettled:
+        return f"{name} unsettled_sum {acct.unsettled_sum} != recount {unsettled}"
+    return f"{name} frozen_sum {acct.frozen_sum} != recount {frozen}"
 
 
 # -- journal kind -> its effect on (base, settled, unsettled, nonce) ----------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -37,6 +38,12 @@ from .ledger import WrapperLedger
 from .rates import check_rate
 
 
+#: the fixed-width head of a report's encoding: requestor length, amount
+#: (high and low 8 bytes), account nonce, expiry, quote, signer length
+_HEAD = struct.Struct(">IQQQQII")
+_LOW_64 = (1 << 64) - 1
+
+
 def canonical_encode(
     requestor: str,
     amount: int,
@@ -45,21 +52,29 @@ def canonical_encode(
     quote_ppm: int,
     signer_id: str,
 ) -> bytes:
-    """Deterministic byte encoding of a report's signed fields.
+    """Deterministic, injective byte encoding of a report's signed fields.
 
-    Fixed-order concatenation: requestor bytes, amount (16-byte big-endian),
-    account nonce (8-byte), expiry (8-byte), quote (4-byte), signer bytes.
+    A fixed 40-byte big-endian head (requestor length 4 bytes, amount 16,
+    account nonce 8, expiry 8, quote 4, signer length 4) followed by the
+    requestor's and the signer's UTF-8 bytes.  The head carries both
+    lengths, so the bytes split back into exactly one field tuple, as in
+    EIP-712's typed hashing.  A field outside its width is a ``ValueError``.
     """
-    if not 0 <= amount < 1 << 128:
-        raise ValueError(f"amount {amount} not encodable in 16 bytes")
-    return (
-        requestor.encode()
-        + amount.to_bytes(16, "big")
-        + account_nonce.to_bytes(8, "big")
-        + expiry.to_bytes(8, "big")
-        + quote_ppm.to_bytes(4, "big")
-        + signer_id.encode()
-    )
+    requestor_bytes = requestor.encode()
+    signer_bytes = signer_id.encode()
+    try:
+        head = _HEAD.pack(
+            len(requestor_bytes),
+            amount >> 64,
+            amount & _LOW_64,
+            account_nonce,
+            expiry,
+            quote_ppm,
+            len(signer_bytes),
+        )
+    except struct.error as exc:
+        raise ValueError(f"report field not encodable: {exc}") from None
+    return head + requestor_bytes + signer_bytes
 
 
 class HashSignatureScheme:
@@ -151,18 +166,18 @@ class TaintAwareRiskModel:
     A requestor holding any unsettled record whose origin transfer is in the
     tainted set is rated unswappable; everyone else gets ``clean_rate_ppm``.
     The tainted set is shared with the scenario driver, which marks transfer
-    ids as thefts are scripted.
+    ids as thefts are scripted.  A quote looks up each tainted transfer's
+    record, so it costs the size of the tainted set, not the requestor's
+    record count.
     """
 
     tainted_transfer_ids: set[int]
     clean_rate_ppm: int
 
     def quote(self, ledger: WrapperLedger, requestor: str, amount: int, now: int) -> int:
-        acct = ledger.accounts.get(requestor)
-        if acct is not None:
-            for rec in acct.unsettled:
-                if rec.origin_transfer_id in self.tainted_transfer_ids:
-                    return 0
+        for transfer_id in self.tainted_transfer_ids:
+            if ledger.holds_record_from(requestor, transfer_id):
+                return 0
         return self.clean_rate_ppm
 
 
@@ -260,7 +275,7 @@ def validate_reports(
     for report in reports:
         try:
             message = report.signed_bytes()
-        except (ValueError, OverflowError):
+        except ValueError:
             # an integer outside its field: no signature can cover the report
             raise BadSignature(f"report by {report.signer_id} is not encodable") from None
         if not registry.scheme.verify(

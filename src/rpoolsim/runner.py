@@ -11,13 +11,15 @@ The deltas are folded by :meth:`WrapperLedger.effects_since` from the
 ledger journal entries the step appended (``mint``, ``base_transfer``,
 ``wrap``, ``unwrap``, ``transfer``, ``freeze``, ``recover``, ``release``),
 so working them out costs the same in a world of any size.  What still
-grows with the number of accounts is the full invariant check after every
-step and the state digests around an ``expect_error`` step.
+grows with the number of accounts is the full invariant recount after every
+step and the two world-state snapshots around an ``expect_error`` step.
 
 Steps that declare ``expect_error`` must fail with exactly that error and
-must leave the world untouched; the runner verifies the latter with a
-state digest.  Failures of either kind surface as failed assertions in the
-report rather than exceptions, so a scenario always runs to the end.
+must leave the world untouched; the runner verifies the latter by comparing
+the complete world state (:meth:`ScenarioRunner.world_state`: every balance,
+record, case, pool and bid) before and after the step, by value.  Failures
+of either kind surface as failed assertions in the report rather than
+exceptions, so a scenario always runs to the end.
 """
 
 from __future__ import annotations
@@ -149,43 +151,51 @@ class ScenarioRunner:
 
     # -- state observation ---------------------------------------------------
 
-    def state_digest(self) -> str:
-        """Hash of the complete raw world state (empty accounts excluded)."""
-        accounts = {
-            name: (
-                acct.settled,
-                acct.nonce,
-                acct.unwrap_disabled,
-                [
-                    (r.record_id, r.amount, r.settlement_time, r.origin_transfer_id, r.frozen_amount)
-                    for r in acct.unsettled
-                ],
-            )
-            for name, acct in sorted(self.ledger.accounts.items())
-            if (acct.settled, acct.nonce, acct.unwrap_disabled, acct.unsettled)
-            != (0, 0, False, [])
-        }
-        state = {
-            "base": sorted((k, v) for k, v in self.base.balances.items() if v),
+    def world_state(self) -> dict:
+        """The complete raw world state, by value (empty accounts excluded).
+
+        Every mutable part is copied into tuples and fresh lists, so no later
+        operation can change a snapshot taken before it.  Two snapshots are
+        compared with ``==``.
+        """
+        return {
+            "base": {name: amount for name, amount in self.base.balances.items() if amount},
             "supply": self.base.total_supply,
-            "accounts": accounts,
+            "accounts": {
+                name: (
+                    acct.settled,
+                    acct.nonce,
+                    acct.unwrap_disabled,
+                    [
+                        (r.record_id, r.amount, r.settlement_time, r.origin_transfer_id, r.frozen_amount)
+                        for r in acct.unsettled
+                    ]
+                    if acct.unsettled
+                    else [],  # most accounts hold no records: skip the comprehension
+                )
+                for name, acct in self.ledger.accounts.items()
+                if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
+            },
             "cases": {
-                cid: (case.status, case.entries)
-                for cid, case in sorted(self.ledger.cases.items())
+                cid: (case.status, list(case.entries))
+                for cid, case in self.ledger.cases.items()
             },
             "pools": {
                 name: (pool.lp_supply, sorted(pool.lp_holdings.items()), len(pool.receipts))
-                for name, pool in sorted(self.pools.items())
+                for name, pool in self.pools.items()
             },
             "books": {
                 name: [
                     (b.bid_id, b.bidder, b.amount, b.min_rate_ppm, b.expiry, b.nonce_at_post, b.status)
                     for b in book.bids.values()
                 ]
-                for name, book in sorted(self.books.items())
+                for name, book in self.books.items()
             },
         }
-        blob = json.dumps(state, sort_keys=True, default=str).encode()
+
+    def state_digest(self) -> str:
+        """sha256 of :meth:`world_state`, for comparing states across runs."""
+        blob = json.dumps(self.world_state(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     # -- execution -------------------------------------------------------------
@@ -199,7 +209,7 @@ class ScenarioRunner:
 
     def _run_step(self, seq: int, step: Step, result: RunResult) -> None:
         mark = self.ledger.mark()
-        digest_before = self.state_digest() if step.expect_error else None
+        state_before = self.world_state() if step.expect_error else None
         checks: list[tuple[str, object, object]] = []
         outcome = "ok"
         op_result: object = None
@@ -220,7 +230,7 @@ class ScenarioRunner:
                     outcome,
                 )
             )
-            if outcome != "ok" and self.state_digest() != digest_before:
+            if outcome != "ok" and self.world_state() != state_before:
                 result.assertions.append(
                     AssertionResult(
                         seq,

@@ -4,6 +4,8 @@ the cap-safety rule, and agreement with the live end-to-end replay."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpoolsim import (
     AttackScenario,
@@ -147,6 +149,69 @@ class TestExactBounds:
             for s in range(1, 1001, 37)
         ]
         assert by_short == sorted(by_short)
+
+
+def _stepwise_profit(scenario, rate=None):
+    """x + b - m computed leg by leg: the swap payout, the short sale at the
+    pre-attack price, and the buy-back at the post-recovery price."""
+    if rate is None:
+        rate = Fraction(scenario.rate_ppm, PPM)
+    total = Fraction(scenario.pool_total)
+    swap_out = Fraction(scenario.stolen) * rate
+    sale = Fraction(scenario.shorted) * total / scenario.lp_supply
+    buyback = Fraction(scenario.shorted) * (total - swap_out) / scenario.lp_supply
+    return swap_out + sale - buyback
+
+
+def _criterion6_grid():
+    """(scenario, rate) over the acceptance suite's criterion 6 grid."""
+    supplies = [1, 2, 3, 7, 12, 17, 31, 64, 128, 999, 1000, 2048, 4096,
+                10_000, 31337, 65536, 10**5, 2 * 10**5, 5 * 10**5, 10**6]
+    for lp_supply in supplies:
+        shorts = {1, lp_supply // 10 or 1, lp_supply // 3 or 1,
+                  lp_supply // 2 or 1, 2 * lp_supply // 3 or 1, lp_supply}
+        totals = {1, lp_supply // 4 or 1, lp_supply // 2 or 1,
+                  3 * lp_supply // 4 or 1, lp_supply}
+        for shorted in sorted(shorts):
+            threshold = exact_threshold(lp_supply, shorted)
+            for pool_total in sorted(totals):
+                for k in range(25):
+                    rate = threshold * Fraction(k, 24)
+                    scenario = AttackScenario(
+                        pool_total, lp_supply, 10, shorted, pool_total,
+                        min(PPM, int(rate * PPM)),
+                    )
+                    yield scenario, rate
+
+
+class TestExactProfitClosedForm:
+    """exact_profit builds stolen*rate*(L+shorted)/L as one fraction; the
+    leg-by-leg x + b - m is its oracle, in value and in printed form."""
+
+    def test_criterion6_grid(self):
+        checked = 0
+        for scenario, rate in _criterion6_grid():
+            for r in (rate, None):
+                closed, stepwise = exact_profit(scenario, r), _stepwise_profit(scenario, r)
+                assert closed == stepwise and str(closed) == str(stepwise), (scenario, r)
+            checked += 1
+        assert checked >= 10_000, checked
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lp_supply=st.integers(1, 10**12),
+        data=st.data(),
+        stolen=st.integers(1, 10**12),
+        rate_ppm=st.integers(0, PPM),
+        rate=st.none() | st.fractions(min_value=0, max_value=1),
+    )
+    def test_matches_the_stepwise_profit(self, lp_supply, data, stolen, rate_ppm, rate):
+        pool_total = data.draw(st.integers(1, lp_supply))
+        shorted = data.draw(st.integers(0, lp_supply))
+        scenario = AttackScenario(pool_total, lp_supply, 0, shorted, stolen, rate_ppm)
+        closed, stepwise = exact_profit(scenario, rate), _stepwise_profit(scenario, rate)
+        assert closed == stepwise
+        assert str(closed) == str(stepwise)
 
 
 class TestEndToEndReplay:

@@ -1,6 +1,12 @@
 """Wrapper-ledger behavior: wrapping, settlement, transfers, freezes,
 recovery, and the recovery-plan deficiency rule."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from rpoolsim.errors import (
@@ -355,6 +361,41 @@ class TestPrefixWalks:
         setattr(acct, cached, getattr(acct, cached) + 1)
         with pytest.raises(AssertionError, match=cached):
             ledger.check_invariants()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ("acct.settled = -3", "a settled negative"),
+            ("acct.unsettled_sum += 7", "a unsettled_sum 107 != recount 100"),
+            ("idle.frozen_sum = 2", "idle frozen_sum 2 != recount 0"),
+        ],
+    )
+    def test_invariants_are_checked_under_python_O(self, corrupt, message):
+        # python -O strips assert statements; check_invariants must not rely on them
+        program = textwrap.dedent(f"""
+            from rpoolsim import BaseLedger, WrapperLedger
+            assert False, "unreachable under -O"
+            base = BaseLedger()
+            ledger = WrapperLedger(base, recovery_window=10, arbitrator="arb")
+            base.mint("f", 100)
+            ledger.wrap("f", 100, 0)
+            ledger.transfer("f", "a", 100, False, 0)
+            ledger.disable_unwrap("idle")
+            acct, idle = ledger.accounts["a"], ledger.accounts["idle"]
+            ledger.check_invariants()
+            {corrupt}
+            try:
+                ledger.check_invariants()
+            except AssertionError as exc:
+                print(exc)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == message
 
 
 def _tainted_pool_world(world, pool_keep: int, lp_withdraw: int):

@@ -2,14 +2,20 @@
 
 import dataclasses
 import itertools
+import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpoolsim import (
     ConstantRiskModel,
+    BaseLedger,
     RatingEntity,
     SignerRegistry,
     TaintAwareRiskModel,
+    WrapperLedger,
     canonical_encode,
     issue_report,
     median_quote,
@@ -20,6 +26,7 @@ from rpoolsim.errors import (
     BadSignature,
     DuplicateSigner,
     EmptyQuoteSet,
+    RPoolError,
     OutOfRiskBounds,
     QuorumTooSmall,
     ReportExpired,
@@ -43,7 +50,7 @@ class TestCanonicalEncode:
     def test_quote_sits_at_its_offset(self):
         a = canonical_encode("alice", 100, 5, 900, 600000, "s1")
         b = canonical_encode("alice", 100, 5, 900, 600001, "s1")
-        offset = len(b"alice") + 16 + 8 + 8
+        offset = 4 + 16 + 8 + 8  # requestor length, amount, nonce, expiry
         assert a[:offset] == b[:offset]
         assert a[offset : offset + 4] != b[offset : offset + 4]
         assert a[offset + 4 :] == b[offset + 4 :]
@@ -64,6 +71,74 @@ class TestCanonicalEncode:
             tampered = bytearray(message)
             tampered[i] ^= 0x01
             assert not registry.scheme.verify(public, bytes(tampered), signature)
+
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("a", 10, 3, 60, 900000, "sig1"), ("a\x00", 2560, 768, 15360, 230400115, "ig1")),
+            (("a\x00", 5, 7, 9, 0x41, "zz"), ("a", 0, 5 << 56, 7 << 56, 9 << 24, "Azz")),
+        ],
+    )
+    def test_reports_sharing_bytes_without_length_prefixes_differ(self, first, second):
+        # joined without lengths, the requestor's tail and the signer's
+        # head slid into the integer fields and both encoded alike
+        unprefixed = [
+            f[0].encode()
+            + f[1].to_bytes(16, "big")
+            + f[2].to_bytes(8, "big")
+            + f[3].to_bytes(8, "big")
+            + f[4].to_bytes(4, "big")
+            + f[5].encode()
+            for f in (first, second)
+        ]
+        assert unprefixed[0] == unprefixed[1]
+        assert canonical_encode(*first) != canonical_encode(*second)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        requestor=st.text(),
+        amount=st.integers(0, 2**128 - 1),
+        account_nonce=st.integers(0, 2**64 - 1),
+        expiry=st.integers(0, 2**64 - 1),
+        quote_ppm=st.integers(0, 2**32 - 1),
+        signer_id=st.text(),
+    )
+    def test_bytes_decode_to_exactly_one_report(
+        self, requestor, amount, account_nonce, expiry, quote_ppm, signer_id
+    ):
+        fields = (requestor, amount, account_nonce, expiry, quote_ppm, signer_id)
+        assert _decode(canonical_encode(*fields)) == fields
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("amount", -1),
+            ("amount", 2**128),
+            ("account_nonce", 2**64),
+            ("expiry", -1),
+            ("quote_ppm", 2**32),
+            ("requestor", "\ud800"),
+        ],
+    )
+    def test_field_outside_its_width_is_a_value_error(self, field, value):
+        fields = dict(
+            requestor="alice", amount=1, account_nonce=0, expiry=1, quote_ppm=0, signer_id="s"
+        )
+        fields[field] = value
+        with pytest.raises(ValueError):
+            canonical_encode(**fields)
+
+
+def _decode(encoded: bytes) -> tuple:
+    """Split canonical bytes back into the six signed fields."""
+    head = struct.Struct(">IQQQQII")
+    r_len, hi, lo, nonce, expiry, quote, s_len = head.unpack_from(encoded)
+    rest = encoded[head.size :]
+    assert len(rest) == r_len + s_len
+    return (
+        rest[:r_len].decode(), (hi << 64) | lo, nonce, expiry, quote, rest[r_len:].decode()
+    )
 
 
 class TestMedian:
@@ -280,3 +355,55 @@ class TestValidateReports:
         reports = _reports(pool, rater, ledger)
         with pytest.raises(OutOfRiskBounds):
             validate_reports(pool, "alice", 100, reports, 0)
+
+
+def _full_scan_quote(model, ledger, requestor):
+    """The taint quote by scanning every record the requestor holds."""
+    acct = ledger.accounts.get(requestor)
+    if acct is not None:
+        for rec in acct.unsettled:
+            if rec.origin_transfer_id in model.tainted_transfer_ids:
+                return 0
+    return model.clean_rate_ppm
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), window=st.sampled_from([0, 1, 50]))
+def test_taint_quote_matches_a_full_scan(seed, window):
+    """Looking up each tainted transfer's record rates every holder as the
+    full scan does, through spends, settlement, freezes, recovery, a clock
+    that moves backwards, and tainted ids outside the transfer log."""
+    rng = random.Random(seed)
+    names = ["a", "b", "c", "d"]
+    base = BaseLedger()
+    ledger = WrapperLedger(base, recovery_window=window, arbitrator="arb")
+    for name in names:
+        base.mint(name, 300)
+        ledger.wrap(name, 100, 0)
+    for step in range(40):
+        now = rng.randrange(-20, 120)
+        who, other = rng.sample(names, 2)
+        amount = rng.randrange(1, 40)
+        kind = rng.randrange(5)
+        try:
+            if kind == 0:
+                ledger.transfer(who, other, amount, rng.random() < 0.7, now)
+            elif kind == 1:
+                ledger.transfer_unsettled(who, other, amount, now)
+            elif kind == 2:
+                ledger.freeze("arb", [(who, amount)], f"case{step}", now)
+            elif kind == 3:
+                active = [c for c, case in ledger.cases.items() if case.status == "active"]
+                if active:
+                    ledger.recover("arb", rng.choice(active), other, now)
+            else:
+                active = [c for c, case in ledger.cases.items() if case.status == "active"]
+                if active:
+                    ledger.release("arb", rng.choice(active), now)
+        except RPoolError:
+            pass
+        ids = range(-1, len(ledger.transfer_log) + 3)
+        model = TaintAwareRiskModel(set(rng.sample(ids, rng.randrange(4))), 700000)
+        for name in [*names, "nobody"]:
+            expected = _full_scan_quote(model, ledger, name)
+            assert model.quote(ledger, name, 1, now) == expected

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from rpoolsim.cli import main
+from rpoolsim.errors import ZeroAmount
 from rpoolsim.ledger import WrapperLedger
 from rpoolsim.runner import EXPECTATIONS, ScenarioRunner, run_scenario
 from rpoolsim.scenario import ACTION_SPECS, ASSERT_KINDS, parse_scenario
@@ -192,6 +193,53 @@ def test_rejected_match_bid_leaves_state_digest_unchanged():
             (12, "BidNotOpen"),
         )
     ]
+
+
+_RICH_WORLD = (
+    "config window=100 arbitrator=arb\n"
+    "account lp base=500\naccount whale settled=300\naccount idle settled=5\n"
+    "signer lp model=constant rate=0.9\npool p kappa_ppm=500000\nbook ob\n"
+    "at 0 deposit pool=p lp=lp amount=200\n"
+    "at 0 transfer from=whale to=alice amount=100\n"
+    "at 0 transfer from=whale to=bob amount=50\n"
+    "at 0 post_bid book=ob bidder=alice amount=40 min_rate=0.5 expiry=90 as=b1\n"
+    "at 1 freeze case=c1 targets=bob:30\n"
+)
+
+
+def _freeze_one_more(runner):
+    acct = runner.ledger.accounts["bob"]
+    acct.unsettled[0].frozen_amount += 1
+    acct.frozen_sum += 1  # the cached sum follows, so the recount still passes
+
+
+#: an in-place write to one part of the world, made by a step that then
+#: fails; each keeps the invariants, so only the state comparison sees it
+_IN_PLACE_WRITES = {
+    "record frozen_amount": _freeze_one_more,
+    "case entries": lambda r: r.ledger.cases["c1"].entries.append(("bob", 99, 1)),
+    "lp holdings": lambda r: r.pools["p"].lp_holdings.update(lp=199),
+    "bid status": lambda r: setattr(r.books["ob"].bids[1], "status", "filled"),
+    "base balance": lambda r: r.base.balances.update(lp=299, whale=1),
+}
+
+
+@pytest.mark.parametrize("part", [None, *_IN_PLACE_WRITES])
+def test_rejected_step_writing_in_place_is_caught(monkeypatch, part):
+    # The snapshot before a rejected step must hold values, not the live
+    # lists and records, or an in-place write would change both sides.
+    def writing_mint(runner, p, now):
+        if part is not None:
+            _IN_PLACE_WRITES[part](runner)
+        raise ZeroAmount("rejected")
+
+    monkeypatch.setitem(ScenarioRunner.ACTIONS, "mint_base", writing_mint)
+    script = _RICH_WORLD + "at 2 mint_base account=lp amount=1 expect_error=ZeroAmount\n"
+    result = ScenarioRunner(parse_scenario(script)).run()
+    expected = [("step 6 (mint_base) fails with ZeroAmount", True)]
+    if part is not None:
+        expected.append(("step 6 (mint_base) leaves state unchanged on error", False))
+    assert [(a.description, a.passed) for a in result.assertions] == expected
 
 
 def test_label_of_a_failed_step_is_unbound():
@@ -390,6 +438,26 @@ class TestCli:
         assert f"{bad}: internal error" in captured.err
         assert "ValueError: wrap is broken" in captured.err
         assert "rate_cap" not in captured.out
+
+    @pytest.mark.parametrize("cached", ["unsettled_sum", "frozen_sum"])
+    def test_drifted_sum_on_an_untouched_account_is_an_internal_error(
+        self, tmp_path, capsys, monkeypatch, cached
+    ):
+        # The recount after every step covers accounts the step never
+        # touched, record-less ones included.
+        unwrap = ScenarioRunner.ACTIONS["unwrap"]
+
+        def drifting_unwrap(runner, p, now):
+            setattr(runner.ledger.accounts["idle"], cached, 1)
+            return unwrap(runner, p, now)
+
+        monkeypatch.setitem(ScenarioRunner.ACTIONS, "unwrap", drifting_unwrap)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(_RICH_WORLD + "at 2 unwrap account=whale amount=10\n")
+        assert main(["run", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert f"{bad}: internal error" in captured.err
+        assert f"idle {cached} 1 != recount 0" in captured.err
 
     def test_pool_named_like_the_arbitrator_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
