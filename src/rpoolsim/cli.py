@@ -6,8 +6,9 @@
                           [--stolen p] [--rate r] [--assert-safe]
     rpoolsim fmt <file>
 
-Exit codes: 0 success, 1 assertion or safety-verdict failure, 2 parse or
-configuration error, 3 internal error (an exception escaped a run).
+Exit codes: 0 success, 1 assertion or safety-verdict failure, 2 a file that
+cannot be read, parsed or written, or a configuration error, 3 internal
+error (an exception escaped a run).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .attack import AttackScenario, exact_threshold, profitability_threshold, si
 from .errors import RPoolError
 from .rates import PPM, format_rate, parse_rate
 from .runner import RunResult, ScenarioRunner, log_line
-from .scenario import ParseError, format_scenario, parse_scenario
+from .scenario import ParseError, ScenarioScript, format_scenario, parse_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,18 +62,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_scenario(path: Path) -> ScenarioScript | None:
+    """Read and parse one scenario file; on failure say why on stderr and
+    return None, which the commands turn into exit code 2."""
+    try:
+        return parse_scenario(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+    except ParseError as exc:
+        print(f"{path}:{exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
+    return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     results: list[RunResult] = []
     log_lines: list[str] = []
     for path_text in args.files:
         path = Path(path_text)
-        try:
-            script = parse_scenario(path.read_text())
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return 2
-        except ParseError as exc:
-            print(f"{path}:{exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
+        script = _read_scenario(path)
+        if script is None:
             return 2
         try:
             world = ScenarioRunner(script, name=path.stem)
@@ -93,7 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         _print_result(result, args.format)
     if args.log:
-        Path(args.log).write_text("\n".join(log_lines) + "\n")
+        try:
+            Path(args.log).write_text("\n".join(log_lines) + "\n")
+        except OSError as exc:
+            print(f"{args.log}: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -193,14 +205,8 @@ def _cmd_check_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    try:
-        script = parse_scenario(path.read_text())
-    except OSError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
+    script = _read_scenario(Path(args.file))
+    if script is None:
         return 2
     sys.stdout.write(format_scenario(script))
     return 0

@@ -20,10 +20,13 @@ spending and freezing all act on that prefix.  Each account also carries
 and ``frozen_amount``.  They are derived values, updated wherever a record
 changes, so that balance views cost the matured prefix instead of the whole
 list; :meth:`WrapperLedger.check_invariants` recounts them from the records.
-Likewise the per-sender outflow index behind :meth:`WrapperLedger.plan_recovery`
-holds the transfer-log rows that drew on unsettled records, in log order.
 
-Every operation records itself in the base ledger's journal.
+Every operation records itself in the base ledger's journal, as a tuple
+tagged by its kind.  A transfer's entry is one :class:`Transfer`, and that
+same object is its transfer-log row: ``transfer_log`` is an index of the
+journal's transfers by id, and the per-sender outflow index behind
+:meth:`WrapperLedger.plan_recovery` holds those same objects, for the
+transfers that drew on unsettled records, in log order.
 :meth:`WrapperLedger.effects_since` folds the entries appended since a
 mark into per-account balance changes, one rule per entry kind, so a
 caller can tell what an operation changed without rescanning every account.
@@ -44,6 +47,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     FrozenFunds,
@@ -108,35 +112,33 @@ class Account:
     unsettled_sum: int = field(default=0, init=False)
     frozen_sum: int = field(default=0, init=False)
 
-    def unsettled_total(self) -> int:
-        return self.unsettled_sum
 
-    def frozen_total(self) -> int:
-        return self.frozen_sum
+class Transfer(NamedTuple):
+    """A transfer's journal entry, which is also its transfer-log row.
 
+    ``kind`` is always ``"transfer"``, so ``entry[0]`` tags it like every
+    other journal entry.  ``record_id`` names the one record made at the
+    recipient; ``unsettled_spent`` is the portion the sender drew from
+    unsettled records, which is what downstream recovery liability
+    attaches to.
+    """
 
-@dataclass(frozen=True)
-class TransferEntry:
-    """Append-only transfer-log row; ``unsettled_spent`` is the portion the
-    sender drew from unsettled records, which is what downstream recovery
-    liability attaches to."""
-
-    transfer_id: int
+    kind: str
     sender: str
     recipient: str
     amount: int
+    mode: str
     time: int
-    record_ids: tuple[int, ...]
+    transfer_id: int
+    record_id: int
     unsettled_spent: int
 
 
 @dataclass
 class Case:
     case_id: str
-    #: (account, record_id, amount) marks placed by the freeze
-    entries: list[tuple[str, int, int]]
-    #: the marked record of each entry, index-aligned with ``entries``
-    records: list[UnsettledRecord]
+    #: (account, marked record, amount) marks placed by the freeze
+    marks: list[tuple[str, UnsettledRecord, int]]
     status: str = "active"  # active | recovered | released
 
 
@@ -210,9 +212,10 @@ class WrapperLedger:
         self.arbitrator = arbitrator
         self.address = address
         self.accounts: dict[str, Account] = {}
-        self.transfer_log: list[TransferEntry] = []
-        #: sender -> its transfer-log rows with ``unsettled_spent > 0``
-        self._outflows: dict[str, list[TransferEntry]] = {}
+        #: the journal's transfers, by id: ``transfer_log[id - 1]``
+        self.transfer_log: list[Transfer] = []
+        #: sender -> its transfers with ``unsettled_spent > 0``
+        self._outflows: dict[str, list[Transfer]] = {}
         self.cases: dict[str, Case] = {}
         self._next_record_id = 1
         self._next_transfer_id = 1
@@ -293,12 +296,9 @@ class WrapperLedger:
         if acct is None or entry.recipient != account:
             return False
         records = acct.unsettled
-        due = entry.time + self.recovery_window
-        for record_id in entry.record_ids:
-            index = bisect.bisect_left(records, (due, record_id), key=_record_key)
-            if index < len(records) and records[index].record_id == record_id:
-                return True
-        return False
+        key = (entry.time + self.recovery_window, entry.record_id)
+        index = bisect.bisect_left(records, key, key=_record_key)
+        return index < len(records) and records[index].record_id == entry.record_id
 
     def nonce(self, account: str) -> int:
         acct = self.accounts.get(account)
@@ -431,21 +431,16 @@ class WrapperLedger:
         self._next_record_id += 1
         bisect.insort(recipient_acct.unsettled, record, key=_record_key)
         recipient_acct.unsettled_sum += amount
-        entry = TransferEntry(
-            transfer_id=transfer_id,
-            sender=sender,
-            recipient=recipient,
-            amount=amount,
-            time=now,
-            record_ids=(record.record_id,),
-            unsettled_spent=unsettled_spent,
+        entry = Transfer(
+            "transfer", sender, recipient, amount, mode, now,
+            transfer_id, record.record_id, unsettled_spent,
         )
+        self.base.journal.append(entry)
         self.transfer_log.append(entry)
         if unsettled_spent:
             self._outflows.setdefault(sender, []).append(entry)
         sender_acct.nonce += 1
         recipient_acct.nonce += 1
-        self.base.journal.append(("transfer", sender, recipient, amount, mode, now))
         return transfer_id
 
     @staticmethod
@@ -506,8 +501,7 @@ class WrapperLedger:
                     f"{account} has {available} freezable unsettled, needs {total}"
                 )
 
-        entries: list[tuple[str, int, int]] = []
-        marked: list[UnsettledRecord] = []
+        marks: list[tuple[str, UnsettledRecord, int]] = []
         for account, total in wanted.items():
             acct = self.accounts[account]
             self._settle_account(acct, now)
@@ -518,13 +512,12 @@ class WrapperLedger:
                 take = min(rec.spendable, remaining)
                 if take:
                     rec.frozen_amount += take
-                    entries.append((account, rec.record_id, take))
-                    marked.append(rec)
+                    marks.append((account, rec, take))
                     remaining -= take
             assert remaining == 0
             acct.frozen_sum += total
             acct.nonce += 1
-        self.cases[case_id] = Case(case_id, entries, marked)
+        self.cases[case_id] = Case(case_id, marks)
         self.base.journal.append(
             ("freeze", case_id, tuple(sorted(wanted.items())), now)
         )
@@ -541,7 +534,7 @@ class WrapperLedger:
 
         total = 0
         affected: list[str] = []
-        for (account, _, amount), rec in zip(case.entries, case.records):
+        for account, rec, amount in case.marks:
             acct = self.accounts[account]
             rec.frozen_amount -= amount
             rec.amount -= amount
@@ -570,7 +563,7 @@ class WrapperLedger:
         if case is None or case.status != "active":
             raise UnknownCase(f"no active case {case_id!r}")
         affected: list[str] = []
-        for (account, _, amount), rec in zip(case.entries, case.records):
+        for account, rec, amount in case.marks:
             rec.frozen_amount -= amount
             self.accounts[account].frozen_sum -= amount
             if account not in affected:
@@ -630,7 +623,7 @@ class WrapperLedger:
             )
         return list(plan.items())
 
-    def _transfer_entry(self, transfer_id: int) -> TransferEntry:
+    def _transfer_entry(self, transfer_id: int) -> Transfer:
         index = transfer_id - 1
         if not 0 <= index < len(self.transfer_log):
             raise ValueError(f"unknown transfer id {transfer_id}")
@@ -638,18 +631,18 @@ class WrapperLedger:
 
     # -- effects of journal entries ---------------------------------------------
 
-    def mark(self) -> tuple[int, int]:
-        """Position in the journal and the transfer log, for :meth:`effects_since`."""
-        return len(self.base.journal), len(self.transfer_log)
+    def mark(self) -> int:
+        """Position in the journal, for :meth:`effects_since`."""
+        return len(self.base.journal)
 
-    def effects_since(self, mark: tuple[int, int], now: int) -> dict[str, dict[str, int]]:
+    def effects_since(self, mark: int, now: int) -> dict[str, dict[str, int]]:
         """Per-account changes to ``base``, effective ``settled`` and
         ``unsettled`` at ``now``, and ``nonce``, made by the journal entries
         appended since ``mark``.
 
         Each entry is folded by its kind's rule in ``_EFFECTS``; the spend
-        split of a ``transfer`` comes from its transfer-log row, and the
-        marks a ``recover`` or ``release`` closed from ``cases``.  Zero
+        split of a ``transfer`` comes from its own entry, and the marks a
+        ``recover`` or ``release`` closed from ``cases``.  Zero
         changes and the wrapper's own base address are left out; accounts
         come out sorted by name.
 
@@ -658,11 +651,9 @@ class WrapperLedger:
         as one scenario step's are: an operation folds what is due first,
         so a freeze or a spend at ``now`` acts on records not yet due.
         """
-        journal_at, log_at = mark
-        rows = iter(self.transfer_log[log_at:])
         totals: dict[str, dict[str, int]] = {}
-        for entry in self.base.journal[journal_at:]:
-            for account, key, change in _EFFECTS[entry[0]](self, entry, rows, now):
+        for entry in self.base.journal[mark:]:
+            for account, key, change in _EFFECTS[entry[0]](self, entry, now):
                 fields = totals.setdefault(account, {})
                 fields[key] = fields.get(key, 0) + change
         totals.pop(self.address, None)
@@ -745,95 +736,91 @@ def _sum_mismatch(name: str, acct: Account, unsettled: int, frozen: int) -> str:
 # -- journal kind -> its effect on (base, settled, unsettled, nonce) ----------
 #
 # Each rule reads one journal entry against the ledger as the step left it
-# and yields (account, field, change).  ``rows`` iterates the transfer-log
-# rows appended since the mark, one per ``transfer`` entry, in order.
-# Settled and unsettled are effective balances at ``now``, as settle_view
-# reports them: a record due at or before ``now`` counts as settled except
-# for its frozen part.
+# and yields (account, field, change).  Settled and unsettled are effective
+# balances at ``now``, as settle_view reports them: a record due at or
+# before ``now`` counts as settled except for its frozen part.
 
 _Effects = Iterator[tuple[str, str, int]]
-_Rows = Iterator[TransferEntry]
 
 
-def _mint_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _mint_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, account, amount = entry
     yield account, "base", amount
 
 
-def _base_transfer_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _base_transfer_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, sender, recipient, amount = entry
     yield sender, "base", -amount
     yield recipient, "base", amount
 
 
-def _genesis_settled_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _genesis_settled_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, account, amount = entry
     yield account, "settled", amount
 
 
-def _wrap_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _wrap_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, caller, amount, _ = entry
     yield caller, "settled", amount
     yield caller, "nonce", 1
 
 
-def _unwrap_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _unwrap_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, caller, _, amount, _ = entry  # the base paid out is its own base_transfer
     yield caller, "settled", -amount
     yield caller, "nonce", 1
 
 
-def _transfer_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
-    _, sender, recipient, amount, _, _ = entry
-    row = next(rows)
-    spent = row.unsettled_spent
+def _transfer_effects(ledger: WrapperLedger, entry: Transfer, now: int) -> _Effects:
+    sender, recipient, amount = entry.sender, entry.recipient, entry.amount
+    spent = entry.unsettled_spent
     yield sender, "settled", spent - amount
     yield sender, "unsettled", -spent
     yield sender, "nonce", 1
-    # the recipient's record is due at row.time + window: with a zero
+    # the recipient's record is due at entry.time + window: with a zero
     # window it is settled already
-    due = row.time + ledger.recovery_window
+    due = entry.time + ledger.recovery_window
     yield recipient, "settled" if due <= now else "unsettled", amount
     yield recipient, "nonce", 1
 
 
-def _freeze_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _freeze_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, _, wanted, _ = entry
     for account, _ in wanted:
         yield account, "nonce", 1
 
 
-def _recover_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _recover_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, case_id, victim, _ = entry
     case = ledger.cases[case_id]
     total = 0
-    for account, _, amount in case.entries:
+    for account, _, amount in case.marks:
         yield account, "unsettled", -amount
         total += amount
-    for account in {account for account, _, _ in case.entries}:
+    for account in {account for account, _, _ in case.marks}:
         yield account, "nonce", 1
     # the victim may also be a marked account: its nonce then rises twice
     yield victim, "settled", total
     yield victim, "nonce", 1
 
 
-def _release_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _release_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, case_id, _ = entry
     case = ledger.cases[case_id]
-    for (account, _, amount), rec in zip(case.entries, case.records):
+    for account, rec, amount in case.marks:
         if rec.settlement_time <= now:
             # a due record's frozen part was its only unsettled value
             yield account, "settled", amount
             yield account, "unsettled", -amount
-    for account in {account for account, _, _ in case.entries}:
+    for account in {account for account, _, _ in case.marks}:
         yield account, "nonce", 1
 
 
-def _no_effects(ledger: WrapperLedger, entry: tuple, rows: _Rows, now: int) -> _Effects:
+def _no_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     return iter(())
 
 
-_EFFECTS: dict[str, Callable[[WrapperLedger, tuple, _Rows, int], _Effects]] = {
+_EFFECTS: dict[str, Callable[[WrapperLedger, tuple, int], _Effects]] = {
     "mint": _mint_effects,
     "base_transfer": _base_transfer_effects,
     "genesis_settled": _genesis_settled_effects,

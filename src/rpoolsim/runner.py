@@ -10,7 +10,9 @@ randomness anywhere in the engine.
 The deltas are folded by :meth:`WrapperLedger.effects_since` from the
 ledger journal entries the step appended (``mint``, ``base_transfer``,
 ``wrap``, ``unwrap``, ``transfer``, ``freeze``, ``recover``, ``release``),
-so working them out costs the same in a world of any size.  What still
+and from nothing else: a transfer's entry carries its own spend split, so
+the runner marks the journal alone, and working the deltas out costs the
+same in a world of any size.  What still
 grows with the number of accounts is the full invariant recount after every
 step and the two world-state snapshots around an ``expect_error`` step.
 
@@ -177,7 +179,7 @@ class ScenarioRunner:
                 if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
             },
             "cases": {
-                cid: (case.status, list(case.entries))
+                cid: (case.status, [(acct, rec.record_id, amount) for acct, rec, amount in case.marks])
                 for cid, case in self.ledger.cases.items()
             },
             "pools": {

@@ -106,7 +106,7 @@ class NaiveLedger:
         elif kind == "disable_unwrap":
             pass  # flag only; balances and nonces unaffected
         elif kind == "transfer":
-            _, sender, recipient, amount, mode, now = event
+            _, sender, recipient, amount, mode, now = event[:6]
             self._spend(sender, amount, mode, now)
             self._receive(recipient, amount, now)
             self.nonce[sender] = self.nonce.get(sender, 0) + 1

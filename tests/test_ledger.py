@@ -23,7 +23,7 @@ from rpoolsim.errors import (
     ZeroAmount,
 )
 
-from conftest import ARB, WINDOW, give_unsettled
+from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
 
 
 class TestWrap:
@@ -506,3 +506,29 @@ def test_effects_since_folds_every_journal_kind(world):
         "genesis_settled", "mint", "wrap", "base_transfer", "unwrap", "transfer",
         "disable_unwrap", "freeze", "release", "recover",
     }
+
+
+def test_a_transfer_is_one_object_in_journal_log_and_outflows(world):
+    # The journal entry of a transfer is its transfer-log row, and the
+    # outflow index holds those same objects: no second copy to drift.
+    base, ledger = world
+    pool, rater = make_pool(base, ledger)
+    give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
+    give_unsettled(base, ledger, "mallory", 150, now=0, source="victim")
+    pool.swap("mallory", 100, quorum(pool, rater, "mallory", 100, 0, ledger), 0)
+    ledger.transfer("mallory", "b", 30, True, 0)
+    ledger.transfer_unsettled("b", "c", 20, 0)
+    base.mint("d", 5)
+    ledger.wrap("d", 5, 0)
+    ledger.transfer("d", "c", 5, False, 0)  # settled only: no outflow row
+    mark = ledger.mark()
+    assert type(mark) is int and mark == len(base.journal)
+
+    transfers = [entry for entry in base.journal if entry[0] == "transfer"]
+    assert len(transfers) == len(ledger.transfer_log) == 6
+    for transfer_id, (row, entry) in enumerate(zip(ledger.transfer_log, transfers), 1):
+        assert row is entry and row.transfer_id == transfer_id
+    outflows = [row for rows in ledger._outflows.values() for row in rows]
+    assert [row.transfer_id for row in outflows] == [3, 4, 5]  # swap-in, then two
+    for row in outflows:
+        assert ledger.transfer_log[row.transfer_id - 1] is row

@@ -217,7 +217,9 @@ def _freeze_one_more(runner):
 #: fails; each keeps the invariants, so only the state comparison sees it
 _IN_PLACE_WRITES = {
     "record frozen_amount": _freeze_one_more,
-    "case entries": lambda r: r.ledger.cases["c1"].entries.append(("bob", 99, 1)),
+    "case entries": lambda r: r.ledger.cases["c1"].marks.append(
+        ("bob", r.ledger.accounts["bob"].unsettled[0], 1)
+    ),
     "lp holdings": lambda r: r.pools["p"].lp_holdings.update(lp=199),
     "bid status": lambda r: setattr(r.books["ob"].bids[1], "status", "filled"),
     "base balance": lambda r: r.base.balances.update(lp=299, whale=1),
@@ -353,6 +355,22 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.scn")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "fmt"])
+    def test_file_that_is_not_utf8_is_a_read_error(self, tmp_path, capsys, command):
+        binary = tmp_path / "bin.scn"
+        binary.write_bytes(b"\xff\xfe")
+        assert main([command, str(binary)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{binary}: ") and "decode" in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_log_path_is_a_clean_error(self, tmp_path, capsys):
+        log = tmp_path / "missing_dir" / "events.jsonl"
+        assert main(["run", str(SCENARIO_DIR / "rate_cap.scn"), "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert "rate_cap: PASS" in captured.out  # every file ran first
+        assert captured.err.startswith(f"{log}: ") and "No such file" in captured.err
 
     def test_bad_world_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
