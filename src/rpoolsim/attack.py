@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amm import AmmPool
 from .errors import InvalidScenario, ZeroShort
@@ -74,8 +75,7 @@ class AttackScenario:
         return self.shorted * self.pool_total <= self.collateral * self.lp_supply
 
 
-@dataclass(frozen=True)
-class ProfitBreakdown:
+class ProfitBreakdown(NamedTuple):
     swap_out: int        # x: base received from the pool
     sale_proceeds: int   # b: short sale of LP tokens at the pre-attack price
     buyback_cost: int    # m: repurchase at the post-recovery price

@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .attack import AttackScenario, exact_threshold, profitability_threshold, simulate_attack
 from .errors import RPoolError
 from .rates import PPM, format_rate, parse_rate
 from .runner import RunResult, ScenarioRunner, log_line
@@ -97,7 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 3
         results.append(result)
         log_lines.extend(
-            log_line({**vars(event), "scenario": result.name}) for event in result.events
+            log_line({**event._asdict(), "scenario": result.name}) for event in result.events
         )
         _print_result(result, args.format)
     if args.log:
@@ -144,6 +142,11 @@ def _print_result(result: RunResult, fmt: str) -> None:
 
 
 def _cmd_check_attack(args: argparse.Namespace) -> int:
+    # the attack lab (and Fraction) load here, so run and fmt never pay for them
+    from fractions import Fraction
+
+    from .attack import AttackScenario, exact_threshold, profitability_threshold, simulate_attack
+
     lp_supply = args.lp_supply
     if args.short_fraction is not None:
         try:

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .amm import AmmPool
 from .errors import RPoolError, UnboundLabel
@@ -65,8 +64,7 @@ EXPECTATIONS: dict[str, tuple[str, str | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     seq: int
     time: int
     action: str
@@ -76,11 +74,10 @@ class EventRecord:
     deltas: dict
 
     def to_json(self) -> str:
-        return log_line(vars(self))
+        return log_line(self._asdict())
 
 
-@dataclass(frozen=True)
-class AssertionResult:
+class AssertionResult(NamedTuple):
     seq: int
     description: str
     passed: bool
@@ -88,11 +85,10 @@ class AssertionResult:
     observed: object
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     name: str
-    events: list[EventRecord] = field(default_factory=list)
-    assertions: list[AssertionResult] = field(default_factory=list)
+    events: list[EventRecord]
+    assertions: list[AssertionResult]
 
     @property
     def passed(self) -> bool:
@@ -203,7 +199,7 @@ class ScenarioRunner:
     # -- execution -------------------------------------------------------------
 
     def run(self) -> RunResult:
-        result = RunResult(self.name)
+        result = RunResult(self.name, [], [])
         for seq, step in enumerate(self.script.steps, start=1):
             self._run_step(seq, step, result)
             self.ledger.check_invariants()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ERRORS_BY_NAME
 from .rates import PPM, format_rate, parse_rate
@@ -198,23 +198,20 @@ class ParseError(Exception):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class GenesisAccount:
+class GenesisAccount(NamedTuple):
     name: str
     base: int = 0
     settled: int = 0
 
 
-@dataclass(frozen=True)
-class SignerSpec:
+class SignerSpec(NamedTuple):
     name: str
     model: str  # constant | taint
     rate_ppm: int
     authorized: bool = True
 
 
-@dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(NamedTuple):
     name: str
     kappa_ppm: int
     risk_lo_ppm: int = 0
@@ -246,13 +243,9 @@ class ScenarioScript:
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:
-    """(1-based column, token) pairs, comment-stripped."""
-    out = []
-    for m in _TOKEN_RE.finditer(line):
-        if m.group().startswith("#"):
-            break
-        out.append((m.start() + 1, m.group()))
-    return out
+    """(1-based column, token) pairs of the line up to any ``#`` comment."""
+    code = line.partition("#")[0]
+    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(code)]
 
 
 class _Parser:

@@ -1,0 +1,110 @@
+"""The package surface: which modules an import loads, the lazy public
+namespace, and the immutability of the value records."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rpoolsim
+from rpoolsim.attack import ProfitBreakdown
+from rpoolsim.runner import AssertionResult, EventRecord
+from rpoolsim.scenario import GenesisAccount, PoolSpec, SignerSpec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """Names a fresh interpreter adds to ``sys.modules`` by running the
+    statement, so nothing this test process already imported counts."""
+    program = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = modules_loaded_by("import rpoolsim")
+    assert {name for name in loaded if name.startswith("rpoolsim.")} == set()
+
+
+def test_importing_the_cli_leaves_the_attack_lab_unloaded():
+    loaded = modules_loaded_by("import rpoolsim.cli")
+    assert "rpoolsim.runner" in loaded
+    assert not loaded & {"rpoolsim.attack", "fractions", "decimal"}
+
+
+def test_importing_the_parser_loads_only_what_it_uses():
+    loaded = modules_loaded_by("import rpoolsim.scenario")
+    assert {name for name in loaded if name.startswith("rpoolsim.")} == {
+        "rpoolsim.errors",
+        "rpoolsim.rates",
+        "rpoolsim.scenario",
+    }
+
+
+@pytest.mark.parametrize("name", rpoolsim.__all__)
+def test_public_name_resolves_to_its_defining_module(name):
+    value = getattr(rpoolsim, name)
+    home = importlib.import_module(f"rpoolsim.{rpoolsim._EXPORTS[name]}")
+    assert value is getattr(home, name)
+    # a class or function maps to the module that defines it, not one that
+    # re-imports it (constants carry no __module__)
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_dir_lists_every_public_name():
+    assert set(rpoolsim.__all__) <= set(dir(rpoolsim))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(rpoolsim, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from rpoolsim import *", namespace)
+    assert {name: namespace[name] for name in rpoolsim.__all__} == {
+        name: getattr(rpoolsim, name) for name in rpoolsim.__all__
+    }
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (
+            EventRecord(
+                seq=1, time=0, action="advance", params={}, outcome="ok", result=None, deltas={}
+            ),
+            "outcome",
+        ),
+        (AssertionResult(seq=1, description="d", passed=True, expected=1, observed=1), "passed"),
+        (
+            ProfitBreakdown(
+                swap_out=1, sale_proceeds=2, buyback_cost=3, profit=0, stolen=1,
+                meets_collateral_bound=None,
+            ),
+            "profit",
+        ),
+        (GenesisAccount(name="alice", base=5), "base"),
+        (SignerSpec(name="rater", model="constant", rate_ppm=500_000), "rate_ppm"),
+        (PoolSpec(name="main", kappa_ppm=500_000), "rate_cap_ppm"),
+    ],
+    ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
+)
+def test_value_records_reject_field_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)

@@ -146,6 +146,27 @@ def test_comments_and_blanks_ignored():
     assert len(script.steps) == 1
 
 
+def test_hash_inside_a_token_starts_a_comment():
+    script = parse_scenario("account b base=5#x\nat 0 advance#now\n")
+    assert script.accounts[0].base == 5
+    assert len(script.steps) == 1
+
+
+def test_bad_token_before_a_comment_keeps_its_column():
+    with pytest.raises(ParseError) as err:
+        parse_scenario("account b base=x5#note\n")
+    assert (err.value.line, err.value.column) == (1, 11)
+    assert err.value.reason == "base must be a non-negative integer, got 'x5'"
+
+
+def test_fmt_drops_comments():
+    commented = HEADER + "# steps\nat 0 wrap account=alice amount=5#inline\n"
+    plain = HEADER + "at 0 wrap account=alice amount=5\n"
+    canonical = format_scenario(parse_scenario(commented))
+    assert "#" not in canonical
+    assert canonical == format_scenario(parse_scenario(plain))
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
 def test_fmt_idempotent_and_lossless(path):
     original = parse_scenario(path.read_text())
