@@ -115,16 +115,7 @@ def _print_result(result: RunResult, fmt: str) -> None:
                     "scenario": result.name,
                     "passed": result.passed,
                     "events": len(result.events),
-                    "assertions": [
-                        {
-                            "seq": a.seq,
-                            "description": a.description,
-                            "passed": a.passed,
-                            "expected": a.expected,
-                            "observed": a.observed,
-                        }
-                        for a in result.assertions
-                    ],
+                    "assertions": [a._asdict() for a in result.assertions],
                 },
                 sort_keys=True,
             )
@@ -215,13 +206,12 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "check-attack": _cmd_check_attack, "fmt": _cmd_fmt}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check-attack":
-        return _cmd_check_attack(args)
-    return _cmd_fmt(args)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -67,7 +67,8 @@ class Uncoverable(RPoolError):
 
 
 class ReservedName(RPoolError):
-    """The arbitrator and the wrapper's own address cannot hold an account."""
+    """The arbitrator, the wrapper's own address and the ``<nobody>``
+    sentinel cannot hold an account."""
 
 
 # ---------------------------------------------------------------------------

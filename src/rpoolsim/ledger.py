@@ -5,7 +5,8 @@ balances.  The wrapper ledger locks base tokens at its own base-side address
 and tracks, per account, a settled balance (immune to clawback, unwrappable
 at any time) plus an ordered list of unsettled records still inside the
 recovery window.  Every incoming transfer lands as one fresh unsettled
-record whose window restarts at the recipient.
+record whose window restarts at the recipient; the record is named by the
+transfer that made it, so a transfer id names both.
 
 Settlement is lazy: there is no background job.  Maturity is evaluated
 against the caller-supplied clock, and mutating operations fold matured
@@ -13,7 +14,7 @@ records into the settled balance before acting.  A record is settled once
 ``now >= settlement_time``.  Frozen portions never mature while their case
 is open.
 
-Records are kept in ascending ``(settlement_time, record_id)`` order, so at
+Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list; maturing,
 spending and freezing all act on that prefix.  Each account also carries
 ``unsettled_sum`` and ``frozen_sum``, the totals of its records' ``amount``
@@ -88,12 +89,12 @@ def check_amount(amount: int) -> int:
 
 @dataclass(slots=True)
 class UnsettledRecord:
-    """One freezable chunk of a recipient's balance."""
+    """One freezable chunk of a recipient's balance, named by the transfer
+    that made it: each transfer makes exactly one record, at its recipient."""
 
-    record_id: int
+    transfer_id: int
     amount: int
     settlement_time: int
-    origin_transfer_id: int
     frozen_amount: int = 0
 
     @property
@@ -104,7 +105,7 @@ class UnsettledRecord:
 @dataclass(slots=True)
 class Account:
     settled: int = 0
-    #: ascending (settlement_time, record_id)
+    #: ascending (settlement_time, transfer_id)
     unsettled: list[UnsettledRecord] = field(default_factory=list)
     nonce: int = 0
     unwrap_disabled: bool = False
@@ -117,9 +118,9 @@ class Transfer(NamedTuple):
     """A transfer's journal entry, which is also its transfer-log row.
 
     ``kind`` is always ``"transfer"``, so ``entry[0]`` tags it like every
-    other journal entry.  ``record_id`` names the one record made at the
-    recipient; ``unsettled_spent`` is the portion the sender drew from
-    unsettled records, which is what downstream recovery liability
+    other journal entry.  The one record it makes at the recipient carries
+    its ``transfer_id``; ``unsettled_spent`` is the portion the sender drew
+    from unsettled records, which is what downstream recovery liability
     attaches to.
     """
 
@@ -130,20 +131,18 @@ class Transfer(NamedTuple):
     mode: str
     time: int
     transfer_id: int
-    record_id: int
     unsettled_spent: int
 
 
 @dataclass
 class Case:
-    case_id: str
     #: (account, marked record, amount) marks placed by the freeze
     marks: list[tuple[str, UnsettledRecord, int]]
     status: str = "active"  # active | recovered | released
 
 
 def _record_key(rec: UnsettledRecord) -> tuple[int, int]:
-    return rec.settlement_time, rec.record_id
+    return rec.settlement_time, rec.transfer_id
 
 
 #: sorts before every record key: the caller's clock may be negative
@@ -217,8 +216,6 @@ class WrapperLedger:
         #: sender -> its transfers with ``unsettled_spent > 0``
         self._outflows: dict[str, list[Transfer]] = {}
         self.cases: dict[str, Case] = {}
-        self._next_record_id = 1
-        self._next_transfer_id = 1
 
     # -- account plumbing ---------------------------------------------------
 
@@ -285,7 +282,7 @@ class WrapperLedger:
         transfer ``transfer_id``.
 
         A transfer's record is made at its recipient, never moves, and
-        keeps its key ``(time + window, record id)`` for life, so only the
+        keeps its key ``(time + window, transfer_id)`` for life, so only the
         recipient is searched, by one bisection.  An id outside the
         transfer log names no record.
         """
@@ -296,9 +293,9 @@ class WrapperLedger:
         if acct is None or entry.recipient != account:
             return False
         records = acct.unsettled
-        key = (entry.time + self.recovery_window, entry.record_id)
+        key = (entry.time + self.recovery_window, transfer_id)
         index = bisect.bisect_left(records, key, key=_record_key)
-        return index < len(records) and records[index].record_id == entry.record_id
+        return index < len(records) and records[index].transfer_id == transfer_id
 
     def nonce(self, account: str) -> int:
         acct = self.accounts.get(account)
@@ -394,20 +391,17 @@ class WrapperLedger:
         if sender == recipient:
             raise SelfTransfer(f"{sender} cannot transfer to itself")
 
-        settled, _ = self.settle_view(sender, now)
-        spendable_unsettled = self.available_unsettled(sender, now)
+        settled, unsettled = self.settle_view(sender, now)
         acct = self.accounts.get(sender)
         frozen = 0 if acct is None else acct.frozen_sum
         if mode == SPEND_SETTLED:
-            available, with_frozen = settled, settled
-        elif mode == SPEND_SETTLED_THEN_UNSETTLED:
-            available = settled + spendable_unsettled
-            with_frozen = available + frozen
-        else:
-            available = spendable_unsettled
-            with_frozen = available + frozen
+            # unsettled value neither counts nor explains a shortfall
+            unsettled = frozen = 0
+        elif mode == SPEND_UNSETTLED:
+            settled = 0
+        available = settled + unsettled - frozen
         if available < amount:
-            if with_frozen >= amount:
+            if available + frozen >= amount:
                 raise FrozenFunds(
                     f"{sender} has {available} spendable; {frozen} frozen"
                 )
@@ -420,20 +414,12 @@ class WrapperLedger:
         self._settle_account(sender_acct, now)
         unsettled_spent = self._spend(sender_acct, amount, mode)
 
-        transfer_id = self._next_transfer_id
-        self._next_transfer_id += 1
-        record = UnsettledRecord(
-            record_id=self._next_record_id,
-            amount=amount,
-            settlement_time=now + self.recovery_window,
-            origin_transfer_id=transfer_id,
-        )
-        self._next_record_id += 1
+        transfer_id = len(self.transfer_log) + 1
+        record = UnsettledRecord(transfer_id, amount, now + self.recovery_window)
         bisect.insort(recipient_acct.unsettled, record, key=_record_key)
         recipient_acct.unsettled_sum += amount
         entry = Transfer(
-            "transfer", sender, recipient, amount, mode, now,
-            transfer_id, record.record_id, unsettled_spent,
+            "transfer", sender, recipient, amount, mode, now, transfer_id, unsettled_spent
         )
         self.base.journal.append(entry)
         self.transfer_log.append(entry)
@@ -517,61 +503,56 @@ class WrapperLedger:
             assert remaining == 0
             acct.frozen_sum += total
             acct.nonce += 1
-        self.cases[case_id] = Case(case_id, marks)
+        self.cases[case_id] = Case(marks)
         self.base.journal.append(
             ("freeze", case_id, tuple(sorted(wanted.items())), now)
         )
 
     def recover(self, caller: str, case_id: str, victim: str, now: int) -> int:
         """Move all frozen value of the case into the victim's settled balance."""
-        if caller != self.arbitrator:
-            raise NotArbitrator(f"{caller} is not the arbitrator")
-        case = self.cases.get(case_id)
-        if case is None or case.status != "active":
-            raise UnknownCase(f"no active case {case_id!r}")
+        case = self._active_case(caller, case_id)
         victim_acct = self._account(victim)
         self._settle_account(victim_acct, now)
 
         total = 0
-        affected: list[str] = []
         for account, rec, amount in case.marks:
             acct = self.accounts[account]
-            rec.frozen_amount -= amount
             rec.amount -= amount
-            acct.frozen_sum -= amount
             acct.unsettled_sum -= amount
             total += amount
             if not rec.amount:
                 records = acct.unsettled
                 index = bisect.bisect_left(records, _record_key(rec), key=_record_key)
                 del records[index]
-            if account not in affected:
-                affected.append(account)
-        for account in affected:
-            self.accounts[account].nonce += 1
+        self._unfreeze(case, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
-        case.status = "recovered"
         self.base.journal.append(("recover", case_id, victim, now))
         return total
 
     def release(self, caller: str, case_id: str, now: int) -> None:
         """Lift the case's freeze; records resume maturing normally."""
+        self._unfreeze(self._active_case(caller, case_id), "released")
+        self.base.journal.append(("release", case_id, now))
+
+    def _active_case(self, caller: str, case_id: str) -> Case:
+        """The open case ``case_id``, if ``caller`` may close it."""
         if caller != self.arbitrator:
             raise NotArbitrator(f"{caller} is not the arbitrator")
         case = self.cases.get(case_id)
         if case is None or case.status != "active":
             raise UnknownCase(f"no active case {case_id!r}")
-        affected: list[str] = []
+        return case
+
+    def _unfreeze(self, case: Case, status: str) -> None:
+        """Lift the case's marks, count the close once in each marked
+        account's nonce, and close the case as ``status``."""
         for account, rec, amount in case.marks:
             rec.frozen_amount -= amount
             self.accounts[account].frozen_sum -= amount
-            if account not in affected:
-                affected.append(account)
-        for account in affected:
+        for account in _marked_accounts(case):
             self.accounts[account].nonce += 1
-        case.status = "released"
-        self.base.journal.append(("release", case_id, now))
+        case.status = status
 
     def plan_recovery(
         self, tainted_transfer_id: int, amount: int, now: int
@@ -709,12 +690,12 @@ class WrapperLedger:
                     raise AssertionError(f"{name} holds an empty record")
                 if not 0 <= frozen_amount <= amount:
                     raise AssertionError(
-                        f"{name} record {rec.record_id} frozen amount out of range"
+                        f"{name} record {rec.transfer_id} frozen amount out of range"
                     )
                 time = rec.settlement_time
-                if time < last_time or (time == last_time and rec.record_id <= last_id):
+                if time < last_time or (time == last_time and rec.transfer_id <= last_id):
                     raise AssertionError(f"{name} records out of order")
-                last_time, last_id = time, rec.record_id
+                last_time, last_id = time, rec.transfer_id
                 unsettled += amount
                 frozen += frozen_amount
             if acct.unsettled_sum != unsettled or acct.frozen_sum != frozen:
@@ -724,6 +705,11 @@ class WrapperLedger:
             raise AssertionError(
                 f"locked base {self.base_locked()} != wrapped total {wrapped}"
             )
+
+
+def _marked_accounts(case: Case) -> dict[str, None]:
+    """The case's marked accounts, each once, in mark order."""
+    return dict.fromkeys(account for account, _, _ in case.marks)
 
 
 def _sum_mismatch(name: str, acct: Account, unsettled: int, frozen: int) -> str:
@@ -797,7 +783,7 @@ def _recover_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     for account, _, amount in case.marks:
         yield account, "unsettled", -amount
         total += amount
-    for account in {account for account, _, _ in case.marks}:
+    for account in _marked_accounts(case):
         yield account, "nonce", 1
     # the victim may also be a marked account: its nonce then rises twice
     yield victim, "settled", total
@@ -812,7 +798,7 @@ def _release_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
             # a due record's frozen part was its only unsettled value
             yield account, "settled", amount
             yield account, "unsettled", -amount
-    for account in {account for account, _, _ in case.marks}:
+    for account in _marked_accounts(case):
         yield account, "nonce", 1
 
 

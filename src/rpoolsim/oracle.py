@@ -81,8 +81,7 @@ class HashSignatureScheme:
     """Keyed-hash signatures for simulation use: sign = H(secret || message).
 
     Key pairs are symmetric (verification key equals the signing secret),
-    which is fine at desk scale; a real asymmetric scheme can be swapped in
-    behind the same keygen/sign/verify surface.
+    which is fine at desk scale.
     """
 
     def keygen(self, seed: str) -> tuple[bytes, bytes]:
@@ -121,8 +120,8 @@ class RiskReport:
 class SignerRegistry:
     """Authorized rating entities and their verification keys."""
 
-    def __init__(self, scheme: HashSignatureScheme | None = None) -> None:
-        self.scheme = scheme or HashSignatureScheme()
+    def __init__(self) -> None:
+        self.scheme = HashSignatureScheme()
         self._signers: dict[str, tuple[bytes, bool]] = {}
 
     def register(self, signer_id: str, public_key: bytes, authorized: bool = True) -> None:

@@ -61,7 +61,6 @@ class OrderBook:
         self.ledger = ledger
         self.bids: dict[int, Bid] = {}
         self.fills: list[Fill] = []
-        self._next_bid_id = 1
 
     def post_bid(
         self, bidder: str, amount: int, min_rate_ppm: int, expiry: int, now: int
@@ -76,14 +75,13 @@ class OrderBook:
                 f"{bidder} has {available} unsettled, bid is for {amount}"
             )
         bid = Bid(
-            bid_id=self._next_bid_id,
+            bid_id=len(self.bids) + 1,  # bids are never deleted
             bidder=bidder,
             amount=amount,
             min_rate_ppm=min_rate_ppm,
             expiry=expiry,
             nonce_at_post=self.ledger.nonce(bidder),
         )
-        self._next_bid_id += 1
         self.bids[bid.bid_id] = bid
         return bid.bid_id
 

@@ -165,7 +165,7 @@ class ScenarioRunner:
                     acct.nonce,
                     acct.unwrap_disabled,
                     [
-                        (r.record_id, r.amount, r.settlement_time, r.origin_transfer_id, r.frozen_amount)
+                        (r.transfer_id, r.amount, r.settlement_time, r.frozen_amount)
                         for r in acct.unsettled
                     ]
                     if acct.unsettled
@@ -175,7 +175,7 @@ class ScenarioRunner:
                 if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
             },
             "cases": {
-                cid: (case.status, [(acct, rec.record_id, amount) for acct, rec, amount in case.marks])
+                cid: (case.status, [(acct, rec.transfer_id, amount) for acct, rec, amount in case.marks])
                 for cid, case in self.ledger.cases.items()
             },
             "pools": {

@@ -167,7 +167,7 @@ def _flashloan_world(rate_ppm):
 
 def _world_fingerprint(base, ledger, pool, now):
     accounts = {
-        name: (acct.settled, acct.nonce, tuple((r.record_id, r.amount, r.frozen_amount) for r in acct.unsettled))
+        name: (acct.settled, acct.nonce, tuple((r.transfer_id, r.amount, r.frozen_amount) for r in acct.unsettled))
         for name, acct in ledger.accounts.items()
     }
     return (dict(base.balances), accounts, dict(pool.lp_holdings), pool.lp_supply)

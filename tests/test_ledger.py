@@ -324,7 +324,7 @@ class TestPrefixWalks:
         ledger.release(ARB, "c1", 5)
         assert ledger.transfer_unsettled("a", "b", 35, 5)
         acct = ledger.accounts["a"]
-        assert [(r.record_id, r.amount, r.frozen_amount) for r in acct.unsettled] == [
+        assert [(r.transfer_id, r.amount, r.frozen_amount) for r in acct.unsettled] == [
             (2, 20, 20),
             (3, 5, 0),
         ]
@@ -343,7 +343,7 @@ class TestPrefixWalks:
         ledger.release(ARB, "c1", 1000)
         assert ledger.recover(ARB, "c2", "victim", 1000) == 1
         acct = ledger.accounts["a"]
-        assert [r.record_id for r in acct.unsettled] == [
+        assert [r.transfer_id for r in acct.unsettled] == [
             *range(1, 500),
             *range(501, 1001),
         ]

@@ -362,7 +362,7 @@ def _full_scan_quote(model, ledger, requestor):
     acct = ledger.accounts.get(requestor)
     if acct is not None:
         for rec in acct.unsettled:
-            if rec.origin_transfer_id in model.tainted_transfer_ids:
+            if rec.transfer_id in model.tainted_transfer_ids:
                 return 0
     return model.clean_rate_ppm
 

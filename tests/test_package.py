@@ -1,7 +1,10 @@
 """The package surface: which modules an import loads, the lazy public
-namespace, and the immutability of the value records."""
+namespace, the immutability of the value records, and the names the
+benchmark harness reaches into."""
 
+import dataclasses
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import rpoolsim
+from rpoolsim.amm import SwapReceipt
 from rpoolsim.attack import ProfitBreakdown
+from rpoolsim.orderbook import Fill
 from rpoolsim.runner import AssertionResult, EventRecord
 from rpoolsim.scenario import GenesisAccount, PoolSpec, SignerSpec
 
@@ -108,3 +113,27 @@ def test_star_import_binds_every_public_name():
 def test_value_records_reject_field_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
+
+
+def _load_bench_spans():
+    """``bench/spans.py``, loaded by path: the harness is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_harness_names_still_resolve():
+    # the tracer reads a method from its class __dict__ and a function from
+    # its module, and raises on a missing one: ``bench/run.py --trace 1`` dies
+    spans = _load_bench_spans()
+    for _, owner, attr in spans.TRACED:
+        module_name, class_name = spans._split(owner)
+        module = importlib.import_module(module_name)
+        if class_name:
+            assert attr in vars(getattr(module, class_name)), f"{owner}.{attr}"
+        else:
+            assert hasattr(module, attr), f"{owner}.{attr}"
+    # the pool_deep output digest calls dataclasses.astuple on them
+    assert dataclasses.is_dataclass(SwapReceipt)
+    assert dataclasses.is_dataclass(Fill)

@@ -86,8 +86,8 @@ def test_oracle_equivalence_small_instances(seed, events):
 @given(seed=st.integers(0, 2**32 - 1), events=st.integers(1, 20))
 def test_oracle_ignores_what_the_engine_derives(seed, events):
     """The replay reads only what a transfer asked for: with every
-    transfer's id, record id and unsettled spend scrambled in the journal
-    it replays, the oracle still agrees with the engine."""
+    transfer's id and unsettled spend scrambled in the journal it replays,
+    the oracle still agrees with the engine."""
     rng = random.Random(seed)
     base = BaseLedger()
     ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
@@ -101,7 +101,6 @@ def test_oracle_ignores_what_the_engine_derives(seed, events):
     journal = [
         event._replace(
             transfer_id=rng.randrange(-99, 99),
-            record_id=rng.randrange(-99, 99),
             unsettled_spent=rng.randrange(-99, 99),
         )
         if event[0] == "transfer"
@@ -171,8 +170,47 @@ def test_nonces_count_participating_events(world):
     expected["b"] += 1
     ledger.release(ARB, "c2", 0)
     expected["b"] += 1
+    # b now holds two records (80, then 30) and v one (20): one freeze
+    # marks both of b's and v's, and the case is recovered to v
+    ledger.transfer("a", "b", 30, False, 0)
+    ledger.transfer("a", "v", 20, False, 0)
+    expected["a"] += 2
+    expected["b"] += 1
+    expected["v"] += 1
+    ledger.freeze(ARB, [("b", 100), ("v", 20)], "c3", 0)
+    assert [acct for acct, _, _ in ledger.cases["c3"].marks] == ["b", "b", "v"]
+    expected["b"] += 1
+    expected["v"] += 1
+    ledger.recover(ARB, "c3", "v", 0)
+    expected["b"] += 1  # once, though two of its records were marked
+    expected["v"] += 2  # once as a marked account, once as the victim
     for name, count in expected.items():
         assert ledger.nonce(name) == count, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), events=st.integers(1, 30))
+def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
+    """Every held record's ``transfer_id`` names the transfer-log row
+    whose recipient holds it, due one window after that transfer and
+    holding no more than it carried."""
+    rng = random.Random(seed)
+    base = BaseLedger()
+    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    for name in ACCOUNTS:
+        base.mint(name, 200)
+    now = 0
+    for _ in range(events):
+        now += rng.randrange(0, WINDOW // 3)
+        _random_ledger_op(rng, base, ledger, now)
+    for name, acct in ledger.accounts.items():
+        for rec in acct.unsettled:
+            row = ledger.transfer_log[rec.transfer_id - 1]
+            assert row.transfer_id == rec.transfer_id
+            assert row.recipient == name
+            assert rec.settlement_time == row.time + WINDOW
+            assert rec.amount <= row.amount
+            assert ledger.holds_record_from(name, rec.transfer_id)
 
 
 @settings(max_examples=60, deadline=None)
