@@ -68,6 +68,9 @@ from .errors import (
 #: Sentinel that is never allowed to hold an account.
 NOBODY = "<nobody>"
 
+#: The wrapper's own base-side address, where wrapped base tokens are locked.
+WRAPPER_ADDRESS = "<wrapper>"
+
 # Spend-source modes recorded in the transfer log.  The public transfer API
 # exposes the first two; pools and the order book draw from unsettled
 # records only, which is what makes their outbound risk traceable.
@@ -202,14 +205,13 @@ class WrapperLedger:
         *,
         recovery_window: int,
         arbitrator: str,
-        address: str = "<wrapper>",
     ) -> None:
         if recovery_window < 0:
             raise ValueError("recovery window must be non-negative")
         self.base = base
         self.recovery_window = recovery_window
         self.arbitrator = arbitrator
-        self.address = address
+        self.address = WRAPPER_ADDRESS
         self.accounts: dict[str, Account] = {}
         #: the journal's transfers, by id: ``transfer_log[id - 1]``
         self.transfer_log: list[Transfer] = []

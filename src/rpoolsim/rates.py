@@ -12,7 +12,7 @@ import re
 
 PPM = 1_000_000
 
-_RATE_RE = re.compile(r"(\d+)(?:\.(\d*))?")
+_RATE_RE = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 
 
 def check_rate(rate_ppm: int) -> int:

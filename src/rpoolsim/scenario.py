@@ -45,10 +45,12 @@ BID_STATUSES = ("open", "cancelled", "filled")
 SIGNER_MODELS = ("constant", "taint")
 
 # Parameter schemas: name -> (type, required).  Types: int, name, rate,
-# bool, targets, status, and the label types, which carry the kind K of
-# label (transfer, report or bid) after a colon: "as:K" binds a new label,
-# "label:K" and "labels:K" name one or more earlier labels, and "ref:K"
-# names an earlier label or gives an integer id.
+# bool, targets, status, model, the declared-name types pool, book and
+# signer, which name a header declaration of that directive, and the label
+# types, which carry the kind K of label (transfer, report or bid) after a
+# colon: "as:K" binds a new label, "label:K" and "labels:K" name one or
+# more earlier labels, and "ref:K" names an earlier label or gives an
+# integer id.
 ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
     "mint_base": {"account": ("name", True), "amount": ("int", True)},
     "wrap": {"account": ("name", True), "amount": ("int", True)},
@@ -67,20 +69,20 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
     },
     "disable_unwrap": {"account": ("name", True)},
     "deposit": {
-        "pool": ("name", True),
+        "pool": ("pool", True),
         "lp": ("name", True),
         "amount": ("int", True),
         "expect_minted": ("int", False),
     },
     "withdraw": {
-        "pool": ("name", True),
+        "pool": ("pool", True),
         "lp": ("name", True),
         "tokens": ("int", True),
         "expect_base": ("int", False),
         "expect_unsettled": ("int", False),
     },
     "issue_report": {
-        "signer": ("name", True),
+        "signer": ("signer", True),
         "requestor": ("name", True),
         "amount": ("int", True),
         "ttl": ("int", True),
@@ -88,7 +90,7 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "expect_quote": ("rate", False),
     },
     "swap": {
-        "pool": ("name", True),
+        "pool": ("pool", True),
         "requestor": ("name", True),
         "amount": ("int", True),
         "reports": ("labels:report", True),
@@ -98,7 +100,7 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "expect_rate": ("rate", False),
     },
     "post_bid": {
-        "book": ("name", True),
+        "book": ("book", True),
         "bidder": ("name", True),
         "amount": ("int", True),
         "min_rate": ("rate", True),
@@ -106,12 +108,12 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
         "as": ("as:bid", False),
     },
     "cancel_bid": {
-        "book": ("name", True),
+        "book": ("book", True),
         "bid": ("ref:bid", True),
         "by": ("name", True),
     },
     "match_bid": {
-        "book": ("name", True),
+        "book": ("book", True),
         "bid": ("ref:bid", True),
         "lp": ("name", True),
         "offer": ("int", True),
@@ -139,8 +141,8 @@ ACTION_SPECS: dict[str, dict[str, tuple[str, bool]]] = {
     "assert": {
         "kind": ("name", True),
         "account": ("name", False),
-        "pool": ("name", False),
-        "book": ("name", False),
+        "pool": ("pool", False),
+        "book": ("book", False),
         "bid": ("ref:bid", False),
         "settled": ("int", False),
         "unsettled": ("int", False),
@@ -166,21 +168,36 @@ ASSERT_KINDS: dict[str, tuple[set[str], set[str]]] = {
 #: actions on which expect_error is meaningless and rejected
 NO_EXPECT_ERROR = {"advance", "assert"}
 
-#: Header directive fields: name -> type, from the same types as steps.
-#: Config fields name :class:`ScenarioScript` attributes; account and pool
-#: fields name :class:`GenesisAccount` and :class:`PoolSpec` fields.
-DIRECTIVE_FIELDS: dict[str, dict[str, str]] = {
-    "config": {"window": "int", "arbitrator": "name"},
-    "account": {"base": "int", "settled": "int"},
-    "signer": {"model": "model", "rate": "rate", "authorized": "bool"},
-    "pool": {
-        "kappa_ppm": "int",
-        "risk_lo_ppm": "int",
-        "risk_hi_ppm": "int",
-        "min_quorum": "int",
-        "min_lp_deposit": "int",
-        "rate_cap_ppm": "int",
+#: Header directive fields: name -> (type, required), from the same types
+#: as steps.  Config fields name :class:`ScenarioScript` attributes; account
+#: and pool fields name :class:`GenesisAccount` and :class:`PoolSpec` fields.
+DIRECTIVE_FIELDS: dict[str, dict[str, tuple[str, bool]]] = {
+    "config": {"window": ("int", False), "arbitrator": ("name", False)},
+    "account": {"base": ("int", False), "settled": ("int", False)},
+    "signer": {
+        "model": ("model", True),
+        "rate": ("rate", False),
+        "authorized": ("bool", False),
     },
+    "pool": {
+        "kappa_ppm": ("int", True),
+        "risk_lo_ppm": ("int", False),
+        "risk_hi_ppm": ("int", False),
+        "min_quorum": ("int", False),
+        "min_lp_deposit": ("int", False),
+        "rate_cap_ppm": ("int", False),
+    },
+}
+
+#: The one pair of directives that may declare the same name: a signer is
+#: also a ledger account (rating entities must be LPs).
+SHARED_NAME = {"account", "signer"}
+
+#: Each action's fields plus ``expect_error``, whose type carries the action
+#: so that the parser can refuse it on the actions in NO_EXPECT_ERROR.
+_STEP_FIELDS = {
+    action: {**spec, "expect_error": (f"error:{action}", False)}
+    for action, spec in ACTION_SPECS.items()
 }
 
 #: Step parameters by field name; each value has the Python type its
@@ -223,8 +240,6 @@ class PoolSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class Step:
-    #: source line, for diagnostics only; not part of step identity
-    line: int = field(compare=False)
     time: int
     action: str
     params: Params
@@ -253,7 +268,8 @@ class _Parser:
         self.text = text
         self.script = ScenarioScript()
         self.saw_config = False
-        self.names_seen: dict[str, str] = {}  # name -> declaring directive
+        #: name -> the directives that declared it, in line order
+        self.declared: dict[str, list[str]] = {}
         self.labels: dict[str, str] = {}  # label -> kind (report/transfer/bid)
         self.last_time: int | None = None
         self.line_no = 0
@@ -262,23 +278,12 @@ class _Parser:
     def fail(self, message: str, col: int | None = None) -> ParseError:
         return ParseError(message, self.line_no, self.col if col is None else col)
 
-    # -- field helpers -----------------------------------------------------
+    # -- field types ---------------------------------------------------------
+    # Each parser takes the field's key, column and text, and the part of its
+    # type after any colon (the label kind, or the action of expect_error),
+    # or else the type itself.
 
-    def split_fields(
-        self, tokens: list[tuple[int, str]]
-    ) -> dict[str, tuple[int, str]]:
-        fields: dict[str, tuple[int, str]] = {}
-        for col, token in tokens:
-            if "=" not in token:
-                raise self.fail(f"expected key=value, got {token!r}", col)
-            key, value = token.split("=", 1)
-            if key in fields:
-                raise self.fail(f"duplicate field {key!r}", col)
-            fields[key] = (col, value)
-        return fields
-
-    def parse_int(self, key: str, raw: tuple[int, str]) -> int:
-        col, value = raw
+    def parse_int(self, key: str, col: int, value: str, of: str = "int") -> int:
         if not _INT_RE.fullmatch(value):
             raise self.fail(f"{key} must be a non-negative integer, got {value!r}", col)
         number = int(value)
@@ -286,30 +291,44 @@ class _Parser:
             raise self.fail(f"{key} must be below 2**63, got {value}", col)
         return number
 
-    def parse_name(self, key: str, raw: tuple[int, str]) -> str:
-        col, value = raw
+    def parse_name(self, key: str, col: int, value: str, of: str = "name") -> str:
         if not _NAME_RE.fullmatch(value):
             raise self.fail(f"{key} must be a name, got {value!r}", col)
         return value
 
-    def parse_rate_field(self, key: str, raw: tuple[int, str]) -> int:
-        col, value = raw
+    def parse_declared(self, key: str, col: int, value: str, directive: str) -> str:
+        name = self.parse_name(key, col, value)
+        if directive not in self.declared.get(name, ()):
+            raise self.fail(f"{name!r} is not a declared {directive}", col)
+        return name
+
+    def parse_label(self, key: str, col: int, value: str, kind: str) -> str:
+        label = self.parse_name(key, col, value)
+        if self.labels.get(label) != kind:
+            raise self.fail(f"{label!r} does not label an earlier {kind}", col)
+        return label
+
+    def parse_labels(self, key: str, col: int, value: str, kind: str) -> list[str]:
+        return [self.parse_label(key, col, part, kind) for part in value.split(",")]
+
+    def parse_ref(self, key: str, col: int, value: str, kind: str) -> int | str:
+        # an integer ref is an id, checked at run time
+        if _INT_RE.fullmatch(value):
+            return self.parse_int(key, col, value)
+        return self.parse_label(key, col, value, kind)
+
+    def parse_rate_field(self, key: str, col: int, value: str, of: str) -> int:
         try:
             return parse_rate(value)
         except ValueError as exc:
             raise self.fail(f"{key}: {exc}", col) from None
 
-    def parse_bool(self, key: str, raw: tuple[int, str]) -> bool:
-        col, value = raw
+    def parse_bool(self, key: str, col: int, value: str, of: str) -> bool:
         if value not in ("true", "false"):
             raise self.fail(f"{key} must be true or false, got {value!r}", col)
         return value == "true"
 
-    def parse_labels(self, key: str, raw: tuple[int, str]) -> list[str]:
-        return [self.parse_name(key, (raw[0], part)) for part in raw[1].split(",")]
-
-    def parse_targets(self, key: str, raw: tuple[int, str]) -> list[list[Any]]:
-        col, value = raw
+    def parse_targets(self, key: str, col: int, value: str, of: str) -> list[list[Any]]:
         targets = []
         for part in value.split(","):
             if ":" not in part:
@@ -317,66 +336,76 @@ class _Parser:
             name, amount = part.rsplit(":", 1)
             if not _NAME_RE.fullmatch(name) or not _INT_RE.fullmatch(amount):
                 raise self.fail(f"{key} entries are name:amount, got {part!r}", col)
-            targets.append([name, self.parse_int(key, (col, amount))])
+            targets.append([name, self.parse_int(key, col, amount)])
         return targets
 
-    def parse_ref(self, key: str, raw: tuple[int, str]) -> int | str:
-        if _INT_RE.fullmatch(raw[1]):
-            return self.parse_int(key, raw)
-        return self.parse_name(key, raw)
+    def parse_status(self, key: str, col: int, value: str, of: str) -> str:
+        if value not in BID_STATUSES:
+            raise self.fail(f"status must be one of {BID_STATUSES}", col)
+        return value
 
-    def parse_status(self, key: str, raw: tuple[int, str]) -> str:
-        if raw[1] not in BID_STATUSES:
-            raise self.fail(f"status must be one of {BID_STATUSES}", raw[0])
-        return raw[1]
-
-    def parse_model(self, key: str, raw: tuple[int, str]) -> str:
-        if raw[1] not in SIGNER_MODELS:
+    def parse_model(self, key: str, col: int, value: str, of: str) -> str:
+        if value not in SIGNER_MODELS:
             raise self.fail(
-                f"signer model must be constant or taint, got {raw[1]!r}", raw[0]
+                f"signer model must be constant or taint, got {value!r}", col
             )
-        return raw[1]
+        return value
 
-    #: field type (the part before any ":label-kind") -> parser
-    KINDS: dict[str, Callable[[_Parser, str, tuple[int, str]], Any]] = {
+    def parse_error_name(self, key: str, col: int, value: str, action: str) -> str:
+        if action in NO_EXPECT_ERROR:
+            raise self.fail(f"expect_error is not allowed on {action!r}", col)
+        if value not in ERRORS_BY_NAME:
+            raise self.fail(f"unknown error name {value!r}", col)
+        return value
+
+    #: field type (the part before any ":") -> parser
+    KINDS: dict[str, Callable[[_Parser, str, int, str, str], Any]] = {
         "int": parse_int,
         "name": parse_name,
         "rate": parse_rate_field,
         "bool": parse_bool,
         "as": parse_name,
-        "label": parse_name,
+        "label": parse_label,
         "labels": parse_labels,
         "targets": parse_targets,
         "ref": parse_ref,
         "status": parse_status,
         "model": parse_model,
+        "error": parse_error_name,
+        "pool": parse_declared,
+        "book": parse_declared,
+        "signer": parse_declared,
     }
 
-    def parse_field(self, kind: str, key: str, raw: tuple[int, str]) -> Any:
-        return self.KINDS[kind.partition(":")[0]](self, key, raw)
-
-    # -- directives ----------------------------------------------------------
-
-    def directive_fields(
-        self, directive: str, tokens: list[tuple[int, str]]
+    def fields(
+        self,
+        schema: dict[str, tuple[str, bool]],
+        tokens: list[tuple[int, str]],
+        col: int,
+        unknown: str,
+        missing: str,
     ) -> Params:
-        schema = DIRECTIVE_FIELDS[directive]
+        """Typed values of a line's ``key=value`` tokens.  ``unknown`` and
+        ``missing`` are the error texts for a field outside ``schema`` and
+        for an absent required one (reported at ``col``), with ``{}`` for
+        the key."""
         values: Params = {}
-        for key, raw in self.split_fields(tokens).items():
+        for field_col, token in tokens:
+            key, eq, value = token.partition("=")
+            if not eq:
+                raise self.fail(f"expected key=value, got {token!r}", field_col)
+            if key in values:
+                raise self.fail(f"duplicate field {key!r}", field_col)
             if key not in schema:
-                raise self.fail(f"unknown {directive} field {key!r}", raw[0])
-            values[key] = self.parse_field(schema[key], key, raw)
+                raise self.fail(unknown.format(repr(key)), field_col)
+            kind, _, of = schema[key][0].partition(":")
+            values[key] = self.KINDS[kind](self, key, field_col, value, of or kind)
+        for key, (_, required) in schema.items():
+            if required and key not in values:
+                raise self.fail(missing.format(key), col)
         return values
 
-    def named_directive(
-        self, directive: str, tokens: list[tuple[int, str]]
-    ) -> tuple[int, str, Params]:
-        """(column, name, typed fields) of an account/signer/pool line."""
-        if not tokens:
-            raise self.fail(f"{directive} needs a name")
-        col, name = tokens[0]
-        name = self.parse_name(directive, (col, name))
-        return col, name, self.directive_fields(directive, tokens[1:])
+    # -- directives ----------------------------------------------------------
 
     def handle_config(self, tokens: list[tuple[int, str]]) -> None:
         if self.saw_config:
@@ -384,33 +413,47 @@ class _Parser:
         if self.script.steps:
             raise self.fail("config must precede all steps")
         self.saw_config = True
-        for key, value in self.directive_fields("config", tokens).items():
+        values = self.fields(
+            DIRECTIVE_FIELDS["config"], tokens, self.col, "unknown config field {}", ""
+        )
+        for key, value in values.items():
             setattr(self.script, key, value)
 
-    def declare(self, name: str, directive: str, col: int) -> None:
-        if name in self.names_seen:
-            raise self.fail(
-                f"{name!r} already declared as {self.names_seen[name]}", col
-            )
-        self.names_seen[name] = directive
+    def declare(self, directive: str, tokens: list[tuple[int, str]]) -> tuple[int, str]:
+        """Declare the name a declaring line starts with; (column, name)."""
+        if not tokens:
+            raise self.fail(f"{directive} needs a name")
+        col, name = tokens[0]
+        name = self.parse_name(directive, col, name)
+        seen = self.declared.setdefault(name, [])
+        if seen and (directive in seen or {directive, *seen} != SHARED_NAME):
+            raise self.fail(f"{name!r} already declared as {seen[0]}", col)
+        seen.append(directive)
+        return col, name
+
+    def named_directive(
+        self, directive: str, tokens: list[tuple[int, str]], hint: str = ""
+    ) -> tuple[int, str, Params]:
+        """(column, name, typed fields) of an account/signer/pool line; a
+        missing required field's error ends with ``hint``."""
+        col, name = self.declare(directive, tokens)
+        values = self.fields(
+            DIRECTIVE_FIELDS[directive],
+            tokens[1:],
+            col,
+            f"unknown {directive} field {{}}",
+            f"{directive} {name} needs {{}}{hint}",
+        )
+        return col, name, values
 
     def handle_account(self, tokens: list[tuple[int, str]]) -> None:
-        col, name, values = self.named_directive("account", tokens)
-        self.declare(name, "account", col)
+        _, name, values = self.named_directive("account", tokens)
         self.script.accounts.append(GenesisAccount(name, **values))
 
     def handle_signer(self, tokens: list[tuple[int, str]]) -> None:
-        col, name, values = self.named_directive("signer", tokens)
-        if "model" not in values:
-            raise self.fail(f"signer {name} needs model=constant|taint", col)
-        # Signers share the ledger namespace with accounts (they are LPs),
-        # so the name may already be declared as an account.
-        if self.names_seen.get(name) not in (None, "account"):
-            raise self.fail(
-                f"{name!r} already declared as {self.names_seen[name]}", col
-            )
-        if any(s.name == name for s in self.script.signers):
-            raise self.fail(f"duplicate signer {name!r}", col)
+        _, name, values = self.named_directive(
+            "signer", tokens, "=" + "|".join(SIGNER_MODELS)
+        )
         self.script.signers.append(
             SignerSpec(
                 name,
@@ -422,27 +465,21 @@ class _Parser:
 
     def handle_pool(self, tokens: list[tuple[int, str]]) -> None:
         col, name, values = self.named_directive("pool", tokens)
-        if "kappa_ppm" not in values:
-            raise self.fail(f"pool {name} needs kappa_ppm", col)
         if not 0 < values["kappa_ppm"] < PPM:
             raise self.fail("kappa_ppm must be strictly between 0 and 1000000", col)
-        self.declare(name, "pool", col)
         self.script.pools.append(PoolSpec(name=name, **values))
 
     def handle_book(self, tokens: list[tuple[int, str]]) -> None:
         if len(tokens) != 1:
             raise self.fail("book takes exactly one name")
-        col, name = tokens[0]
-        name = self.parse_name("book", (col, name))
-        self.declare(name, "book", col)
-        self.script.books.append(name)
+        self.script.books.append(self.declare("book", tokens)[1])
 
     # -- steps -----------------------------------------------------------------
 
     def handle_step(self, tokens: list[tuple[int, str]]) -> None:
         if len(tokens) < 2:
             raise self.fail("step syntax is: at <time> <action> [key=value ...]")
-        time = self.parse_int("time", tokens[0])
+        time = self.parse_int("time", *tokens[0])
         if self.last_time is not None and time < self.last_time:
             raise self.fail(
                 f"time {time} decreases (previous step at {self.last_time})",
@@ -452,46 +489,19 @@ class _Parser:
         col, action = tokens[1]
         if action not in ACTION_SPECS:
             raise self.fail(f"unknown action {action!r}", col)
-        spec = ACTION_SPECS[action]
-        fields = self.split_fields(tokens[2:])
-
-        expect_error = None
-        if "expect_error" in fields:
-            if action in NO_EXPECT_ERROR:
-                raise self.fail(
-                    f"expect_error is not allowed on {action!r}",
-                    fields["expect_error"][0],
-                )
-            err_col, err_name = fields.pop("expect_error")
-            if err_name not in ERRORS_BY_NAME:
-                raise self.fail(f"unknown error name {err_name!r}", err_col)
-            expect_error = err_name
-
-        params: Params = {}
-        for key, raw in fields.items():
-            if key not in spec:
-                raise self.fail(f"unknown field {key!r} for {action}", raw[0])
-            params[key] = self.parse_field(spec[key][0], key, raw)
-        for key, (kind, required) in spec.items():
-            if required and key not in params:
-                raise self.fail(f"{action} requires {key}=", col)
-
+        params = self.fields(
+            _STEP_FIELDS[action],
+            tokens[2:],
+            col,
+            f"unknown field {{}} for {action}",
+            f"{action} requires {{}}=",
+        )
+        expect_error = params.pop("expect_error", None)
         self.check_step_semantics(action, params, col)
-        self.script.steps.append(Step(self.line_no, time, action, params, expect_error))
+        self.script.steps.append(Step(time, action, params, expect_error))
 
     def check_step_semantics(self, action: str, params: Params, col: int) -> None:
-        def need(kind: str, name: str) -> None:
-            if self.names_seen.get(name) != kind:
-                raise self.fail(f"{name!r} is not a declared {kind}", col)
-
-        if "pool" in params:
-            need("pool", params["pool"])
-        if "book" in params:
-            need("book", params["book"])
-        if action == "issue_report":
-            if not any(s.name == params["signer"] for s in self.script.signers):
-                raise self.fail(f"{params['signer']!r} is not a declared signer", col)
-
+        """The rules that span fields; each field was checked as it parsed."""
         if action == "freeze":
             by_targets = "targets" in params
             by_plan = "transfer" in params or "amount" in params
@@ -520,23 +530,11 @@ class _Parser:
                     f"{sorted(comparisons)}", col
                 )
 
-        # backward label references; integer refs are ids, checked at run time
-        spec = ACTION_SPECS[action]
-        for key, value in params.items():
-            use, _, label_kind = spec[key][0].partition(":")
-            if not label_kind or use == "as":
-                continue
-            for label in value if isinstance(value, list) else [value]:
-                if not isinstance(label, int) and self.labels.get(label) != label_kind:
-                    raise self.fail(
-                        f"{label!r} does not label an earlier {label_kind}", col
-                    )
-
         if "as" in params:
             label = params["as"]
             if label in self.labels:
                 raise self.fail(f"label {label!r} already used", col)
-            self.labels[label] = spec["as"][0].partition(":")[2]
+            self.labels[label] = ACTION_SPECS[action]["as"][0].partition(":")[2]
 
     # -- driver -------------------------------------------------------------
 

@@ -511,6 +511,9 @@ class TestCli:
 
     def test_bad_rate_is_config_error(self, capsys):
         assert main(["check-attack", "--rate", "1.5"]) == 2
+        # RATE digits are ASCII only, as INT's are
+        assert main(["check-attack", "--rate", "\u0660.\u0669"]) == 2
+        assert "malformed rate" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -3,10 +3,26 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpoolsim.scenario import ParseError, format_scenario, parse_scenario
+from rpoolsim.errors import ERRORS_BY_NAME
+from rpoolsim.rates import PPM, format_rate
+from rpoolsim.scenario import (
+    ACTION_SPECS,
+    ASSERT_KINDS,
+    BID_STATUSES,
+    DIRECTIVE_FIELDS,
+    INT_LIMIT,
+    NO_EXPECT_ERROR,
+    SIGNER_MODELS,
+    ParseError,
+    format_scenario,
+    parse_scenario,
+)
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 HEADER = """\
 config window=86400 arbitrator=arb
@@ -174,3 +190,212 @@ def test_fmt_idempotent_and_lossless(path):
     reparsed = parse_scenario(canonical)
     assert reparsed == original
     assert format_scenario(reparsed) == canonical
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("signer p model=constant", "pool p kappa_ppm=5"),
+        ("pool p kappa_ppm=5", "signer p model=constant"),
+        ("signer q model=constant", "book q"),
+        ("book q", "signer q model=constant"),
+    ],
+)
+def test_pool_or_book_never_shares_a_signers_name(first, second):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(f"{first}\n{second}\n")
+    name_col = second.index(" ") + 2
+    assert (err.value.line, err.value.column) == (2, name_col)
+    assert "already declared as" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["account x base=5\nsigner x model=constant\n", "signer x model=taint\naccount x\n"],
+)
+def test_signer_may_share_an_accounts_name_in_either_order(text):
+    script = parse_scenario(text)
+    assert script.accounts[0].name == script.signers[0].name == "x"
+
+
+def test_rate_digits_are_ascii_only():
+    bad = HEADER + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=\u0660.\u0665 expiry=60\n"
+    with pytest.raises(ParseError) as err:
+        parse_scenario(bad)
+    assert (err.value.line, err.value.column) == (6, 45)
+    assert "malformed rate" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "step, field",
+    [
+        ("at 0 deposit pool=nope lp=alice amount=5", "pool=nope"),
+        ("at 0 assert kind=pool pool=ob total=1", "pool=ob"),
+        ("at 0 post_bid book=main bidder=alice amount=5 min_rate=0.5 expiry=60", "book=main"),
+        ("at 0 issue_report signer=alice requestor=alice amount=5 ttl=9 as=r1", "signer=alice"),
+        ("at 0 swap pool=main requestor=alice amount=5 reports=ghost", "reports=ghost"),
+        ("at 0 cancel_bid book=ob bid=ghost by=alice", "bid=ghost"),
+        ("at 0 plan_recovery transfer=ghost amount=1", "transfer=ghost"),
+    ],
+)
+def test_undeclared_names_and_unknown_labels_point_at_the_field(step, field):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(HEADER + step + "\n")
+    assert (err.value.line, err.value.column) == (6, step.index(field) + 1)
+    assert field.partition("=")[2] in err.value.reason
+
+
+# -- grammar round trip ---------------------------------------------------------
+
+NAMES = ["a", "bob", "c_1", "D.e", "_f", "g-2", "lp9", "x.y-z"]
+LABELS = NAMES + [f"l{i}" for i in range(24)]
+INTS = (
+    st.integers(0, 10**6).map(str)
+    | st.integers(0, INT_LIMIT - 1).map(str)
+    | st.integers(0, 99).map(lambda n: f"0{n}")
+)
+#: field types whose valid values need no declarations or labels
+PLAIN_VALUES = {
+    "int": INTS,
+    "name": st.sampled_from(NAMES),
+    "rate": st.integers(0, PPM).flatmap(
+        lambda ppm: st.sampled_from([format_rate(ppm), f"{ppm // PPM}.{ppm % PPM:06d}"])
+    ),
+    "bool": st.sampled_from(["true", "false"]),
+    "targets": st.lists(st.tuples(st.sampled_from(NAMES), INTS), min_size=1, max_size=3).map(
+        lambda pairs: ",".join(f"{name}:{amount}" for name, amount in pairs)
+    ),
+    "status": st.sampled_from(BID_STATUSES),
+    "model": st.sampled_from(SIGNER_MODELS),
+    "error": st.sampled_from(sorted(ERRORS_BY_NAME)),
+}
+#: the action that binds a label of each kind that a required field names
+BINDS = {"transfer": "transfer", "report": "issue_report"}
+#: values without a letter, digit or underscore, which no field type accepts
+JUNK = st.text(alphabet="!$%&*+,./:;<>?@[]^`{|}~-=", max_size=3)
+
+
+@st.composite
+def scenario_lines(draw):
+    """Token lines of a valid script: declared pools, books and signers,
+    fresh as= labels, and references to earlier labels."""
+    fresh = iter(draw(st.permutations(NAMES)))
+    accounts = [next(fresh) for _ in range(draw(st.integers(0, 2)))]
+    signers = [a for a in accounts if draw(st.booleans())]
+    declared = {
+        "signer": signers + [next(fresh) for _ in range(draw(st.integers(not signers, 1)))],
+        "pool": [next(fresh) for _ in range(draw(st.integers(1, 2)))],
+        "book": [next(fresh)],
+    }
+    labels: dict[str, list[str]] = {"transfer": [], "report": [], "bid": []}
+
+    def value(field_type):
+        """Text of a valid value of the field type."""
+        kind, _, of = field_type.partition(":")
+        if kind in PLAIN_VALUES:
+            return draw(PLAIN_VALUES[kind])
+        if kind == "as":
+            used = {label for bound in labels.values() for label in bound}
+            return draw(st.sampled_from([x for x in LABELS if x not in used]))
+        if kind == "ref" and (not labels[of] or draw(st.booleans())):
+            return draw(INTS)
+        choices = st.sampled_from(declared[kind] if kind in declared else labels[of])
+        if kind == "labels":
+            return ",".join(draw(st.lists(choices, min_size=1, max_size=3)))
+        return draw(choices)
+
+    header = []
+    if draw(st.booleans()):
+        header.append(["config"] + [
+            f"{key}={value(kind)}"
+            for key, (kind, _) in DIRECTIVE_FIELDS["config"].items()
+            if draw(st.booleans())
+        ])
+    for directive, names in [("account", accounts), *declared.items()]:
+        for name in names:
+            line = [directive, name]
+            for key, (kind, required) in DIRECTIVE_FIELDS.get(directive, {}).items():
+                if required or draw(st.booleans()):
+                    text = str(draw(st.integers(1, PPM - 1))) if key == "kappa_ppm" else value(kind)
+                    line.append(f"{key}={text}")
+            header.append(line)
+    lines = draw(st.permutations(header))
+
+    def step(time, action, bind=False):
+        """Append a step of the action, after one binding each label kind
+        it requires that no earlier step bound; ``bind`` forces ``as=``."""
+        spec = ACTION_SPECS[action]
+        for kind, required in spec.values():
+            label_kind = kind.partition(":")[2]
+            if required and kind.startswith("label") and not labels[label_kind]:
+                step(time, BINDS[label_kind], bind=True)
+        if action == "assert":
+            kind = draw(st.sampled_from(list(ASSERT_KINDS)))
+            required, comparisons = ASSERT_KINDS[kind]
+            keys = set(required)
+            if comparisons:
+                keys |= set(draw(st.lists(st.sampled_from(sorted(comparisons)), min_size=1)))
+        elif action == "freeze":
+            by_plan = bool(labels["transfer"]) and draw(st.booleans())
+            keys = {"case", *(("transfer", "amount") if by_plan else ("targets",))}
+            keys |= {"by"} if draw(st.booleans()) else set()
+        else:
+            keys = {key for key, (_, required) in spec.items() if required or draw(st.booleans())}
+            keys |= {"as"} if bind else set()
+        fields = {key: value(spec[key][0]) for key in keys}
+        if action == "assert":
+            fields["kind"] = kind
+        if action not in NO_EXPECT_ERROR and draw(st.booleans()):
+            fields["expect_error"] = value("error")
+        tokens = draw(st.permutations([f"{key}={text}" for key, text in fields.items()]))
+        lines.append(["at", str(time), action, *tokens])
+        if "as" in fields:
+            labels[spec["as"][0].partition(":")[2]].append(fields["as"])
+
+    times = sorted(draw(st.lists(st.integers(0, 10**9), min_size=4, max_size=12)))
+    for time, action in zip(times, draw(st.permutations(list(ACTION_SPECS)))):
+        step(time, action)
+    return lines
+
+
+def _text(lines):
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=scenario_lines(), junk=JUNK)
+def test_grammar_round_trip(lines, junk):
+    script = parse_scenario(_text(lines))
+    canonical = format_scenario(script)
+    assert parse_scenario(canonical) == script
+    assert format_scenario(parse_scenario(canonical)) == canonical
+
+    for i, line in enumerate(lines):
+        for j, token in enumerate(line):
+            if "=" in token:
+                broken = line[:j] + [token.partition("=")[0] + "=" + junk] + line[j + 1 :]
+                with pytest.raises(ParseError):
+                    parse_scenario(_text(lines[:i] + [broken] + lines[i + 1 :]))
+
+
+def _table_rows(text):
+    """First-column name -> row, for each ``| `name` | ...`` table row."""
+    return {row.split("`")[1]: row for row in text.splitlines() if row.startswith("| `")}
+
+
+def test_format_doc_names_every_schema_entry():
+    doc = (ROOT / "docs" / "scenario-format.md").read_text()
+    actions, _, asserts = doc.partition("## Assertions")
+    action_rows, assert_rows = _table_rows(actions), _table_rows(asserts)
+    # the assert row defers its fields to the assertion table
+    action_rows["assert"] += "".join(assert_rows.values())
+    for action, spec in ACTION_SPECS.items():
+        for key in spec:
+            assert f"`{key}`" in action_rows[action], (action, key)
+    for kind, (required, comparisons) in ASSERT_KINDS.items():
+        for key in required | comparisons:
+            assert f"`{key}`" in assert_rows[kind], (kind, key)
+    for directive, schema in DIRECTIVE_FIELDS.items():
+        assert f'"{directive}"' in doc, directive
+        for key in schema:
+            assert f'"{key}="' in doc, (directive, key)
