@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InsufficientLpTokens, InsufficientPoolSettled, UnwrapDisabled
+from .errors import InsufficientLpTokens, InsufficientPoolSettled, PoolEmptied, UnwrapDisabled
 from .ledger import WrapperLedger, check_amount
 from .oracle import RiskReport, SignerRegistry, validate_reports
 from .rates import PPM, check_rate
@@ -36,8 +36,9 @@ def settled_multiplier(settled: int, total: int, kappa_ppm: int) -> int:
     """Bonding-curve multiplier min(1, (settled/total)/kappa) in ppm.
 
     Rises linearly with the pool's settled fraction and saturates at 1 once
-    the fraction reaches ``kappa``.  An empty pool quotes 0: it has nothing
-    to sell, so it refuses service rather than divide by zero.
+    the fraction reaches ``kappa``.  An empty pool quotes 0 rather than
+    divide by zero.  A swap priced at 0 is not refused: it pays 0 base and
+    the pool keeps the unsettled tokens.
     """
     if total == 0:
         return 0
@@ -125,12 +126,17 @@ class AmmPool:
 
         Shares are priced against the pool total *before* the deposit, so a
         deposit's redeemable value equals the deposit regardless of past
-        clawbacks.  The genesis deposit mints one share per token.
+        clawbacks.  The genesis deposit mints one share per token.  A pool
+        that clawbacks emptied while LP tokens are outstanding takes no
+        deposit until those worthless tokens are burned: at any share price
+        they would claim part of it.
         """
         check_amount(amount)
         state = self.pool_state(now)
-        if self.lp_supply == 0 or state.total == 0:
+        if self.lp_supply == 0:
             minted = amount
+        elif state.total == 0:
+            raise PoolEmptied(f"{self.address} holds nothing against {self.lp_supply} LP tokens")
         else:
             minted = amount * self.lp_supply // state.total
         self.ledger.base.transfer(lp, self.address, amount)

@@ -148,17 +148,17 @@ def exact_profit(scenario: AttackScenario, rate: Fraction | None = None) -> Frac
 
 def profitability_threshold(lp_supply: int, shorted: int) -> int:
     """Minimum exchange rate (ppm, floored) at which the attack can beat
-    plain theft: lp_supply / (lp_supply + shorted)."""
+    plain theft: :func:`exact_threshold` in ppm."""
+    threshold = exact_threshold(lp_supply, shorted)
+    return threshold.numerator * PPM // threshold.denominator
+
+
+def exact_threshold(lp_supply: int, shorted: int) -> Fraction:
+    """lp_supply / (lp_supply + shorted), for a short of 1 to lp_supply tokens."""
     if shorted == 0:
         raise ZeroShort("threshold undefined for a zero short")
     if not 0 < shorted <= lp_supply:
         raise InvalidScenario("short must be between 1 and the LP supply")
-    return lp_supply * PPM // (lp_supply + shorted)
-
-
-def exact_threshold(lp_supply: int, shorted: int) -> Fraction:
-    if shorted == 0:
-        raise ZeroShort("threshold undefined for a zero short")
     return Fraction(lp_supply, lp_supply + shorted)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import RPoolError
 from .rates import PPM, format_rate, parse_rate
-from .runner import RunResult, ScenarioRunner, log_line
+from .runner import RunResult, ScenarioRunner
 from .scenario import ParseError, ScenarioScript, format_scenario, parse_scenario
 
 
@@ -74,7 +74,6 @@ def _read_scenario(path: Path) -> ScenarioScript | None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     results: list[RunResult] = []
-    log_lines: list[str] = []
     for path_text in args.files:
         path = Path(path_text)
         script = _read_scenario(path)
@@ -94,13 +93,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             sys.excepthook(*sys.exc_info())  # the traceback, to stderr
             return 3
         results.append(result)
-        log_lines.extend(
-            log_line({**event._asdict(), "scenario": result.name}) for event in result.events
-        )
         _print_result(result, args.format)
     if args.log:
+        lines = [line for result in results for line in result.log_lines()]
         try:
-            Path(args.log).write_text("\n".join(log_lines) + "\n")
+            Path(args.log).write_text("\n".join(lines) + "\n")
         except OSError as exc:
             print(f"{args.log}: {exc}", file=sys.stderr)
             return 2

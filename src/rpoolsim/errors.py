@@ -131,6 +131,11 @@ class InsufficientPoolSettled(RPoolError):
     """Pool's settled liquidity cannot cover the swap payout."""
 
 
+class PoolEmptied(RPoolError):
+    """Clawbacks left the pool holding nothing while LP tokens are still
+    outstanding: a deposit would hand part of itself to worthless shares."""
+
+
 # ---------------------------------------------------------------------------
 # order book
 # ---------------------------------------------------------------------------

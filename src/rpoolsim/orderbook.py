@@ -85,10 +85,15 @@ class OrderBook:
         self.bids[bid.bid_id] = bid
         return bid.bid_id
 
-    def cancel_bid(self, caller: str, bid_id: int) -> None:
+    def _open_bid(self, bid_id: int) -> Bid:
+        """The bid ``bid_id``, if it is still open."""
         bid = self.bids.get(bid_id)
         if bid is None or bid.status != OPEN:
             raise BidNotOpen(f"bid {bid_id} is not open")
+        return bid
+
+    def cancel_bid(self, caller: str, bid_id: int) -> None:
+        bid = self._open_bid(bid_id)
         if caller != bid.bidder:
             raise NotBidder(f"{caller} does not own bid {bid_id}")
         bid.status = CANCELLED
@@ -100,9 +105,7 @@ class OrderBook:
         reach ceil(amount * min_rate).
         """
         check_amount(offered_base)
-        bid = self.bids.get(bid_id)
-        if bid is None or bid.status != OPEN:
-            raise BidNotOpen(f"bid {bid_id} is not open")
+        bid = self._open_bid(bid_id)
         if now >= bid.expiry:
             raise BidExpired(f"bid {bid_id} expired at {bid.expiry}")
         current = self.ledger.nonce(bid.bidder)

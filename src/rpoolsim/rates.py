@@ -35,7 +35,6 @@ def parse_rate(text: str) -> int:
     Rejects values outside [0, 1] and anything needing more than six
     decimal places, so every accepted rate is exactly representable.
     """
-    text = text.strip()
     if text.startswith("."):
         text = "0" + text
     m = _RATE_RE.fullmatch(text)

@@ -1,11 +1,11 @@
 """Scenario execution: builds the world, drives every module on the script
 clock, evaluates expectations, and emits a deterministic event log.
 
-Each step produces one event record capturing the action, its outcome
-(``ok`` or the raised error's name), the operation result, and the
-effective balance deltas it caused.  Replaying the same script always
-yields byte-identical JSON lines: there is no wall clock and no ambient
-randomness anywhere in the engine.
+Each step produces one :class:`EventRecord` whose fields (scenario, seq,
+time, action, params, outcome, result, deltas) are exactly the keys of its
+event-log line; :meth:`RunResult.log_lines` is the one builder of those
+lines.  Replaying a script always yields byte-identical lines: there is no
+wall clock and no ambient randomness anywhere in the engine.
 
 The deltas are folded by :meth:`WrapperLedger.effects_since` from the
 ledger journal entries the step appended (``mint``, ``base_transfer``,
@@ -16,12 +16,14 @@ same in a world of any size.  What still
 grows with the number of accounts is the full invariant recount after every
 step and the two world-state snapshots around an ``expect_error`` step.
 
-Steps that declare ``expect_error`` must fail with exactly that error and
-must leave the world untouched; the runner verifies the latter by comparing
-the complete world state (:meth:`ScenarioRunner.world_state`: every balance,
-record, case, pool and bid) before and after the step, by value.  Failures
-of either kind surface as failed assertions in the report rather than
-exceptions, so a scenario always runs to the end.
+Every check of a step is a ``(description, expected, observed)`` triple:
+its ``expect_error`` outcome, the unchanged state after that error, its
+success when no error is expected, each ``expect_*`` and ``assert``
+comparison.  One constructor turns each into an :class:`AssertionResult`
+that passed iff ``expected == observed``.  The state is compared in full, by
+value (:meth:`ScenarioRunner.world_state`: every balance, record, case, pool
+and bid), before and after the step.  Failures surface in the report rather
+than as exceptions, so a scenario always runs to the end.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ from .orderbook import OrderBook
 from .scenario import ACTION_SPECS, Params, ScenarioScript, Step, format_value
 
 
-def log_line(fields: dict) -> str:
-    """One event-log line: compact JSON with sorted keys."""
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
-
-
 #: expect_* step field -> (description template, result field checked; None
 #: checks the whole result).  The template receives the expected value in
 #: its canonical scenario text, so rates read as decimals.
@@ -65,6 +62,9 @@ EXPECTATIONS: dict[str, tuple[str, str | None]] = {
 
 
 class EventRecord(NamedTuple):
+    """One step of one scenario: its fields are the keys of its log line."""
+
+    scenario: str
     seq: int
     time: int
     action: str
@@ -72,9 +72,6 @@ class EventRecord(NamedTuple):
     outcome: str  # "ok" or an error name
     result: object
     deltas: dict
-
-    def to_json(self) -> str:
-        return log_line(self._asdict())
 
 
 class AssertionResult(NamedTuple):
@@ -94,8 +91,12 @@ class RunResult(NamedTuple):
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)
 
-    def event_log_lines(self) -> list[str]:
-        return [event.to_json() for event in self.events]
+    def log_lines(self) -> list[str]:
+        """The event log: one compact JSON line with sorted keys per step."""
+        return [
+            json.dumps(event._asdict(), sort_keys=True, separators=(",", ":"))
+            for event in self.events
+        ]
 
 
 class ScenarioRunner:
@@ -209,53 +210,24 @@ class ScenarioRunner:
         mark = self.ledger.mark()
         state_before = self.world_state() if step.expect_error else None
         checks: list[tuple[str, object, object]] = []
-        outcome = "ok"
-        op_result: object = None
+        outcome, op_result = "ok", None
         try:
             op_result = self.ACTIONS[step.action](self, step.params, step.time)
-            checks = self._checks(step, op_result)
+            checks = [(f"step {seq}: {d}", e, o) for d, e, o in self._checks(step, op_result)]
         except RPoolError as exc:
             outcome = exc.name  # result expectations are moot on failure
-
+        where = f"step {seq} ({step.action})"
         if step.expect_error is not None:
-            ok = outcome == step.expect_error
-            result.assertions.append(
-                AssertionResult(
-                    seq,
-                    f"step {seq} ({step.action}) fails with {step.expect_error}",
-                    ok,
-                    step.expect_error,
-                    outcome,
-                )
-            )
+            checks.insert(0, (f"{where} fails with {step.expect_error}", step.expect_error, outcome))
             if outcome != "ok" and self.world_state() != state_before:
-                result.assertions.append(
-                    AssertionResult(
-                        seq,
-                        f"step {seq} ({step.action}) leaves state unchanged on error",
-                        False,
-                        "unchanged state",
-                        "state changed",
-                    )
-                )
+                unchanged = f"{where} leaves state unchanged on error"
+                checks.append((unchanged, "unchanged state", "state changed"))
         elif outcome != "ok":
-            result.assertions.append(
-                AssertionResult(
-                    seq,
-                    f"step {seq} ({step.action}) succeeds",
-                    False,
-                    "ok",
-                    outcome,
-                )
-            )
-        for description, expected, observed in checks:
-            result.assertions.append(
-                AssertionResult(
-                    seq, f"step {seq}: {description}", expected == observed, expected, observed
-                )
-            )
+            checks.append((f"{where} succeeds", "ok", outcome))
+        result.assertions.extend(AssertionResult(seq, d, e == o, e, o) for d, e, o in checks)
         result.events.append(
             EventRecord(
+                scenario=self.name,
                 seq=seq,
                 time=step.time,
                 action=step.action,

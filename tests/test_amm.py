@@ -8,6 +8,7 @@ from rpoolsim.errors import (
     InsufficientBalance,
     InsufficientLpTokens,
     InsufficientPoolSettled,
+    PoolEmptied,
     ReservedName,
     StaleNonce,
     UnwrapDisabled,
@@ -62,6 +63,29 @@ class TestDeposit:
         state = pool.pool_state(0)
         redeemable = minted * state.total // pool.lp_supply
         assert 30 - 2 <= redeemable <= 30
+
+    def test_emptied_pool_refuses_deposit(self, world):
+        # A rate-1 swap sells all 100 settled; recovering its inbound leg
+        # leaves the pool at total 0 with 100 LP tokens outstanding.
+        base, ledger = world
+        pool, rater = make_pool(
+            base, ledger, lp_deposits=(("lp1", 100),),
+            rate_cap_ppm=1_000_000, rater_rate_ppm=1_000_000,
+        )
+        give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
+        receipt = pool.swap("mallory", 100, quorum(pool, rater, "mallory", 100, 0, ledger), 0)
+        assert receipt.amount_out == 100
+        ledger.freeze("arb", ledger.plan_recovery(receipt.transfer_in_id, 100, 0), "c1", 0)
+        ledger.recover("arb", "c1", "victim", 0)
+        assert pool.pool_state(0) == (0, 0, 0, 100)
+        base.mint("newlp", 50)
+        with pytest.raises(PoolEmptied):
+            pool.deposit("newlp", 50, 0)
+        assert (base.balance("newlp"), pool.lp_holdings) == (50, {"lp1": 100})
+        # once the worthless tokens are burned the pool bootstraps afresh
+        assert pool.withdraw("lp1", 100, 0) == (0, 0)
+        assert pool.deposit("newlp", 50, 0) == 50
+        assert pool.withdraw("newlp", 50, 0) == (50, 0)
 
     def test_zero_amount(self, world):
         base, ledger = world

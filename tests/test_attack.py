@@ -93,6 +93,8 @@ class TestThreshold:
     def test_short_above_supply(self):
         with pytest.raises(InvalidScenario):
             profitability_threshold(10, 11)
+        with pytest.raises(InvalidScenario):
+            exact_threshold(10, 11)
 
 
 class TestCapSafety:

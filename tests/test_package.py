@@ -92,7 +92,8 @@ def test_star_import_binds_every_public_name():
     [
         (
             EventRecord(
-                seq=1, time=0, action="advance", params={}, outcome="ok", result=None, deltas={}
+                scenario="s", seq=1, time=0, action="advance", params={}, outcome="ok",
+                result=None, deltas={},
             ),
             "outcome",
         ),

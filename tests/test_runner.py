@@ -12,7 +12,7 @@ import pytest
 from rpoolsim.cli import main
 from rpoolsim.errors import ZeroAmount
 from rpoolsim.ledger import WrapperLedger
-from rpoolsim.runner import EXPECTATIONS, ScenarioRunner, run_scenario
+from rpoolsim.runner import EXPECTATIONS, EventRecord, ScenarioRunner, run_scenario
 from rpoolsim.scenario import ACTION_SPECS, ASSERT_KINDS, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -31,26 +31,33 @@ def test_corpus_scenario_passes(path):
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_replay_is_byte_identical(path):
     script = parse_scenario(path.read_text())
-    first = run_scenario(script, name=path.stem).event_log_lines()
+    first = run_scenario(script, name=path.stem).log_lines()
     script2 = parse_scenario(path.read_text())
-    second = run_scenario(script2, name=path.stem).event_log_lines()
+    second = run_scenario(script2, name=path.stem).log_lines()
     assert "\n".join(first) == "\n".join(second)
 
 
 def test_event_log_shape():
     script = parse_scenario((SCENARIO_DIR / "recovery_L0.scn").read_text())
-    lines = run_scenario(script).event_log_lines()
+    lines = run_scenario(script).log_lines()
     assert len(lines) == 9
     for seq, line in enumerate(lines, start=1):
         record = json.loads(line)
         assert record["seq"] == seq
         assert set(record) == {
-            "seq", "time", "action", "params", "outcome", "result", "deltas",
+            "scenario", "seq", "time", "action", "params", "outcome", "result", "deltas",
         }
     swap = json.loads(lines[5])
     assert swap["action"] == "swap"
     assert swap["result"]["out"] == 50
     assert swap["deltas"]["mallory"]["base"] == 50
+
+
+def test_format_doc_names_every_log_key():
+    doc = (SCENARIO_DIR.parent / "docs" / "scenario-format.md").read_text()
+    section = doc.partition("## Event log")[2].partition("\n## ")[0]
+    keys = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+    assert keys == sorted(EventRecord._fields)
 
 
 def test_expected_error_leaves_state_untouched():
@@ -107,31 +114,33 @@ at 5 assert kind=bid book=ob bid=1 status=filled
 
 def test_uncovered_step_forms_event_log():
     result = run_scenario(parse_scenario(UNCOVERED_FORMS))
-    assert result.event_log_lines() == [
+    assert result.log_lines() == [
         '{"action":"deposit","deltas":{"lp":{"base":-200},"main":{"nonce":1,"settled":200}},'
         '"outcome":"ok","params":{"amount":200,"lp":"lp","pool":"main"},"result":{"minted":200},'
-        '"seq":1,"time":0}',
+        '"scenario":"scenario","seq":1,"time":0}',
         '{"action":"assert","deltas":{},"outcome":"ok","params":{"account":"lp","amount":200,'
-        '"kind":"lp","pool":"main"},"result":null,"seq":2,"time":0}',
+        '"kind":"lp","pool":"main"},"result":null,"scenario":"scenario","seq":2,"time":0}',
         '{"action":"unwrap","deltas":{"carol":{"base":50},"whale":{"nonce":1,"settled":-50}},'
         '"outcome":"ok","params":{"account":"whale","amount":50,"to":"carol"},"result":null,'
-        '"seq":3,"time":0}',
+        '"scenario":"scenario","seq":3,"time":0}',
         '{"action":"transfer","deltas":{"alice":{"nonce":1,"unsettled":100},'
         '"whale":{"nonce":1,"settled":-100}},"outcome":"ok",'
         '"params":{"amount":100,"from":"whale","to":"alice"},"result":{"transfer_id":1},'
-        '"seq":4,"time":0}',
+        '"scenario":"scenario","seq":4,"time":0}',
         '{"action":"post_bid","deltas":{},"outcome":"ok","params":{"amount":100,"bidder":"alice",'
-        '"book":"ob","expiry":900,"min_rate":500000},"result":{"bid_id":1},"seq":5,"time":0}',
+        '"book":"ob","expiry":900,"min_rate":500000},"result":{"bid_id":1},'
+        '"scenario":"scenario","seq":5,"time":0}',
         '{"action":"assert","deltas":{},"outcome":"ok","params":{"bid":1,"book":"ob","kind":"bid",'
-        '"status":"open"},"result":null,"seq":6,"time":5}',
+        '"status":"open"},"result":null,"scenario":"scenario","seq":6,"time":5}',
         '{"action":"match_bid","deltas":{"alice":{"base":50,"nonce":1,"unsettled":-100},'
         '"lp":{"base":-50,"nonce":1,"unsettled":100}},"outcome":"ok",'
         '"params":{"bid":1,"book":"ob","lp":"lp","offer":50},'
-        '"result":{"base":50,"transfer_id":2,"unsettled":100},"seq":7,"time":5}',
+        '"result":{"base":50,"transfer_id":2,"unsettled":100},'
+        '"scenario":"scenario","seq":7,"time":5}',
         '{"action":"cancel_bid","deltas":{},"outcome":"BidNotOpen","params":{"bid":1,"book":"ob",'
-        '"by":"alice"},"result":null,"seq":8,"time":5}',
+        '"by":"alice"},"result":null,"scenario":"scenario","seq":8,"time":5}',
         '{"action":"assert","deltas":{},"outcome":"ok","params":{"bid":1,"book":"ob","kind":"bid",'
-        '"status":"filled"},"result":null,"seq":9,"time":5}',
+        '"status":"filled"},"result":null,"scenario":"scenario","seq":9,"time":5}',
     ]
     assert [(a.description, a.passed) for a in result.assertions] == [
         ("step 2: lp LP tokens in main", True),
@@ -513,6 +522,8 @@ class TestCli:
         assert main(["check-attack", "--rate", "1.5"]) == 2
         # RATE digits are ASCII only, as INT's are
         assert main(["check-attack", "--rate", "\u0660.\u0669"]) == 2
+        # nor does RATE admit surrounding whitespace
+        assert main(["check-attack", "--rate", "  0.5\n"]) == 2
         assert "malformed rate" in capsys.readouterr().err
 
     def test_console_entry_point(self):
