@@ -25,7 +25,6 @@ exactly when the pool's multiplier saturates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,14 +39,7 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-@dataclass(frozen=True)
-class AttackScenario:
-    """Parameters of one LP-shorting attempt.
-
-    ``pool_total`` and ``lp_supply`` are equal until the pool's first
-    recovery event and the former never exceeds the latter afterwards.
-    """
-
+class _AttackFields(NamedTuple):
     pool_total: int   # tokens managed by the pool, settled plus unsettled
     lp_supply: int    # LP tokens in circulation
     collateral: int   # posted at the lending protocol
@@ -55,19 +47,43 @@ class AttackScenario:
     stolen: int       # tokens taken from the victim protocol
     rate_ppm: int     # pool exchange rate obtained for the stolen tokens
 
-    def __post_init__(self) -> None:
-        if self.lp_supply <= 0 or self.pool_total <= 0:
+
+class AttackScenario(_AttackFields):
+    """Parameters of one LP-shorting attempt, checked when built.
+
+    ``pool_total`` and ``lp_supply`` are equal until the pool's first
+    recovery event and the former never exceeds the latter afterwards.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        pool_total: int,
+        lp_supply: int,
+        collateral: int,
+        shorted: int,
+        stolen: int,
+        rate_ppm: int,
+    ) -> AttackScenario:
+        if lp_supply <= 0 or pool_total <= 0:
             raise InvalidScenario("pool total and LP supply must be positive")
-        if self.pool_total > self.lp_supply:
+        if pool_total > lp_supply:
             raise InvalidScenario("pool total cannot exceed LP supply")
-        if not 0 <= self.shorted <= self.lp_supply:
+        if not 0 <= shorted <= lp_supply:
             raise InvalidScenario("short must be between 0 and the LP supply")
-        if self.collateral < 0:
+        if collateral < 0:
             raise InvalidScenario("collateral cannot be negative")
-        if self.stolen <= 0:
+        if stolen <= 0:
             raise InvalidScenario("stolen amount must be positive")
-        if not 0 <= self.rate_ppm <= PPM:
+        if not 0 <= rate_ppm <= PPM:
             raise InvalidScenario("rate must lie in [0, 1]")
+        return tuple.__new__(cls, (pool_total, lp_supply, collateral, shorted, stolen, rate_ppm))
+
+    @classmethod
+    def _make(cls, iterable) -> AttackScenario:
+        # ``_replace`` builds through ``_make``, so a copy is checked too
+        return cls(*iterable)
 
     @property
     def borrow_limit_respected(self) -> bool:

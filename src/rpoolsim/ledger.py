@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -90,31 +89,37 @@ def check_amount(amount: int) -> int:
     return amount
 
 
-@dataclass(slots=True)
 class UnsettledRecord:
     """One freezable chunk of a recipient's balance, named by the transfer
     that made it: each transfer makes exactly one record, at its recipient."""
 
-    transfer_id: int
-    amount: int
-    settlement_time: int
-    frozen_amount: int = 0
+    __slots__ = ("transfer_id", "amount", "settlement_time", "frozen_amount")
+
+    def __init__(self, transfer_id: int, amount: int, settlement_time: int) -> None:
+        self.transfer_id = transfer_id
+        self.amount = amount
+        self.settlement_time = settlement_time
+        self.frozen_amount = 0
 
     @property
     def spendable(self) -> int:
         return self.amount - self.frozen_amount
 
 
-@dataclass(slots=True)
 class Account:
-    settled: int = 0
-    #: ascending (settlement_time, transfer_id)
-    unsettled: list[UnsettledRecord] = field(default_factory=list)
-    nonce: int = 0
-    unwrap_disabled: bool = False
-    #: totals of ``amount`` and ``frozen_amount`` over ``unsettled``
-    unsettled_sum: int = field(default=0, init=False)
-    frozen_sum: int = field(default=0, init=False)
+    __slots__ = (
+        "settled", "unsettled", "nonce", "unwrap_disabled", "unsettled_sum", "frozen_sum"
+    )
+
+    def __init__(self) -> None:
+        self.settled = 0
+        #: ascending (settlement_time, transfer_id)
+        self.unsettled: list[UnsettledRecord] = []
+        self.nonce = 0
+        self.unwrap_disabled = False
+        #: totals of ``amount`` and ``frozen_amount`` over ``unsettled``
+        self.unsettled_sum = 0
+        self.frozen_sum = 0
 
 
 class Transfer(NamedTuple):
@@ -137,11 +142,13 @@ class Transfer(NamedTuple):
     unsettled_spent: int
 
 
-@dataclass
 class Case:
-    #: (account, marked record, amount) marks placed by the freeze
-    marks: list[tuple[str, UnsettledRecord, int]]
-    status: str = "active"  # active | recovered | released
+    __slots__ = ("marks", "status")
+
+    def __init__(self, marks: list[tuple[str, UnsettledRecord, int]]) -> None:
+        #: (account, marked record, amount) marks placed by the freeze
+        self.marks = marks
+        self.status = "active"  # active | recovered | released
 
 
 def _record_key(rec: UnsettledRecord) -> tuple[int, int]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
 from typing import Protocol
 
 from .errors import (
@@ -96,15 +95,28 @@ class HashSignatureScheme:
         return hmac.compare_digest(expected, signature)
 
 
-@dataclass(frozen=True)
 class RiskReport:
-    requestor: str
-    amount: int
-    account_nonce: int
-    expiry: int
-    quote_ppm: int
-    signer_id: str
-    signature: bytes
+    __slots__ = (
+        "requestor", "amount", "account_nonce", "expiry", "quote_ppm", "signer_id", "signature"
+    )
+
+    def __init__(
+        self,
+        requestor: str,
+        amount: int,
+        account_nonce: int,
+        expiry: int,
+        quote_ppm: int,
+        signer_id: str,
+        signature: bytes,
+    ) -> None:
+        self.requestor = requestor
+        self.amount = amount
+        self.account_nonce = account_nonce
+        self.expiry = expiry
+        self.quote_ppm = quote_ppm
+        self.signer_id = signer_id
+        self.signature = signature
 
     def signed_bytes(self) -> bytes:
         return canonical_encode(
@@ -148,17 +160,18 @@ class RiskModel(Protocol):
     ) -> int: ...
 
 
-@dataclass(frozen=True)
 class ConstantRiskModel:
     """Quotes the same rate for every request."""
 
-    rate_ppm: int
+    __slots__ = ("rate_ppm",)
+
+    def __init__(self, rate_ppm: int) -> None:
+        self.rate_ppm = rate_ppm
 
     def quote(self, ledger: WrapperLedger, requestor: str, amount: int, now: int) -> int:
         return self.rate_ppm
 
 
-@dataclass
 class TaintAwareRiskModel:
     """Quotes zero (maximal risk) for holders of tainted funds.
 
@@ -170,8 +183,11 @@ class TaintAwareRiskModel:
     record count.
     """
 
-    tainted_transfer_ids: set[int]
-    clean_rate_ppm: int
+    __slots__ = ("tainted_transfer_ids", "clean_rate_ppm")
+
+    def __init__(self, tainted_transfer_ids: set[int], clean_rate_ppm: int) -> None:
+        self.tainted_transfer_ids = tainted_transfer_ids
+        self.clean_rate_ppm = clean_rate_ppm
 
     def quote(self, ledger: WrapperLedger, requestor: str, amount: int, now: int) -> int:
         for transfer_id in self.tainted_transfer_ids:
@@ -180,13 +196,15 @@ class TaintAwareRiskModel:
         return self.clean_rate_ppm
 
 
-@dataclass(frozen=True)
 class RatingEntity:
     """A simulated risk-rating entity holding its signing secret."""
 
-    signer_id: str
-    secret: bytes
-    model: RiskModel
+    __slots__ = ("signer_id", "secret", "model")
+
+    def __init__(self, signer_id: str, secret: bytes, model: RiskModel) -> None:
+        self.signer_id = signer_id
+        self.secret = secret
+        self.model = model
 
 
 def issue_report(

@@ -34,15 +34,25 @@ CANCELLED = "cancelled"
 FILLED = "filled"
 
 
-@dataclass
 class Bid:
-    bid_id: int
-    bidder: str
-    amount: int
-    min_rate_ppm: int
-    expiry: int
-    nonce_at_post: int
-    status: str = OPEN
+    __slots__ = ("bid_id", "bidder", "amount", "min_rate_ppm", "expiry", "nonce_at_post", "status")
+
+    def __init__(
+        self,
+        bid_id: int,
+        bidder: str,
+        amount: int,
+        min_rate_ppm: int,
+        expiry: int,
+        nonce_at_post: int,
+    ) -> None:
+        self.bid_id = bid_id
+        self.bidder = bidder
+        self.amount = amount
+        self.min_rate_ppm = min_rate_ppm
+        self.expiry = expiry
+        self.nonce_at_post = nonce_at_post
+        self.status = OPEN
 
 
 @dataclass(frozen=True)

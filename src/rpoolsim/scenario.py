@@ -24,7 +24,6 @@ and ``expect_error=`` for steps that must fail with exactly that error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from .errors import ERRORS_BY_NAME
@@ -238,23 +237,32 @@ class PoolSpec(NamedTuple):
     rate_cap_ppm: int = 500_000
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     time: int
     action: str
     params: Params
     expect_error: str | None = None
 
 
-@dataclass
 class ScenarioScript:
-    window: int = DEFAULT_WINDOW
-    arbitrator: str = DEFAULT_ARBITRATOR
-    accounts: list[GenesisAccount] = field(default_factory=list)
-    signers: list[SignerSpec] = field(default_factory=list)
-    pools: list[PoolSpec] = field(default_factory=list)
-    books: list[str] = field(default_factory=list)
-    steps: list[Step] = field(default_factory=list)
+    """A parsed scenario: its config values and its lines, each kind in
+    file order.  The parser fills it; config fields are set by name."""
+
+    __slots__ = ("window", "arbitrator", "accounts", "signers", "pools", "books", "steps")
+
+    def __init__(self) -> None:
+        self.window = DEFAULT_WINDOW
+        self.arbitrator = DEFAULT_ARBITRATOR
+        self.accounts: list[GenesisAccount] = []
+        self.signers: list[SignerSpec] = []
+        self.pools: list[PoolSpec] = []
+        self.books: list[str] = []
+        self.steps: list[Step] = []
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _tokens(line: str) -> list[tuple[int, str]]:

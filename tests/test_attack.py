@@ -28,18 +28,68 @@ def scn(pool_total=1000, lp_supply=1000, collateral=100, shorted=100, stolen=100
 
 class TestScenarioValidation:
     def test_short_cannot_exceed_supply(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidScenario, match="short must be between 0 and the LP supply"):
             scn(shorted=1001)
+        with pytest.raises(InvalidScenario, match="short must be between 0 and the LP supply"):
+            scn(shorted=-1)
+        scn(shorted=0)  # no short at all is legal
 
     def test_pool_total_cannot_exceed_supply(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidScenario, match="pool total cannot exceed LP supply"):
             scn(pool_total=1001)
 
     def test_rate_bounds(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidScenario, match=r"rate must lie in \[0, 1\]"):
             scn(rate_ppm=PPM + 1)
+        with pytest.raises(InvalidScenario, match=r"rate must lie in \[0, 1\]"):
+            scn(rate_ppm=-1)
         scn(rate_ppm=0)  # an oracle quoting zero is legal
         scn(rate_ppm=PPM)
+
+    @pytest.mark.parametrize(
+        "fields", [{"pool_total": 0}, {"lp_supply": 0}, {"pool_total": -5, "lp_supply": -1}]
+    )
+    def test_total_and_supply_must_be_positive(self, fields):
+        with pytest.raises(InvalidScenario, match="pool total and LP supply must be positive"):
+            scn(**fields)
+
+    def test_collateral_cannot_be_negative(self):
+        with pytest.raises(InvalidScenario, match="collateral cannot be negative"):
+            scn(collateral=-1)
+        scn(collateral=0)
+
+    @pytest.mark.parametrize("stolen", [0, -1])
+    def test_stolen_amount_must_be_positive(self, stolen):
+        with pytest.raises(InvalidScenario, match="stolen amount must be positive"):
+            scn(stolen=stolen)
+
+    def test_rules_run_in_order(self):
+        # every field is out of range: the first rule in the list reports it
+        with pytest.raises(InvalidScenario, match="pool total and LP supply must be positive"):
+            scn(pool_total=0, lp_supply=-1, collateral=-1, shorted=-1, stolen=0, rate_ppm=-1)
+        with pytest.raises(InvalidScenario, match="pool total cannot exceed LP supply"):
+            scn(pool_total=2, lp_supply=1, collateral=-1, shorted=-1, stolen=0, rate_ppm=-1)
+        with pytest.raises(InvalidScenario, match="short must be between"):
+            scn(collateral=-1, shorted=-1, stolen=0, rate_ppm=-1)
+        with pytest.raises(InvalidScenario, match="collateral cannot be negative"):
+            scn(collateral=-1, stolen=0, rate_ppm=-1)
+        with pytest.raises(InvalidScenario, match="stolen amount must be positive"):
+            scn(stolen=0, rate_ppm=-1)
+
+    def test_keyword_construction(self):
+        scenario = AttackScenario(
+            rate_ppm=950000, stolen=1000, shorted=100, collateral=100, lp_supply=1000,
+            pool_total=900,
+        )
+        assert scenario == scn(pool_total=900)
+        assert (scenario.pool_total, scenario.lp_supply, scenario.rate_ppm) == (900, 1000, 950000)
+        with pytest.raises(TypeError):
+            AttackScenario(pool_total=900, lp_supply=1000)
+
+    def test_a_replaced_copy_is_checked_too(self):
+        assert scn()._replace(stolen=7).stolen == 7
+        with pytest.raises(InvalidScenario, match="stolen amount must be positive"):
+            scn()._replace(stolen=0)
 
     def test_borrow_limit_flag(self):
         assert scn(collateral=100, shorted=100).borrow_limit_respected

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,12 @@ import pytest
 
 import rpoolsim
 from rpoolsim.amm import SwapReceipt
-from rpoolsim.attack import ProfitBreakdown
-from rpoolsim.orderbook import Fill
+from rpoolsim.attack import AttackScenario, ProfitBreakdown
+from rpoolsim.ledger import Account, Case, UnsettledRecord
+from rpoolsim.oracle import ConstantRiskModel, RatingEntity, RiskReport, TaintAwareRiskModel
+from rpoolsim.orderbook import Bid, Fill
 from rpoolsim.runner import AssertionResult, EventRecord
-from rpoolsim.scenario import GenesisAccount, PoolSpec, SignerSpec
+from rpoolsim.scenario import GenesisAccount, PoolSpec, ScenarioScript, SignerSpec, Step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +52,11 @@ def test_importing_the_cli_leaves_the_attack_lab_unloaded():
     loaded = modules_loaded_by("import rpoolsim.cli")
     assert "rpoolsim.runner" in loaded
     assert not loaded & {"rpoolsim.attack", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("module", ["rpoolsim.scenario", "rpoolsim.ledger", "rpoolsim.oracle"])
+def test_the_record_modules_load_no_dataclasses(module):
+    assert "dataclasses" not in modules_loaded_by(f"import {module}")
 
 
 def test_importing_the_parser_loads_only_what_it_uses():
@@ -108,12 +116,55 @@ def test_star_import_binds_every_public_name():
         (GenesisAccount(name="alice", base=5), "base"),
         (SignerSpec(name="rater", model="constant", rate_ppm=500_000), "rate_ppm"),
         (PoolSpec(name="main", kappa_ppm=500_000), "rate_cap_ppm"),
+        (Step(time=0, action="advance", params={}), "expect_error"),
+        (
+            AttackScenario(
+                pool_total=1, lp_supply=1, collateral=0, shorted=0, stolen=1, rate_ppm=0
+            ),
+            "stolen",
+        ),
     ],
     ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
 )
 def test_value_records_reject_field_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        UnsettledRecord(transfer_id=1, amount=5, settlement_time=10),
+        Account(),
+        Case(marks=[]),
+        RiskReport("alice", 5, 0, 10, 500_000, "rater", b""),
+        ConstantRiskModel(500_000),
+        TaintAwareRiskModel(set(), 500_000),
+        RatingEntity("rater", b"", ConstantRiskModel(500_000)),
+        Bid(bid_id=1, bidder="alice", amount=5, min_rate_ppm=0, expiry=10, nonce_at_post=0),
+        ScenarioScript(),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_slotted_records_reject_unknown_attributes(record):
+    # a misspelt field name raises instead of adding an attribute nobody reads
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.no_such_field = 0
+
+
+def test_only_the_bench_hashed_records_are_dataclasses():
+    # bench/workloads.py hashes pool receipts and book fills with
+    # dataclasses.astuple for the pool_deep output digest
+    found = set()
+    for info in pkgutil.iter_modules(rpoolsim.__path__):
+        module = importlib.import_module(f"rpoolsim.{info.name}")
+        found |= {
+            value
+            for value in vars(module).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+        }
+    assert found == {SwapReceipt, Fill}
 
 
 def _load_bench_spans():
@@ -135,6 +186,3 @@ def test_benchmark_harness_names_still_resolve():
             assert attr in vars(getattr(module, class_name)), f"{owner}.{attr}"
         else:
             assert hasattr(module, attr), f"{owner}.{attr}"
-    # the pool_deep output digest calls dataclasses.astuple on them
-    assert dataclasses.is_dataclass(SwapReceipt)
-    assert dataclasses.is_dataclass(Fill)

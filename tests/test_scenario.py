@@ -16,7 +16,9 @@ from rpoolsim.scenario import (
     INT_LIMIT,
     NO_EXPECT_ERROR,
     SIGNER_MODELS,
+    GenesisAccount,
     ParseError,
+    ScenarioScript,
     format_scenario,
     parse_scenario,
 )
@@ -360,6 +362,28 @@ def scenario_lines(draw):
 
 def _text(lines):
     return "\n".join(" ".join(line) for line in lines)
+
+
+#: one edit per ScenarioScript field, each changing only that field
+ONE_FIELD_EDITS = {
+    "window": lambda script: setattr(script, "window", 1),
+    "arbitrator": lambda script: setattr(script, "arbitrator", "other"),
+    "accounts": lambda script: script.accounts.append(GenesisAccount("bob")),
+    "signers": lambda script: script.signers.clear(),
+    "pools": lambda script: script.pools.append(script.pools[0]._replace(name="side")),
+    "books": lambda script: script.books.append("ob2"),
+    "steps": lambda script: script.steps[0].params.update(amount=2),
+}
+
+
+@pytest.mark.parametrize("field", ScenarioScript.__slots__)
+def test_scripts_differing_in_one_field_compare_unequal(field):
+    text = HEADER + "at 0 wrap account=alice amount=1\n"
+    script, edited = parse_scenario(text), parse_scenario(text)
+    assert script == edited
+    ONE_FIELD_EDITS[field](edited)
+    assert script != edited
+    assert edited != script
 
 
 @settings(max_examples=40, deadline=None)
