@@ -49,6 +49,7 @@ _EXPORTS = {
     "PPM": "rates",
     "format_rate": "rates",
     "parse_rate": "rates",
+    "World": "world",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -2,7 +2,8 @@
 
 The pool's ledger account holds only wrapper tokens: LP deposits arrive as
 base and are wrapped immediately, swap payouts are unwrapped on the way
-out, so no base ever rests at the pool address between operations.  Swap
+out, so no pool operation changes the base held at the pool address.  Base
+that other steps send there (a mint, an unwrap to it) is inert.  Swap
 pricing is the median oracle quote scaled by a bonding-curve multiplier
 that decays once the pool's settled fraction drops below the configured
 threshold, then clamped by a hard rate cap (the LP-shorting defense).
@@ -141,8 +142,9 @@ class AmmPool:
             minted = amount * self.lp_supply // state.total
         self.ledger.base.transfer(lp, self.address, amount)
         self.ledger.wrap(self.address, amount, now)
-        self.lp_holdings[lp] = self.lp_holdings.get(lp, 0) + minted
-        self.lp_supply += minted
+        if minted:  # a holding is never 0: withdraw deletes emptied ones
+            self.lp_holdings[lp] = self.lp_holdings.get(lp, 0) + minted
+            self.lp_supply += minted
         return minted
 
     def withdraw(self, lp: str, lp_tokens: int, now: int) -> tuple[int, int]:

@@ -28,11 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .amm import AmmPool
 from .errors import InvalidScenario, ZeroShort
-from .ledger import BaseLedger, WrapperLedger
-from .oracle import ConstantRiskModel, RatingEntity, RiskModel, SignerRegistry, issue_report
+from .oracle import ConstantRiskModel, RiskModel, issue_report
 from .rates import PPM, check_rate
+from .world import World
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -210,15 +209,11 @@ def end_to_end_attack_replay(
     propagate to the caller.
     """
     pool_total, lp_supply = scenario.pool_total, scenario.lp_supply
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=REPLAY_WINDOW, arbitrator="arbiter")
-    registry = SignerRegistry()
-    secret, public = registry.scheme.keygen("lender")
-    registry.register("lender", public)
-    pool = AmmPool(
-        ledger,
+    world = World(recovery_window=REPLAY_WINDOW, arbitrator="arbiter")
+    base, ledger, registry = world.base, world.ledger, world.registry
+    lender = world.add_signer("lender", ConstantRiskModel(PPM))
+    pool = world.add_pool(
         "pool",
-        registry,
         kappa_ppm=500_000,
         risk_bounds=risk_bounds,
         min_quorum=1,
@@ -237,10 +232,7 @@ def end_to_end_attack_replay(
         base.mint("early-victim", shortfall)
         ledger.wrap("early-victim", shortfall, now)
         ledger.transfer("early-victim", "early-thief", shortfall, False, now)
-        permissive = RatingEntity("lender", secret, ConstantRiskModel(PPM))
-        report = issue_report(
-            permissive, registry, "early-thief", shortfall, now, 60, ledger
-        )
+        report = issue_report(lender, registry, "early-thief", shortfall, now, 60, ledger)
         receipt = pool.swap("early-thief", shortfall, [report], now)
         plan = ledger.plan_recovery(receipt.transfer_in_id, shortfall, now)
         ledger.freeze("arbiter", plan, "prior-case", now)
@@ -252,12 +244,8 @@ def end_to_end_attack_replay(
     ledger.wrap("victim-protocol", scenario.stolen, now)
     ledger.transfer("victim-protocol", "marvin", scenario.stolen, False, now)
 
-    entity = RatingEntity(
-        "lender", secret, model or ConstantRiskModel(scenario.rate_ppm)
-    )
-    report = issue_report(
-        entity, registry, "marvin", scenario.stolen, now, 60, ledger
-    )
+    lender.model = model or ConstantRiskModel(scenario.rate_ppm)
+    report = issue_report(lender, registry, "marvin", scenario.stolen, now, 60, ledger)
     receipt = pool.swap("marvin", scenario.stolen, [report], now)
 
     plan = ledger.plan_recovery(receipt.transfer_in_id, scenario.stolen, now)

@@ -12,18 +12,19 @@ ledger journal entries the step appended (``mint``, ``base_transfer``,
 ``wrap``, ``unwrap``, ``transfer``, ``freeze``, ``recover``, ``release``),
 and from nothing else: a transfer's entry carries its own spend split, so
 the runner marks the journal alone, and working the deltas out costs the
-same in a world of any size.  What still
-grows with the number of accounts is the full invariant recount after every
-step and the two world-state snapshots around an ``expect_error`` step.
+same in a world of any size.  What still grows with the world is
+:meth:`World.check_invariants` after every step, which recounts every
+account, LP holder and bid, and the two snapshots around an
+``expect_error`` step.
 
 Every check of a step is a ``(description, expected, observed)`` triple:
 its ``expect_error`` outcome, the unchanged state after that error, its
 success when no error is expected, each ``expect_*`` and ``assert``
 comparison.  One constructor turns each into an :class:`AssertionResult`
 that passed iff ``expected == observed``.  The state is compared in full, by
-value (:meth:`ScenarioRunner.world_state`: every balance, record, case, pool
-and bid), before and after the step.  Failures surface in the report rather
-than as exceptions, so a scenario always runs to the end.
+value (:meth:`World.snapshot`: every balance, record, case, pool and bid),
+before and after the step.  Failures surface in the report rather than as
+exceptions, so a scenario always runs to the end.
 """
 
 from __future__ import annotations
@@ -32,18 +33,11 @@ import hashlib
 import json
 from typing import Any, Callable, NamedTuple
 
-from .amm import AmmPool
 from .errors import RPoolError, UnboundLabel
-from .ledger import BaseLedger, WrapperLedger
-from .oracle import (
-    ConstantRiskModel,
-    RatingEntity,
-    SignerRegistry,
-    TaintAwareRiskModel,
-    issue_report,
-)
+from .oracle import ConstantRiskModel, RatingEntity, TaintAwareRiskModel, issue_report
 from .orderbook import OrderBook
 from .scenario import ACTION_SPECS, Params, ScenarioScript, Step, format_value
+from .world import World
 
 
 #: expect_* step field -> (description template, result field checked; None
@@ -105,96 +99,37 @@ class ScenarioRunner:
     def __init__(self, script: ScenarioScript, name: str = "scenario") -> None:
         self.script = script
         self.name = name
-        self.base = BaseLedger()
-        self.ledger = WrapperLedger(
-            self.base,
-            recovery_window=script.window,
-            arbitrator=script.arbitrator,
-        )
-        self.registry = SignerRegistry()
         self.tainted: set[int] = set()
         self.entities: dict[str, RatingEntity] = {}
-        self.pools: dict[str, AmmPool] = {}
-        self.books: dict[str, OrderBook] = {}
         #: as= label -> the transfer id, RiskReport or bid id it names
         self.labels: dict[str, Any] = {}
-        self._build_world()
-
-    def _build_world(self) -> None:
-        for acct in self.script.accounts:
+        self.world = world = World(recovery_window=script.window, arbitrator=script.arbitrator)
+        for acct in script.accounts:
             if acct.base:
-                self.base.mint(acct.name, acct.base)
+                world.base.mint(acct.name, acct.base)
             if acct.settled:
-                self.ledger.genesis_settled(acct.name, acct.settled)
-        for spec in self.script.signers:
-            secret, public = self.registry.scheme.keygen(spec.name)
-            self.registry.register(spec.name, public, authorized=spec.authorized)
+                world.ledger.genesis_settled(acct.name, acct.settled)
+        for spec in script.signers:
             if spec.model == "constant":
                 model = ConstantRiskModel(spec.rate_ppm)
             else:
                 model = TaintAwareRiskModel(self.tainted, spec.rate_ppm)
-            self.entities[spec.name] = RatingEntity(spec.name, secret, model)
-        for spec in self.script.pools:
-            self.pools[spec.name] = AmmPool(
-                self.ledger,
+            self.entities[spec.name] = world.add_signer(spec.name, model, spec.authorized)
+        for spec in script.pools:
+            world.add_pool(
                 spec.name,
-                self.registry,
                 kappa_ppm=spec.kappa_ppm,
                 risk_bounds=(spec.risk_lo_ppm, spec.risk_hi_ppm),
                 min_quorum=spec.min_quorum,
                 min_lp_deposit=spec.min_lp_deposit,
                 rate_cap_ppm=spec.rate_cap_ppm,
             )
-        for name in self.script.books:
-            self.books[name] = OrderBook(self.ledger)
-
-    # -- state observation ---------------------------------------------------
-
-    def world_state(self) -> dict:
-        """The complete raw world state, by value (empty accounts excluded).
-
-        Every mutable part is copied into tuples and fresh lists, so no later
-        operation can change a snapshot taken before it.  Two snapshots are
-        compared with ``==``.
-        """
-        return {
-            "base": {name: amount for name, amount in self.base.balances.items() if amount},
-            "supply": self.base.total_supply,
-            "accounts": {
-                name: (
-                    acct.settled,
-                    acct.nonce,
-                    acct.unwrap_disabled,
-                    [
-                        (r.transfer_id, r.amount, r.settlement_time, r.frozen_amount)
-                        for r in acct.unsettled
-                    ]
-                    if acct.unsettled
-                    else [],  # most accounts hold no records: skip the comprehension
-                )
-                for name, acct in self.ledger.accounts.items()
-                if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
-            },
-            "cases": {
-                cid: (case.status, [(acct, rec.transfer_id, amount) for acct, rec, amount in case.marks])
-                for cid, case in self.ledger.cases.items()
-            },
-            "pools": {
-                name: (pool.lp_supply, sorted(pool.lp_holdings.items()), len(pool.receipts))
-                for name, pool in self.pools.items()
-            },
-            "books": {
-                name: [
-                    (b.bid_id, b.bidder, b.amount, b.min_rate_ppm, b.expiry, b.nonce_at_post, b.status)
-                    for b in book.bids.values()
-                ]
-                for name, book in self.books.items()
-            },
-        }
+        for name in script.books:
+            world.books[name] = OrderBook(world.ledger)
 
     def state_digest(self) -> str:
-        """sha256 of :meth:`world_state`, for comparing states across runs."""
-        blob = json.dumps(self.world_state(), sort_keys=True).encode()
+        """sha256 of :meth:`World.snapshot`, for comparing states across runs."""
+        blob = json.dumps(self.world.snapshot(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     # -- execution -------------------------------------------------------------
@@ -203,12 +138,12 @@ class ScenarioRunner:
         result = RunResult(self.name, [], [])
         for seq, step in enumerate(self.script.steps, start=1):
             self._run_step(seq, step, result)
-            self.ledger.check_invariants()
+            self.world.check_invariants()
         return result
 
     def _run_step(self, seq: int, step: Step, result: RunResult) -> None:
-        mark = self.ledger.mark()
-        state_before = self.world_state() if step.expect_error else None
+        mark = self.world.ledger.mark()
+        state_before = self.world.snapshot() if step.expect_error else None
         checks: list[tuple[str, object, object]] = []
         outcome, op_result = "ok", None
         try:
@@ -219,7 +154,7 @@ class ScenarioRunner:
         where = f"step {seq} ({step.action})"
         if step.expect_error is not None:
             checks.insert(0, (f"{where} fails with {step.expect_error}", step.expect_error, outcome))
-            if outcome != "ok" and self.world_state() != state_before:
+            if outcome != "ok" and self.world.snapshot() != state_before:
                 unchanged = f"{where} leaves state unchanged on error"
                 checks.append((unchanged, "unchanged state", "state changed"))
         elif outcome != "ok":
@@ -234,7 +169,7 @@ class ScenarioRunner:
                 params=step.params,
                 outcome=outcome,
                 result=op_result,
-                deltas=self.ledger.effects_since(mark, step.time),
+                deltas=self.world.ledger.effects_since(mark, step.time),
             )
         )
 
@@ -272,45 +207,46 @@ class ScenarioRunner:
     # -- actions: one handler per ACTION_SPECS row -------------------------------
 
     def _mint_base(self, p: Params, now: int) -> None:
-        self.base.mint(p["account"], p["amount"])
+        self.world.base.mint(p["account"], p["amount"])
 
     def _wrap(self, p: Params, now: int) -> None:
-        self.ledger.wrap(p["account"], p["amount"], now)
+        self.world.ledger.wrap(p["account"], p["amount"], now)
 
     def _unwrap(self, p: Params, now: int) -> None:
-        self.ledger.unwrap_to(p["account"], p["amount"], p.get("to", p["account"]), now)
+        self.world.ledger.unwrap_to(p["account"], p["amount"], p.get("to", p["account"]), now)
 
     def _transfer(self, p: Params, now: int) -> dict:
-        tid = self.ledger.transfer(p["from"], p["to"], p["amount"], p.get("unsettled", False), now)
+        unsettled = p.get("unsettled", False)
+        tid = self.world.ledger.transfer(p["from"], p["to"], p["amount"], unsettled, now)
         self._bind(p, tid)
         return {"transfer_id": tid}
 
     def _disable_unwrap(self, p: Params, now: int) -> None:
-        self.ledger.disable_unwrap(p["account"])
+        self.world.ledger.disable_unwrap(p["account"])
 
     def _deposit(self, p: Params, now: int) -> dict:
-        return {"minted": self.pools[p["pool"]].deposit(p["lp"], p["amount"], now)}
+        return {"minted": self.world.pools[p["pool"]].deposit(p["lp"], p["amount"], now)}
 
     def _withdraw(self, p: Params, now: int) -> dict:
-        base_out, unsettled_out = self.pools[p["pool"]].withdraw(p["lp"], p["tokens"], now)
+        base_out, unsettled_out = self.world.pools[p["pool"]].withdraw(p["lp"], p["tokens"], now)
         return {"base": base_out, "unsettled": unsettled_out}
 
     def _issue_report(self, p: Params, now: int) -> dict:
         report = issue_report(
             self.entities[p["signer"]],
-            self.registry,
+            self.world.registry,
             p["requestor"],
             p["amount"],
             now,
             p["ttl"],
-            self.ledger,
+            self.world.ledger,
         )
         self._bind(p, report)
         return {"quote_ppm": report.quote_ppm, "nonce": report.account_nonce}
 
     def _swap(self, p: Params, now: int) -> dict:
         reports = [self._label(label) for label in p["reports"]]
-        receipt = self.pools[p["pool"]].swap(p["requestor"], p["amount"], reports, now)
+        receipt = self.world.pools[p["pool"]].swap(p["requestor"], p["amount"], reports, now)
         self._bind(p, receipt.transfer_in_id)
         return {
             "out": receipt.amount_out,
@@ -321,17 +257,18 @@ class ScenarioRunner:
         }
 
     def _post_bid(self, p: Params, now: int) -> dict:
-        bid_id = self.books[p["book"]].post_bid(
+        bid_id = self.world.books[p["book"]].post_bid(
             p["bidder"], p["amount"], p["min_rate"], p["expiry"], now
         )
         self._bind(p, bid_id)
         return {"bid_id": bid_id}
 
     def _cancel_bid(self, p: Params, now: int) -> None:
-        self.books[p["book"]].cancel_bid(p["by"], self._bid_id(p["bid"]))
+        self.world.books[p["book"]].cancel_bid(p["by"], self._bid_id(p["bid"]))
 
     def _match_bid(self, p: Params, now: int) -> dict:
-        fill = self.books[p["book"]].match_bid(p["lp"], self._bid_id(p["bid"]), p["offer"], now)
+        book = self.world.books[p["book"]]
+        fill = book.match_bid(p["lp"], self._bid_id(p["bid"]), p["offer"], now)
         return {
             "unsettled": fill.amount_unsettled,
             "base": fill.base_paid,
@@ -342,19 +279,19 @@ class ScenarioRunner:
         if "targets" in p:
             targets = p["targets"]
         else:
-            targets = self.ledger.plan_recovery(self._label(p["transfer"]), p["amount"], now)
-        self.ledger.freeze(p.get("by", self.script.arbitrator), targets, p["case"], now)
+            targets = self.world.ledger.plan_recovery(self._label(p["transfer"]), p["amount"], now)
+        self.world.ledger.freeze(p.get("by", self.script.arbitrator), targets, p["case"], now)
         return {"targets": [[name, amount] for name, amount in targets]}
 
     def _recover(self, p: Params, now: int) -> dict:
         by = p.get("by", self.script.arbitrator)
-        return {"amount": self.ledger.recover(by, p["case"], p["victim"], now)}
+        return {"amount": self.world.ledger.recover(by, p["case"], p["victim"], now)}
 
     def _release(self, p: Params, now: int) -> None:
-        self.ledger.release(p.get("by", self.script.arbitrator), p["case"], now)
+        self.world.ledger.release(p.get("by", self.script.arbitrator), p["case"], now)
 
     def _plan_recovery(self, p: Params, now: int) -> list:
-        plan = self.ledger.plan_recovery(self._label(p["transfer"]), p["amount"], now)
+        plan = self.world.ledger.plan_recovery(self._label(p["transfer"]), p["amount"], now)
         return [[name, amount] for name, amount in plan]
 
     def _no_op(self, p: Params, now: int) -> None:
@@ -384,20 +321,20 @@ class ScenarioRunner:
     # -- assertions: comparison field -> (description, observed value) ----------
 
     def _assert_balance(self, p: Params, now: int) -> dict:
-        settled, unsettled = self.ledger.settle_view(p["account"], now)
+        settled, unsettled = self.world.ledger.settle_view(p["account"], now)
         return {
             "settled": (f"{p['account']} settled", settled),
             "unsettled": (f"{p['account']} unsettled", unsettled),
         }
 
     def _assert_base(self, p: Params, now: int) -> dict:
-        return {"amount": (f"{p['account']} base", self.base.balance(p["account"]))}
+        return {"amount": (f"{p['account']} base", self.world.base.balance(p["account"]))}
 
     def _assert_nonce(self, p: Params, now: int) -> dict:
-        return {"value": (f"{p['account']} nonce", self.ledger.nonce(p["account"]))}
+        return {"value": (f"{p['account']} nonce", self.world.ledger.nonce(p["account"]))}
 
     def _assert_pool(self, p: Params, now: int) -> dict:
-        pool = self.pools[p["pool"]]
+        pool = self.world.pools[p["pool"]]
         state = pool.pool_state(now)
         return {
             key: (f"pool {pool.address} {key}", value)
@@ -405,12 +342,12 @@ class ScenarioRunner:
         }
 
     def _assert_lp(self, p: Params, now: int) -> dict:
-        pool = self.pools[p["pool"]]
+        pool = self.world.pools[p["pool"]]
         held = pool.lp_holdings.get(p["account"], 0)
         return {"amount": (f"{p['account']} LP tokens in {pool.address}", held)}
 
     def _assert_bid(self, p: Params, now: int) -> dict:
-        bid = self.books[p["book"]].bids.get(self._bid_id(p["bid"]))
+        bid = self.world.books[p["book"]].bids.get(self._bid_id(p["bid"]))
         status = "absent" if bid is None else bid.status
         return {"status": (f"bid {p['bid']} status", status)}
 

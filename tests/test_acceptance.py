@@ -12,13 +12,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from rpoolsim import (
-    AmmPool,
     AttackScenario,
     BaseLedger,
     ConstantRiskModel,
     OrderBook,
-    RatingEntity,
-    SignerRegistry,
+    World,
     WrapperLedger,
     end_to_end_attack_replay,
     exact_profit,
@@ -152,25 +150,20 @@ def test_criterion_6_bound_soundness_sweep():
 
 
 def _flashloan_world(rate_ppm):
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
-    pool, rater = make_pool(
-        base, ledger, lp_deposits=(("lp0", 400),), rater_rate_ppm=rate_ppm,
-        rate_cap_ppm=PPM,
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
+    pool = world.add_pool(
+        "pool", kappa_ppm=500000, risk_bounds=(0, PPM),
+        min_quorum=1, min_lp_deposit=1, rate_cap_ppm=PPM,
     )
+    rater = world.add_signer("lp0", ConstantRiskModel(rate_ppm))
+    base.mint("lp0", 400)
+    pool.deposit("lp0", 400, 0)
     give_unsettled(base, ledger, "alice", 120, now=0)
     base.mint("alice", 50)
     base.mint("mallory", 80)
     give_unsettled(base, ledger, "mallory", 60, now=0, source="m-src")
-    return base, ledger, pool, rater
-
-
-def _world_fingerprint(base, ledger, pool, now):
-    accounts = {
-        name: (acct.settled, acct.nonce, tuple((r.transfer_id, r.amount, r.frozen_amount) for r in acct.unsettled))
-        for name, acct in ledger.accounts.items()
-    }
-    return (dict(base.balances), accounts, dict(pool.lp_holdings), pool.lp_supply)
+    return world, pool, rater
 
 
 def test_criterion_7_flash_loan_rejection():
@@ -178,7 +171,8 @@ def test_criterion_7_flash_loan_rejection():
         rng = random.Random(0xF1A5)
         rejected = 0
         for i in range(1000):
-            base, ledger, pool, rater = _flashloan_world(rng.randrange(0, PPM + 1))
+            world, pool, rater = _flashloan_world(rng.randrange(0, PPM + 1))
+            base, ledger = world.base, world.ledger
             reports = quorum(pool, rater, "alice", 100, 0, ledger)
             # one random ledger event touches alice before the swap lands
             touch = rng.randrange(6)
@@ -198,28 +192,25 @@ def test_criterion_7_flash_loan_rejection():
                     ledger.recover(ARB, "c", "alice", 1)
                 else:
                     ledger.release(ARB, "c", 1)
-            before = _world_fingerprint(base, ledger, pool, 1)
+            before = world.snapshot()
             try:
                 pool.swap("alice", 100, reports, 1)
                 raise AssertionError(f"interleaving {i}: swap was not rejected")
             except StaleNonce:
                 rejected += 1
-            assert _world_fingerprint(base, ledger, pool, 1) == before
+            assert world.snapshot() == before
         assert rejected == 1000
 
 
 def _conservation_sequence(rng):
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
-    registry = SignerRegistry()
-    pool = AmmPool(
-        ledger, "pool", registry, kappa_ppm=500000, risk_bounds=(0, PPM),
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger, registry = world.base, world.ledger, world.registry
+    pool = world.add_pool(
+        "pool", kappa_ppm=500000, risk_bounds=(0, PPM),
         min_quorum=1, min_lp_deposit=1, rate_cap_ppm=rng.choice((500000, PPM)),
     )
-    book = OrderBook(ledger)
-    secret, public = registry.scheme.keygen("lp0")
-    registry.register("lp0", public)
-    rater = RatingEntity("lp0", secret, ConstantRiskModel(rng.randrange(0, PPM + 1)))
+    book = world.books["book"] = OrderBook(ledger)
+    rater = world.add_signer("lp0", ConstantRiskModel(rng.randrange(0, PPM + 1)))
     names = ["lp0", "u1", "u2", "u3", "u4"]
     for name in names:
         base.mint(name, 200)
@@ -270,7 +261,7 @@ def _conservation_sequence(rng):
         assert base.total_supply == supply
         assert ledger.base_locked() == ledger.wrapped_total()
         assert base.balance("pool") == 0  # no base rests at the pool address
-    ledger.check_invariants()
+    world.check_invariants()
     model = replay(base.journal, WINDOW)
     assert_matches(model, ledger, now)
 
@@ -284,30 +275,22 @@ def test_criterion_8_conservation_suite():
 
 def test_criterion_9_orderbook_loss_and_atomicity():
     with criterion(9, "order book: fill 100 for 50, clawback leaves the LP exactly -50 base"):
-        base = BaseLedger()
-        ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
-        book = OrderBook(ledger)
+        world = World(recovery_window=WINDOW, arbitrator=ARB)
+        base, ledger = world.base, world.ledger
+        book = world.books["ob"] = OrderBook(ledger)
         base.mint("lp", 200)
         give_unsettled(base, ledger, "seller", 100, now=0, source="victim")
         bid = book.post_bid("seller", 100, 500000, 900, 0)
 
         # atomicity: every rejected match leaves the book and ledger as-is
-        fingerprint = (
-            dict(base.balances),
-            {n: ledger.settle_view(n, 1) for n in ledger.accounts},
-            [(b.bid_id, b.status) for b in book.bids.values()],
-        )
+        before = world.snapshot()
         for lp, offer, at in (("lp", 49, 1), ("pauper", 50, 1), ("lp", 50, 900)):
             try:
                 book.match_bid(lp, bid, offer, at)
                 raise AssertionError("match should have been rejected")
             except RPoolError:
                 pass
-            assert (
-                dict(base.balances),
-                {n: ledger.settle_view(n, 1) for n in ledger.accounts},
-                [(b.bid_id, b.status) for b in book.bids.values()],
-            ) == fingerprint
+            assert world.snapshot() == before
 
         book.match_bid("lp", bid, 50, 1)
         ledger.freeze(ARB, [("lp", 100)], "case", 2)
@@ -315,4 +298,4 @@ def test_criterion_9_orderbook_loss_and_atomicity():
         assert base.balance("lp") == 150  # net -50 from the starting 200
         assert ledger.balance_of("lp", True, 2) == 0
         assert ledger.settle_view("victim", 2) == (100, 0)
-        ledger.check_invariants()
+        world.check_invariants()

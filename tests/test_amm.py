@@ -87,6 +87,15 @@ class TestDeposit:
         assert pool.deposit("newlp", 50, 0) == 50
         assert pool.withdraw("newlp", 50, 0) == (50, 0)
 
+    def test_deposit_minting_no_shares_records_no_holding(self, world):
+        # a donation doubles the pool total, so one token buys half a share
+        base, ledger = world
+        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 100),))
+        give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
+        base.mint("a", 1)
+        assert pool.deposit("a", 1, 0) == 0
+        assert (pool.lp_holdings, pool.lp_supply) == ({"lp1": 100}, 100)
+
     def test_zero_amount(self, world):
         base, ledger = world
         pool, _ = make_pool(base, ledger)

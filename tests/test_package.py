@@ -54,6 +54,13 @@ def test_importing_the_cli_leaves_the_attack_lab_unloaded():
     assert not loaded & {"rpoolsim.attack", "fractions", "decimal"}
 
 
+def test_importing_the_attack_lab_leaves_the_parser_unloaded():
+    # the attack replay builds a World, which must not pull in the runner
+    loaded = modules_loaded_by("import rpoolsim.attack")
+    assert "rpoolsim.world" in loaded
+    assert not loaded & {"rpoolsim.scenario", "rpoolsim.runner"}
+
+
 @pytest.mark.parametrize("module", ["rpoolsim.scenario", "rpoolsim.ledger", "rpoolsim.oracle"])
 def test_the_record_modules_load_no_dataclasses(module):
     assert "dataclasses" not in modules_loaded_by(f"import {module}")

@@ -3,8 +3,10 @@ isolation, and exit codes."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -217,21 +219,30 @@ _RICH_WORLD = (
 
 
 def _freeze_one_more(runner):
-    acct = runner.ledger.accounts["bob"]
+    acct = runner.world.ledger.accounts["bob"]
     acct.unsettled[0].frozen_amount += 1
     acct.frozen_sum += 1  # the cached sum follows, so the recount still passes
+
+
+def _settle_one_later(runner):
+    record = runner.world.ledger.accounts["alice"].unsettled[0]
+    record.settlement_time += 1
 
 
 #: an in-place write to one part of the world, made by a step that then
 #: fails; each keeps the invariants, so only the state comparison sees it
 _IN_PLACE_WRITES = {
     "record frozen_amount": _freeze_one_more,
-    "case entries": lambda r: r.ledger.cases["c1"].marks.append(
-        ("bob", r.ledger.accounts["bob"].unsettled[0], 1)
+    "record settlement_time": _settle_one_later,
+    "unwrap flag": lambda r: setattr(r.world.ledger.accounts["idle"], "unwrap_disabled", True),
+    "case status": lambda r: setattr(r.world.ledger.cases["c1"], "status", "released"),
+    "case entries": lambda r: r.world.ledger.cases["c1"].marks.append(
+        ("bob", r.world.ledger.accounts["bob"].unsettled[0], 1)
     ),
-    "lp holdings": lambda r: r.pools["p"].lp_holdings.update(lp=199),
-    "bid status": lambda r: setattr(r.books["ob"].bids[1], "status", "filled"),
-    "base balance": lambda r: r.base.balances.update(lp=299, whale=1),
+    "lp holdings": lambda r: r.world.pools["p"].lp_holdings.update(lp=199, bob=1),
+    "receipt count": lambda r: r.world.pools["p"].receipts.append(None),
+    "bid status": lambda r: setattr(r.world.books["ob"].bids[1], "status", "cancelled"),
+    "base balance": lambda r: r.world.base.balances.update(lp=299, whale=1),
 }
 
 
@@ -251,6 +262,42 @@ def test_rejected_step_writing_in_place_is_caught(monkeypatch, part):
     if part is not None:
         expected.append(("step 6 (mint_base) leaves state unchanged on error", False))
     assert [(a.description, a.passed) for a in result.assertions] == expected
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        ("pool.lp_holdings.update(lp=199)", "pool p lp_supply 200 != 199 held"),
+        ("pool.lp_holdings.update(lp=200, bob=0)", "pool p keeps an LP holding that is not positive"),
+        ("book.bids[2] = book.bids.pop(1)", "book ob bid ids are not 1..1"),
+        ("book.bids[1].status = 'expired'", "book ob holds a bid of unknown status"),
+        ("book.bids[1].status = 'filled'", "book ob has 1 filled bids, 0 fills"),
+    ],
+)
+def test_world_invariants_catch_a_broken_pool_or_book_under_python_O(write, message):
+    # each write breaks one pool or book invariant; python -O strips assert
+    # statements, so World.check_invariants must raise explicitly
+    program = textwrap.dedent(f"""
+        from rpoolsim.runner import ScenarioRunner
+        from rpoolsim.scenario import parse_scenario
+        assert False, "unreachable under -O"
+        runner = ScenarioRunner(parse_scenario({_RICH_WORLD!r}))
+        runner.run()
+        world = runner.world
+        pool, book = world.pools["p"], world.books["ob"]
+        world.check_invariants()
+        {write}
+        try:
+            world.check_invariants()
+        except AssertionError as exc:
+            print(exc)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SCENARIO_DIR.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
 
 
 def test_label_of_a_failed_step_is_unbound():
@@ -475,7 +522,7 @@ class TestCli:
         unwrap = ScenarioRunner.ACTIONS["unwrap"]
 
         def drifting_unwrap(runner, p, now):
-            setattr(runner.ledger.accounts["idle"], cached, 1)
+            setattr(runner.world.ledger.accounts["idle"], cached, 1)
             return unwrap(runner, p, now)
 
         monkeypatch.setitem(ScenarioRunner.ACTIONS, "unwrap", drifting_unwrap)
