@@ -16,7 +16,11 @@ is open.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list; maturing,
-spending and freezing all act on that prefix.  Each account also carries
+spending and freezing all act on that prefix.  A new record is due at
+``now + recovery_window`` and its transfer id is the highest yet, so while
+the caller's clock never goes back it sorts last and is appended.  Only a
+record due before the recipient's last one (the clock went back) is
+inserted by bisection.  Each account also carries
 ``unsettled_sum`` and ``frozen_sum``, the totals of its records' ``amount``
 and ``frozen_amount``.  They are derived values, updated wherever a record
 changes, so that balance views cost the matured prefix instead of the whole
@@ -80,6 +84,8 @@ SPEND_UNSETTLED = "unsettled"
 
 def check_amount(amount: int) -> int:
     """Validate a token amount: a positive int (zero is a modeled rejection)."""
+    if type(amount) is int and amount > 0:
+        return amount
     if not isinstance(amount, int) or isinstance(amount, bool):
         raise TypeError(f"amount must be an integer, got {amount!r}")
     if amount < 0:
@@ -190,12 +196,12 @@ class BaseLedger:
 
     def transfer(self, sender: str, recipient: str, amount: int) -> None:
         check_amount(amount)
-        if self.balance(sender) < amount:
-            raise InsufficientBase(
-                f"{sender} holds {self.balance(sender)} base, needs {amount}"
-            )
-        self.balances[sender] -= amount
-        self.balances[recipient] = self.balance(recipient) + amount
+        balances = self.balances
+        held = balances.get(sender, 0)
+        if held < amount:
+            raise InsufficientBase(f"{sender} holds {held} base, needs {amount}")
+        balances[sender] = held - amount
+        balances[recipient] = balances.get(recipient, 0) + amount
         self.journal.append(("base_transfer", sender, recipient, amount))
 
 
@@ -234,11 +240,12 @@ class WrapperLedger:
             raise ReservedName(f"{name!r} is reserved and cannot hold an account")
 
     def _account(self, name: str) -> Account:
-        self.check_name(name)
+        """The account ``name``, created on first use.  The reserved names
+        are fixed at construction, so only a new name needs checking."""
         acct = self.accounts.get(name)
         if acct is None:
-            acct = Account()
-            self.accounts[name] = acct
+            self.check_name(name)
+            acct = self.accounts[name] = Account()
         return acct
 
     def _settle_account(self, acct: Account, now: int) -> None:
@@ -424,8 +431,14 @@ class WrapperLedger:
         unsettled_spent = self._spend(sender_acct, amount, mode)
 
         transfer_id = len(self.transfer_log) + 1
-        record = UnsettledRecord(transfer_id, amount, now + self.recovery_window)
-        bisect.insort(recipient_acct.unsettled, record, key=_record_key)
+        due = now + self.recovery_window
+        record = UnsettledRecord(transfer_id, amount, due)
+        records = recipient_acct.unsettled
+        # the new id is the highest yet, so an equal due time sorts last too
+        if not records or records[-1].settlement_time <= due:
+            records.append(record)
+        else:
+            bisect.insort(records, record, key=_record_key)
         recipient_acct.unsettled_sum += amount
         entry = Transfer(
             "transfer", sender, recipient, amount, mode, now, transfer_id, unsettled_spent

@@ -1,14 +1,17 @@
 """Wrapper-ledger behavior: wrapping, settlement, transfers, freezes,
 recovery, and the recovery-plan deficiency rule."""
 
+import bisect
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import rpoolsim.ledger
 from rpoolsim.errors import (
     FrozenFunds,
     InsufficientBalance,
@@ -22,6 +25,7 @@ from rpoolsim.errors import (
     UnwrapDisabled,
     ZeroAmount,
 )
+from rpoolsim.ledger import check_amount
 
 from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
 
@@ -396,6 +400,65 @@ class TestPrefixWalks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == message
+
+
+class TestCheckAmount:
+    """The fast path for a positive ``int`` changes no outcome."""
+
+    @pytest.mark.parametrize(
+        "amount, error",
+        [(True, TypeError), (False, TypeError), (1.0, TypeError), (-1, ValueError), (0, ZeroAmount)],
+    )
+    def test_rejections(self, world, amount, error):
+        with pytest.raises(error):
+            check_amount(amount)
+        base, ledger = world
+        base.mint("f", 10)
+        ledger.wrap("f", 10, 0)
+        with pytest.raises(error):
+            ledger.transfer("f", "a", amount, False, 0)
+        assert "a" not in ledger.accounts
+
+    def test_an_int_subclass_is_returned_unchanged(self):
+        class Units(int):
+            pass
+
+        amount = Units(7)
+        assert check_amount(amount) is amount
+
+
+class TestRecordOrder:
+    """A new record sorts last while the clock never goes back, and is
+    appended; only one due before the recipient's last record is inserted
+    by bisection."""
+
+    def test_a_clock_that_goes_back_keeps_records_in_order(self, world):
+        base, ledger = world
+        base.mint("f", 3)
+        ledger.wrap("f", 3, 0)
+        for now in (100, 50, 100):
+            ledger.transfer("f", "a", 1, False, now)
+        keys = [(r.settlement_time, r.transfer_id) for r in ledger.accounts["a"].unsettled]
+        assert keys == [(50 + WINDOW, 2), (100 + WINDOW, 1), (100 + WINDOW, 3)]
+        ledger.check_invariants()
+
+    def test_only_an_out_of_order_record_is_inserted_by_bisection(self, world, monkeypatch):
+        counting = mock.Mock(wraps=bisect)
+        monkeypatch.setattr(rpoolsim.ledger, "bisect", counting)
+        base, ledger = world
+        base.mint("f", 1003)
+        ledger.wrap("f", 1003, 0)
+        for t in range(1000):
+            ledger.transfer("f", "a", 1, False, t)
+        ledger.transfer("f", "a", 1, False, 999)  # an equal clock sorts last too
+        ledger.transfer("f", "a", 1, False, 1000)
+        assert counting.insort.call_count == 0
+        ledger.transfer("f", "a", 1, False, 500)
+        assert counting.insort.call_count == 1
+        keys = [(r.settlement_time, r.transfer_id) for r in ledger.accounts["a"].unsettled]
+        assert keys == sorted(keys)
+        assert keys[501] == (500 + WINDOW, 1003)
+        ledger.check_invariants()
 
 
 def _tainted_pool_world(world, pool_keep: int, lp_withdraw: int):

@@ -1,11 +1,15 @@
 """Scenario grammar: parsing, located errors, and canonical formatting."""
 
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpoolsim.cli import main
 from rpoolsim.errors import ERRORS_BY_NAME
 from rpoolsim.rates import PPM, format_rate
 from rpoolsim.scenario import (
@@ -400,6 +404,28 @@ def test_grammar_round_trip(lines, junk):
                 broken = line[:j] + [token.partition("=")[0] + "=" + junk] + line[j + 1 :]
                 with pytest.raises(ParseError):
                     parse_scenario(_text(lines[:i] + [broken] + lines[i + 1 :]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=scenario_lines())
+def test_generated_scripts_never_reach_an_internal_error(lines):
+    """A script the grammar accepts runs to exit 0 or 1, or its world is
+    refused with exit 2 and one ``path: reason`` line; exit 3, the
+    internal-error path, is never taken.  Each example writes its own file
+    and captures its own output: function-scoped fixtures are shared
+    across Hypothesis examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.scn"
+        path.write_text(_text(lines) + "\n", encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith(f"{path}: ")
+        assert message.count("\n") == 1, message
+        assert "Traceback" not in message
 
 
 def _table_rows(text):
