@@ -9,30 +9,19 @@ Run:
     python3 demos/flashloan_defense.py
 """
 
-from rpoolsim import (
-    AmmPool,
-    BaseLedger,
-    ConstantRiskModel,
-    RatingEntity,
-    SignerRegistry,
-    WrapperLedger,
-    issue_report,
-)
+from rpoolsim import ConstantRiskModel, World, issue_report
 from rpoolsim.errors import StaleNonce
 
-base = BaseLedger()
-ledger = WrapperLedger(base, recovery_window=86_400, arbitrator="arb")
-registry = SignerRegistry()
-pool = AmmPool(
-    ledger, "pool", registry,
+world = World(recovery_window=86_400, arbitrator="arb")
+base, ledger, registry = world.base, world.ledger, world.registry
+pool = world.add_pool(
+    "pool",
     kappa_ppm=500_000, risk_bounds=(400_000, 1_000_000),
     min_quorum=1, min_lp_deposit=1, rate_cap_ppm=1_000_000,
 )
 base.mint("lp", 500)
 pool.deposit("lp", 500, 0)
-secret, public = registry.scheme.keygen("lp")
-registry.register("lp", public)
-rater = RatingEntity("lp", secret, ConstantRiskModel(900_000))
+rater = world.add_signer("lp", ConstantRiskModel(900_000))
 
 print(f"marvin's nonce while pristine: {ledger.nonce('marvin')}")
 report = issue_report(rater, registry, "marvin", 100, 0, 300, ledger)

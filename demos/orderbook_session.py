@@ -5,12 +5,12 @@ Run:
     python3 demos/orderbook_session.py
 """
 
-from rpoolsim import BaseLedger, OrderBook, WrapperLedger
+from rpoolsim import OrderBook, World
 from rpoolsim.errors import BidNotOpen, QuoteTooLow, StaleNonce
 
-base = BaseLedger()
-ledger = WrapperLedger(base, recovery_window=86_400, arbitrator="arb")
-book = OrderBook(ledger)
+world = World(recovery_window=86_400, arbitrator="arb")
+base, ledger = world.base, world.ledger
+book = world.books["book"] = OrderBook(ledger)
 
 base.mint("lp", 200)
 base.mint("whale", 300)

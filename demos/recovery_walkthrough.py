@@ -10,26 +10,17 @@ Run:
     python3 demos/recovery_walkthrough.py
 """
 
-from rpoolsim import (
-    BaseLedger,
-    ConstantRiskModel,
-    RatingEntity,
-    SignerRegistry,
-    AmmPool,
-    WrapperLedger,
-    issue_report,
-)
+from rpoolsim import ConstantRiskModel, World, issue_report
 
 WINDOW = 86_400
 
 
 def build_pool(lp_name, lp_stake, partner_stake):
     """Pool at the worked-example state, with `lp_name` holding a share."""
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator="arb")
-    registry = SignerRegistry()
-    pool = AmmPool(
-        ledger, "pool", registry,
+    world = World(recovery_window=WINDOW, arbitrator="arb")
+    base, ledger = world.base, world.ledger
+    pool = world.add_pool(
+        "pool",
         kappa_ppm=500_000, risk_bounds=(0, 1_000_000),
         min_quorum=1, min_lp_deposit=1, rate_cap_ppm=500_000,
     )
@@ -44,10 +35,8 @@ def build_pool(lp_name, lp_stake, partner_stake):
     base.mint("victim", 100)
     ledger.wrap("victim", 100, 0)
     ledger.transfer("victim", "mallory", 100, False, 0)
-    secret, public = registry.scheme.keygen("partner")
-    registry.register("partner", public)
-    rater = RatingEntity("partner", secret, ConstantRiskModel(500_000))
-    report = issue_report(rater, registry, "mallory", 100, 0, 60, ledger)
+    rater = world.add_signer("partner", ConstantRiskModel(500_000))
+    report = issue_report(rater, world.registry, "mallory", 100, 0, 60, ledger)
     receipt = pool.swap("mallory", 100, [report], 0)
     return base, ledger, pool, receipt
 

@@ -194,6 +194,21 @@ def is_cap_safe(rate_cap_ppm: int, max_short_fraction_ppm: int) -> bool:
 REPLAY_WINDOW = 86_400
 
 
+def _steal_swap_recover(pool, signer, victim, thief, amount, case, now):
+    """Steal ``amount`` from ``victim``, swap it through ``pool`` on one
+    report from ``signer``, then claw it back to ``victim``: the receipt."""
+    ledger = pool.ledger
+    ledger.base.mint(victim, amount)
+    ledger.wrap(victim, amount, now)
+    ledger.transfer(victim, thief, amount, False, now)
+    report = issue_report(signer, pool.registry, thief, amount, now, 60, ledger)
+    receipt = pool.swap(thief, amount, [report], now)
+    plan = ledger.plan_recovery(receipt.transfer_in_id, amount, now)
+    ledger.freeze(ledger.arbitrator, plan, case, now)
+    ledger.recover(ledger.arbitrator, case, victim, now)
+    return receipt
+
+
 def end_to_end_attack_replay(
     scenario: AttackScenario,
     *,
@@ -210,7 +225,7 @@ def end_to_end_attack_replay(
     """
     pool_total, lp_supply = scenario.pool_total, scenario.lp_supply
     world = World(recovery_window=REPLAY_WINDOW, arbitrator="arbiter")
-    base, ledger, registry = world.base, world.ledger, world.registry
+    base, ledger = world.base, world.ledger
     lender = world.add_signer("lender", ConstantRiskModel(PPM))
     pool = world.add_pool(
         "pool",
@@ -227,30 +242,17 @@ def end_to_end_attack_replay(
     # A prior recovery event brings the pool total down to the scenario's
     # value while leaving the LP supply untouched: an early thief swaps the
     # shortfall through at rate 1 and the arbitrator claws it back.
-    shortfall = lp_supply - pool_total
-    if shortfall:
-        base.mint("early-victim", shortfall)
-        ledger.wrap("early-victim", shortfall, now)
-        ledger.transfer("early-victim", "early-thief", shortfall, False, now)
-        report = issue_report(lender, registry, "early-thief", shortfall, now, 60, ledger)
-        receipt = pool.swap("early-thief", shortfall, [report], now)
-        plan = ledger.plan_recovery(receipt.transfer_in_id, shortfall, now)
-        ledger.freeze("arbiter", plan, "prior-case", now)
-        ledger.recover("arbiter", "prior-case", "early-victim", now)
+    if lp_supply > pool_total:
+        _steal_swap_recover(
+            pool, lender, "early-victim", "early-thief", lp_supply - pool_total, "prior-case", now
+        )
     pool.rate_cap_ppm = rate_cap_ppm
 
     total_before = ledger.balance_of("pool", True, now)
-    base.mint("victim-protocol", scenario.stolen)
-    ledger.wrap("victim-protocol", scenario.stolen, now)
-    ledger.transfer("victim-protocol", "marvin", scenario.stolen, False, now)
-
     lender.model = model or ConstantRiskModel(scenario.rate_ppm)
-    report = issue_report(lender, registry, "marvin", scenario.stolen, now, 60, ledger)
-    receipt = pool.swap("marvin", scenario.stolen, [report], now)
-
-    plan = ledger.plan_recovery(receipt.transfer_in_id, scenario.stolen, now)
-    ledger.freeze("arbiter", plan, "theft-case", now)
-    ledger.recover("arbiter", "theft-case", "victim-protocol", now)
+    receipt = _steal_swap_recover(
+        pool, lender, "victim-protocol", "marvin", scenario.stolen, "theft-case", now
+    )
     total_after = ledger.balance_of("pool", True, now)
 
     swap_out = base.balance("marvin")

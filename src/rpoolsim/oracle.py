@@ -139,10 +139,6 @@ class SignerRegistry:
     def register(self, signer_id: str, public_key: bytes, authorized: bool = True) -> None:
         self._signers[signer_id] = (public_key, authorized)
 
-    def set_authorized(self, signer_id: str, authorized: bool) -> None:
-        key, _ = self._signers[signer_id]
-        self._signers[signer_id] = (key, authorized)
-
     def is_registered(self, signer_id: str) -> bool:
         return signer_id in self._signers
 

@@ -148,6 +148,3 @@ class OrderBook:
         )
         self.fills.append(fill)
         return fill
-
-    def open_bids(self) -> list[Bid]:
-        return [bid for bid in self.bids.values() if bid.status == OPEN]

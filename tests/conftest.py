@@ -1,14 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from rpoolsim import (
-    AmmPool,
-    BaseLedger,
-    ConstantRiskModel,
-    RatingEntity,
-    SignerRegistry,
-    WrapperLedger,
-    issue_report,
-)
+from rpoolsim import AttackScenario, ConstantRiskModel, World, exact_threshold, issue_report
+from rpoolsim.rates import PPM
 
 WINDOW = 86_400
 ARB = "arb"
@@ -16,14 +11,11 @@ ARB = "arb"
 
 @pytest.fixture
 def world():
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
-    return base, ledger
+    return World(recovery_window=WINDOW, arbitrator=ARB)
 
 
 def make_pool(
-    base,
-    ledger,
+    world,
     *,
     lp_deposits=(("lp1", 100), ("lp2", 100)),
     kappa_ppm=500_000,
@@ -34,11 +26,8 @@ def make_pool(
     rater_rate_ppm=500_000,
 ):
     """A funded pool plus one registered rating entity (the first LP)."""
-    registry = SignerRegistry()
-    pool = AmmPool(
-        ledger,
+    pool = world.add_pool(
         "pool",
-        registry,
         kappa_ppm=kappa_ppm,
         risk_bounds=risk_bounds,
         min_quorum=min_quorum,
@@ -46,13 +35,25 @@ def make_pool(
         rate_cap_ppm=rate_cap_ppm,
     )
     for lp, amount in lp_deposits:
-        base.mint(lp, amount)
+        world.base.mint(lp, amount)
         pool.deposit(lp, amount, 0)
-    rater_name = lp_deposits[0][0]
-    secret, public = registry.scheme.keygen(rater_name)
-    registry.register(rater_name, public)
-    rater = RatingEntity(rater_name, secret, ConstantRiskModel(rater_rate_ppm))
+    rater = world.add_signer(lp_deposits[0][0], ConstantRiskModel(rater_rate_ppm))
     return pool, rater
+
+
+def loss_sharing_pool(world, lp_deposits):
+    """Pool at the worked-example pre-state (100 settled, 100 unsettled),
+    then the tainted 100-token swap at rate 0.5 moves it to (50, 200)."""
+    base, ledger = world.base, world.ledger
+    assert sum(amount for _, amount in lp_deposits) == 100
+    pool, rater = make_pool(world, lp_deposits=lp_deposits)
+    give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
+    give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
+    reports = quorum(pool, rater, "mallory", 100, 0, ledger)
+    receipt = pool.swap("mallory", 100, reports, 0)
+    assert (receipt.amount_out, receipt.rate_ppm) == (50, 500000)
+    assert pool.pool_state(0)[:3] == (50, 200, 250)
+    return base, ledger, pool, receipt
 
 
 def quorum(pool, rater, requestor, amount, now, ledger, ttl=600):
@@ -65,3 +66,27 @@ def give_unsettled(base, ledger, account, amount, now=0, source="faucet"):
     base.mint(source, amount)
     ledger.wrap(source, amount, now)
     return ledger.transfer(source, account, amount, False, now)
+
+
+def criterion6_grid():
+    """(scenario, rate) over the acceptance suite's criterion 6 grid: 20 LP
+    supplies, each with up to six shorts and five pool totals, the theft
+    equal to the pool total (the bound is scale-free in it), and 25 rates
+    from 0 up to exactly the threshold."""
+    supplies = [1, 2, 3, 7, 12, 17, 31, 64, 128, 999, 1000, 2048, 4096,
+                10_000, 31337, 65536, 10**5, 2 * 10**5, 5 * 10**5, 10**6]
+    for lp_supply in supplies:
+        shorts = {1, lp_supply // 10 or 1, lp_supply // 3 or 1,
+                  lp_supply // 2 or 1, 2 * lp_supply // 3 or 1, lp_supply}
+        totals = {1, lp_supply // 4 or 1, lp_supply // 2 or 1,
+                  3 * lp_supply // 4 or 1, lp_supply}
+        for shorted in sorted(shorts):
+            threshold = exact_threshold(lp_supply, shorted)
+            for pool_total in sorted(totals):
+                for k in range(25):
+                    rate = threshold * Fraction(k, 24)  # k=24 hits it exactly
+                    scenario = AttackScenario(
+                        pool_total, lp_supply, 10, shorted, pool_total,
+                        min(PPM, int(rate * PPM)),
+                    )
+                    yield scenario, rate

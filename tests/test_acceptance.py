@@ -12,15 +12,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from rpoolsim import (
-    AttackScenario,
-    BaseLedger,
     ConstantRiskModel,
     OrderBook,
     World,
-    WrapperLedger,
     end_to_end_attack_replay,
     exact_profit,
-    exact_threshold,
     issue_report,
     profitability_threshold,
     settled_multiplier,
@@ -29,7 +25,7 @@ from rpoolsim import (
 from rpoolsim.errors import RPoolError, StaleNonce
 from rpoolsim.rates import PPM
 
-from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
+from conftest import ARB, WINDOW, criterion6_grid, give_unsettled, loss_sharing_pool, quorum
 from naive_ledger import assert_matches, replay
 
 
@@ -45,25 +41,10 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number}: PASS - {description} ({elapsed:.2f}s)")
 
 
-def loss_sharing_pool(lp_deposits):
-    """Pool at the worked-example pre-state (100 settled, 100 unsettled),
-    then the tainted 100-token swap at rate 0.5."""
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
-    pool, rater = make_pool(base, ledger, lp_deposits=lp_deposits)
-    give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
-    give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
-    reports = quorum(pool, rater, "mallory", 100, 0, ledger)
-    receipt = pool.swap("mallory", 100, reports, 0)
-    assert receipt.amount_out == 50 and receipt.rate_ppm == 500000
-    assert pool.pool_state(0)[:3] == (50, 200, 250)
-    return base, ledger, pool, receipt
-
-
-def test_criterion_1_recovery_scenario_one():
+def test_criterion_1_recovery_scenario_one(world):
     with criterion(1, "recovery scenario 1: post-clawback 10% withdrawal is (5, 10)"):
         start = time.perf_counter()
-        base, ledger, pool, receipt = loss_sharing_pool((("l0", 10), ("big", 90)))
+        base, ledger, pool, receipt = loss_sharing_pool(world, (("l0", 10), ("big", 90)))
         plan = ledger.plan_recovery(receipt.transfer_in_id, 100, 0)
         ledger.freeze(ARB, plan, "case", 0)
         ledger.recover(ARB, "case", "victim", 0)
@@ -72,9 +53,9 @@ def test_criterion_1_recovery_scenario_one():
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_2_recovery_scenario_two():
+def test_criterion_2_recovery_scenario_two(world):
     with criterion(2, "recovery scenario 2: pre-clawback 50% withdrawal is (25, 100), withdrawer untouched"):
-        base, ledger, pool, receipt = loss_sharing_pool((("l1", 50), ("big", 50)))
+        base, ledger, pool, receipt = loss_sharing_pool(world, (("l1", 50), ("big", 50)))
         assert pool.withdraw("l1", 50, 0) == (25, 100)
         untouched = (base.balance("l1"), ledger.settle_view("l1", 0), ledger.nonce("l1"))
         plan = ledger.plan_recovery(receipt.transfer_in_id, 100, 0)
@@ -84,9 +65,9 @@ def test_criterion_2_recovery_scenario_two():
         assert (base.balance("l1"), ledger.settle_view("l1", 0), ledger.nonce("l1")) == untouched
 
 
-def test_criterion_3_recovery_scenario_three():
+def test_criterion_3_recovery_scenario_three(world):
     with criterion(3, "recovery scenario 3: 60% withdrawal is (30, 120); plan is [(pool, 80), (l2, 20)]"):
-        base, ledger, pool, receipt = loss_sharing_pool((("l2", 60), ("big", 40)))
+        base, ledger, pool, receipt = loss_sharing_pool(world, (("l2", 60), ("big", 40)))
         assert pool.withdraw("l2", 60, 0) == (30, 120)
         plan = ledger.plan_recovery(receipt.transfer_in_id, 100, 0)
         assert plan == [("pool", 80), ("l2", 20)]
@@ -116,35 +97,18 @@ def test_criterion_5_shorting_thresholds():
 def test_criterion_6_bound_soundness_sweep():
     with criterion(6, "attack bound sweep: >= 10^4 scenarios, zero violations, integer agreement <= 3"):
         start = time.perf_counter()
-        supplies = [1, 2, 3, 7, 12, 17, 31, 64, 128, 999, 1000, 2048, 4096,
-                    10_000, 31337, 65536, 10**5, 2 * 10**5, 5 * 10**5, 10**6]
         checked = 0
-        for lp_supply in supplies:
-            shorts = sorted({1, lp_supply // 10 or 1, lp_supply // 3 or 1,
-                             lp_supply // 2 or 1, 2 * lp_supply // 3 or 1, lp_supply})
-            totals = sorted({1, lp_supply // 4 or 1, lp_supply // 2 or 1,
-                             3 * lp_supply // 4 or 1, lp_supply})
-            for shorted in shorts:
-                threshold = exact_threshold(lp_supply, shorted)
-                for pool_total in totals:
-                    # theft scaled to capacity: the bound is scale-free in p
-                    stolen = pool_total
-                    for k in range(0, 25):
-                        rate = threshold * Fraction(k, 24)  # k=24 hits it exactly
-                        scenario = AttackScenario(
-                            pool_total, lp_supply, 10, shorted, stolen,
-                            min(PPM, int(rate * PPM)),
-                        )
-                        profit = exact_profit(scenario, rate=rate)
-                        assert profit <= scenario.stolen, (
-                            f"violation at L={lp_supply} l={shorted} rate={rate}"
-                        )
-                        analytic = simulate_attack(scenario)
-                        # integer rounding never overstates the exact profit
-                        assert analytic.profit <= exact_profit(scenario)
-                        live = end_to_end_attack_replay(scenario)
-                        assert abs(live.profit - analytic.profit) <= 3
-                        checked += 1
+        for scenario, rate in criterion6_grid():
+            profit = exact_profit(scenario, rate=rate)
+            assert profit <= scenario.stolen, (
+                f"violation at L={scenario.lp_supply} l={scenario.shorted} rate={rate}"
+            )
+            analytic = simulate_attack(scenario)
+            # integer rounding never overstates the exact profit
+            assert analytic.profit <= exact_profit(scenario)
+            live = end_to_end_attack_replay(scenario)
+            assert abs(live.profit - analytic.profit) <= 3
+            checked += 1
         assert checked >= 10_000, checked
         assert time.perf_counter() - start < 30.0
 

@@ -3,7 +3,7 @@ and loss socialization."""
 
 import pytest
 
-from rpoolsim import AmmPool, SignerRegistry, settled_multiplier
+from rpoolsim import AmmPool, settled_multiplier
 from rpoolsim.errors import (
     InsufficientBalance,
     InsufficientLpTokens,
@@ -15,34 +15,18 @@ from rpoolsim.errors import (
     ZeroAmount,
 )
 
-from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
-
-
-def loss_sharing_pool(world, lp_deposits):
-    """Pool at the worked-example state: 100 settled, 100 unsettled, after a
-    tainted 100-token swap it moves to (50, 200)."""
-    base, ledger = world
-    total = sum(amount for _, amount in lp_deposits)
-    assert total == 100
-    pool, rater = make_pool(base, ledger, lp_deposits=lp_deposits)
-    give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
-    give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
-    reports = quorum(pool, rater, "mallory", 100, 0, ledger)
-    receipt = pool.swap("mallory", 100, reports, 0)
-    assert (receipt.amount_out, receipt.rate_ppm) == (50, 500000)
-    return base, ledger, pool, receipt
+from conftest import ARB, WINDOW, give_unsettled, loss_sharing_pool, make_pool, quorum
 
 
 class TestDeposit:
     def test_bootstrap_mints_one_to_one(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 100),))
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 100),))
         assert pool.lp_holdings == {"lp1": 100}
         assert pool.pool_state(0) == (100, 0, 100, 100)
 
     def test_fractional_ownership_identity(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 100),))
+        base, ledger = world.base, world.ledger
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 100),))
         # drive the pool to total 150 with supply 200 via a donation + supply split
         pool.lp_holdings["lp1"] = 200
         pool.lp_supply = 200
@@ -67,9 +51,9 @@ class TestDeposit:
     def test_emptied_pool_refuses_deposit(self, world):
         # A rate-1 swap sells all 100 settled; recovering its inbound leg
         # leaves the pool at total 0 with 100 LP tokens outstanding.
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         pool, rater = make_pool(
-            base, ledger, lp_deposits=(("lp1", 100),),
+            world, lp_deposits=(("lp1", 100),),
             rate_cap_ppm=1_000_000, rater_rate_ppm=1_000_000,
         )
         give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
@@ -89,16 +73,15 @@ class TestDeposit:
 
     def test_deposit_minting_no_shares_records_no_holding(self, world):
         # a donation doubles the pool total, so one token buys half a share
-        base, ledger = world
-        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 100),))
+        base, ledger = world.base, world.ledger
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 100),))
         give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
         base.mint("a", 1)
         assert pool.deposit("a", 1, 0) == 0
         assert (pool.lp_holdings, pool.lp_supply) == ({"lp1": 100}, 100)
 
     def test_zero_amount(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger)
+        pool, _ = make_pool(world)
         with pytest.raises(ZeroAmount):
             pool.deposit("lp1", 0, 0)
 
@@ -106,10 +89,9 @@ class TestDeposit:
     def test_reserved_address_rejected_at_construction(self, world, address):
         # A pool at a name that can hold no account could never wrap a
         # deposit; rejecting it up front keeps deposit from moving base first.
-        base, ledger = world
         with pytest.raises(ReservedName):
             AmmPool(
-                ledger, address, SignerRegistry(),
+                world.ledger, address, world.registry,
                 kappa_ppm=500_000, risk_bounds=(0, 1_000_000),
                 min_quorum=1, min_lp_deposit=1,
             )
@@ -119,35 +101,26 @@ class TestUnwrapDisabledPool:
     """A pool account that disables unwrapping after construction rejects
     base payouts before any token moves."""
 
-    @staticmethod
-    def _state(ledger, pool):
-        accounts = ("bob", "lp1", "pool")
-        return (
-            [(ledger.settle_view(a, 0), ledger.nonce(a)) for a in accounts],
-            len(ledger.transfer_log),
-            dict(pool.lp_holdings),
-        )
-
     def test_swap_is_atomic(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world)
         give_unsettled(base, ledger, "bob", 100)
         reports = quorum(pool, rater, "bob", 100, 0, ledger)
         ledger.disable_unwrap("pool")
-        before = self._state(ledger, pool)
+        before = world.snapshot()
         with pytest.raises(UnwrapDisabled):
             pool.swap("bob", 100, reports, 0)
-        assert self._state(ledger, pool) == before
+        assert world.snapshot() == before
 
     def test_withdraw_is_atomic(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger)
+        base, ledger = world.base, world.ledger
+        pool, _ = make_pool(world)
         give_unsettled(base, ledger, "pool", 100)
         ledger.disable_unwrap("pool")
-        before = self._state(ledger, pool)
+        before = world.snapshot()
         with pytest.raises(UnwrapDisabled):
             pool.withdraw("lp1", 100, 0)
-        assert self._state(ledger, pool) == before
+        assert world.snapshot() == before
 
 
 class TestWithdraw:
@@ -163,15 +136,14 @@ class TestWithdraw:
         assert pool.withdraw("l1", 50, 0) == (25, 100)
 
     def test_round_trip_without_swaps(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 137),))
+        base = world.base
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 137),))
         assert pool.withdraw("lp1", 137, 0) == (137, 0)
         assert base.balance("lp1") == 137
         assert pool.lp_supply == 0
 
     def test_over_burn(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 10),))
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 10),))
         with pytest.raises(InsufficientLpTokens):
             pool.withdraw("lp1", 11, 0)
 
@@ -213,20 +185,19 @@ class TestSwap:
         assert base.balance("mallory") == 50
 
     def test_flash_loan_rejected_without_state_change(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world)
         give_unsettled(base, ledger, "alice", 100, now=0)
         reports = quorum(pool, rater, "alice", 100, 0, ledger)
         give_unsettled(base, ledger, "alice", 400, now=1)  # flash loan lands
-        before = (pool.pool_state(1), ledger.settle_view("alice", 1), base.balance("alice"))
+        before = world.snapshot()
         with pytest.raises(StaleNonce):
             pool.swap("alice", 100, reports, 1)
-        after = (pool.pool_state(1), ledger.settle_view("alice", 1), base.balance("alice"))
-        assert before == after
+        assert world.snapshot() == before
 
     def test_rate_cap_clamps_median(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger, rater_rate_ppm=950000, rate_cap_ppm=500000)
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world, rater_rate_ppm=950000, rate_cap_ppm=500000)
         give_unsettled(base, ledger, "alice", 100, now=0)
         reports = quorum(pool, rater, "alice", 100, 0, ledger)
         receipt = pool.swap("alice", 100, reports, 0)
@@ -235,9 +206,9 @@ class TestSwap:
         assert receipt.amount_out == 50
 
     def test_pool_settled_exhausted(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         pool, rater = make_pool(
-            base, ledger, lp_deposits=(("lp1", 10),), rate_cap_ppm=1_000_000,
+            world, lp_deposits=(("lp1", 10),), rate_cap_ppm=1_000_000,
             rater_rate_ppm=1_000_000,
         )
         give_unsettled(base, ledger, "alice", 100, now=0)
@@ -246,8 +217,8 @@ class TestSwap:
             pool.swap("alice", 100, reports, 0)
 
     def test_requestor_needs_unsettled(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world)
         base.mint("alice", 100)
         ledger.wrap("alice", 100, 0)  # settled, not unsettled
         reports = quorum(pool, rater, "alice", 100, 0, ledger)
@@ -255,9 +226,9 @@ class TestSwap:
             pool.swap("alice", 100, reports, 0)
 
     def test_bonding_curve_discounts_low_settled_pool(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         pool, rater = make_pool(
-            base, ledger, lp_deposits=(("lp1", 50),), rate_cap_ppm=1_000_000,
+            world, lp_deposits=(("lp1", 50),), rate_cap_ppm=1_000_000,
             rater_rate_ppm=1_000_000,
         )
         give_unsettled(base, ledger, "pool", 150, now=0, source="donor")
@@ -272,8 +243,8 @@ class TestSwap:
 
 class TestPoolState:
     def test_self_replenishes_by_exactly_the_swap_amount(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger, lp_deposits=(("lp1", 200),))
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world, lp_deposits=(("lp1", 200),))
         give_unsettled(base, ledger, "alice", 80, now=0)
         reports = quorum(pool, rater, "alice", 80, 0, ledger)
         receipt = pool.swap("alice", 80, reports, 0)
@@ -292,8 +263,7 @@ class TestPoolState:
         assert after.total == before.total
 
     def test_fresh_pool_after_deposit(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", 42),))
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 42),))
         assert pool.pool_state(0) == (42, 0, 42, 42)
 
     def test_no_base_rests_at_pool_address(self, world):

@@ -21,6 +21,8 @@ from rpoolsim import (
 from rpoolsim.errors import InvalidScenario, OutOfRiskBounds, ZeroShort
 from rpoolsim.rates import PPM
 
+from conftest import criterion6_grid
+
 
 def scn(pool_total=1000, lp_supply=1000, collateral=100, shorted=100, stolen=1000, rate_ppm=950000):
     return AttackScenario(pool_total, lp_supply, collateral, shorted, stolen, rate_ppm)
@@ -215,34 +217,13 @@ def _stepwise_profit(scenario, rate=None):
     return swap_out + sale - buyback
 
 
-def _criterion6_grid():
-    """(scenario, rate) over the acceptance suite's criterion 6 grid."""
-    supplies = [1, 2, 3, 7, 12, 17, 31, 64, 128, 999, 1000, 2048, 4096,
-                10_000, 31337, 65536, 10**5, 2 * 10**5, 5 * 10**5, 10**6]
-    for lp_supply in supplies:
-        shorts = {1, lp_supply // 10 or 1, lp_supply // 3 or 1,
-                  lp_supply // 2 or 1, 2 * lp_supply // 3 or 1, lp_supply}
-        totals = {1, lp_supply // 4 or 1, lp_supply // 2 or 1,
-                  3 * lp_supply // 4 or 1, lp_supply}
-        for shorted in sorted(shorts):
-            threshold = exact_threshold(lp_supply, shorted)
-            for pool_total in sorted(totals):
-                for k in range(25):
-                    rate = threshold * Fraction(k, 24)
-                    scenario = AttackScenario(
-                        pool_total, lp_supply, 10, shorted, pool_total,
-                        min(PPM, int(rate * PPM)),
-                    )
-                    yield scenario, rate
-
-
 class TestExactProfitClosedForm:
     """exact_profit builds stolen*rate*(L+shorted)/L as one fraction; the
     leg-by-leg x + b - m is its oracle, in value and in printed form."""
 
     def test_criterion6_grid(self):
         checked = 0
-        for scenario, rate in _criterion6_grid():
+        for scenario, rate in criterion6_grid():
             for r in (rate, None):
                 closed, stepwise = exact_profit(scenario, r), _stepwise_profit(scenario, r)
                 assert closed == stepwise and str(closed) == str(stepwise), (scenario, r)

@@ -1,6 +1,6 @@
 """The four demos run end to end and print exactly what they printed when
 their output was last reviewed: any change to a demo's stdout moves its
-pinned sha256."""
+pinned sha256.  README's quick start runs too."""
 
 import hashlib
 import os
@@ -33,3 +33,12 @@ def test_demo_output_is_unchanged(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[name]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["base"].balance("bob") == 50

@@ -32,7 +32,7 @@ from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
 
 class TestWrap:
     def test_full_balance_wrap(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 100, 0)
         assert ledger.settle_view("a", 0) == (100, 0)
@@ -40,20 +40,20 @@ class TestWrap:
         assert ledger.base_locked() == 100
 
     def test_zero_amount(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         with pytest.raises(ZeroAmount):
             ledger.wrap("a", 0, 0)
 
     def test_over_balance(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 50)
         with pytest.raises(InsufficientBase):
             ledger.wrap("a", 60, 0)
         assert ledger.nonce("a") == 0
 
     def test_increments_nonce(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 40, 0)
         ledger.wrap("a", 60, 0)
@@ -62,7 +62,7 @@ class TestWrap:
 
 class TestUnwrap:
     def test_round_trip(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 100, 0)
         ledger.unwrap("a", 100, 0)
@@ -71,7 +71,7 @@ class TestUnwrap:
         assert ledger.base_locked() == 0
 
     def test_unsettled_cannot_unwrap(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 100, now=0)
         with pytest.raises(InsufficientSettled):
             ledger.unwrap("a", 100, 3600)
@@ -80,7 +80,7 @@ class TestUnwrap:
         assert base.balance("a") == 100
 
     def test_disabled(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 100, 0)
         ledger.disable_unwrap("a")
@@ -88,7 +88,7 @@ class TestUnwrap:
             ledger.unwrap("a", 1, 0)
 
     def test_unwrap_to_third_party(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 100, 0)
         ledger.unwrap_to("a", 70, "b", 0)
@@ -98,14 +98,14 @@ class TestUnwrap:
 
 class TestDisableUnwrap:
     def test_idempotent_and_permanent(self, world):
-        _, ledger = world
+        ledger = world.ledger
         assert not ledger.is_unwrap_disabled("a")
         ledger.disable_unwrap("a")
         ledger.disable_unwrap("a")
         assert ledger.is_unwrap_disabled("a")
 
     def test_default_enabled_account_can_unwrap(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("pool", 10)
         ledger.wrap("pool", 10, 0)
         ledger.unwrap("pool", 10, 0)
@@ -114,7 +114,7 @@ class TestDisableUnwrap:
 
 class TestTransfer:
     def test_lands_unsettled_with_restarted_window(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 100, 0)
         ledger.transfer("a", "b", 100, False, 50)
@@ -123,20 +123,20 @@ class TestTransfer:
         assert ledger.settle_view("b", 50 + WINDOW) == (100, 0)
 
     def test_forward_unsettled_immediately(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "b", 100, now=0)
         ledger.transfer("b", "c", 100, True, 0)
         assert ledger.settle_view("b", 0) == (0, 0)
         assert ledger.settle_view("c", 0) == (0, 100)
 
     def test_settled_only_flag(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "b", 100, now=0)
         with pytest.raises(InsufficientBalance):
             ledger.transfer("b", "c", 100, False, 0)
 
     def test_spend_order_settled_first_then_oldest(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 10)
         ledger.wrap("a", 10, 0)
         give_unsettled(base, ledger, "a", 20, now=0, source="f1")
@@ -148,14 +148,14 @@ class TestTransfer:
         assert [rec.amount for rec in acct.unsettled] == [25]
 
     def test_merges_into_single_record(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 20, now=0, source="f1")
         give_unsettled(base, ledger, "a", 30, now=0, source="f2")
         ledger.transfer("a", "b", 50, True, 0)
         assert len(ledger.accounts["b"].unsettled) == 1
 
     def test_self_and_zero(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 10)
         ledger.wrap("a", 10, 0)
         with pytest.raises(SelfTransfer):
@@ -164,7 +164,7 @@ class TestTransfer:
             ledger.transfer("a", "b", 0, False, 0)
 
     def test_frozen_portion_unspendable(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 100, now=0)
         ledger.freeze(ARB, [("a", 60)], "c1", 0)
         with pytest.raises(FrozenFunds):
@@ -174,20 +174,20 @@ class TestTransfer:
 
 class TestSettleView:
     def test_inclusive_boundary(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 100, now=0)
         assert ledger.settle_view("a", WINDOW - 1) == (0, 100)
         assert ledger.settle_view("a", WINDOW) == (100, 0)
 
     def test_two_records_partial_maturity(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 10, now=0, source="f1")
         give_unsettled(base, ledger, "a", 20, now=1000, source="f2")
         between = WINDOW + 500
         assert ledger.settle_view("a", between) == (10, 20)
 
     def test_balance_of(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 5)
         ledger.wrap("a", 5, 0)
         give_unsettled(base, ledger, "a", 10, now=0)
@@ -198,51 +198,51 @@ class TestSettleView:
 
 class TestNonce:
     def test_fresh_is_zero(self, world):
-        _, ledger = world
+        ledger = world.ledger
         assert ledger.nonce("a") == 0
 
     def test_wrap_plus_outbound_is_two(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 100)
         ledger.wrap("a", 100, 0)
         ledger.transfer("a", "b", 50, False, 0)
         assert ledger.nonce("a") == 2
 
     def test_one_inbound_is_one(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "b", 10, now=0)
         assert ledger.nonce("b") == 1
 
 
 class TestFreeze:
     def test_reduces_spendable(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "pool", 100, now=0)
         ledger.freeze(ARB, [("pool", 100)], "c1", 0)
         assert ledger.available_unsettled("pool", 0) == 0
         assert ledger.settle_view("pool", 0) == (0, 100)
 
     def test_not_arbitrator(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "pool", 100, now=0)
         with pytest.raises(NotArbitrator):
             ledger.freeze("eve", [("pool", 100)], "c1", 0)
 
     def test_insufficient_unsettled(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 80, now=0)
         with pytest.raises(InsufficientUnsettled):
             ledger.freeze(ARB, [("a", 120)], "c1", 0)
 
     def test_duplicate_case_id(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 80, now=0)
         ledger.freeze(ARB, [("a", 10)], "c1", 0)
         with pytest.raises(UnknownCase):
             ledger.freeze(ARB, [("a", 10)], "c1", 0)
 
     def test_freeze_suspends_maturation(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 100, now=0)
         ledger.freeze(ARB, [("a", 60)], "c1", 0)
         # window elapses: only the unfrozen 40 settles
@@ -251,7 +251,7 @@ class TestFreeze:
         assert ledger.settle_view("a", WINDOW) == (100, 0)
 
     def test_marks_ascending_records(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 10, now=0, source="f1")
         give_unsettled(base, ledger, "a", 90, now=100, source="f2")
         ledger.freeze(ARB, [("a", 30)], "c1", 100)
@@ -261,7 +261,7 @@ class TestFreeze:
 
 class TestRecoverRelease:
     def test_recover_credits_victim_settled(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "pool", 100, now=0)
         ledger.freeze(ARB, [("pool", 100)], "c1", 0)
         got = ledger.recover(ARB, "c1", "victim", 0)
@@ -271,7 +271,7 @@ class TestRecoverRelease:
         ledger.check_invariants()
 
     def test_release_restores_balances(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 100, now=0)
         nonce_before = ledger.nonce("a")
         ledger.freeze(ARB, [("a", 100)], "c1", 0)
@@ -281,14 +281,14 @@ class TestRecoverRelease:
         assert ledger.nonce("a") == nonce_before + 2  # freeze + release touched it
 
     def test_unknown_case(self, world):
-        _, ledger = world
+        ledger = world.ledger
         with pytest.raises(UnknownCase):
             ledger.recover(ARB, "ghost", "victim", 0)
         with pytest.raises(UnknownCase):
             ledger.release(ARB, "ghost", 0)
 
     def test_recover_requires_arbitrator(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 10, now=0)
         ledger.freeze(ARB, [("a", 10)], "c1", 0)
         with pytest.raises(NotArbitrator):
@@ -300,7 +300,7 @@ class TestPrefixWalks:
     (or one bisected position) and keep the cached sums in step."""
 
     def test_matured_frozen_record_stays_at_head_until_release(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 10, now=0, source="f1")
         ledger.freeze(ARB, [("a", 10)], "c1", 0)
         give_unsettled(base, ledger, "a", 20, now=100, source="f2")
@@ -320,7 +320,7 @@ class TestPrefixWalks:
         ledger.check_invariants()
 
     def test_spend_passes_over_a_frozen_record_in_the_middle(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         for i, amount in enumerate((10, 20, 30)):
             give_unsettled(base, ledger, "a", amount, now=i, source=f"f{i}")
         ledger.freeze(ARB, [("a", 10)], "c1", 5)  # marks the first record
@@ -337,7 +337,7 @@ class TestPrefixWalks:
         ledger.check_invariants()
 
     def test_recover_empties_a_record_in_the_middle_of_a_large_account(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("f", 1000)
         ledger.wrap("f", 1000, 0)
         for t in range(1000):
@@ -357,7 +357,7 @@ class TestPrefixWalks:
 
     @pytest.mark.parametrize("cached", ["unsettled_sum", "frozen_sum"])
     def test_invariants_catch_a_drifted_sum(self, world, cached):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 100, now=0)
         ledger.freeze(ARB, [("a", 40)], "c1", 0)
         ledger.check_invariants()
@@ -377,10 +377,10 @@ class TestPrefixWalks:
     def test_invariants_are_checked_under_python_O(self, corrupt, message):
         # python -O strips assert statements; check_invariants must not rely on them
         program = textwrap.dedent(f"""
-            from rpoolsim import BaseLedger, WrapperLedger
+            from rpoolsim import World
             assert False, "unreachable under -O"
-            base = BaseLedger()
-            ledger = WrapperLedger(base, recovery_window=10, arbitrator="arb")
+            world = World(recovery_window=10, arbitrator="arb")
+            base, ledger = world.base, world.ledger
             base.mint("f", 100)
             ledger.wrap("f", 100, 0)
             ledger.transfer("f", "a", 100, False, 0)
@@ -412,7 +412,7 @@ class TestCheckAmount:
     def test_rejections(self, world, amount, error):
         with pytest.raises(error):
             check_amount(amount)
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("f", 10)
         ledger.wrap("f", 10, 0)
         with pytest.raises(error):
@@ -433,7 +433,7 @@ class TestRecordOrder:
     by bisection."""
 
     def test_a_clock_that_goes_back_keeps_records_in_order(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("f", 3)
         ledger.wrap("f", 3, 0)
         for now in (100, 50, 100):
@@ -445,7 +445,7 @@ class TestRecordOrder:
     def test_only_an_out_of_order_record_is_inserted_by_bisection(self, world, monkeypatch):
         counting = mock.Mock(wraps=bisect)
         monkeypatch.setattr(rpoolsim.ledger, "bisect", counting)
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("f", 1003)
         ledger.wrap("f", 1003, 0)
         for t in range(1000):
@@ -463,7 +463,7 @@ class TestRecordOrder:
 
 def _tainted_pool_world(world, pool_keep: int, lp_withdraw: int):
     """victim -> mallory -> pool chain, then the pool forwards part to l2."""
-    base, ledger = world
+    base, ledger = world.base, world.ledger
     give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
     tainted = ledger.transfer_unsettled("mallory", "pool", 100, 10)
     if lp_withdraw:
@@ -478,7 +478,7 @@ class TestPlanRecovery:
         assert ledger.plan_recovery(tainted, 100, 20) == [("pool", 100)]
 
     def test_deficiency_falls_on_recent_withdrawer(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
         give_unsettled(base, ledger, "pool", 100, now=0, source="seed")
         tainted = ledger.transfer_unsettled("mallory", "pool", 100, 10)
@@ -489,7 +489,7 @@ class TestPlanRecovery:
         ledger.freeze(ARB, plan, "c1", 20)
 
     def test_outflows_before_taint_are_ignored(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "pool", 50, now=0, source="seed")
         ledger.transfer_unsettled("pool", "early", 50, 5)  # pre-taint outflow
         give_unsettled(base, ledger, "mallory", 60, now=6, source="victim")
@@ -503,7 +503,7 @@ class TestPlanRecovery:
         assert ledger.plan_recovery(tainted, 30, 30) == [("pool", 30)]
 
     def test_most_recent_outflow_first(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
         tainted = ledger.transfer_unsettled("mallory", "pool", 100, 10)
         ledger.transfer_unsettled("pool", "w1", 30, 20)
@@ -527,7 +527,7 @@ class TestPlanRecovery:
 
 class TestConservation:
     def test_every_op_conserves(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         base.mint("a", 1000)
         supply = base.total_supply
         ledger.wrap("a", 600, 0)
@@ -543,7 +543,7 @@ class TestConservation:
 def test_effects_since_folds_every_journal_kind(world):
     # Each fold covers operations made at the time it is read at, as a
     # scenario step's are.
-    base, ledger = world
+    base, ledger = world.base, world.ledger
     mark = ledger.mark()
     ledger.genesis_settled("a", 100)
     base.mint("b", 50)
@@ -574,8 +574,8 @@ def test_effects_since_folds_every_journal_kind(world):
 def test_a_transfer_is_one_object_in_journal_log_and_outflows(world):
     # The journal entry of a transfer is its transfer-log row, and the
     # outflow index holds those same objects: no second copy to drift.
-    base, ledger = world
-    pool, rater = make_pool(base, ledger)
+    base, ledger = world.base, world.ledger
+    pool, rater = make_pool(world)
     give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
     give_unsettled(base, ledger, "mallory", 150, now=0, source="victim")
     pool.swap("mallory", 100, quorum(pool, rater, "mallory", 100, 0, ledger), 0)

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from rpoolsim import (
     ConstantRiskModel,
-    BaseLedger,
     RatingEntity,
     SignerRegistry,
     TaintAwareRiskModel,
-    WrapperLedger,
+    World,
     canonical_encode,
     issue_report,
     median_quote,
@@ -158,56 +157,42 @@ class TestMedian:
 
 class TestIssueReport:
     def test_constant_model_quote(self, world):
-        base, ledger = world
-        pool, _ = make_pool(base, ledger)
-        registry = pool.registry
-        secret, public = registry.scheme.keygen("e")
-        registry.register("e", public)
-        entity = RatingEntity("e", secret, ConstantRiskModel(600000))
-        report = issue_report(entity, registry, "alice", 100, 0, 60, ledger)
+        make_pool(world)
+        entity = world.add_signer("e", ConstantRiskModel(600000))
+        report = issue_report(entity, world.registry, "alice", 100, 0, 60, world.ledger)
         assert report.quote_ppm == 600000
         assert report.expiry == 60
 
     def test_taint_aware_quotes_zero(self, world):
-        base, ledger = world
+        base, ledger = world.base, world.ledger
         tainted_id = give_unsettled(base, ledger, "mallory", 100, now=0)
-        registry = SignerRegistry()
-        secret, public = registry.scheme.keygen("e")
-        registry.register("e", public)
-        entity = RatingEntity("e", secret, TaintAwareRiskModel({tainted_id}, 800000))
+        registry = world.registry
+        entity = world.add_signer("e", TaintAwareRiskModel({tainted_id}, 800000))
         report = issue_report(entity, registry, "mallory", 100, 0, 60, ledger)
         assert report.quote_ppm == 0
         clean = issue_report(entity, registry, "saint", 100, 0, 60, ledger)
         assert clean.quote_ppm == 800000
 
     def test_nonce_binds_issue_time_state(self, world):
-        base, ledger = world
-        registry = SignerRegistry()
-        secret, public = registry.scheme.keygen("e")
-        registry.register("e", public)
-        entity = RatingEntity("e", secret, ConstantRiskModel(500000))
+        base, ledger = world.base, world.ledger
+        entity = world.add_signer("e", ConstantRiskModel(500000))
         for _ in range(3):
-            report = issue_report(entity, registry, "alice", 10, 0, 60, ledger)
+            report = issue_report(entity, world.registry, "alice", 10, 0, 60, ledger)
             assert report.account_nonce == ledger.nonce("alice")
             give_unsettled(base, ledger, "alice", 10, now=0)
 
     def test_unknown_signer(self, world):
-        _, ledger = world
-        registry = SignerRegistry()
-        secret, _ = registry.scheme.keygen("ghost")
+        # an entity whose key was never registered: add_signer would register it
+        secret, _ = world.registry.scheme.keygen("ghost")
         entity = RatingEntity("ghost", secret, ConstantRiskModel(1))
         with pytest.raises(UnknownSigner):
-            issue_report(entity, registry, "alice", 1, 0, 60, ledger)
+            issue_report(entity, world.registry, "alice", 1, 0, 60, world.ledger)
 
     @pytest.mark.parametrize("ttl", [0, -1])
     def test_non_positive_ttl_is_a_modelled_rejection(self, world, ttl):
-        _, ledger = world
-        registry = SignerRegistry()
-        secret, public = registry.scheme.keygen("e")
-        registry.register("e", public)
-        entity = RatingEntity("e", secret, ConstantRiskModel(1))
+        entity = world.add_signer("e", ConstantRiskModel(1))
         with pytest.raises(BadExpiry):
-            issue_report(entity, registry, "alice", 1, 0, ttl, ledger)
+            issue_report(entity, world.registry, "alice", 1, 0, ttl, world.ledger)
 
 
 def _reports(pool, rater, ledger, requestor="alice", amount=100, now=0, n=1, ttl=600):
@@ -219,44 +204,36 @@ def _reports(pool, rater, ledger, requestor="alice", amount=100, now=0, n=1, ttl
 
 class TestValidateReports:
     def test_happy_path_returns_median(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger, min_quorum=1)
+        ledger = world.ledger
+        pool, rater = make_pool(world, min_quorum=1)
         reports = _reports(pool, rater, ledger)
         assert validate_reports(pool, "alice", 100, reports, 0) == 500000
 
     def test_three_signer_median(self, world):
-        base, ledger = world
+        ledger = world.ledger
         pool, _ = make_pool(
-            base,
-            ledger,
+            world,
             lp_deposits=(("s1", 100), ("s2", 100), ("s3", 100)),
             min_quorum=3,
             risk_bounds=(400000, 1000000),
         )
-        registry = pool.registry
         reports = []
         for name, rate in (("s1", 500000), ("s2", 600000), ("s3", 900000)):
-            secret, public = registry.scheme.keygen(name)
-            registry.register(name, public)
-            entity = RatingEntity(name, secret, ConstantRiskModel(rate))
-            reports.append(issue_report(entity, registry, "alice", 100, 0, 60, ledger))
+            entity = world.add_signer(name, ConstantRiskModel(rate))
+            reports.append(issue_report(entity, world.registry, "alice", 100, 0, 60, ledger))
         assert validate_reports(pool, "alice", 100, reports, 0) == 600000
 
     def test_order_independence(self, world):
-        base, ledger = world
+        ledger = world.ledger
         pool, _ = make_pool(
-            base,
-            ledger,
+            world,
             lp_deposits=(("s1", 100), ("s2", 100), ("s3", 100)),
             min_quorum=3,
         )
-        registry = pool.registry
         reports = []
         for name, rate in (("s1", 100000), ("s2", 700000), ("s3", 400000)):
-            secret, public = registry.scheme.keygen(name)
-            registry.register(name, public)
-            entity = RatingEntity(name, secret, ConstantRiskModel(rate))
-            reports.append(issue_report(entity, registry, "alice", 100, 0, 60, ledger))
+            entity = world.add_signer(name, ConstantRiskModel(rate))
+            reports.append(issue_report(entity, world.registry, "alice", 100, 0, 60, ledger))
         medians = {
             validate_reports(pool, "alice", 100, list(perm), 0)
             for perm in itertools.permutations(reports)
@@ -264,53 +241,53 @@ class TestValidateReports:
         assert medians == {400000}
 
     def test_quorum_too_small(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger, min_quorum=3)
+        ledger = world.ledger
+        pool, rater = make_pool(world, min_quorum=3)
         reports = _reports(pool, rater, ledger)
         with pytest.raises(QuorumTooSmall):
             validate_reports(pool, "alice", 100, reports, 0)
 
     def test_duplicate_signer(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        ledger = world.ledger
+        pool, rater = make_pool(world)
         reports = _reports(pool, rater, ledger, n=2)
         with pytest.raises(DuplicateSigner):
             validate_reports(pool, "alice", 100, reports, 0)
 
     def test_signer_not_lp(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger, min_lp_deposit=500)
+        ledger = world.ledger
+        pool, rater = make_pool(world, min_lp_deposit=500)
         reports = _reports(pool, rater, ledger)
         with pytest.raises(SignerNotLp):
             validate_reports(pool, "alice", 100, reports, 0)
 
     def test_signer_not_authorized(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
-        pool.registry.set_authorized(rater.signer_id, False)
-        reports = _reports(pool, rater, ledger)
+        # lp2 holds a full deposit but its key is registered unauthorized
+        pool, _ = make_pool(world)
+        lp2 = world.add_signer("lp2", ConstantRiskModel(500000), authorized=False)
+        reports = _reports(pool, lp2, world.ledger)
         with pytest.raises(SignerNotAuthorized):
             validate_reports(pool, "alice", 100, reports, 0)
 
     def test_stale_nonce_after_any_touch(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world)
         reports = _reports(pool, rater, ledger)
         give_unsettled(base, ledger, "alice", 1, now=0)  # nonce moves
         with pytest.raises(StaleNonce):
             validate_reports(pool, "alice", 100, reports, 0)
 
     def test_expiry_is_strict(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        ledger = world.ledger
+        pool, rater = make_pool(world)
         reports = _reports(pool, rater, ledger, ttl=60)
         assert validate_reports(pool, "alice", 100, reports, 59) == 500000
         with pytest.raises(ReportExpired):
             validate_reports(pool, "alice", 100, reports, 60)
 
     def test_request_mismatch(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        ledger = world.ledger
+        pool, rater = make_pool(world)
         reports = _reports(pool, rater, ledger, amount=100)
         with pytest.raises(RequestMismatch):
             validate_reports(pool, "alice", 999, reports, 0)
@@ -318,8 +295,8 @@ class TestValidateReports:
             validate_reports(pool, "bob", 100, reports, 0)
 
     def test_bad_signature(self, world):
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        ledger = world.ledger
+        pool, rater = make_pool(world)
         (report,) = _reports(pool, rater, ledger)
         forged = RiskReport(
             report.requestor,
@@ -339,8 +316,8 @@ class TestValidateReports:
     )
     def test_unencodable_field_is_a_bad_signature(self, world, field, value):
         # canonical_encode cannot write the field, so no signature covers it
-        base, ledger = world
-        pool, rater = make_pool(base, ledger)
+        ledger = world.ledger
+        pool, rater = make_pool(world)
         (report,) = _reports(pool, rater, ledger)
         values = {name: getattr(report, name) for name in RiskReport.__slots__}
         forged = RiskReport(**{**values, field: value})
@@ -348,9 +325,9 @@ class TestValidateReports:
             validate_reports(pool, "alice", 100, [forged], 0)
 
     def test_median_outside_bounds(self, world):
-        base, ledger = world
+        ledger = world.ledger
         pool, rater = make_pool(
-            base, ledger, risk_bounds=(600000, 1000000), rater_rate_ppm=500000
+            world, risk_bounds=(600000, 1000000), rater_rate_ppm=500000
         )
         reports = _reports(pool, rater, ledger)
         with pytest.raises(OutOfRiskBounds):
@@ -375,8 +352,8 @@ def test_taint_quote_matches_a_full_scan(seed, window):
     that moves backwards, and tainted ids outside the transfer log."""
     rng = random.Random(seed)
     names = ["a", "b", "c", "d"]
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=window, arbitrator="arb")
+    world = World(recovery_window=window, arbitrator="arb")
+    base, ledger = world.base, world.ledger
     for name in names:
         base.mint(name, 300)
         ledger.wrap(name, 100, 0)

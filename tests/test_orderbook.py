@@ -19,19 +19,10 @@ from rpoolsim.errors import (
 from conftest import ARB, give_unsettled
 
 
-def state_summary(base, ledger, book, now):
-    return (
-        dict(base.balances),
-        {name: ledger.settle_view(name, now) for name in ledger.accounts},
-        {name: ledger.nonce(name) for name in ledger.accounts},
-        [(b.bid_id, b.status) for b in book.bids.values()],
-    )
-
-
 @pytest.fixture
 def booked(world):
-    base, ledger = world
-    book = OrderBook(ledger)
+    base, ledger = world.base, world.ledger
+    book = world.books["book"] = OrderBook(ledger)
     base.mint("lp", 200)
     give_unsettled(base, ledger, "alice", 100, now=0)
     return base, ledger, book
@@ -67,7 +58,6 @@ class TestCancelBid:
         bid_id = book.post_bid("alice", 100, 600000, 600, 0)
         book.cancel_bid("alice", bid_id)
         assert book.bids[bid_id].status == "cancelled"
-        assert book.open_bids() == []
 
     def test_stranger_cannot(self, booked):
         _, _, book = booked
@@ -134,10 +124,10 @@ class TestMatchBid:
             book.match_bid("lp", bid_id, 50, 1)
         assert len(book.fills) == 1
 
-    def test_rejections_are_non_destructive(self, booked):
-        base, ledger, book = booked
+    def test_rejections_are_non_destructive(self, world, booked):
+        _, _, book = booked
         bid_id = book.post_bid("alice", 100, 500000, 600, 0)
-        before = state_summary(base, ledger, book, 2)
+        before = world.snapshot()
         for lp, offer, now, exc in (
             ("lp", 49, 2, QuoteTooLow),
             ("pauper", 50, 2, InsufficientBase),
@@ -145,7 +135,7 @@ class TestMatchBid:
         ):
             with pytest.raises(exc):
                 book.match_bid(lp, bid_id, offer, now)
-            assert state_summary(base, ledger, book, 2) == before
+            assert world.snapshot() == before
 
     def test_conserves_supply(self, booked):
         base, ledger, book = booked

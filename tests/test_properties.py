@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpoolsim import (
-    BaseLedger,
     ConstantRiskModel,
-    RatingEntity,
-    WrapperLedger,
+    World,
     issue_report,
     median_quote,
     parse_rate,
@@ -69,8 +67,8 @@ def _random_ledger_op(rng, base, ledger, now):
 def test_oracle_equivalence_small_instances(seed, events):
     """Random sequences over <= 4 accounts match the brute-force replay."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     for name in ACCOUNTS:
         base.mint(name, 200)
     now = 0
@@ -89,8 +87,8 @@ def test_oracle_ignores_what_the_engine_derives(seed, events):
     transfer's id and unsettled spend scrambled in the journal it replays,
     the oracle still agrees with the engine."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     for name in ACCOUNTS:
         base.mint(name, 200)
     give_unsettled(base, ledger, "a", 50, now=0)
@@ -117,8 +115,8 @@ def test_oracle_equivalence_when_time_moves_backwards(seed, events):
     received out of time order must still fold, spend and freeze as the
     replay model says."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     for name in ACCOUNTS:
         base.mint(name, 200)
     now = 0
@@ -138,8 +136,8 @@ def test_oracle_equivalence_when_time_moves_backwards(seed, events):
 )
 def test_settlement_monotone_in_time(seed, amounts):
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     for i, amount in enumerate(amounts):
         give_unsettled(base, ledger, "a", amount, now=rng.randrange(0, 5000), source=f"s{i}")
     last = -1
@@ -151,7 +149,7 @@ def test_settlement_monotone_in_time(seed, amounts):
 
 
 def test_nonces_count_participating_events(world):
-    base, ledger = world
+    base, ledger = world.base, world.ledger
     base.mint("a", 500)
     expected = {"a": 0, "b": 0, "v": 0}
     ledger.wrap("a", 300, 0)
@@ -195,8 +193,8 @@ def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
     whose recipient holds it, due one window after that transfer and
     holding no more than it carried."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     for name in ACCOUNTS:
         base.mint(name, 200)
     now = 0
@@ -217,8 +215,8 @@ def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_frozen_amounts_only_move_via_case_close(seed):
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     give_unsettled(base, ledger, "a", 100, now=0)
     frozen = rng.randrange(1, 100)
     ledger.freeze(ARB, [("a", frozen)], "c1", 0)
@@ -237,8 +235,8 @@ def test_frozen_amounts_only_move_via_case_close(seed):
 def test_plan_recovery_always_freezable(seed, amount):
     """Whenever a plan is produced, it totals the request and freezes cleanly."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     give_unsettled(base, ledger, "thief", 200, now=0, source="victim")
     tainted = ledger.transfer_unsettled("thief", "pool", 200, 5)
     # scatter post-taint outflows
@@ -262,8 +260,8 @@ def test_plan_recovery_matches_a_full_scan(seed):
     """The indexed outflow lookup plans exactly what a scan of the whole
     transfer log plans, for the tainted transfer and a sample of others."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     for name in ACCOUNTS:
         give_unsettled(base, ledger, name, 300, now=0, source=f"seed_{name}")
     now = 0
@@ -327,10 +325,10 @@ def test_rate_format_parse_round_trip(ppm):
 def test_share_value_fairness(seed, deposit):
     """A fresh deposit's redeemable value is within 2 units of the deposit."""
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     lp_amount = rng.randrange(1, 5000)
-    pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", lp_amount),))
+    pool, _ = make_pool(world, lp_deposits=(("lp1", lp_amount),))
     # accrued spread keeps the share price below 2x, the domain where the
     # two-unit slack bound holds; swaps can only add value at rate <= 1
     if rng.random() < 0.7 and lp_amount > 1:
@@ -348,10 +346,10 @@ def test_share_value_fairness(seed, deposit):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_withdraw_preserves_ratio_within_rounding(seed):
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     lp_amount = rng.randrange(10, 5000)
-    pool, _ = make_pool(base, ledger, lp_deposits=(("lp1", lp_amount),))
+    pool, _ = make_pool(world, lp_deposits=(("lp1", lp_amount),))
     give_unsettled(base, ledger, "pool", rng.randrange(1, 4000), now=0, source="donor")
     state = pool.pool_state(0)
     burn = rng.randrange(1, lp_amount + 1)
@@ -366,10 +364,10 @@ def test_withdraw_preserves_ratio_within_rounding(seed):
 @given(seed=st.integers(0, 2**32 - 1), claw=st.integers(1, 100))
 def test_loss_socialization_uniform(seed, claw):
     rng = random.Random(seed)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     deposits = [(f"lp{i}", rng.randrange(1, 400)) for i in range(rng.randrange(2, 5))]
-    pool, rater = make_pool(base, ledger, lp_deposits=tuple(deposits))
+    pool, rater = make_pool(world, lp_deposits=tuple(deposits))
     tainted = give_unsettled(base, ledger, "thief", claw, now=0, source="victim")
     reports = quorum(pool, rater, "thief", claw, 0, ledger)
     try:
@@ -396,10 +394,10 @@ def test_swap_payout_monotone_in_amount(seed):
     rate_ppm = rng.randrange(0, PPM + 1)
     outs = []
     for amount in (10, 40, 70, 100):
-        base = BaseLedger()
-        ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+        world = World(recovery_window=WINDOW, arbitrator=ARB)
+        base, ledger = world.base, world.ledger
         pool, rater = make_pool(
-            base, ledger, lp_deposits=(("lp1", 500),), rater_rate_ppm=rate_ppm,
+            world, lp_deposits=(("lp1", 500),), rater_rate_ppm=rate_ppm,
         )
         give_unsettled(base, ledger, "alice", 100, now=0)
         reports = quorum(pool, rater, "alice", amount, 0, ledger)
@@ -412,10 +410,10 @@ def test_swap_payout_monotone_in_amount(seed):
 def test_every_receipt_respects_the_cap(seed):
     rng = random.Random(seed)
     cap = rng.randrange(0, PPM + 1)
-    base = BaseLedger()
-    ledger = WrapperLedger(base, recovery_window=WINDOW, arbitrator=ARB)
+    world = World(recovery_window=WINDOW, arbitrator=ARB)
+    base, ledger = world.base, world.ledger
     pool, rater = make_pool(
-        base, ledger, lp_deposits=(("lp1", 1000),),
+        world, lp_deposits=(("lp1", 1000),),
         rate_cap_ppm=cap, rater_rate_ppm=rng.randrange(0, PPM + 1),
     )
     for i in range(3):
@@ -434,19 +432,16 @@ def test_every_receipt_respects_the_cap(seed):
 def test_validate_reports_permutation_invariance(world):
     import itertools
 
-    base, ledger = world
+    ledger = world.ledger
     pool, _ = make_pool(
-        base, ledger,
+        world,
         lp_deposits=(("s1", 50), ("s2", 50), ("s3", 50), ("s4", 50)),
         min_quorum=2,
     )
-    registry = pool.registry
     reports = []
     for name, rate in (("s1", 10), ("s2", 999990), ("s3", 400000), ("s4", 400001)):
-        secret, public = registry.scheme.keygen(name)
-        registry.register(name, public)
-        entity = RatingEntity(name, secret, ConstantRiskModel(rate))
-        reports.append(issue_report(entity, registry, "alice", 9, 0, 60, ledger))
+        entity = world.add_signer(name, ConstantRiskModel(rate))
+        reports.append(issue_report(entity, world.registry, "alice", 9, 0, 60, ledger))
     medians = {
         validate_reports(pool, "alice", 9, list(perm), 0)
         for perm in itertools.permutations(reports)

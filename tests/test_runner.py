@@ -429,17 +429,19 @@ class TestCli:
         assert captured.err.startswith(f"{log}: ") and "No such file" in captured.err
 
     def test_bad_world_config_exit_code(self, tmp_path, capsys):
-        bad = tmp_path / "bad.scn"
-        bad.write_text(
-            "config arbitrator=arb\naccount arb settled=5\nat 0 advance\n"
-        )
-        assert main(["run", str(bad)]) == 2
-        assert "reserved" in capsys.readouterr().err
-        bounds = tmp_path / "bounds.scn"
-        bounds.write_text(
-            "pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000\nat 0 advance\n"
-        )
-        assert main(["run", str(bounds)]) == 2
+        # each refused world prints one "path: reason" line and no traceback
+        for header, reason in (
+            ("config arbitrator=arb\naccount arb settled=5", "reserved"),
+            ("pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000", "out of order"),
+            ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "outside"),
+            ("pool p kappa_ppm=500000 min_quorum=0", "quorum"),
+        ):
+            bad = tmp_path / "bad.scn"
+            bad.write_text(header + "\nat 0 advance\n")
+            assert main(["run", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{bad}: ") and err.count("\n") == 1, err
+            assert reason in err and "Traceback" not in err
 
     # sha256 of the whole shipped corpus's output; any change to the log
     # format, the report format or a step's behaviour moves these.
