@@ -48,6 +48,14 @@ def settled_multiplier(settled: int, total: int, kappa_ppm: int) -> int:
     return min(PPM, settled * PPM * PPM // (total * kappa_ppm))
 
 
+def check_risk_bounds(risk_bounds: tuple[int, int]) -> None:
+    """Validate a pool's ``(low, high)`` bounds on the median quote."""
+    check_rate(risk_bounds[0])
+    check_rate(risk_bounds[1])
+    if risk_bounds[0] > risk_bounds[1]:
+        raise ValueError("risk bounds out of order")
+
+
 @dataclass(frozen=True)
 class SwapReceipt:
     requestor: str
@@ -85,10 +93,7 @@ class AmmPool:
     ) -> None:
         if not 0 < kappa_ppm < PPM:
             raise ValueError("kappa must be strictly between 0 and 1")
-        check_rate(risk_bounds[0])
-        check_rate(risk_bounds[1])
-        if risk_bounds[0] > risk_bounds[1]:
-            raise ValueError("risk bounds out of order")
+        check_risk_bounds(risk_bounds)
         if min_quorum < 1:
             raise ValueError("quorum must be at least 1")
         check_rate(rate_cap_ppm)

@@ -21,15 +21,22 @@ Integer bookkeeping rounds against the attacker (proceeds floor, costs
 ceil); agreement between the integer model and exact rationals is within
 three token units, and the live end-to-end replay matches the integer model
 exactly when the pool's multiplier saturates.
+
+The live replay builds its pre-attack world (the LP deposit and any prior
+recovery) once per ``(pool_total, lp_supply)`` and runs each attack on an
+independent :meth:`~rpoolsim.world.World.copy` of it; its risk bounds and
+rate cap apply to the attack swap only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
+from .amm import check_risk_bounds
 from .errors import InvalidScenario, ZeroShort
-from .oracle import ConstantRiskModel, RiskModel, issue_report
+from .oracle import ConstantRiskModel, RatingEntity, RiskModel, issue_report
 from .rates import PPM, check_rate
 from .world import World
 
@@ -209,6 +216,37 @@ def _steal_swap_recover(pool, signer, victim, thief, amount, case, now):
     return receipt
 
 
+@lru_cache(maxsize=8)  # the criterion 6 grid visits its keys in runs
+def _pre_attack_world(pool_total: int, lp_supply: int) -> tuple[World, bytes]:
+    """The world before the attack, and the lender's signing secret.
+
+    The lender deposits ``lp_supply`` into an uncapped pool with risk
+    bounds ``[0, 1]``.  When ``pool_total`` is lower, a prior recovery
+    event brings the pool total down to it while leaving the LP supply
+    untouched: an early thief swaps the shortfall through at rate 1 and
+    the arbitrator claws it back.  The result is cached and shared, so
+    callers run on a :meth:`World.copy` of it and never write to it.
+    """
+    world = World(recovery_window=REPLAY_WINDOW, arbitrator="arbiter")
+    lender = world.add_signer("lender", ConstantRiskModel(PPM))
+    pool = world.add_pool(
+        "pool",
+        kappa_ppm=500_000,
+        risk_bounds=(0, PPM),
+        min_quorum=1,
+        min_lp_deposit=1,
+        rate_cap_ppm=PPM,
+    )
+    now = 0
+    world.base.mint("lender", lp_supply)
+    pool.deposit("lender", lp_supply, now)
+    if lp_supply > pool_total:
+        _steal_swap_recover(
+            pool, lender, "early-victim", "early-thief", lp_supply - pool_total, "prior-case", now
+        )
+    return world, lender.secret
+
+
 def end_to_end_attack_replay(
     scenario: AttackScenario,
     *,
@@ -220,41 +258,30 @@ def end_to_end_attack_replay(
 
     The pool, its oracle, the theft, the swap, and the recovery all run for
     real; only the lending desk and the DEX legs are priced analytically at
-    spot from the live pool totals.  Pool rejections (rate bounds, nonce)
-    propagate to the caller.
+    spot from the live pool totals.  The pre-attack world is built once per
+    ``(pool_total, lp_supply)`` and each replay runs on a copy of it, so
+    ``risk_bounds`` and ``rate_cap_ppm`` (checked first, as a pool's
+    constructor checks them) apply to the attack swap only.  The lender
+    signs the attack's report with ``model``, by default a constant quote
+    of the scenario's rate.  Pool rejections (rate bounds, nonce) propagate
+    to the caller.
     """
-    pool_total, lp_supply = scenario.pool_total, scenario.lp_supply
-    world = World(recovery_window=REPLAY_WINDOW, arbitrator="arbiter")
-    base, ledger = world.base, world.ledger
-    lender = world.add_signer("lender", ConstantRiskModel(PPM))
-    pool = world.add_pool(
-        "pool",
-        kappa_ppm=500_000,
-        risk_bounds=risk_bounds,
-        min_quorum=1,
-        min_lp_deposit=1,
-        rate_cap_ppm=PPM,
-    )
-    now = 0
-    base.mint("lender", lp_supply)
-    pool.deposit("lender", lp_supply, now)
-
-    # A prior recovery event brings the pool total down to the scenario's
-    # value while leaving the LP supply untouched: an early thief swaps the
-    # shortfall through at rate 1 and the arbitrator claws it back.
-    if lp_supply > pool_total:
-        _steal_swap_recover(
-            pool, lender, "early-victim", "early-thief", lp_supply - pool_total, "prior-case", now
-        )
+    check_risk_bounds(risk_bounds)
+    check_rate(rate_cap_ppm)
+    template, secret = _pre_attack_world(scenario.pool_total, scenario.lp_supply)
+    world = template.copy()
+    ledger, pool = world.ledger, world.pools["pool"]
+    pool.risk_bounds = risk_bounds
     pool.rate_cap_ppm = rate_cap_ppm
 
+    now = 0
     total_before = ledger.balance_of("pool", True, now)
-    lender.model = model or ConstantRiskModel(scenario.rate_ppm)
+    lender = RatingEntity("lender", secret, model or ConstantRiskModel(scenario.rate_ppm))
     receipt = _steal_swap_recover(
         pool, lender, "victim-protocol", "marvin", scenario.stolen, "theft-case", now
     )
     total_after = ledger.balance_of("pool", True, now)
 
-    swap_out = base.balance("marvin")
+    swap_out = world.base.balance("marvin")
     assert swap_out == receipt.amount_out
     return _breakdown(scenario, swap_out, total_before, total_after)

@@ -1,20 +1,25 @@
 """One world of ledgers, signers, pools and books, and the one definition of
 its state: the :meth:`World.snapshot` a rejected step must leave unchanged,
-and the :meth:`World.check_invariants` recount across every layer."""
+the :meth:`World.check_invariants` recount across every layer, and
+:meth:`World.copy`, an equal world that shares no mutable object."""
 
 from __future__ import annotations
 
 from .amm import AmmPool
-from .ledger import BaseLedger, WrapperLedger
+from .ledger import Account, BaseLedger, Case, UnsettledRecord, WrapperLedger
 from .oracle import RatingEntity, RiskModel, SignerRegistry
-from .orderbook import CANCELLED, FILLED, OPEN, OrderBook
+from .orderbook import CANCELLED, FILLED, OPEN, Bid, OrderBook
 
 _BID_STATUSES = {OPEN, CANCELLED, FILLED}
 
 
 class World:
     """The base ledger, the wrapper ledger over it, the signer registry, and
-    the pools and order books by name."""
+    the pools and order books by name.
+
+    :meth:`copy` returns an equal, independent world, so a caller can build
+    a state once and run each trial on a copy of it.
+    """
 
     def __init__(self, *, recovery_window: int, arbitrator: str) -> None:
         self.base = BaseLedger()
@@ -78,6 +83,59 @@ class World:
             },
         }
 
+    def copy(self) -> World:
+        """An equal world that shares no mutable object with this one.
+
+        Immutable parts are shared: journal entries (tuples and
+        :class:`~rpoolsim.ledger.Transfer` rows), swap receipts, fills, key
+        bytes and the stateless signature scheme.  Each record maps to one
+        copy, whether an account holds it, a case's mark names it, or both,
+        so a later recover or release acts on the copy as it would here.
+        """
+        new = _clone(self)
+        base = new.base = _clone(self.base)
+        base.balances = dict(self.base.balances)
+        base.journal = list(self.base.journal)
+
+        ledger = new.ledger = _clone(self.ledger)
+        ledger.base = base
+        records: dict[int, UnsettledRecord] = {}  # id of a source record -> its copy
+        accounts = ledger.accounts = {}
+        for name, acct in self.ledger.accounts.items():
+            copied = accounts[name] = Account.__new__(Account)
+            copied.settled = acct.settled
+            copied.nonce = acct.nonce
+            copied.unwrap_disabled = acct.unwrap_disabled
+            copied.unsettled_sum = acct.unsettled_sum
+            copied.frozen_sum = acct.frozen_sum
+            copied.unsettled = [_copy_record(rec, records) for rec in acct.unsettled]
+        ledger.transfer_log = list(self.ledger.transfer_log)
+        ledger._outflows = {sender: list(out) for sender, out in self.ledger._outflows.items()}
+        cases = ledger.cases = {}
+        for case_id, case in self.ledger.cases.items():
+            copied = cases[case_id] = Case(
+                [(acct, _copy_record(rec, records), amount) for acct, rec, amount in case.marks]
+            )
+            copied.status = case.status
+
+        registry = new.registry = _clone(self.registry)
+        registry._signers = dict(self.registry._signers)
+
+        pools = new.pools = {}
+        for name, pool in self.pools.items():
+            copied = pools[name] = _clone(pool)
+            copied.ledger = ledger
+            copied.registry = registry
+            copied.lp_holdings = dict(pool.lp_holdings)
+            copied.receipts = list(pool.receipts)
+        books = new.books = {}
+        for name, book in self.books.items():
+            copied = books[name] = _clone(book)
+            copied.ledger = ledger
+            copied.bids = {bid_id: _copy_bid(bid) for bid_id, bid in book.bids.items()}
+            copied.fills = list(book.fills)
+        return new
+
     def check_invariants(self) -> None:
         """The ledger recount, then each pool's LP shares and each book's
         bid table: O(accounts + LP holders + bids), never O(receipts).
@@ -100,3 +158,26 @@ class World:
             filled = statuses.count(FILLED)
             if filled != len(book.fills):
                 raise AssertionError(f"book {name} has {filled} filled bids, {len(book.fills)} fills")
+
+
+def _clone(obj):
+    """A new instance of ``obj``'s class whose attributes are ``obj``'s own
+    values: the caller replaces the mutable ones."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__)
+    return new
+
+
+def _copy_record(rec: UnsettledRecord, records: dict[int, UnsettledRecord]) -> UnsettledRecord:
+    """The one copy of ``rec`` in ``records``, made on first use."""
+    copied = records.get(id(rec))
+    if copied is None:
+        copied = records[id(rec)] = UnsettledRecord(rec.transfer_id, rec.amount, rec.settlement_time)
+        copied.frozen_amount = rec.frozen_amount
+    return copied
+
+
+def _copy_bid(bid: Bid) -> Bid:
+    copied = Bid(bid.bid_id, bid.bidder, bid.amount, bid.min_rate_ppm, bid.expiry, bid.nonce_at_post)
+    copied.status = bid.status
+    return copied

@@ -18,6 +18,7 @@ from rpoolsim import (
     profitability_threshold,
     simulate_attack,
 )
+from rpoolsim.attack import _pre_attack_world
 from rpoolsim.errors import InvalidScenario, OutOfRiskBounds, ZeroShort
 from rpoolsim.rates import PPM
 
@@ -278,6 +279,47 @@ class TestEndToEndReplay:
         no_swap = simulate_attack(scn(collateral=1000, shorted=1000, rate_ppm=0))
         assert no_swap.profit == 0
 
+    def test_prior_recovery_runs_under_bounds_that_exclude_one(self):
+        # the set-up swap quotes 1; the bounds bind only the attack's 0.8
+        scenario = AttackScenario(700, 1000, 100, 100, 500, 800000)
+        live = end_to_end_attack_replay(scenario, risk_bounds=(0, 900000))
+        assert live == end_to_end_attack_replay(scenario)
+        assert abs(live.profit - simulate_attack(scenario).profit) <= 3
+
+    @pytest.mark.parametrize(
+        "options, error, message",
+        [
+            ({"risk_bounds": (0, PPM + 1)}, ValueError, "outside"),
+            ({"risk_bounds": (-1, PPM)}, ValueError, "outside"),
+            ({"risk_bounds": (600000, 500000)}, ValueError, "risk bounds out of order"),
+            ({"rate_cap_ppm": PPM + 1}, ValueError, "outside"),
+            ({"rate_cap_ppm": 0.5}, TypeError, "integer ppm"),
+        ],
+    )
+    def test_bounds_and_cap_are_checked_before_any_work(self, options, error, message):
+        calls = _pre_attack_world.cache_info()
+        with pytest.raises(error, match=message):
+            end_to_end_attack_replay(AttackScenario(3, 5, 1, 1, 1, 0), **options)
+        assert _pre_attack_world.cache_info() == calls  # the cache was not consulted
+
+    @pytest.mark.parametrize(
+        "scenario", [scn(rate_ppm=950000), AttackScenario(700, 1000, 100, 100, 500, 800000)]
+    )
+    def test_cached_template_is_never_written_to(self, scenario):
+        # the taint-aware replay raises part-way, after the theft; then two
+        # replays on the same key succeed, and the second sees what the first saw
+        model = TaintAwareRiskModel(set(range(1, 100)), 950000)
+        with pytest.raises(OutOfRiskBounds):
+            end_to_end_attack_replay(scenario, risk_bounds=(100000, PPM), model=model)
+        assert end_to_end_attack_replay(scenario) == end_to_end_attack_replay(scenario)
+        key = scenario.pool_total, scenario.lp_supply
+        template, secret = _pre_attack_world(*key)
+        fresh, fresh_secret = _pre_attack_world.__wrapped__(*key)
+        assert _template_state(template) == _template_state(fresh)
+        assert secret == fresh_secret
+        worked = scn(rate_ppm=950000)
+        assert end_to_end_attack_replay(worked) == simulate_attack(worked)
+
     def test_randomized_agreement_within_three_units(self):
         import random
 
@@ -296,6 +338,18 @@ class TestEndToEndReplay:
             analytic = simulate_attack(scenario)
             assert abs(live.profit - analytic.profit) <= 3
             assert live.swap_out == analytic.swap_out
+
+
+def _template_state(world):
+    pool = world.pools["pool"]
+    return (
+        world.snapshot(),
+        world.base.journal,
+        world.ledger.transfer_log,
+        pool.receipts,
+        pool.risk_bounds,
+        pool.rate_cap_ppm,
+    )
 
 
 class TestReplayUsesConstantModel:

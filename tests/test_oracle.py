@@ -240,6 +240,43 @@ class TestValidateReports:
         }
         assert medians == {400000}
 
+    @pytest.mark.parametrize("checks", ["stale nonce before expiry", "authorization before signature"])
+    def test_earlier_check_wins_in_every_order(self, world, checks):
+        # two reports each fail a different check, a third is valid: every
+        # order of the three raises the earlier check's error
+        ledger = world.ledger
+        pool, s1 = make_pool(
+            world, lp_deposits=(("s1", 100), ("s2", 100), ("s3", 100)), min_quorum=2
+        )
+        if checks == "stale nonce before expiry":
+            s2 = world.add_signer("s2", ConstantRiskModel(500000))
+            s3 = world.add_signer("s3", ConstantRiskModel(500000))
+            stale = issue_report(s1, world.registry, "alice", 100, 0, 600, ledger)
+            give_unsettled(world.base, ledger, "alice", 1, now=0)  # nonce moves
+            expired = issue_report(s2, world.registry, "alice", 100, 0, 5, ledger)
+            valid = issue_report(s3, world.registry, "alice", 100, 0, 600, ledger)
+            first, second = stale, expired
+            errors = StaleNonce, ReportExpired
+        else:
+            s2 = world.add_signer("s2", ConstantRiskModel(500000), authorized=False)
+            s3 = world.add_signer("s3", ConstantRiskModel(500000))
+            unauthorized = issue_report(s2, world.registry, "alice", 100, 0, 600, ledger)
+            signed = issue_report(s3, world.registry, "alice", 100, 0, 600, ledger)
+            values = {name: getattr(signed, name) for name in RiskReport.__slots__}
+            forged = RiskReport(**{**values, "quote_ppm": signed.quote_ppm + 1})
+            valid = issue_report(s1, world.registry, "alice", 100, 0, 600, ledger)
+            first, second = unauthorized, forged
+            errors = SignerNotAuthorized, BadSignature
+        for failing, error in zip((first, second), errors):  # each fails alone
+            with pytest.raises(error):
+                validate_reports(pool, "alice", 100, [failing, valid], 5)
+        raised = set()
+        for perm in itertools.permutations([first, second, valid]):
+            with pytest.raises(RPoolError) as info:
+                validate_reports(pool, "alice", 100, list(perm), 5)
+            raised.add(type(info.value))
+        assert raised == {errors[0]}
+
     def test_quorum_too_small(self, world):
         ledger = world.ledger
         pool, rater = make_pool(world, min_quorum=3)
