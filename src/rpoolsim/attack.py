@@ -18,9 +18,11 @@ keeps it above 10/11 (~91%).  A pool rate cap at or below the threshold is
 therefore safe, with equality allowed because profitability is strict.
 
 Integer bookkeeping rounds against the attacker (proceeds floor, costs
-ceil); agreement between the integer model and exact rationals is within
-three token units, and the live end-to-end replay matches the integer model
-exactly when the pool's multiplier saturates.
+ceil), so the integer model's profit is never above the exact rational
+profit and is less than four token units below it (3.29 at most on the
+acceptance grid).  The live end-to-end replay swaps into a fully settled
+pool, whose multiplier saturates, so it returns exactly the integer
+model's breakdown.
 
 The live replay builds its pre-attack world (the LP deposit and any prior
 recovery) once per ``(pool_total, lp_supply)`` and runs each attack on an

@@ -23,8 +23,10 @@ success when no error is expected, each ``expect_*`` and ``assert``
 comparison.  One constructor turns each into an :class:`AssertionResult`
 that passed iff ``expected == observed``.  The state is compared in full, by
 value (:meth:`World.snapshot`: every balance, record, case, pool and bid),
-before and after the step.  Failures surface in the report rather than as
-exceptions, so a scenario always runs to the end.
+before and after the step.  Any rejected step, expected or not, must also
+leave the journal at its length before the step; that check costs one
+length and is reported only when it fails.  Failures surface in the report
+rather than as exceptions, so a scenario always runs to the end.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ class ScenarioRunner:
                 world.ledger.genesis_settled(acct.name, acct.settled)
         for spec in script.signers:
             if spec.model == "constant":
-                model = ConstantRiskModel(spec.rate_ppm)
+                model = ConstantRiskModel(spec.rate)
             else:
-                model = TaintAwareRiskModel(self.tainted, spec.rate_ppm)
+                model = TaintAwareRiskModel(self.tainted, spec.rate)
             self.entities[spec.name] = world.add_signer(spec.name, model, spec.authorized)
         for spec in script.pools:
             world.add_pool(
@@ -159,6 +161,9 @@ class ScenarioRunner:
                 checks.append((unchanged, "unchanged state", "state changed"))
         elif outcome != "ok":
             checks.append((f"{where} succeeds", "ok", outcome))
+        journal = self.world.ledger.mark()
+        if outcome != "ok" and journal != mark:
+            checks.append((f"{where} journals nothing on error", mark, journal))
         result.assertions.extend(AssertionResult(seq, d, e == o, e, o) for d, e, o in checks)
         result.events.append(
             EventRecord(

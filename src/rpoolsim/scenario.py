@@ -14,16 +14,20 @@ clock.  The full grammar ships in docs/scenario-format.md; the essentials:
     at 0 transfer from=alice to=bob amount=40 as=t1
     at 60 swap pool=main requestor=bob amount=40 reports=r1 expect_error=StaleNonce
 
+A line's tokens are its whitespace-separated words before any ``#``.
 Amounts are plain integers; rates are decimals with at most six places and
 convert exactly to ppm.  Unknown directives, actions, or fields are
-rejected with a located :class:`ParseError`.  Steps may carry ``as=`` labels
-naming the transfer/report/bid they produce, ``expect_*`` result checks,
-and ``expect_error=`` for steps that must fail with exactly that error.
+rejected with a located :class:`ParseError`, whose column is worked out
+from the token's index only when the error is raised.  Steps may carry
+``as=`` labels naming the transfer/report/bid they produce, ``expect_*``
+result checks, and ``expect_error=`` for steps that must fail with exactly
+that error.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from .errors import ERRORS_BY_NAME
@@ -34,7 +38,6 @@ DEFAULT_ARBITRATOR = "arbiter"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _INT_RE = re.compile(r"[0-9]+")
-_TOKEN_RE = re.compile(r"\S+")
 
 #: INT fields and step times stay below this bound, so a report's expiry
 #: (step time + ttl) always fits the 8-byte field its signature covers.
@@ -168,8 +171,9 @@ ASSERT_KINDS: dict[str, tuple[set[str], set[str]]] = {
 NO_EXPECT_ERROR = {"advance", "assert"}
 
 #: Header directive fields: name -> (type, required), from the same types
-#: as steps.  Config fields name :class:`ScenarioScript` attributes; account
-#: and pool fields name :class:`GenesisAccount` and :class:`PoolSpec` fields.
+#: as steps.  Config fields name :class:`ScenarioScript` attributes; account,
+#: signer and pool fields name :class:`GenesisAccount`, :class:`SignerSpec`
+#: and :class:`PoolSpec` fields.
 DIRECTIVE_FIELDS: dict[str, dict[str, tuple[str, bool]]] = {
     "config": {"window": ("int", False), "arbitrator": ("name", False)},
     "account": {"base": ("int", False), "settled": ("int", False)},
@@ -192,16 +196,13 @@ DIRECTIVE_FIELDS: dict[str, dict[str, tuple[str, bool]]] = {
 #: also a ledger account (rating entities must be LPs).
 SHARED_NAME = {"account", "signer"}
 
-#: Each action's fields plus ``expect_error``, whose type carries the action
-#: so that the parser can refuse it on the actions in NO_EXPECT_ERROR.
-_STEP_FIELDS = {
-    action: {**spec, "expect_error": (f"error:{action}", False)}
-    for action, spec in ACTION_SPECS.items()
-}
-
 #: Step parameters by field name; each value has the Python type its
 #: ACTION_SPECS type parses to (int, str, bool, list).
 Params = dict[str, Any]
+
+#: A schema with each field's type split once: name -> (parser, the part of
+#: the type after its last colon, or the whole type without one, required).
+_Rows = dict[str, tuple[Callable[..., Any], str, bool]]
 
 
 class ParseError(Exception):
@@ -223,7 +224,7 @@ class GenesisAccount(NamedTuple):
 class SignerSpec(NamedTuple):
     name: str
     model: str  # constant | taint
-    rate_ppm: int
+    rate: int = PPM  # ppm
     authorized: bool = True
 
 
@@ -265,12 +266,6 @@ class ScenarioScript:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-def _tokens(line: str) -> list[tuple[int, str]]:
-    """(1-based column, token) pairs of the line up to any ``#`` comment."""
-    code = line.partition("#")[0]
-    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(code)]
-
-
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -281,89 +276,94 @@ class _Parser:
         self.labels: dict[str, str] = {}  # label -> kind (report/transfer/bid)
         self.last_time: int | None = None
         self.line_no = 0
-        self.col = 1
+        self.line = ""
 
-    def fail(self, message: str, col: int | None = None) -> ParseError:
-        return ParseError(message, self.line_no, self.col if col is None else col)
+    def fail(self, message: str, at: int = 0) -> ParseError:
+        """The error at the line's token ``at``: 0 is the directive, 1 a
+        declared name or a step's time, 2 a step's action.  The token's
+        column counts code points from 1."""
+        code = self.line.partition("#")[0]
+        end = 0
+        for token in code.split()[: at + 1]:
+            end = code.index(token, end) + len(token)
+        return ParseError(message, self.line_no, end - len(token) + 1)
 
     # -- field types ---------------------------------------------------------
-    # Each parser takes the field's key, column and text, and the part of its
-    # type after any colon (the label kind, or the action of expect_error),
-    # or else the type itself.
+    # Each parser takes the field's key, token index and text, and the part
+    # of its type after any colon (the label kind, or the action of
+    # expect_error), or else the type itself.
 
-    def parse_int(self, key: str, col: int, value: str, of: str = "int") -> int:
+    def parse_int(self, key: str, at: int, value: str, of: str = "int") -> int:
         if not _INT_RE.fullmatch(value):
-            raise self.fail(f"{key} must be a non-negative integer, got {value!r}", col)
+            raise self.fail(f"{key} must be a non-negative integer, got {value!r}", at)
         number = int(value)
         if number >= INT_LIMIT:
-            raise self.fail(f"{key} must be below 2**63, got {value}", col)
+            raise self.fail(f"{key} must be below 2**63, got {value}", at)
         return number
 
-    def parse_name(self, key: str, col: int, value: str, of: str = "name") -> str:
+    def parse_name(self, key: str, at: int, value: str, of: str = "name") -> str:
         if not _NAME_RE.fullmatch(value):
-            raise self.fail(f"{key} must be a name, got {value!r}", col)
+            raise self.fail(f"{key} must be a name, got {value!r}", at)
         return value
 
-    def parse_declared(self, key: str, col: int, value: str, directive: str) -> str:
-        name = self.parse_name(key, col, value)
+    def parse_declared(self, key: str, at: int, value: str, directive: str) -> str:
+        name = self.parse_name(key, at, value)
         if directive not in self.declared.get(name, ()):
-            raise self.fail(f"{name!r} is not a declared {directive}", col)
+            raise self.fail(f"{name!r} is not a declared {directive}", at)
         return name
 
-    def parse_label(self, key: str, col: int, value: str, kind: str) -> str:
-        label = self.parse_name(key, col, value)
+    def parse_label(self, key: str, at: int, value: str, kind: str) -> str:
+        label = self.parse_name(key, at, value)
         if self.labels.get(label) != kind:
-            raise self.fail(f"{label!r} does not label an earlier {kind}", col)
+            raise self.fail(f"{label!r} does not label an earlier {kind}", at)
         return label
 
-    def parse_labels(self, key: str, col: int, value: str, kind: str) -> list[str]:
-        return [self.parse_label(key, col, part, kind) for part in value.split(",")]
+    def parse_labels(self, key: str, at: int, value: str, kind: str) -> list[str]:
+        return [self.parse_label(key, at, part, kind) for part in value.split(",")]
 
-    def parse_ref(self, key: str, col: int, value: str, kind: str) -> int | str:
+    def parse_ref(self, key: str, at: int, value: str, kind: str) -> int | str:
         # an integer ref is an id, checked at run time
         if _INT_RE.fullmatch(value):
-            return self.parse_int(key, col, value)
-        return self.parse_label(key, col, value, kind)
+            return self.parse_int(key, at, value)
+        return self.parse_label(key, at, value, kind)
 
-    def parse_rate_field(self, key: str, col: int, value: str, of: str) -> int:
+    def parse_rate_field(self, key: str, at: int, value: str, of: str) -> int:
         try:
             return parse_rate(value)
         except ValueError as exc:
-            raise self.fail(f"{key}: {exc}", col) from None
+            raise self.fail(f"{key}: {exc}", at) from None
 
-    def parse_bool(self, key: str, col: int, value: str, of: str) -> bool:
+    def parse_bool(self, key: str, at: int, value: str, of: str) -> bool:
         if value not in ("true", "false"):
-            raise self.fail(f"{key} must be true or false, got {value!r}", col)
+            raise self.fail(f"{key} must be true or false, got {value!r}", at)
         return value == "true"
 
-    def parse_targets(self, key: str, col: int, value: str, of: str) -> list[list[Any]]:
+    def parse_targets(self, key: str, at: int, value: str, of: str) -> list[list[Any]]:
         targets = []
         for part in value.split(","):
             if ":" not in part:
-                raise self.fail(f"{key} entries are name:amount, got {part!r}", col)
+                raise self.fail(f"{key} entries are name:amount, got {part!r}", at)
             name, amount = part.rsplit(":", 1)
             if not _NAME_RE.fullmatch(name) or not _INT_RE.fullmatch(amount):
-                raise self.fail(f"{key} entries are name:amount, got {part!r}", col)
-            targets.append([name, self.parse_int(key, col, amount)])
+                raise self.fail(f"{key} entries are name:amount, got {part!r}", at)
+            targets.append([name, self.parse_int(key, at, amount)])
         return targets
 
-    def parse_status(self, key: str, col: int, value: str, of: str) -> str:
+    def parse_status(self, key: str, at: int, value: str, of: str) -> str:
         if value not in BID_STATUSES:
-            raise self.fail(f"status must be one of {BID_STATUSES}", col)
+            raise self.fail(f"status must be one of {BID_STATUSES}", at)
         return value
 
-    def parse_model(self, key: str, col: int, value: str, of: str) -> str:
+    def parse_model(self, key: str, at: int, value: str, of: str) -> str:
         if value not in SIGNER_MODELS:
-            raise self.fail(
-                f"signer model must be constant or taint, got {value!r}", col
-            )
+            raise self.fail(f"signer model must be constant or taint, got {value!r}", at)
         return value
 
-    def parse_error_name(self, key: str, col: int, value: str, action: str) -> str:
+    def parse_error_name(self, key: str, at: int, value: str, action: str) -> str:
         if action in NO_EXPECT_ERROR:
-            raise self.fail(f"expect_error is not allowed on {action!r}", col)
+            raise self.fail(f"expect_error is not allowed on {action!r}", at)
         if value not in ERRORS_BY_NAME:
-            raise self.fail(f"unknown error name {value!r}", col)
+            raise self.fail(f"unknown error name {value!r}", at)
         return value
 
     #: field type (the part before any ":") -> parser
@@ -387,166 +387,147 @@ class _Parser:
 
     def fields(
         self,
-        schema: dict[str, tuple[str, bool]],
-        tokens: list[tuple[int, str]],
-        col: int,
+        rows: _Rows,
+        tokens: list[str],
+        at: int,
         unknown: str,
         missing: str,
     ) -> Params:
-        """Typed values of a line's ``key=value`` tokens.  ``unknown`` and
-        ``missing`` are the error texts for a field outside ``schema`` and
-        for an absent required one (reported at ``col``), with ``{}`` for
-        the key."""
+        """Typed values of the ``key=value`` tokens after token ``at``.
+        ``unknown`` and ``missing`` are the error texts for a field outside
+        ``rows`` and for an absent required one (reported at token ``at``),
+        with ``{}`` for the key."""
         values: Params = {}
-        for field_col, token in tokens:
+        for i, token in enumerate(tokens[at + 1 :], at + 1):
             key, eq, value = token.partition("=")
             if not eq:
-                raise self.fail(f"expected key=value, got {token!r}", field_col)
+                raise self.fail(f"expected key=value, got {token!r}", i)
             if key in values:
-                raise self.fail(f"duplicate field {key!r}", field_col)
-            if key not in schema:
-                raise self.fail(unknown.format(repr(key)), field_col)
-            kind, _, of = schema[key][0].partition(":")
-            values[key] = self.KINDS[kind](self, key, field_col, value, of or kind)
-        for key, (_, required) in schema.items():
+                raise self.fail(f"duplicate field {key!r}", i)
+            if key not in rows:
+                raise self.fail(unknown.format(repr(key)), i)
+            parser, of, _ = rows[key]
+            values[key] = parser(self, key, i, value, of)
+        for key, (_, _, required) in rows.items():
             if required and key not in values:
-                raise self.fail(missing.format(key), col)
+                raise self.fail(missing.format(key), at)
         return values
 
     # -- directives ----------------------------------------------------------
+    # Each handler takes the line's tokens, its directive first.
 
-    def handle_config(self, tokens: list[tuple[int, str]]) -> None:
+    def handle_config(self, tokens: list[str]) -> None:
         if self.saw_config:
             raise self.fail("duplicate config directive")
         if self.script.steps:
             raise self.fail("config must precede all steps")
         self.saw_config = True
-        values = self.fields(
-            DIRECTIVE_FIELDS["config"], tokens, self.col, "unknown config field {}", ""
-        )
+        values = self.fields(_DIRECTIVE_ROWS["config"], tokens, 0, "unknown config field {}", "")
         for key, value in values.items():
             setattr(self.script, key, value)
 
-    def declare(self, directive: str, tokens: list[tuple[int, str]]) -> tuple[int, str]:
-        """Declare the name a declaring line starts with; (column, name)."""
-        if not tokens:
+    def declare(self, directive: str, tokens: list[str]) -> str:
+        """Declare the name a declaring line gives after its directive."""
+        if len(tokens) < 2:
             raise self.fail(f"{directive} needs a name")
-        col, name = tokens[0]
-        name = self.parse_name(directive, col, name)
+        name = self.parse_name(directive, 1, tokens[1])
         seen = self.declared.setdefault(name, [])
         if seen and (directive in seen or {directive, *seen} != SHARED_NAME):
-            raise self.fail(f"{name!r} already declared as {seen[0]}", col)
+            raise self.fail(f"{name!r} already declared as {seen[0]}", 1)
         seen.append(directive)
-        return col, name
+        return name
 
     def named_directive(
-        self, directive: str, tokens: list[tuple[int, str]], hint: str = ""
-    ) -> tuple[int, str, Params]:
-        """(column, name, typed fields) of an account/signer/pool line; a
-        missing required field's error ends with ``hint``."""
-        col, name = self.declare(directive, tokens)
+        self, directive: str, tokens: list[str], hint: str = ""
+    ) -> tuple[str, Params]:
+        """(name, typed fields) of an account/signer/pool line; a missing
+        required field's error ends with ``hint``."""
+        name = self.declare(directive, tokens)
         values = self.fields(
-            DIRECTIVE_FIELDS[directive],
-            tokens[1:],
-            col,
+            _DIRECTIVE_ROWS[directive],
+            tokens,
+            1,
             f"unknown {directive} field {{}}",
             f"{directive} {name} needs {{}}{hint}",
         )
-        return col, name, values
+        return name, values
 
-    def handle_account(self, tokens: list[tuple[int, str]]) -> None:
-        _, name, values = self.named_directive("account", tokens)
+    def handle_account(self, tokens: list[str]) -> None:
+        name, values = self.named_directive("account", tokens)
         self.script.accounts.append(GenesisAccount(name, **values))
 
-    def handle_signer(self, tokens: list[tuple[int, str]]) -> None:
-        _, name, values = self.named_directive(
-            "signer", tokens, "=" + "|".join(SIGNER_MODELS)
-        )
-        self.script.signers.append(
-            SignerSpec(
-                name,
-                values["model"],
-                values.get("rate", PPM),
-                values.get("authorized", True),
-            )
-        )
+    def handle_signer(self, tokens: list[str]) -> None:
+        name, values = self.named_directive("signer", tokens, "=" + "|".join(SIGNER_MODELS))
+        self.script.signers.append(SignerSpec(name, **values))
 
-    def handle_pool(self, tokens: list[tuple[int, str]]) -> None:
-        col, name, values = self.named_directive("pool", tokens)
+    def handle_pool(self, tokens: list[str]) -> None:
+        name, values = self.named_directive("pool", tokens)
         if not 0 < values["kappa_ppm"] < PPM:
-            raise self.fail("kappa_ppm must be strictly between 0 and 1000000", col)
+            raise self.fail("kappa_ppm must be strictly between 0 and 1000000", 1)
         self.script.pools.append(PoolSpec(name=name, **values))
 
-    def handle_book(self, tokens: list[tuple[int, str]]) -> None:
-        if len(tokens) != 1:
+    def handle_book(self, tokens: list[str]) -> None:
+        if len(tokens) != 2:
             raise self.fail("book takes exactly one name")
-        self.script.books.append(self.declare("book", tokens)[1])
+        self.script.books.append(self.declare("book", tokens))
 
     # -- steps -----------------------------------------------------------------
 
-    def handle_step(self, tokens: list[tuple[int, str]]) -> None:
-        if len(tokens) < 2:
+    def handle_step(self, tokens: list[str]) -> None:
+        if len(tokens) < 3:
             raise self.fail("step syntax is: at <time> <action> [key=value ...]")
-        time = self.parse_int("time", *tokens[0])
+        time = self.parse_int("time", 1, tokens[1])
         if self.last_time is not None and time < self.last_time:
-            raise self.fail(
-                f"time {time} decreases (previous step at {self.last_time})",
-                tokens[0][0],
-            )
+            raise self.fail(f"time {time} decreases (previous step at {self.last_time})", 1)
         self.last_time = time
-        col, action = tokens[1]
+        action = tokens[2]
         if action not in ACTION_SPECS:
-            raise self.fail(f"unknown action {action!r}", col)
+            raise self.fail(f"unknown action {action!r}", 2)
         params = self.fields(
-            _STEP_FIELDS[action],
-            tokens[2:],
-            col,
+            _STEP_ROWS[action],
+            tokens,
+            2,
             f"unknown field {{}} for {action}",
             f"{action} requires {{}}=",
         )
         expect_error = params.pop("expect_error", None)
-        self.check_step_semantics(action, params, col)
+        self.check_step_semantics(action, params, 2)
         self.script.steps.append(Step(time, action, params, expect_error))
 
-    def check_step_semantics(self, action: str, params: Params, col: int) -> None:
+    def check_step_semantics(self, action: str, params: Params, at: int) -> None:
         """The rules that span fields; each field was checked as it parsed."""
         if action == "freeze":
             by_targets = "targets" in params
             by_plan = "transfer" in params or "amount" in params
             if by_targets == by_plan:
-                raise self.fail(
-                    "freeze takes either targets= or transfer=+amount=", col
-                )
+                raise self.fail("freeze takes either targets= or transfer=+amount=", at)
             if by_plan and not ("transfer" in params and "amount" in params):
-                raise self.fail("freeze by plan needs both transfer= and amount=", col)
+                raise self.fail("freeze by plan needs both transfer= and amount=", at)
 
         if action == "assert":
             kind = params["kind"]
             if kind not in ASSERT_KINDS:
-                raise self.fail(f"unknown assert kind {kind!r}", col)
+                raise self.fail(f"unknown assert kind {kind!r}", at)
             required, comparisons = ASSERT_KINDS[kind]
             allowed = required | comparisons | {"kind"}
             for key in params:
                 if key not in allowed:
-                    raise self.fail(f"assert {kind} does not take {key}=", col)
+                    raise self.fail(f"assert {kind} does not take {key}=", at)
             for key in required:
                 if key not in params:
-                    raise self.fail(f"assert {kind} requires {key}=", col)
+                    raise self.fail(f"assert {kind} requires {key}=", at)
             if comparisons and not (comparisons & params.keys()):
-                raise self.fail(
-                    f"assert {kind} needs at least one of "
-                    f"{sorted(comparisons)}", col
-                )
+                raise self.fail(f"assert {kind} needs at least one of {sorted(comparisons)}", at)
 
         if "as" in params:
             label = params["as"]
             if label in self.labels:
-                raise self.fail(f"label {label!r} already used", col)
-            self.labels[label] = ACTION_SPECS[action]["as"][0].partition(":")[2]
+                raise self.fail(f"label {label!r} already used", at)
+            self.labels[label] = _STEP_ROWS[action]["as"][1]
 
     # -- driver -------------------------------------------------------------
 
-    DIRECTIVES: dict[str, Callable[[_Parser, list[tuple[int, str]]], None]] = {
+    DIRECTIVES: dict[str, Callable[[_Parser, list[str]], None]] = {
         "config": handle_config,
         "account": handle_account,
         "signer": handle_signer,
@@ -556,17 +537,33 @@ class _Parser:
     }
 
     def parse(self) -> ScenarioScript:
-        for self.line_no, line in enumerate(self.text.splitlines(), start=1):
-            tokens = _tokens(line)
+        for self.line_no, self.line in enumerate(self.text.splitlines(), start=1):
+            tokens = self.line.partition("#")[0].split()
             if not tokens:
                 continue
-            col, head = tokens[0]
-            self.col = col
-            handler = self.DIRECTIVES.get(head)
+            handler = self.DIRECTIVES.get(tokens[0])
             if handler is None:
-                raise self.fail(f"unknown directive {head!r}")
-            handler(self, tokens[1:])
+                raise self.fail(f"unknown directive {tokens[0]!r}")
+            handler(self, tokens)
         return self.script
+
+
+@cache  # one row per distinct (type, required), shared by every schema
+def _row(kind: str, required: bool) -> tuple[Callable[..., Any], str, bool]:
+    return _Parser.KINDS[kind.partition(":")[0]], kind.rpartition(":")[2], required
+
+
+def _rows(schema: dict[str, tuple[str, bool]]) -> _Rows:
+    return {key: _row(*row) for key, row in schema.items()}
+
+
+#: Each action's rows plus ``expect_error``, whose type carries the action
+#: so that the parser can refuse it on the actions in NO_EXPECT_ERROR.
+_STEP_ROWS = {
+    action: _rows({**spec, "expect_error": (f"error:{action}", False)})
+    for action, spec in ACTION_SPECS.items()
+}
+_DIRECTIVE_ROWS = {directive: _rows(schema) for directive, schema in DIRECTIVE_FIELDS.items()}
 
 
 def parse_scenario(text: str) -> ScenarioScript:
@@ -607,7 +604,7 @@ def format_scenario(script: ScenarioScript) -> str:
     for signer in script.signers:
         line = (
             f"signer {signer.name} model={signer.model} "
-            f"rate={format_rate(signer.rate_ppm)}"
+            f"rate={format_rate(signer.rate)}"
         )
         if not signer.authorized:
             line += " authorized=false"

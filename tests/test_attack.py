@@ -255,9 +255,7 @@ class TestEndToEndReplay:
 
     def test_prior_recovery_pools_replay_too(self):
         scenario = AttackScenario(700, 1000, 100, 100, 500, 800000)
-        live = end_to_end_attack_replay(scenario)
-        analytic = simulate_attack(scenario)
-        assert abs(live.profit - analytic.profit) <= 3
+        assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
 
     def test_rate_cap_keeps_profit_below_baseline(self):
         scenario = scn(rate_ppm=950000)
@@ -284,7 +282,7 @@ class TestEndToEndReplay:
         scenario = AttackScenario(700, 1000, 100, 100, 500, 800000)
         live = end_to_end_attack_replay(scenario, risk_bounds=(0, 900000))
         assert live == end_to_end_attack_replay(scenario)
-        assert abs(live.profit - simulate_attack(scenario).profit) <= 3
+        assert live == simulate_attack(scenario)
 
     @pytest.mark.parametrize(
         "options, error, message",
@@ -320,7 +318,7 @@ class TestEndToEndReplay:
         worked = scn(rate_ppm=950000)
         assert end_to_end_attack_replay(worked) == simulate_attack(worked)
 
-    def test_randomized_agreement_within_three_units(self):
+    def test_randomized_agreement_is_exact(self):
         import random
 
         rng = random.Random(20260809)
@@ -334,10 +332,7 @@ class TestEndToEndReplay:
             scenario = AttackScenario(
                 pool_total, lp_supply, rng.randrange(0, 5000), shorted, stolen, rate_ppm
             )
-            live = end_to_end_attack_replay(scenario)
-            analytic = simulate_attack(scenario)
-            assert abs(live.profit - analytic.profit) <= 3
-            assert live.swap_out == analytic.swap_out
+            assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
 
 
 def _template_state(world):

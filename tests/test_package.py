@@ -121,7 +121,7 @@ def test_star_import_binds_every_public_name():
             "profit",
         ),
         (GenesisAccount(name="alice", base=5), "base"),
-        (SignerSpec(name="rater", model="constant", rate_ppm=500_000), "rate_ppm"),
+        (SignerSpec(name="rater", model="constant", rate=500_000), "rate"),
         (PoolSpec(name="main", kappa_ppm=500_000), "rate_cap_ppm"),
         (Step(time=0, action="advance", params={}), "expect_error"),
         (

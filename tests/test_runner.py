@@ -264,6 +264,32 @@ def test_rejected_step_writing_in_place_is_caught(monkeypatch, part):
     assert [(a.description, a.passed) for a in result.assertions] == expected
 
 
+@pytest.mark.parametrize("expect_error", ["", " expect_error=ZeroAmount"])
+def test_rejected_step_that_journals_is_caught(monkeypatch, expect_error):
+    # any rejected step, expected or not, must append no journal entry
+    def journalling_mint(runner, p, now):
+        runner.world.base.mint(p["account"], p["amount"])
+        raise ZeroAmount("rejected")
+
+    monkeypatch.setitem(ScenarioRunner.ACTIONS, "mint_base", journalling_mint)
+    step = "at 2 mint_base account=lp amount=1" + expect_error + "\n"
+    runner = ScenarioRunner(parse_scenario(_RICH_WORLD + step))
+    result = runner.run()
+    journal = len(runner.world.base.journal)
+    described = [(a.description, a.passed, a.expected, a.observed) for a in result.assertions]
+    where = "step 6 (mint_base)"
+    if expect_error:
+        first = [
+            (f"{where} fails with ZeroAmount", True, "ZeroAmount", "ZeroAmount"),
+            (f"{where} leaves state unchanged on error", False, "unchanged state", "state changed"),
+        ]
+    else:
+        first = [(f"{where} succeeds", False, "ok", "ZeroAmount")]
+    journalled = (f"{where} journals nothing on error", False, journal - 1, journal)
+    assert described == [*first, journalled]
+    assert result.events[-1].deltas == {"lp": {"base": 1}}
+
+
 @pytest.mark.parametrize(
     "write, message",
     [

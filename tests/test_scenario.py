@@ -251,6 +251,95 @@ def test_undeclared_names_and_unknown_labels_point_at_the_field(step, field):
     assert field.partition("=")[2] in err.value.reason
 
 
+T1 = "at 0 transfer from=alice to=bob amount=1 as=t1\n"
+
+#: (lines before the bad one, the bad line, its column, the reason): at
+#: least one case for each place the parser raises, with the column counted
+#: in code points, a tab or a non-ASCII space counting as one
+LOCATED_ERRORS = [
+    # field values
+    ("", "at 0 wrap account=alice amount=-5", 25,
+     "amount must be a non-negative integer, got '-5'"),
+    ("", "at\t0 wrap account=alice amount=x", 25, "amount must be a non-negative integer, got 'x'"),
+    ("", "at x advance", 4, "time must be a non-negative integer, got 'x'"),
+    ("", "at 0 wrap account=alice amount=9223372036854775808", 25,
+     "amount must be below 2**63, got 9223372036854775808"),
+    ("", "at 0  wrap   account=1x    amount=5", 14, "account must be a name, got '1x'"),
+    ("", "account 1bad", 9, "account must be a name, got '1bad'"),
+    (HEADER, "at 0 deposit pool=nope lp=alice amount=5", 14, "'nope' is not a declared pool"),
+    (HEADER, "at 0 plan_recovery transfer=ghost amount=1", 20,
+     "'ghost' does not label an earlier transfer"),
+    (HEADER, "at 0 swap pool=main requestor=alice amount=5 reports=ghost", 46,
+     "'ghost' does not label an earlier report"),
+    (HEADER, "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1.5 expiry=60", 45,
+     "min_rate: rate '1.5' exceeds 1"),
+    (HEADER, "at 0 transfer from=alice to=bob amount=1 unsettled=yes", 42,
+     "unsettled must be true or false, got 'yes'"),
+    ("", "at 0 freeze case=c1 targets=alice", 21, "targets entries are name:amount, got 'alice'"),
+    ("", "at 0 freeze case=c1 targets=a:1,alice:x", 21,
+     "targets entries are name:amount, got 'alice:x'"),
+    (HEADER, "at 0 assert kind=bid book=ob bid=1 status=gone", 36,
+     "status must be one of ('open', 'cancelled', 'filled')"),
+    ("", "signer s2 model=magic", 11, "signer model must be constant or taint, got 'magic'"),
+    ("", "at 0 advance expect_error=ZeroAmount", 14, "expect_error is not allowed on 'advance'"),
+    ("", "at 0 wrap account=alice amount=5 expect_error=Nonsense", 34,
+     "unknown error name 'Nonsense'"),
+    # fields
+    ("", "at 0 wrap account=alice amount", 25, "expected key=value, got 'amount'"),
+    ("", "at 0 wrap account=alice account=alice amount=5", 25, "duplicate field 'account'"),
+    ("", "at 0 wrap account=alice amount=5 color=red", 34, "unknown field 'color' for wrap"),
+    ("", "config window=5 colour=red", 17, "unknown config field 'colour'"),
+    ("", "pool p2 kappa_ppm=5 risk=1", 21, "unknown pool field 'risk'"),
+    ("", "at 0 wrap account=alice", 6, "wrap requires amount="),
+    ("", "signer  s2 rate=0.5", 9, "signer s2 needs model=constant|taint"),
+    ("", "pool p2", 6, "pool p2 needs kappa_ppm"),
+    # directives
+    (HEADER, "config window=5", 1, "duplicate config directive"),
+    ("at 0 advance\n", "  config window=5", 3, "config must precede all steps"),
+    ("", "account", 1, "account needs a name"),
+    ("", "\tbook", 2, "book takes exactly one name"),
+    (HEADER, "account alice", 9, "'alice' already declared as account"),
+    (HEADER, "book main", 6, "'main' already declared as pool"),
+    ("", "pool p2 kappa_ppm=0", 6, "kappa_ppm must be strictly between 0 and 1000000"),
+    ("", "book ob2 extra", 1, "book takes exactly one name"),
+    ("", "widget foo", 1, "unknown directive 'widget'"),
+    ("", "   widget#foo", 4, "unknown directive 'widget'"),
+    # steps
+    ("", "at 0", 1, "step syntax is: at <time> <action> [key=value ...]"),
+    ("at 10 advance\n", "at 5 advance", 4, "time 5 decreases (previous step at 10)"),
+    ("", "at 0 frobnicate account=alice", 6, "unknown action 'frobnicate'"),
+    ("", "at 0 freeze case=c1", 6, "freeze takes either targets= or transfer=+amount="),
+    ("", "at 0 freeze case=c1 targets=a:1 amount=5", 6,
+     "freeze takes either targets= or transfer=+amount="),
+    ("", "at 0 freeze case=c1 amount=5", 6, "freeze by plan needs both transfer= and amount="),
+    ("", "at 0 assert kind=weird", 6, "unknown assert kind 'weird'"),
+    (HEADER, "at 0 assert kind=nonce account=alice value=0 pool=main", 6,
+     "assert nonce does not take pool="),
+    ("", "at 0 assert kind=nonce account=alice", 6, "assert nonce requires value="),
+    ("", "at 0 assert kind=balance account=alice", 6,
+     "assert balance needs at least one of ['settled', 'unsettled']"),
+    (T1, "at 0 transfer from=alice to=bob amount=1 as=t1", 6, "label 't1' already used"),
+    # separators: a comment right after a token, and non-ASCII spaces
+    ("", "account b base=x5#note", 11, "base must be a non-negative integer, got 'x5'"),
+    ("", "at\u00a00 wrap\u3000account=alice amount=-1", 25,
+     "amount must be a non-negative integer, got '-1'"),
+    ("", "at 0\u3000\u3000wrap\u00a0account=alice\tamount=5\t\tcolor=red#x", 36,
+     "unknown field 'color' for wrap"),
+    ("", "at 0 wrap account=alice amount=5 as=t9#", 34, "unknown field 'as' for wrap"),
+]
+
+
+@pytest.mark.parametrize(
+    "before, bad, column, reason", LOCATED_ERRORS, ids=[case[1] for case in LOCATED_ERRORS]
+)
+def test_every_parse_error_names_its_line_column_and_reason(before, bad, column, reason):
+    line = before.count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        parse_scenario(before + bad + "\nat 99 advance\n")
+    assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
+    assert str(err.value) == f"line {line}, column {column}: {reason}"
+
+
 # -- grammar round trip ---------------------------------------------------------
 
 NAMES = ["a", "bob", "c_1", "D.e", "_f", "g-2", "lp9", "x.y-z"]
