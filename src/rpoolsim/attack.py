@@ -18,7 +18,16 @@ keeps it above 10/11 (~91%).  A pool rate cap at or below the threshold is
 therefore safe, with equality allowed because profitability is strict.
 
 Integer bookkeeping rounds against the attacker (proceeds floor, costs
-ceil), so the integer model's profit is never above the exact rational
+ceil).  With T the pool total, L the LP supply, l the short, the exact
+payout x = stolen·rate_ppm/PPM and the integer payout X = floor(x), let
+
+    δ1 = x − X,   δ2 = l·T/L − sale,   δ3 = buyback − l·(T−X)/L,
+
+each in [0, 1).  Then, exactly,
+
+    exact − integer = δ1·(1 + l/L) + δ2 + δ3,
+
+so with l <= L the integer model's profit is never above the exact rational
 profit and is less than four token units below it (3.29 at most on the
 acceptance grid).  The live end-to-end replay swaps into a fully settled
 pool, whose multiplier saturates, so it returns exactly the integer

@@ -26,6 +26,11 @@ and ``frozen_amount``.  They are derived values, updated wherever a record
 changes, so that balance views cost the matured prefix instead of the whole
 list; :meth:`WrapperLedger.check_invariants` recounts them from the records.
 
+A record keeps its key ``(settlement_time, transfer_id)`` for life.  A
+case's freeze marks records by that key, as ``(account, key, amount)``,
+and finds each again by bisection when the case closes, so every record is
+held by its account's list alone.
+
 Every operation records itself in the base ledger's journal, as a tuple
 tagged by its kind.  A transfer's entry is one :class:`Transfer`, and that
 same object is its transfer-log row: ``transfer_log`` is an index of the
@@ -42,6 +47,8 @@ Key invariants maintained here and asserted by :meth:`WrapperLedger.check_invari
     settled and unsettled (including frozen) wrapper balances;
   - each account's records are non-empty, in order, and sum to its
     ``unsettled_sum`` and ``frozen_sum``;
+  - each record's frozen amount is the total of the active cases' marks on
+    its key, and every such mark names a record that holds it;
   - each account's nonce increments by exactly one for every ledger event
     the account participates in;
   - no operation other than recover/release ever reduces a frozen amount.
@@ -151,8 +158,8 @@ class Transfer(NamedTuple):
 class Case:
     __slots__ = ("marks", "status")
 
-    def __init__(self, marks: list[tuple[str, UnsettledRecord, int]]) -> None:
-        #: (account, marked record, amount) marks placed by the freeze
+    def __init__(self, marks: list[tuple[str, tuple[int, int], int]]) -> None:
+        #: (account, marked record's key, amount) marks placed by the freeze
         self.marks = marks
         self.status = "active"  # active | recovered | released
 
@@ -509,7 +516,7 @@ class WrapperLedger:
                     f"{account} has {available} freezable unsettled, needs {total}"
                 )
 
-        marks: list[tuple[str, UnsettledRecord, int]] = []
+        marks: list[tuple[str, tuple[int, int], int]] = []
         for account, total in wanted.items():
             acct = self.accounts[account]
             self._settle_account(acct, now)
@@ -520,7 +527,7 @@ class WrapperLedger:
                 take = min(rec.spendable, remaining)
                 if take:
                     rec.frozen_amount += take
-                    marks.append((account, rec, take))
+                    marks.append((account, _record_key(rec), take))
                     remaining -= take
             assert remaining == 0
             acct.frozen_sum += total
@@ -535,18 +542,7 @@ class WrapperLedger:
         case = self._active_case(caller, case_id)
         victim_acct = self._account(victim)
         self._settle_account(victim_acct, now)
-
-        total = 0
-        for account, rec, amount in case.marks:
-            acct = self.accounts[account]
-            rec.amount -= amount
-            acct.unsettled_sum -= amount
-            total += amount
-            if not rec.amount:
-                records = acct.unsettled
-                index = bisect.bisect_left(records, _record_key(rec), key=_record_key)
-                del records[index]
-        self._unfreeze(case, "recovered")
+        total = self._close(case, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
         self.base.journal.append(("recover", case_id, victim, now))
@@ -554,7 +550,7 @@ class WrapperLedger:
 
     def release(self, caller: str, case_id: str, now: int) -> None:
         """Lift the case's freeze; records resume maturing normally."""
-        self._unfreeze(self._active_case(caller, case_id), "released")
+        self._close(self._active_case(caller, case_id), "released")
         self.base.journal.append(("release", case_id, now))
 
     def _active_case(self, caller: str, case_id: str) -> Case:
@@ -566,15 +562,30 @@ class WrapperLedger:
             raise UnknownCase(f"no active case {case_id!r}")
         return case
 
-    def _unfreeze(self, case: Case, status: str) -> None:
-        """Lift the case's marks, count the close once in each marked
-        account's nonce, and close the case as ``status``."""
-        for account, rec, amount in case.marks:
+    def _close(self, case: Case, status: str) -> int:
+        """Lift each mark from the record its key finds by bisection, count
+        the close once in each marked account's nonce, close the case as
+        ``status`` and return the marked total.  A recovery also takes each
+        marked amount out of its record and drops an emptied record."""
+        recovered = status == "recovered"
+        total = 0
+        for account, key, amount in case.marks:
+            acct = self.accounts[account]
+            records = acct.unsettled
+            index = bisect.bisect_left(records, key, key=_record_key)
+            rec = records[index]
             rec.frozen_amount -= amount
-            self.accounts[account].frozen_sum -= amount
+            acct.frozen_sum -= amount
+            total += amount
+            if recovered:
+                rec.amount -= amount
+                acct.unsettled_sum -= amount
+                if not rec.amount:
+                    del records[index]
         for account in _marked_accounts(case):
             self.accounts[account].nonce += 1
         case.status = status
+        return total
 
     def plan_recovery(
         self, tainted_transfer_id: int, amount: int, now: int
@@ -688,10 +699,17 @@ class WrapperLedger:
         Raises :class:`AssertionError` explicitly rather than through
         ``assert``, so the check also runs under ``python -O``.  An account
         without records is checked in one comparison: both its cached sums
-        must be zero.
+        must be zero.  Each record's frozen amount is the total that the
+        active cases' marks place on its key, and every such mark finds a
+        frozen record.
         """
         if self.base.total_supply != sum(self.base.balances.values()):
             raise AssertionError("base supply out of balance")
+        marked: dict[tuple[str, tuple[int, int]], int] = {}
+        for case in self.cases.values():
+            if case.status == "active":
+                for account, key, amount in case.marks:
+                    marked[account, key] = marked.get((account, key), 0) + amount
         wrapped = 0
         for name, acct in self.accounts.items():
             settled = acct.settled
@@ -718,11 +736,20 @@ class WrapperLedger:
                 if time < last_time or (time == last_time and rec.transfer_id <= last_id):
                     raise AssertionError(f"{name} records out of order")
                 last_time, last_id = time, rec.transfer_id
+                if frozen_amount:
+                    expected = marked.pop((name, (time, last_id)), 0)
+                    if expected != frozen_amount:
+                        raise AssertionError(
+                            f"{name} record {last_id} frozen {frozen_amount} != {expected} marked"
+                        )
                 unsettled += amount
                 frozen += frozen_amount
             if acct.unsettled_sum != unsettled or acct.frozen_sum != frozen:
                 raise AssertionError(_sum_mismatch(name, acct, unsettled, frozen))
             wrapped += settled + unsettled
+        if marked:
+            (account, (_, transfer_id)), amount = next(iter(marked.items()))
+            raise AssertionError(f"{account} record {transfer_id}: {amount} marked, none frozen")
         if self.base_locked() != wrapped:
             raise AssertionError(
                 f"locked base {self.base_locked()} != wrapped total {wrapped}"
@@ -815,8 +842,8 @@ def _recover_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
 def _release_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     _, case_id, _ = entry
     case = ledger.cases[case_id]
-    for account, rec, amount in case.marks:
-        if rec.settlement_time <= now:
+    for account, (due, _), amount in case.marks:
+        if due <= now:
             # a due record's frozen part was its only unsettled value
             yield account, "settled", amount
             yield account, "unsettled", -amount

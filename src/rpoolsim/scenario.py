@@ -14,7 +14,9 @@ clock.  The full grammar ships in docs/scenario-format.md; the essentials:
     at 0 transfer from=alice to=bob amount=40 as=t1
     at 60 swap pool=main requestor=bob amount=40 reports=r1 expect_error=StaleNonce
 
-A line's tokens are its whitespace-separated words before any ``#``.
+A line ends at LF only, and its tokens are its whitespace-separated words
+before any ``#``: a CR, a form feed or a Unicode line separator inside a
+line separates tokens and starts no new line.
 Amounts are plain integers; rates are decimals with at most six places and
 convert exactly to ppm.  Unknown directives, actions, or fields are
 rejected with a located :class:`ParseError`, whose column is worked out
@@ -537,7 +539,7 @@ class _Parser:
     }
 
     def parse(self) -> ScenarioScript:
-        for self.line_no, self.line in enumerate(self.text.splitlines(), start=1):
+        for self.line_no, self.line in enumerate(self.text.split("\n"), start=1):
             tokens = self.line.partition("#")[0].split()
             if not tokens:
                 continue

@@ -67,7 +67,7 @@ class World:
                 if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
             },
             "cases": {
-                cid: (case.status, [(acct, rec.transfer_id, amount) for acct, rec, amount in case.marks])
+                cid: (case.status, list(case.marks))
                 for cid, case in self.ledger.cases.items()
             },
             "pools": {
@@ -88,9 +88,8 @@ class World:
 
         Immutable parts are shared: journal entries (tuples and
         :class:`~rpoolsim.ledger.Transfer` rows), swap receipts, fills, key
-        bytes and the stateless signature scheme.  Each record maps to one
-        copy, whether an account holds it, a case's mark names it, or both,
-        so a later recover or release acts on the copy as it would here.
+        bytes and the stateless signature scheme.  A case's marks name
+        records by key, so a case copies as a plain list of its marks.
         """
         new = _clone(self)
         base = new.base = _clone(self.base)
@@ -99,7 +98,6 @@ class World:
 
         ledger = new.ledger = _clone(self.ledger)
         ledger.base = base
-        records: dict[int, UnsettledRecord] = {}  # id of a source record -> its copy
         accounts = ledger.accounts = {}
         for name, acct in self.ledger.accounts.items():
             copied = accounts[name] = Account.__new__(Account)
@@ -108,14 +106,12 @@ class World:
             copied.unwrap_disabled = acct.unwrap_disabled
             copied.unsettled_sum = acct.unsettled_sum
             copied.frozen_sum = acct.frozen_sum
-            copied.unsettled = [_copy_record(rec, records) for rec in acct.unsettled]
+            copied.unsettled = [_copy_record(rec) for rec in acct.unsettled]
         ledger.transfer_log = list(self.ledger.transfer_log)
         ledger._outflows = {sender: list(out) for sender, out in self.ledger._outflows.items()}
         cases = ledger.cases = {}
         for case_id, case in self.ledger.cases.items():
-            copied = cases[case_id] = Case(
-                [(acct, _copy_record(rec, records), amount) for acct, rec, amount in case.marks]
-            )
+            copied = cases[case_id] = Case(list(case.marks))
             copied.status = case.status
 
         registry = new.registry = _clone(self.registry)
@@ -168,12 +164,9 @@ def _clone(obj):
     return new
 
 
-def _copy_record(rec: UnsettledRecord, records: dict[int, UnsettledRecord]) -> UnsettledRecord:
-    """The one copy of ``rec`` in ``records``, made on first use."""
-    copied = records.get(id(rec))
-    if copied is None:
-        copied = records[id(rec)] = UnsettledRecord(rec.transfer_id, rec.amount, rec.settlement_time)
-        copied.frozen_amount = rec.frozen_amount
+def _copy_record(rec: UnsettledRecord) -> UnsettledRecord:
+    copied = UnsettledRecord(rec.transfer_id, rec.amount, rec.settlement_time)
+    copied.frozen_amount = rec.frozen_amount
     return copied
 
 

@@ -106,9 +106,18 @@ def test_criterion_6_bound_soundness_sweep():
                 f"violation at L={scenario.lp_supply} l={scenario.shorted} rate={rate}"
             )
             analytic = simulate_attack(scenario)
-            # integer rounding never overstates the exact profit, and
-            # understates it by less than four token units
-            assert 0 <= exact_profit(scenario) - analytic.profit < 4
+            # the gap is the attack docstring's rounding identity: integer
+            # rounding never overstates the exact profit, and understates it
+            # by less than four token units
+            total, supply, short = scenario.pool_total, scenario.lp_supply, scenario.shorted
+            payout = analytic.swap_out
+            d1 = Fraction(scenario.stolen * scenario.rate_ppm, PPM) - payout
+            d2 = Fraction(short * total, supply) - analytic.sale_proceeds
+            d3 = analytic.buyback_cost - Fraction(short * (total - payout), supply)
+            assert 0 <= d1 < 1 and 0 <= d2 < 1 and 0 <= d3 < 1
+            gap = exact_profit(scenario) - analytic.profit
+            assert gap == d1 * (1 + Fraction(short, supply)) + d2 + d3
+            assert 0 <= gap < 4
             assert end_to_end_attack_replay(scenario) == analytic
             checked += 1
         assert checked >= 10_000, checked

@@ -165,6 +165,29 @@ class TestCapSafety:
         assert is_cap_safe(500000, PPM)
         assert not is_cap_safe(500001, PPM)
 
+    def test_bounded_exhaustive_up_to_eight_lp_tokens(self):
+        # every pool total, short and theft with lp_supply <= 8, at rates 0
+        # and PPM and one ppm around the threshold's floor and ceiling
+        checked = 0
+        for lp_supply in range(1, 9):
+            for pool_total in range(1, lp_supply + 1):
+                for shorted in range(1, lp_supply + 1):
+                    threshold = exact_threshold(lp_supply, shorted)
+                    floor = threshold.numerator * PPM // threshold.denominator
+                    ceil = -(-threshold.numerator * PPM // threshold.denominator)
+                    near = (floor - 1, floor, floor + 1, ceil - 1, ceil, ceil + 1)
+                    rates = sorted({0, PPM, *(r for r in near if 0 <= r <= PPM)})
+                    for stolen in range(1, pool_total + 1):
+                        for rate_ppm in rates:
+                            s = AttackScenario(pool_total, lp_supply, 0, shorted, stolen, rate_ppm)
+                            above = Fraction(rate_ppm, PPM) > threshold
+                            assert (exact_profit(s) > stolen) == above, s
+                            if not above:
+                                assert simulate_attack(s).profit <= stolen, s
+                                assert end_to_end_attack_replay(s).profit <= stolen, s
+                            checked += 1
+        assert checked == 4209
+
 
 class TestExactBounds:
     def test_soundness_and_tightness_on_a_grid(self):

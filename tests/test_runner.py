@@ -219,9 +219,34 @@ _RICH_WORLD = (
 
 
 def _freeze_one_more(runner):
-    acct = runner.world.ledger.accounts["bob"]
+    # the mark, its record and the cached sum move together, so the recount
+    # still passes
+    ledger = runner.world.ledger
+    marks = ledger.cases["c1"].marks
+    account, key, amount = marks[0]
+    marks[0] = (account, key, amount + 1)
+    acct = ledger.accounts[account]
     acct.unsettled[0].frozen_amount += 1
-    acct.frozen_sum += 1  # the cached sum follows, so the recount still passes
+    acct.frozen_sum += 1
+
+
+def _release_in_place(runner):
+    # the case closes and its record's frozen part is lifted with it
+    ledger = runner.world.ledger
+    case = ledger.cases["c1"]
+    case.status = "released"
+    for account, _, amount in case.marks:
+        acct = ledger.accounts[account]
+        acct.unsettled[0].frozen_amount -= amount
+        acct.frozen_sum -= amount
+
+
+def _split_a_mark(runner):
+    # two marks of 29 and 1 freeze what one mark of 30 froze
+    marks = runner.world.ledger.cases["c1"].marks
+    account, key, amount = marks[0]
+    marks[0] = (account, key, amount - 1)
+    marks.append((account, key, 1))
 
 
 def _settle_one_later(runner):
@@ -235,10 +260,8 @@ _IN_PLACE_WRITES = {
     "record frozen_amount": _freeze_one_more,
     "record settlement_time": _settle_one_later,
     "unwrap flag": lambda r: setattr(r.world.ledger.accounts["idle"], "unwrap_disabled", True),
-    "case status": lambda r: setattr(r.world.ledger.cases["c1"], "status", "released"),
-    "case entries": lambda r: r.world.ledger.cases["c1"].marks.append(
-        ("bob", r.world.ledger.accounts["bob"].unsettled[0], 1)
-    ),
+    "case status": _release_in_place,
+    "case entries": _split_a_mark,
     "lp holdings": lambda r: r.world.pools["p"].lp_holdings.update(lp=199, bob=1),
     "receipt count": lambda r: r.world.pools["p"].receipts.append(None),
     "bid status": lambda r: setattr(r.world.books["ob"].bids[1], "status", "cancelled"),

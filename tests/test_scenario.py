@@ -340,6 +340,27 @@ def test_every_parse_error_names_its_line_column_and_reason(before, bad, column,
     assert str(err.value) == f"line {line}, column {column}: {reason}"
 
 
+#: characters that str.splitlines() breaks at but a scenario line does not
+NOT_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+def test_a_line_ends_at_lf_only(sep):
+    header = "config window=10 arbitrator=arb\n"
+    assert parse_scenario(header + f"account a{sep}base=5\n") == parse_scenario(
+        header + "account a base=5\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_scenario(header + f"account a{sep}bogus=1\nat 0 advance\n")
+    assert (err.value.line, err.value.column) == (2, 11)
+    assert err.value.reason == "unknown account field 'bogus'"
+
+
+def test_a_crlf_file_parses_like_its_lf_form():
+    text = "config window=10 arbitrator=arb\naccount a base=5  # genesis\nat 0 advance\n"
+    assert parse_scenario(text.replace("\n", "\r\n")) == parse_scenario(text)
+
+
 # -- grammar round trip ---------------------------------------------------------
 
 NAMES = ["a", "bob", "c_1", "D.e", "_f", "g-2", "lp9", "x.y-z"]

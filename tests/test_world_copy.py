@@ -154,14 +154,13 @@ def test_copy_shares_no_mutable_object(source):
     assert not shared, shared
 
 
-def test_each_marked_record_maps_to_one_copy():
-    # c1 (recovered) and c2 (active) mark the record bob still holds
-    world, _ = final_world(_RICHER_WORLD)
-    copy = world.copy()
-    (held,) = copy.ledger.accounts["bob"].unsettled
-    marked = [rec for case in copy.ledger.cases.values() for _, rec, _ in case.marks]
-    assert [rec is held for rec in marked] == [True, True]
-    assert held is not world.ledger.accounts["bob"].unsettled[0]
+@pytest.mark.parametrize("source", SOURCES)
+def test_no_case_holds_a_record(source):
+    # marks name records by key, so each record is held by its account alone
+    world, _ = final_world(SOURCES[source])
+    for ledger in (world.ledger, world.copy().ledger):
+        held = [obj for obj in reachable(ledger.cases).values() if isinstance(obj, UnsettledRecord)]
+        assert not held, held
 
 
 @pytest.mark.parametrize("source", SOURCES)
