@@ -153,14 +153,21 @@ def simulate_attack(scenario: AttackScenario) -> ProfitBreakdown:
     stolen tokens to the recovery: net change is minus the swap payout, so
     the LP spot price falls from total/supply to (total-x)/supply.
     """
+    swap_out = _swap_payout(scenario)
+    return _breakdown(
+        scenario, swap_out, scenario.pool_total, scenario.pool_total - swap_out
+    )
+
+
+def _swap_payout(scenario: AttackScenario) -> int:
+    """The attack swap's payout at the scenario's rate, refused as
+    :class:`InvalidScenario` when the pool could not pay it."""
     swap_out = scenario.stolen * scenario.rate_ppm // PPM
     if swap_out > scenario.pool_total:
         raise InvalidScenario(
             f"swap payout {swap_out} exceeds pool capacity {scenario.pool_total}"
         )
-    return _breakdown(
-        scenario, swap_out, scenario.pool_total, scenario.pool_total - swap_out
-    )
+    return swap_out
 
 
 def exact_profit(scenario: AttackScenario, rate: Fraction | None = None) -> Fraction:
@@ -272,13 +279,16 @@ def end_to_end_attack_replay(
     spot from the live pool totals.  The pre-attack world is built once per
     ``(pool_total, lp_supply)`` and each replay runs on a copy of it, so
     ``risk_bounds`` and ``rate_cap_ppm`` (checked first, as a pool's
-    constructor checks them) apply to the attack swap only.  The lender
+    constructor checks them) apply to the attack swap only.  A payout at
+    the scenario's rate above the pool total is refused next, before any
+    world is built, as :func:`simulate_attack` refuses it.  The lender
     signs the attack's report with ``model``, by default a constant quote
     of the scenario's rate.  Pool rejections (rate bounds, nonce) propagate
     to the caller.
     """
     check_risk_bounds(risk_bounds)
     check_rate(rate_cap_ppm)
+    _swap_payout(scenario)
     template, secret = _pre_attack_world(scenario.pool_total, scenario.lp_supply)
     world = template.copy()
     ledger, pool = world.ledger, world.pools["pool"]

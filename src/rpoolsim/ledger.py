@@ -26,10 +26,13 @@ and ``frozen_amount``.  They are derived values, updated wherever a record
 changes, so that balance views cost the matured prefix instead of the whole
 list; :meth:`WrapperLedger.check_invariants` recounts them from the records.
 
-A record keeps its key ``(settlement_time, transfer_id)`` for life.  A
-case's freeze marks records by that key, as ``(account, key, amount)``,
-and finds each again by bisection when the case closes, so every record is
-held by its account's list alone.
+Records and cases are immutable values: an operation that changes one
+puts a new value in its place in the account's list or in ``cases``, so a
+copy of a world shares them and no snapshot rebuilds them.  A record keeps
+its key ``(settlement_time, transfer_id)``, its first two fields, for
+life.  A case's freeze marks records by that key, as
+``(account, key, amount)``, and finds each again by bisection when the
+case closes, so every record is held by its account's list alone.
 
 Every operation records itself in the base ledger's journal, as a tuple
 tagged by its kind.  A transfer's entry is one :class:`Transfer`, and that
@@ -102,21 +105,18 @@ def check_amount(amount: int) -> int:
     return amount
 
 
-class UnsettledRecord:
+class UnsettledRecord(NamedTuple):
     """One freezable chunk of a recipient's balance, named by the transfer
-    that made it: each transfer makes exactly one record, at its recipient."""
+    that made it: each transfer makes exactly one record, at its recipient.
 
-    __slots__ = ("transfer_id", "amount", "settlement_time", "frozen_amount")
+    Its first two fields are its key, so a list of records sorts, and is
+    searched by bisection, on the key alone.
+    """
 
-    def __init__(self, transfer_id: int, amount: int, settlement_time: int) -> None:
-        self.transfer_id = transfer_id
-        self.amount = amount
-        self.settlement_time = settlement_time
-        self.frozen_amount = 0
-
-    @property
-    def spendable(self) -> int:
-        return self.amount - self.frozen_amount
+    settlement_time: int
+    transfer_id: int
+    amount: int
+    frozen_amount: int = 0
 
 
 class Account:
@@ -155,17 +155,10 @@ class Transfer(NamedTuple):
     unsettled_spent: int
 
 
-class Case:
-    __slots__ = ("marks", "status")
-
-    def __init__(self, marks: list[tuple[str, tuple[int, int], int]]) -> None:
-        #: (account, marked record's key, amount) marks placed by the freeze
-        self.marks = marks
-        self.status = "active"  # active | recovered | released
-
-
-def _record_key(rec: UnsettledRecord) -> tuple[int, int]:
-    return rec.settlement_time, rec.transfer_id
+class Case(NamedTuple):
+    #: (account, marked record's key, amount) marks placed by the freeze
+    marks: tuple[tuple[str, tuple[int, int], int], ...]
+    status: str = "active"  # active | recovered | released
 
 
 #: sorts before every record key: the caller's clock may be negative
@@ -175,10 +168,10 @@ _BEFORE_ANY_KEY = (float("-inf"), 0)
 def _matured_movable(records: list[UnsettledRecord], now: int) -> int:
     """Unfrozen value of the matured prefix: what a fold at ``now`` moves."""
     movable = 0
-    for rec in records:
-        if rec.settlement_time > now:
+    for time, _, amount, frozen in records:
+        if time > now:
             break
-        movable += rec.amount - rec.frozen_amount
+        movable += amount - frozen
     return movable
 
 
@@ -260,15 +253,14 @@ class WrapperLedger:
         records = acct.unsettled
         kept: list[UnsettledRecord] = []
         moved = matured = 0
-        for rec in records:
-            if rec.settlement_time > now:
+        for time, transfer_id, amount, frozen in records:
+            if time > now:
                 break
             matured += 1
-            moved += rec.amount - rec.frozen_amount
-            if rec.frozen_amount:
+            moved += amount - frozen
+            if frozen:
                 # Frozen remainder stays unsettled until the case closes.
-                rec.amount = rec.frozen_amount
-                kept.append(rec)
+                kept.append(UnsettledRecord(time, transfer_id, frozen, frozen))
         # Nothing moved means every matured record is wholly frozen and stays.
         if moved:
             acct.settled += moved
@@ -300,9 +292,10 @@ class WrapperLedger:
             - _matured_movable(acct.unsettled, now)
         )
 
-    def holds_record_from(self, account: str, transfer_id: int) -> bool:
-        """Whether ``account`` still holds an unsettled record made by the
-        transfer ``transfer_id``.
+    def holds_record_from(self, account: str, transfer_id: int, now: int) -> bool:
+        """Whether ``account`` still holds, at ``now``, unsettled value of
+        the record made by the transfer ``transfer_id``: the record is not
+        yet due, or part of it is frozen.
 
         A transfer's record is made at its recipient, never moves, and
         keeps its key ``(time + window, transfer_id)`` for life, so only the
@@ -316,9 +309,11 @@ class WrapperLedger:
         if acct is None or entry.recipient != account:
             return False
         records = acct.unsettled
-        key = (entry.time + self.recovery_window, transfer_id)
-        index = bisect.bisect_left(records, key, key=_record_key)
-        return index < len(records) and records[index].transfer_id == transfer_id
+        due = entry.time + self.recovery_window
+        index = bisect.bisect_left(records, (due, transfer_id))
+        if index == len(records) or records[index].transfer_id != transfer_id:
+            return False
+        return due > now or records[index].frozen_amount > 0
 
     def nonce(self, account: str) -> int:
         acct = self.accounts.get(account)
@@ -439,13 +434,13 @@ class WrapperLedger:
 
         transfer_id = len(self.transfer_log) + 1
         due = now + self.recovery_window
-        record = UnsettledRecord(transfer_id, amount, due)
+        record = UnsettledRecord(due, transfer_id, amount)
         records = recipient_acct.unsettled
         # the new id is the highest yet, so an equal due time sorts last too
         if not records or records[-1].settlement_time <= due:
             records.append(record)
         else:
-            bisect.insort(records, record, key=_record_key)
+            bisect.insort(records, record)
         recipient_acct.unsettled_sum += amount
         entry = Transfer(
             "transfer", sender, recipient, amount, mode, now, transfer_id, unsettled_spent
@@ -470,15 +465,14 @@ class WrapperLedger:
             records = acct.unsettled
             kept: list[UnsettledRecord] = []
             walked = 0
-            for rec in records:
+            for time, transfer_id, held, frozen in records:
                 if not remaining:
                     break
                 walked += 1
-                take = min(rec.spendable, remaining)
-                rec.amount -= take
+                take = min(held - frozen, remaining)
                 remaining -= take
-                if rec.amount:
-                    kept.append(rec)
+                if held > take:
+                    kept.append(UnsettledRecord(time, transfer_id, held - take, frozen))
             records[:walked] = kept
             acct.unsettled_sum -= unsettled_spent
         assert remaining == 0, "spend called without sufficient validated funds"
@@ -521,28 +515,29 @@ class WrapperLedger:
             acct = self.accounts[account]
             self._settle_account(acct, now)
             remaining = total
-            for rec in acct.unsettled:
+            records = acct.unsettled
+            for index, (time, transfer_id, held, frozen) in enumerate(records):
                 if not remaining:
                     break
-                take = min(rec.spendable, remaining)
+                take = min(held - frozen, remaining)
                 if take:
-                    rec.frozen_amount += take
-                    marks.append((account, _record_key(rec), take))
+                    records[index] = UnsettledRecord(time, transfer_id, held, frozen + take)
+                    marks.append((account, (time, transfer_id), take))
                     remaining -= take
             assert remaining == 0
             acct.frozen_sum += total
             acct.nonce += 1
-        self.cases[case_id] = Case(marks)
+        self.cases[case_id] = Case(tuple(marks))
         self.base.journal.append(
             ("freeze", case_id, tuple(sorted(wanted.items())), now)
         )
 
     def recover(self, caller: str, case_id: str, victim: str, now: int) -> int:
         """Move all frozen value of the case into the victim's settled balance."""
-        case = self._active_case(caller, case_id)
+        self._check_active(caller, case_id)
         victim_acct = self._account(victim)
         self._settle_account(victim_acct, now)
-        total = self._close(case, "recovered")
+        total = self._close(case_id, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
         self.base.journal.append(("recover", case_id, victim, now))
@@ -550,41 +545,43 @@ class WrapperLedger:
 
     def release(self, caller: str, case_id: str, now: int) -> None:
         """Lift the case's freeze; records resume maturing normally."""
-        self._close(self._active_case(caller, case_id), "released")
+        self._check_active(caller, case_id)
+        self._close(case_id, "released")
         self.base.journal.append(("release", case_id, now))
 
-    def _active_case(self, caller: str, case_id: str) -> Case:
-        """The open case ``case_id``, if ``caller`` may close it."""
+    def _check_active(self, caller: str, case_id: str) -> None:
+        """Reject a close unless ``case_id`` is open and ``caller`` may close it."""
         if caller != self.arbitrator:
             raise NotArbitrator(f"{caller} is not the arbitrator")
         case = self.cases.get(case_id)
         if case is None or case.status != "active":
             raise UnknownCase(f"no active case {case_id!r}")
-        return case
 
-    def _close(self, case: Case, status: str) -> int:
+    def _close(self, case_id: str, status: str) -> int:
         """Lift each mark from the record its key finds by bisection, count
         the close once in each marked account's nonce, close the case as
         ``status`` and return the marked total.  A recovery also takes each
         marked amount out of its record and drops an emptied record."""
+        marks = self.cases[case_id].marks
         recovered = status == "recovered"
         total = 0
-        for account, key, amount in case.marks:
+        for account, key, amount in marks:
             acct = self.accounts[account]
             records = acct.unsettled
-            index = bisect.bisect_left(records, key, key=_record_key)
-            rec = records[index]
-            rec.frozen_amount -= amount
+            index = bisect.bisect_left(records, key)
+            time, transfer_id, held, frozen = records[index]
             acct.frozen_sum -= amount
             total += amount
             if recovered:
-                rec.amount -= amount
+                held -= amount
                 acct.unsettled_sum -= amount
-                if not rec.amount:
+                if not held:
                     del records[index]
-        for account in _marked_accounts(case):
+                    continue
+            records[index] = UnsettledRecord(time, transfer_id, held, frozen - amount)
+        for account in _marked_accounts(marks):
             self.accounts[account].nonce += 1
-        case.status = status
+        self.cases[case_id] = Case(marks, status)
         return total
 
     def plan_recovery(
@@ -723,24 +720,21 @@ class WrapperLedger:
                 continue
             unsettled = frozen = 0
             last_time, last_id = _BEFORE_ANY_KEY
-            for rec in records:
-                amount = rec.amount
-                frozen_amount = rec.frozen_amount
+            for time, transfer_id, amount, frozen_amount in records:
                 if amount <= 0:
                     raise AssertionError(f"{name} holds an empty record")
                 if not 0 <= frozen_amount <= amount:
                     raise AssertionError(
-                        f"{name} record {rec.transfer_id} frozen amount out of range"
+                        f"{name} record {transfer_id} frozen amount out of range"
                     )
-                time = rec.settlement_time
-                if time < last_time or (time == last_time and rec.transfer_id <= last_id):
+                if time < last_time or (time == last_time and transfer_id <= last_id):
                     raise AssertionError(f"{name} records out of order")
-                last_time, last_id = time, rec.transfer_id
+                last_time, last_id = time, transfer_id
                 if frozen_amount:
-                    expected = marked.pop((name, (time, last_id)), 0)
+                    expected = marked.pop((name, (time, transfer_id)), 0)
                     if expected != frozen_amount:
                         raise AssertionError(
-                            f"{name} record {last_id} frozen {frozen_amount} != {expected} marked"
+                            f"{name} record {transfer_id} frozen {frozen_amount} != {expected} marked"
                         )
                 unsettled += amount
                 frozen += frozen_amount
@@ -756,9 +750,9 @@ class WrapperLedger:
             )
 
 
-def _marked_accounts(case: Case) -> dict[str, None]:
-    """The case's marked accounts, each once, in mark order."""
-    return dict.fromkeys(account for account, _, _ in case.marks)
+def _marked_accounts(marks: tuple) -> dict[str, None]:
+    """A case's marked accounts, each once, in mark order."""
+    return dict.fromkeys(account for account, _, _ in marks)
 
 
 def _sum_mismatch(name: str, acct: Account, unsettled: int, frozen: int) -> str:
@@ -832,7 +826,7 @@ def _recover_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     for account, _, amount in case.marks:
         yield account, "unsettled", -amount
         total += amount
-    for account in _marked_accounts(case):
+    for account in _marked_accounts(case.marks):
         yield account, "nonce", 1
     # the victim may also be a marked account: its nonce then rises twice
     yield victim, "settled", total
@@ -847,7 +841,7 @@ def _release_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
             # a due record's frozen part was its only unsettled value
             yield account, "settled", amount
             yield account, "unsettled", -amount
-    for account in _marked_accounts(case):
+    for account in _marked_accounts(case.marks):
         yield account, "nonce", 1
 
 

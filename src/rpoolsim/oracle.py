@@ -171,8 +171,9 @@ class ConstantRiskModel:
 class TaintAwareRiskModel:
     """Quotes zero (maximal risk) for holders of tainted funds.
 
-    A requestor holding any unsettled record whose origin transfer is in the
-    tainted set is rated unswappable; everyone else gets ``clean_rate_ppm``.
+    A requestor still holding unsettled value of a record whose origin
+    transfer is in the tainted set (not yet due at ``now``, or in part
+    frozen) is rated unswappable; everyone else gets ``clean_rate_ppm``.
     The tainted set is shared with the scenario driver, which marks transfer
     ids as thefts are scripted.  A quote looks up each tainted transfer's
     record, so it costs the size of the tainted set, not the requestor's
@@ -187,7 +188,7 @@ class TaintAwareRiskModel:
 
     def quote(self, ledger: WrapperLedger, requestor: str, amount: int, now: int) -> int:
         for transfer_id in self.tainted_transfer_ids:
-            if ledger.holds_record_from(requestor, transfer_id):
+            if ledger.holds_record_from(requestor, transfer_id, now):
                 return 0
         return self.clean_rate_ppm
 

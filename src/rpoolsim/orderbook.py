@@ -9,12 +9,14 @@ assessment happens off-contract, per LP.
 A bid carries the bidder's account nonce at posting time; a match is
 rejected if the nonce has moved since, mirroring the automated pool's
 anti-laundering defense.  Rejected matches are non-destructive: the bid
-stays open.
+stays open.  A bid is an immutable value: a cancel or a fill puts a new
+bid, the same but for its status, under its id in ``bids``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadExpiry,
@@ -34,25 +36,14 @@ CANCELLED = "cancelled"
 FILLED = "filled"
 
 
-class Bid:
-    __slots__ = ("bid_id", "bidder", "amount", "min_rate_ppm", "expiry", "nonce_at_post", "status")
-
-    def __init__(
-        self,
-        bid_id: int,
-        bidder: str,
-        amount: int,
-        min_rate_ppm: int,
-        expiry: int,
-        nonce_at_post: int,
-    ) -> None:
-        self.bid_id = bid_id
-        self.bidder = bidder
-        self.amount = amount
-        self.min_rate_ppm = min_rate_ppm
-        self.expiry = expiry
-        self.nonce_at_post = nonce_at_post
-        self.status = OPEN
+class Bid(NamedTuple):
+    bid_id: int
+    bidder: str
+    amount: int
+    min_rate_ppm: int
+    expiry: int
+    nonce_at_post: int
+    status: str = OPEN
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,7 @@ class OrderBook:
         bid = self._open_bid(bid_id)
         if caller != bid.bidder:
             raise NotBidder(f"{caller} does not own bid {bid_id}")
-        bid.status = CANCELLED
+        self.bids[bid_id] = Bid(*bid[:-1], CANCELLED)
 
     def match_bid(self, lp: str, bid_id: int, offered_base: int, now: int) -> Fill:
         """Fill a bid: the LP pays ``offered_base`` for the bid's unsettled tokens.
@@ -136,7 +127,7 @@ class OrderBook:
             )
         transfer_id = self.ledger.transfer_unsettled(bid.bidder, lp, bid.amount, now)
         self.ledger.base.transfer(lp, bid.bidder, offered_base)
-        bid.status = FILLED
+        self.bids[bid_id] = Bid(*bid[:-1], FILLED)
         fill = Fill(
             bid_id=bid_id,
             lp=lp,

@@ -22,10 +22,11 @@ its ``expect_error`` outcome, the unchanged state after that error, its
 success when no error is expected, each ``expect_*`` and ``assert``
 comparison.  One constructor turns each into an :class:`AssertionResult`
 that passed iff ``expected == observed``.  The state is compared in full, by
-value (:meth:`World.snapshot`: every balance, record, case, pool and bid),
-before and after the step.  Any rejected step, expected or not, must also
-leave the journal at its length before the step; that check costs one
-length and is reported only when it fails.  Failures surface in the report
+value (:meth:`World.snapshot`: every balance, record, case, signer, pool
+and bid, and the journal's length), before and after the step.  Any
+rejected step, expected or not, must also leave the journal at its length
+before the step; that check costs one length, covers the rejections that
+no snapshot is taken around, and is reported only when it fails.  Failures surface in the report
 rather than as exceptions, so a scenario always runs to the end.
 """
 
@@ -131,7 +132,7 @@ class ScenarioRunner:
 
     def state_digest(self) -> str:
         """sha256 of :meth:`World.snapshot`, for comparing states across runs."""
-        blob = json.dumps(self.world.snapshot(), sort_keys=True).encode()
+        blob = json.dumps(self.world.snapshot(), sort_keys=True, default=bytes.hex).encode()
         return hashlib.sha256(blob).hexdigest()
 
     # -- execution -------------------------------------------------------------

@@ -6,9 +6,9 @@ the :meth:`World.check_invariants` recount across every layer, and
 from __future__ import annotations
 
 from .amm import AmmPool
-from .ledger import Account, BaseLedger, Case, UnsettledRecord, WrapperLedger
+from .ledger import Account, BaseLedger, WrapperLedger
 from .oracle import RatingEntity, RiskModel, SignerRegistry
-from .orderbook import CANCELLED, FILLED, OPEN, Bid, OrderBook
+from .orderbook import CANCELLED, FILLED, OPEN, OrderBook
 
 _BID_STATUSES = {OPEN, CANCELLED, FILLED}
 
@@ -44,41 +44,39 @@ class World:
     def snapshot(self) -> dict:
         """The complete raw world state, by value (empty accounts excluded).
 
-        Every mutable part is copied into tuples and fresh lists, so no later
-        operation can change a snapshot taken before it.  Two snapshots are
+        Records, cases, bids and signer entries are immutable values and are
+        listed as stored; every container is copied, so no later operation
+        can change a snapshot taken before it.  The journal and the transfer
+        log only grow, so their lengths stand for them.  Two snapshots are
         compared with ``==``.
         """
         return {
             "base": {name: amount for name, amount in self.base.balances.items() if amount},
             "supply": self.base.total_supply,
+            "journal": len(self.base.journal),
+            "transfers": len(self.ledger.transfer_log),
             "accounts": {
-                name: (
-                    acct.settled,
-                    acct.nonce,
-                    acct.unwrap_disabled,
-                    [
-                        (r.transfer_id, r.amount, r.settlement_time, r.frozen_amount)
-                        for r in acct.unsettled
-                    ]
-                    if acct.unsettled
-                    else [],  # most accounts hold no records: skip the comprehension
-                )
+                name: (acct.settled, acct.nonce, acct.unwrap_disabled, list(acct.unsettled))
                 for name, acct in self.ledger.accounts.items()
                 if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
             },
-            "cases": {
-                cid: (case.status, list(case.marks))
-                for cid, case in self.ledger.cases.items()
-            },
+            "cases": dict(self.ledger.cases),
+            "signers": dict(self.registry._signers),
             "pools": {
-                name: (pool.lp_supply, sorted(pool.lp_holdings.items()), len(pool.receipts))
+                name: (
+                    pool.lp_supply,
+                    sorted(pool.lp_holdings.items()),
+                    len(pool.receipts),
+                    pool.kappa_ppm,
+                    pool.risk_bounds,
+                    pool.min_quorum,
+                    pool.min_lp_deposit,
+                    pool.rate_cap_ppm,
+                )
                 for name, pool in self.pools.items()
             },
             "books": {
-                name: [
-                    (b.bid_id, b.bidder, b.amount, b.min_rate_ppm, b.expiry, b.nonce_at_post, b.status)
-                    for b in book.bids.values()
-                ]
+                name: (list(book.bids.values()), len(book.fills))
                 for name, book in self.books.items()
             },
         }
@@ -87,9 +85,9 @@ class World:
         """An equal world that shares no mutable object with this one.
 
         Immutable parts are shared: journal entries (tuples and
-        :class:`~rpoolsim.ledger.Transfer` rows), swap receipts, fills, key
-        bytes and the stateless signature scheme.  A case's marks name
-        records by key, so a case copies as a plain list of its marks.
+        :class:`~rpoolsim.ledger.Transfer` rows), unsettled records, cases,
+        bids, swap receipts, fills, key bytes and the stateless signature
+        scheme.
         """
         new = _clone(self)
         base = new.base = _clone(self.base)
@@ -106,13 +104,10 @@ class World:
             copied.unwrap_disabled = acct.unwrap_disabled
             copied.unsettled_sum = acct.unsettled_sum
             copied.frozen_sum = acct.frozen_sum
-            copied.unsettled = [_copy_record(rec) for rec in acct.unsettled]
+            copied.unsettled = list(acct.unsettled)
         ledger.transfer_log = list(self.ledger.transfer_log)
         ledger._outflows = {sender: list(out) for sender, out in self.ledger._outflows.items()}
-        cases = ledger.cases = {}
-        for case_id, case in self.ledger.cases.items():
-            copied = cases[case_id] = Case(list(case.marks))
-            copied.status = case.status
+        ledger.cases = dict(self.ledger.cases)
 
         registry = new.registry = _clone(self.registry)
         registry._signers = dict(self.registry._signers)
@@ -128,7 +123,7 @@ class World:
         for name, book in self.books.items():
             copied = books[name] = _clone(book)
             copied.ledger = ledger
-            copied.bids = {bid_id: _copy_bid(bid) for bid_id, bid in book.bids.items()}
+            copied.bids = dict(book.bids)
             copied.fills = list(book.fills)
         return new
 
@@ -163,14 +158,3 @@ def _clone(obj):
     new.__dict__.update(obj.__dict__)
     return new
 
-
-def _copy_record(rec: UnsettledRecord) -> UnsettledRecord:
-    copied = UnsettledRecord(rec.transfer_id, rec.amount, rec.settlement_time)
-    copied.frozen_amount = rec.frozen_amount
-    return copied
-
-
-def _copy_bid(bid: Bid) -> Bid:
-    copied = Bid(bid.bid_id, bid.bidder, bid.amount, bid.min_rate_ppm, bid.expiry, bid.nonce_at_post)
-    copied.status = bid.status
-    return copied

@@ -341,6 +341,27 @@ class TestEndToEndReplay:
         worked = scn(rate_ppm=950000)
         assert end_to_end_attack_replay(worked) == simulate_attack(worked)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_both_models_refuse_or_agree_over_the_whole_scenario_space(self, data):
+        # the payout may exceed the pool: then both refuse the scenario
+        lp_supply = data.draw(st.integers(1, 10**9), label="lp_supply")
+        scenario = AttackScenario(
+            pool_total=data.draw(st.integers(1, lp_supply), label="pool_total"),
+            lp_supply=lp_supply,
+            collateral=data.draw(st.integers(0, 10**9), label="collateral"),
+            shorted=data.draw(st.integers(0, lp_supply), label="shorted"),
+            stolen=data.draw(st.integers(1, 10**9), label="stolen"),
+            rate_ppm=data.draw(st.integers(0, PPM), label="rate_ppm"),
+        )
+        outcomes = []
+        for model in (simulate_attack, end_to_end_attack_replay):
+            try:
+                outcomes.append(model(scenario))
+            except InvalidScenario:
+                outcomes.append(InvalidScenario)
+        assert outcomes[0] == outcomes[1]
+
     def test_randomized_agreement_is_exact(self):
         import random
 
@@ -359,14 +380,11 @@ class TestEndToEndReplay:
 
 
 def _template_state(world):
-    pool = world.pools["pool"]
     return (
         world.snapshot(),
         world.base.journal,
         world.ledger.transfer_log,
-        pool.receipts,
-        pool.risk_bounds,
-        pool.rate_cap_ppm,
+        world.pools["pool"].receipts,
     )
 
 

@@ -374,11 +374,11 @@ class TestPrefixWalks:
             ("idle.frozen_sum = 2", "idle frozen_sum 2 != recount 0"),
             # frozen value that the open case's marks do not explain, with
             # the cached sums kept equal to their recount
-            ("first.frozen_amount -= 5; second.frozen_amount += 5",
+            ("acct.unsettled[:] = [first._replace(frozen_amount=5), second._replace(frozen_amount=5)]",
              "a record 1 frozen 5 != 10 marked"),
-            ("second.frozen_amount += 3; acct.frozen_sum += 3",
+            ("acct.unsettled[1] = second._replace(frozen_amount=3); acct.frozen_sum += 3",
              "a record 2 frozen 3 != 0 marked"),
-            ("first.frozen_amount -= 10; acct.frozen_sum -= 10",
+            ("acct.unsettled[0] = first._replace(frozen_amount=0); acct.frozen_sum -= 10",
              "a record 1: 10 marked, none frozen"),
         ],
     )

@@ -371,12 +371,15 @@ class TestValidateReports:
             validate_reports(pool, "alice", 100, reports, 0)
 
 
-def _full_scan_quote(model, ledger, requestor):
-    """The taint quote by scanning every record the requestor holds."""
+def _full_scan_quote(model, ledger, requestor, now):
+    """The taint quote by scanning every record the requestor holds: a
+    tainted record counts while it is not yet due or still in part frozen."""
     acct = ledger.accounts.get(requestor)
     if acct is not None:
         for rec in acct.unsettled:
-            if rec.transfer_id in model.tainted_transfer_ids:
+            if rec.transfer_id in model.tainted_transfer_ids and (
+                rec.settlement_time > now or rec.frozen_amount
+            ):
                 return 0
     return model.clean_rate_ppm
 
@@ -419,5 +422,29 @@ def test_taint_quote_matches_a_full_scan(seed, window):
         ids = range(-1, len(ledger.transfer_log) + 3)
         model = TaintAwareRiskModel(set(rng.sample(ids, rng.randrange(4))), 700000)
         for name in [*names, "nobody"]:
-            expected = _full_scan_quote(model, ledger, name)
+            expected = _full_scan_quote(model, ledger, name, now)
             assert model.quote(ledger, name, 1, now) == expected
+
+
+def test_a_matured_tainted_record_stops_rating_its_holder_zero():
+    # window 100: thief pays req 10 as t1, which is tainted.  Once t1's
+    # record is due it is settled value, whether or not an operation has
+    # folded req's account yet; a frozen part keeps it tainted until released.
+    world = World(recovery_window=100, arbitrator="arb")
+    base, ledger = world.base, world.ledger
+    base.mint("thief", 10)
+    ledger.wrap("thief", 10, 0)
+    t1 = ledger.transfer("thief", "req", 10, False, 0)
+    model = TaintAwareRiskModel({t1}, 900_000)
+    assert model.quote(ledger, "req", 1, 99) == 0
+    assert ledger.settle_view("req", 200) == (10, 0)
+    assert model.quote(ledger, "req", 1, 200) == 900_000
+    ledger.transfer("req", "other", 1, False, 200)  # folds req's account
+    assert model.quote(ledger, "req", 1, 200) == 900_000
+
+    t2 = ledger.transfer("other", "req", 1, True, 200)
+    ledger.freeze("arb", [("req", 1)], "c1", 250)
+    model.tainted_transfer_ids.add(t2)
+    assert model.quote(ledger, "req", 1, 400) == 0  # due, but frozen
+    ledger.release("arb", "c1", 400)
+    assert model.quote(ledger, "req", 1, 400) == 900_000

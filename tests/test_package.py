@@ -130,6 +130,12 @@ def test_star_import_binds_every_public_name():
             ),
             "stolen",
         ),
+        (UnsettledRecord(settlement_time=10, transfer_id=1, amount=5), "frozen_amount"),
+        (
+            Bid(bid_id=1, bidder="alice", amount=5, min_rate_ppm=0, expiry=10, nonce_at_post=0),
+            "status",
+        ),
+        (Case(marks=()), "status"),
     ],
     ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
 )
@@ -141,9 +147,9 @@ def test_value_records_reject_field_assignment(record, field):
 @pytest.mark.parametrize(
     "record",
     [
-        UnsettledRecord(transfer_id=1, amount=5, settlement_time=10),
+        UnsettledRecord(settlement_time=10, transfer_id=1, amount=5),
         Account(),
-        Case(marks=[]),
+        Case(marks=()),
         RiskReport("alice", 5, 0, 10, 500_000, "rater", b""),
         ConstantRiskModel(500_000),
         TaintAwareRiskModel(set(), 500_000),

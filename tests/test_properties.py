@@ -208,7 +208,9 @@ def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
             assert row.recipient == name
             assert rec.settlement_time == row.time + WINDOW
             assert rec.amount <= row.amount
-            assert ledger.holds_record_from(name, rec.transfer_id)
+            assert ledger.holds_record_from(name, rec.transfer_id, rec.settlement_time - 1)
+            held = rec.settlement_time > now or rec.frozen_amount > 0
+            assert ledger.holds_record_from(name, rec.transfer_id, now) == held
 
 
 @settings(max_examples=60, deadline=None)

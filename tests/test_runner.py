@@ -222,40 +222,47 @@ def _freeze_one_more(runner):
     # the mark, its record and the cached sum move together, so the recount
     # still passes
     ledger = runner.world.ledger
-    marks = ledger.cases["c1"].marks
-    account, key, amount = marks[0]
-    marks[0] = (account, key, amount + 1)
+    case = ledger.cases["c1"]
+    (account, key, amount), *rest = case.marks
+    ledger.cases["c1"] = case._replace(marks=((account, key, amount + 1), *rest))
     acct = ledger.accounts[account]
-    acct.unsettled[0].frozen_amount += 1
+    record = acct.unsettled[0]
+    acct.unsettled[0] = record._replace(frozen_amount=record.frozen_amount + 1)
     acct.frozen_sum += 1
 
 
 def _release_in_place(runner):
     # the case closes and its record's frozen part is lifted with it
     ledger = runner.world.ledger
-    case = ledger.cases["c1"]
-    case.status = "released"
+    case = ledger.cases["c1"] = ledger.cases["c1"]._replace(status="released")
     for account, _, amount in case.marks:
         acct = ledger.accounts[account]
-        acct.unsettled[0].frozen_amount -= amount
+        record = acct.unsettled[0]
+        acct.unsettled[0] = record._replace(frozen_amount=record.frozen_amount - amount)
         acct.frozen_sum -= amount
 
 
 def _split_a_mark(runner):
     # two marks of 29 and 1 freeze what one mark of 30 froze
-    marks = runner.world.ledger.cases["c1"].marks
-    account, key, amount = marks[0]
-    marks[0] = (account, key, amount - 1)
-    marks.append((account, key, 1))
+    cases = runner.world.ledger.cases
+    (account, key, amount), *rest = cases["c1"].marks
+    marks = ((account, key, amount - 1), *rest, (account, key, 1))
+    cases["c1"] = cases["c1"]._replace(marks=marks)
 
 
 def _settle_one_later(runner):
-    record = runner.world.ledger.accounts["alice"].unsettled[0]
-    record.settlement_time += 1
+    records = runner.world.ledger.accounts["alice"].unsettled
+    records[0] = records[0]._replace(settlement_time=records[0].settlement_time + 1)
 
 
-#: an in-place write to one part of the world, made by a step that then
-#: fails; each keeps the invariants, so only the state comparison sees it
+def _cancel_bid_in_place(runner):
+    bids = runner.world.books["ob"].bids
+    bids[1] = bids[1]._replace(status="cancelled")
+
+
+#: a write to one part of the world, made by a step that then fails: a new
+#: value put in a list or dict the world holds.  Each keeps the invariants,
+#: so only the state comparison sees it
 _IN_PLACE_WRITES = {
     "record frozen_amount": _freeze_one_more,
     "record settlement_time": _settle_one_later,
@@ -264,7 +271,7 @@ _IN_PLACE_WRITES = {
     "case entries": _split_a_mark,
     "lp holdings": lambda r: r.world.pools["p"].lp_holdings.update(lp=199, bob=1),
     "receipt count": lambda r: r.world.pools["p"].receipts.append(None),
-    "bid status": lambda r: setattr(r.world.books["ob"].bids[1], "status", "cancelled"),
+    "bid status": _cancel_bid_in_place,
     "base balance": lambda r: r.world.base.balances.update(lp=299, whale=1),
 }
 
@@ -272,7 +279,7 @@ _IN_PLACE_WRITES = {
 @pytest.mark.parametrize("part", [None, *_IN_PLACE_WRITES])
 def test_rejected_step_writing_in_place_is_caught(monkeypatch, part):
     # The snapshot before a rejected step must hold values, not the live
-    # lists and records, or an in-place write would change both sides.
+    # lists and dicts, or a write into one would change both sides.
     def writing_mint(runner, p, now):
         if part is not None:
             _IN_PLACE_WRITES[part](runner)
@@ -319,8 +326,10 @@ def test_rejected_step_that_journals_is_caught(monkeypatch, expect_error):
         ("pool.lp_holdings.update(lp=199)", "pool p lp_supply 200 != 199 held"),
         ("pool.lp_holdings.update(lp=200, bob=0)", "pool p keeps an LP holding that is not positive"),
         ("book.bids[2] = book.bids.pop(1)", "book ob bid ids are not 1..1"),
-        ("book.bids[1].status = 'expired'", "book ob holds a bid of unknown status"),
-        ("book.bids[1].status = 'filled'", "book ob has 1 filled bids, 0 fills"),
+        ("book.bids[1] = book.bids[1]._replace(status='expired')",
+         "book ob holds a bid of unknown status"),
+        ("book.bids[1] = book.bids[1]._replace(status='filled')",
+         "book ob has 1 filled bids, 0 fills"),
     ],
 )
 def test_world_invariants_catch_a_broken_pool_or_book_under_python_O(write, message):
