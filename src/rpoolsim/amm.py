@@ -58,6 +58,12 @@ def check_risk_bounds(risk_bounds: tuple[int, int]) -> None:
 
 @dataclass(frozen=True)
 class SwapReceipt:
+    # slots=True would rebuild the class, and on Python 3.11 the rebuilt
+    # class's frozen __setattr__ raises TypeError for an unknown name
+    __slots__ = (
+        "requestor", "amount_in", "median_ppm", "multiplier_ppm", "rate_ppm", "amount_out",
+        "time", "transfer_in_id",
+    )
     requestor: str
     amount_in: int
     median_ppm: int

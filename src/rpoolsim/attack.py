@@ -33,10 +33,11 @@ acceptance grid).  The live end-to-end replay swaps into a fully settled
 pool, whose multiplier saturates, so it returns exactly the integer
 model's breakdown.
 
-The live replay builds its pre-attack world (the LP deposit and any prior
-recovery) once per ``(pool_total, lp_supply)`` and runs each attack on an
-independent :meth:`~rpoolsim.world.World.copy` of it; its risk bounds and
-rate cap apply to the attack swap only.
+The live replay builds its pre-swap world (the LP deposit, any prior
+recovery, and the theft) once per ``(pool_total, lp_supply, stolen)`` and
+runs each attack's swap and recovery on an independent
+:meth:`~rpoolsim.world.World.copy` of it; its risk bounds and rate cap
+apply to the attack swap only.
 """
 
 from __future__ import annotations
@@ -136,13 +137,9 @@ def _breakdown(
         bound = buyback * scenario.pool_total >= scenario.collateral * (
             scenario.pool_total - swap_out
         )
+    # positional: keywords cost twice as much on the replay's per-scenario path
     return ProfitBreakdown(
-        swap_out=swap_out,
-        sale_proceeds=sale,
-        buyback_cost=buyback,
-        profit=swap_out + sale - buyback,
-        stolen=scenario.stolen,
-        meets_collateral_bound=bound,
+        swap_out, sale, buyback, swap_out + sale - buyback, scenario.stolen, bound
     )
 
 
@@ -177,12 +174,14 @@ def exact_profit(scenario: AttackScenario, rate: Fraction | None = None) -> Frac
     (total-x)/L per token, so b - m = shorted*x/L and the profit x + b - m
     is stolen*rate*(L+shorted)/L, built as one fraction.
     """
-    if rate is None:
-        rate = Fraction(scenario.rate_ppm, PPM)
     lp_supply = scenario.lp_supply
+    if rate is None:
+        numerator, denominator = scenario.rate_ppm, PPM
+    else:
+        numerator, denominator = rate.numerator, rate.denominator
     return Fraction(
-        scenario.stolen * rate.numerator * (lp_supply + scenario.shorted),
-        rate.denominator * lp_supply,
+        scenario.stolen * numerator * (lp_supply + scenario.shorted),
+        denominator * lp_supply,
     )
 
 
@@ -217,15 +216,20 @@ def is_cap_safe(rate_cap_ppm: int, max_short_fraction_ppm: int) -> bool:
 
 
 REPLAY_WINDOW = 86_400
+_VICTIM, _THIEF = "victim-protocol", "marvin"
 
 
-def _steal_swap_recover(pool, signer, victim, thief, amount, case, now):
-    """Steal ``amount`` from ``victim``, swap it through ``pool`` on one
-    report from ``signer``, then claw it back to ``victim``: the receipt."""
-    ledger = pool.ledger
+def _steal(ledger, victim, thief, amount, now):
+    """Mint and wrap ``amount`` at ``victim``, then move it to ``thief``."""
     ledger.base.mint(victim, amount)
     ledger.wrap(victim, amount, now)
     ledger.transfer(victim, thief, amount, False, now)
+
+
+def _swap_recover(pool, signer, victim, thief, amount, case, now):
+    """Swap the stolen ``amount`` through ``pool`` on one report from
+    ``signer``, then claw it back to ``victim``: the receipt."""
+    ledger = pool.ledger
     report = issue_report(signer, pool.registry, thief, amount, now, 60, ledger)
     receipt = pool.swap(thief, amount, [report], now)
     plan = ledger.plan_recovery(receipt.transfer_in_id, amount, now)
@@ -235,15 +239,16 @@ def _steal_swap_recover(pool, signer, victim, thief, amount, case, now):
 
 
 @lru_cache(maxsize=8)  # the criterion 6 grid visits its keys in runs
-def _pre_attack_world(pool_total: int, lp_supply: int) -> tuple[World, bytes]:
-    """The world before the attack, and the lender's signing secret.
+def _pre_swap_world(pool_total: int, lp_supply: int, stolen: int) -> tuple[World, bytes]:
+    """The world just before the attack swap, and the lender's signing secret.
 
     The lender deposits ``lp_supply`` into an uncapped pool with risk
     bounds ``[0, 1]``.  When ``pool_total`` is lower, a prior recovery
     event brings the pool total down to it while leaving the LP supply
     untouched: an early thief swaps the shortfall through at rate 1 and
-    the arbitrator claws it back.  The result is cached and shared, so
-    callers run on a :meth:`World.copy` of it and never write to it.
+    the arbitrator claws it back.  Then the thief takes ``stolen`` from
+    the victim protocol.  The result is cached and shared, so callers run
+    on a :meth:`World.copy` of it and never write to it.
     """
     world = World(recovery_window=REPLAY_WINDOW, arbitrator="arbiter")
     lender = world.add_signer("lender", ConstantRiskModel(PPM))
@@ -259,9 +264,10 @@ def _pre_attack_world(pool_total: int, lp_supply: int) -> tuple[World, bytes]:
     world.base.mint("lender", lp_supply)
     pool.deposit("lender", lp_supply, now)
     if lp_supply > pool_total:
-        _steal_swap_recover(
-            pool, lender, "early-victim", "early-thief", lp_supply - pool_total, "prior-case", now
-        )
+        shortfall = lp_supply - pool_total
+        _steal(world.ledger, "early-victim", "early-thief", shortfall, now)
+        _swap_recover(pool, lender, "early-victim", "early-thief", shortfall, "prior-case", now)
+    _steal(world.ledger, _VICTIM, _THIEF, stolen, now)
     return world, lender.secret
 
 
@@ -276,20 +282,22 @@ def end_to_end_attack_replay(
 
     The pool, its oracle, the theft, the swap, and the recovery all run for
     real; only the lending desk and the DEX legs are priced analytically at
-    spot from the live pool totals.  The pre-attack world is built once per
-    ``(pool_total, lp_supply)`` and each replay runs on a copy of it, so
+    spot from the live pool totals.  The world up to and including the
+    theft is built once per ``(pool_total, lp_supply, stolen)`` and each
+    replay runs the swap and the recovery on a copy of it, so
     ``risk_bounds`` and ``rate_cap_ppm`` (checked first, as a pool's
     constructor checks them) apply to the attack swap only.  A payout at
     the scenario's rate above the pool total is refused next, before any
     world is built, as :func:`simulate_attack` refuses it.  The lender
     signs the attack's report with ``model``, by default a constant quote
     of the scenario's rate.  Pool rejections (rate bounds, nonce) propagate
-    to the caller.
+    to the caller.  A payout that disagrees with the swap's receipt raises
+    :class:`AssertionError`, under ``python -O`` too.
     """
     check_risk_bounds(risk_bounds)
     check_rate(rate_cap_ppm)
     _swap_payout(scenario)
-    template, secret = _pre_attack_world(scenario.pool_total, scenario.lp_supply)
+    template, secret = _pre_swap_world(scenario.pool_total, scenario.lp_supply, scenario.stolen)
     world = template.copy()
     ledger, pool = world.ledger, world.pools["pool"]
     pool.risk_bounds = risk_bounds
@@ -298,11 +306,10 @@ def end_to_end_attack_replay(
     now = 0
     total_before = ledger.balance_of("pool", True, now)
     lender = RatingEntity("lender", secret, model or ConstantRiskModel(scenario.rate_ppm))
-    receipt = _steal_swap_recover(
-        pool, lender, "victim-protocol", "marvin", scenario.stolen, "theft-case", now
-    )
+    receipt = _swap_recover(pool, lender, _VICTIM, _THIEF, scenario.stolen, "theft-case", now)
     total_after = ledger.balance_of("pool", True, now)
 
-    swap_out = world.base.balance("marvin")
-    assert swap_out == receipt.amount_out
+    swap_out = world.base.balance(_THIEF)
+    if swap_out != receipt.amount_out:
+        raise AssertionError(f"thief holds {swap_out} base, receipt pays {receipt.amount_out}")
     return _breakdown(scenario, swap_out, total_before, total_after)

@@ -80,7 +80,12 @@ class UnknownSigner(RPoolError):
 
 
 class EmptyQuoteSet(RPoolError):
-    """Median requested over zero quotes."""
+    """Median requested over zero quotes.
+
+    Only a direct :func:`~rpoolsim.oracle.median_quote` call raises it:
+    ``validate_reports`` raises :class:`QuorumTooSmall` first, and a pool's
+    quorum is at least 1, so no pool, runner or CLI operation reaches it.
+    """
 
 
 class QuorumTooSmall(RPoolError):

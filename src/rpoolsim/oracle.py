@@ -227,7 +227,11 @@ def issue_report(
 
 
 def median_quote(quotes: list[int]) -> int:
-    """Median rate; even cardinality takes the floored mean of the middle pair."""
+    """Median rate; even cardinality takes the floored mean of the middle pair.
+
+    Zero quotes raise :class:`EmptyQuoteSet`.  :func:`validate_reports`
+    never passes zero: its quorum check raises :class:`QuorumTooSmall` first.
+    """
     if not quotes:
         raise EmptyQuoteSet("median of zero quotes")
     ordered = sorted(quotes)

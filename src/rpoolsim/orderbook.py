@@ -48,6 +48,10 @@ class Bid(NamedTuple):
 
 @dataclass(frozen=True)
 class Fill:
+    # slotted by hand, as SwapReceipt is
+    __slots__ = (
+        "bid_id", "lp", "bidder", "amount_unsettled", "base_paid", "time", "transfer_id",
+    )
     bid_id: int
     lp: str
     bidder: str

@@ -6,6 +6,7 @@ minute.  Run with ``pytest tests/test_acceptance.py -s`` to see the
 per-criterion lines.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -94,12 +95,19 @@ def test_criterion_5_shorting_thresholds():
         assert abs(Fraction(tenth, PPM) - Fraction(10, 11)) <= Fraction(1, PPM)
 
 
+#: sha256 over every criterion 6 cell's two exact profits, integer model and
+#: live replay, so a change to any of them fails here and not only in the
+#: benchmark's digest
+CRITERION_6_OUTPUTS = "73a9808bc07375edc3851cd38f4a3b7ce10a0ce289e4b69d61dc4a7bcc1cd796"
+
+
 def test_criterion_6_bound_soundness_sweep():
     with criterion(
         6, "attack bound sweep: >= 10^4 scenarios, zero violations, live replay == integer model"
     ):
         start = time.perf_counter()
         checked = 0
+        outputs = hashlib.sha256()
         for scenario, rate in criterion6_grid():
             profit = exact_profit(scenario, rate=rate)
             assert profit <= scenario.stolen, (
@@ -115,12 +123,16 @@ def test_criterion_6_bound_soundness_sweep():
             d2 = Fraction(short * total, supply) - analytic.sale_proceeds
             d3 = analytic.buyback_cost - Fraction(short * (total - payout), supply)
             assert 0 <= d1 < 1 and 0 <= d2 < 1 and 0 <= d3 < 1
-            gap = exact_profit(scenario) - analytic.profit
+            exact = exact_profit(scenario)
+            gap = exact - analytic.profit
             assert gap == d1 * (1 + Fraction(short, supply)) + d2 + d3
             assert 0 <= gap < 4
-            assert end_to_end_attack_replay(scenario) == analytic
+            live = end_to_end_attack_replay(scenario)
+            assert live == analytic
+            outputs.update(repr((str(profit), str(exact), tuple(analytic), tuple(live))).encode())
             checked += 1
         assert checked >= 10_000, checked
+        assert outputs.hexdigest() == CRITERION_6_OUTPUTS
         assert time.perf_counter() - start < 30.0
 
 

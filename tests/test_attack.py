@@ -1,7 +1,12 @@
 """LP-shorting attack lab: the integer model, the exact-rational bounds,
 the cap-safety rule, and agreement with the live end-to-end replay."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from rpoolsim import (
     AttackScenario,
     ConstantRiskModel,
     TaintAwareRiskModel,
+    World,
     end_to_end_attack_replay,
     exact_profit,
     exact_threshold,
@@ -18,7 +24,7 @@ from rpoolsim import (
     profitability_threshold,
     simulate_attack,
 )
-from rpoolsim.attack import _pre_attack_world
+from rpoolsim.attack import _pre_swap_world
 from rpoolsim.errors import InvalidScenario, OutOfRiskBounds, ZeroShort
 from rpoolsim.rates import PPM
 
@@ -318,28 +324,87 @@ class TestEndToEndReplay:
         ],
     )
     def test_bounds_and_cap_are_checked_before_any_work(self, options, error, message):
-        calls = _pre_attack_world.cache_info()
+        calls = _pre_swap_world.cache_info()
         with pytest.raises(error, match=message):
             end_to_end_attack_replay(AttackScenario(3, 5, 1, 1, 1, 0), **options)
-        assert _pre_attack_world.cache_info() == calls  # the cache was not consulted
+        assert _pre_swap_world.cache_info() == calls  # the cache was not consulted
 
     @pytest.mark.parametrize(
         "scenario", [scn(rate_ppm=950000), AttackScenario(700, 1000, 100, 100, 500, 800000)]
     )
     def test_cached_template_is_never_written_to(self, scenario):
-        # the taint-aware replay raises part-way, after the theft; then two
-        # replays on the same key succeed, and the second sees what the first saw
+        # the taint-aware replay raises part-way, at the swap after the cached
+        # theft; then two replays on the same key succeed, and the second
+        # sees what the first saw
         model = TaintAwareRiskModel(set(range(1, 100)), 950000)
         with pytest.raises(OutOfRiskBounds):
             end_to_end_attack_replay(scenario, risk_bounds=(100000, PPM), model=model)
         assert end_to_end_attack_replay(scenario) == end_to_end_attack_replay(scenario)
-        key = scenario.pool_total, scenario.lp_supply
-        template, secret = _pre_attack_world(*key)
-        fresh, fresh_secret = _pre_attack_world.__wrapped__(*key)
+        key = scenario.pool_total, scenario.lp_supply, scenario.stolen
+        template, secret = _pre_swap_world(*key)
+        fresh, fresh_secret = _pre_swap_world.__wrapped__(*key)
         assert _template_state(template) == _template_state(fresh)
         assert secret == fresh_secret
         worked = scn(rate_ppm=950000)
         assert end_to_end_attack_replay(worked) == simulate_attack(worked)
+
+    def test_one_criterion6_cell_builds_its_template_once(self, monkeypatch):
+        # the 25 rates of one cell share a key; each replay's copy journals
+        # only the swap (transfer in, unwrap out), the freeze and the recovery
+        cell = [
+            s for s, _ in criterion6_grid()
+            if (s.lp_supply, s.shorted, s.pool_total) == (999, 333, 499)
+        ]
+        assert len(cell) == 25
+        copies = []
+        copy = World.copy
+
+        def recording_copy(world):
+            new = copy(world)
+            copies.append((new, new.ledger.mark()))
+            return new
+
+        monkeypatch.setattr(World, "copy", recording_copy)
+        _pre_swap_world.cache_clear()
+        for scenario in cell:
+            assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
+        assert _pre_swap_world.cache_info()[:2] == (24, 1)  # (hits, misses)
+        assert len(copies) == 25
+        for (world, mark), scenario in zip(copies, cell):
+            entries = world.base.journal[mark:]
+            kinds = [entry[0] for entry in entries]
+            paid = ["base_transfer", "unwrap"] if scenario.rate_ppm else []
+            assert kinds == ["transfer", *paid, "freeze", "recover"], kinds
+            swap_in = entries[0]
+            assert (swap_in.sender, swap_in.recipient) == ("marvin", "pool")
+            assert swap_in.amount == scenario.stolen
+
+    def test_a_receipt_that_disagrees_with_the_payout_raises_under_python_O(self):
+        # python -O strips assert statements; the replay's cross-check must
+        # not rely on them
+        program = textwrap.dedent("""
+            import dataclasses
+            from rpoolsim import AmmPool, AttackScenario, end_to_end_attack_replay
+            assert False, "unreachable under -O"
+            swap = AmmPool.swap
+
+            def one_unit_off(*args):
+                receipt = swap(*args)
+                return dataclasses.replace(receipt, amount_out=receipt.amount_out + 1)
+
+            AmmPool.swap = one_unit_off
+            try:
+                end_to_end_attack_replay(AttackScenario(1000, 1000, 100, 100, 1000, 950000))
+            except AssertionError as exc:
+                print(exc)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", program], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "thief holds 950 base, receipt pays 951"
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -154,6 +154,15 @@ class TestMedian:
         with pytest.raises(EmptyQuoteSet):
             median_quote([])
 
+    def test_a_swap_on_no_reports_fails_the_quorum_first(self, world):
+        # a pool's quorum is at least 1, so a swap never reaches EmptyQuoteSet
+        pool, _ = make_pool(world)
+        give_unsettled(world.base, world.ledger, "alice", 10, now=0)
+        before = world.snapshot()
+        with pytest.raises(QuorumTooSmall, match="0 reports, quorum is 1"):
+            pool.swap("alice", 10, [], 0)
+        assert world.snapshot() == before
+
 
 class TestIssueReport:
     def test_constant_model_quote(self, world):

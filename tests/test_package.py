@@ -19,6 +19,7 @@ from rpoolsim.attack import AttackScenario, ProfitBreakdown
 from rpoolsim.ledger import Account, Case, UnsettledRecord
 from rpoolsim.oracle import ConstantRiskModel, RatingEntity, RiskReport, TaintAwareRiskModel
 from rpoolsim.orderbook import Bid, Fill
+from rpoolsim.rates import PPM
 from rpoolsim.runner import AssertionResult, EventRecord
 from rpoolsim.scenario import GenesisAccount, PoolSpec, ScenarioScript, SignerSpec, Step
 
@@ -102,6 +103,15 @@ def test_star_import_binds_every_public_name():
     }
 
 
+_RECEIPT = SwapReceipt(
+    requestor="alice", amount_in=10, median_ppm=500_000, multiplier_ppm=PPM,
+    rate_ppm=500_000, amount_out=5, time=0, transfer_in_id=1,
+)
+_FILL = Fill(
+    bid_id=1, lp="lp", bidder="alice", amount_unsettled=10, base_paid=5, time=0, transfer_id=1
+)
+
+
 @pytest.mark.parametrize(
     "record, field",
     [
@@ -136,6 +146,8 @@ def test_star_import_binds_every_public_name():
             "status",
         ),
         (Case(marks=()), "status"),
+        (_RECEIPT, "amount_out"),
+        (_FILL, "base_paid"),
     ],
     ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
 )
@@ -156,6 +168,8 @@ def test_value_records_reject_field_assignment(record, field):
         RatingEntity("rater", b"", ConstantRiskModel(500_000)),
         Bid(bid_id=1, bidder="alice", amount=5, min_rate_ppm=0, expiry=10, nonce_at_post=0),
         ScenarioScript(),
+        _RECEIPT,
+        _FILL,
     ],
     ids=lambda value: type(value).__name__,
 )
