@@ -12,7 +12,10 @@ Settlement is lazy: there is no background job.  Maturity is evaluated
 against the caller-supplied clock, and mutating operations fold matured
 records into the settled balance before acting.  A record is settled once
 ``now >= settlement_time``.  Frozen portions never mature while their case
-is open.
+is open.  Records are sorted by due time, so when an account's oldest
+record is not due at ``now`` none is, and a fold or a view at ``now`` leaves
+the records alone: a transfer or an unwrap then reads the sender's
+balances without walking them.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list; maturing,
@@ -33,6 +36,9 @@ its key ``(settlement_time, transfer_id)``, its first two fields, for
 life.  A case's freeze marks records by that key, as
 ``(account, key, amount)``, and finds each again by bisection when the
 case closes, so every record is held by its account's list alone.
+Every record and every transfer row the ledger makes is built through a
+module-level builder, ``_new_record`` or ``_new_transfer``, not through its
+class's constructor; the values are the same.
 
 Every operation records itself in the base ledger's journal, as a tuple
 tagged by its kind.  A transfer's entry is one :class:`Transfer`, and that
@@ -60,6 +66,7 @@ Key invariants maintained here and asserted by :meth:`WrapperLedger.check_invari
 from __future__ import annotations
 
 import bisect
+import functools
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
@@ -153,6 +160,19 @@ class Transfer(NamedTuple):
     time: int
     transfer_id: int
     unsettled_spent: int
+
+
+#: Builders for the ledger's own records and transfer rows.  Each takes one
+#: tuple of every field, in order, and returns an exact instance of its
+#: type, equal to what the constructor builds from the same fields.  The
+#: constructor a ``NamedTuple`` generates is a Python function that fills in
+#: defaults and then calls ``tuple.__new__``; calling ``tuple.__new__`` through
+#: ``partial`` skips that frame, which on CPython 3.11 takes about 40% off
+#: each build (500 vs 310 ns for a record, by ``timeit``).  Like
+#: ``_make`` without its length check, a builder trusts its caller to pass
+#: every field, defaults included.
+_new_record = functools.partial(tuple.__new__, UnsettledRecord)
+_new_transfer = functools.partial(tuple.__new__, Transfer)
 
 
 class Case(NamedTuple):
@@ -260,7 +280,7 @@ class WrapperLedger:
             moved += amount - frozen
             if frozen:
                 # Frozen remainder stays unsettled until the case closes.
-                kept.append(UnsettledRecord(time, transfer_id, frozen, frozen))
+                kept.append(_new_record((time, transfer_id, frozen, frozen)))
         # Nothing moved means every matured record is wholly frozen and stays.
         if moved:
             acct.settled += moved
@@ -356,16 +376,24 @@ class WrapperLedger:
         """Burn settled wrapper tokens and release base tokens to ``to``."""
         check_amount(amount)
         acct = self.accounts.get(caller)
-        if acct is not None and acct.unwrap_disabled:
-            raise UnwrapDisabled(f"unwrapping is disabled for {caller}")
-        settled, _ = self.settle_view(caller, now)
+        settled, matured = 0, False
+        if acct is not None:
+            if acct.unwrap_disabled:
+                raise UnwrapDisabled(f"unwrapping is disabled for {caller}")
+            records = acct.unsettled
+            # records are sorted: if the oldest is not due, none is
+            matured = bool(records) and records[0].settlement_time <= now
+            settled = acct.settled
+            if matured:
+                settled += _matured_movable(records, now)
         if settled < amount:
             raise InsufficientSettled(
                 f"{caller} has {settled} settled, needs {amount}; "
                 "unsettled tokens cannot be unwrapped"
             )
-        assert acct is not None
-        self._settle_account(acct, now)
+        # a positive amount was covered, so the caller has an account
+        if matured:
+            self._settle_account(acct, now)
         acct.settled -= amount
         acct.nonce += 1
         self.base.transfer(self.address, to, amount)
@@ -409,9 +437,20 @@ class WrapperLedger:
         if sender == recipient:
             raise SelfTransfer(f"{sender} cannot transfer to itself")
 
-        settled, unsettled = self.settle_view(sender, now)
+        # the sender's spendable view, as settle_view computes it, read once
         acct = self.accounts.get(sender)
-        frozen = 0 if acct is None else acct.frozen_sum
+        if acct is None:
+            matured = False
+            settled = unsettled = frozen = 0
+        else:
+            records = acct.unsettled
+            # records are sorted: if the oldest is not due, none is
+            matured = bool(records) and records[0].settlement_time <= now
+            settled, unsettled, frozen = acct.settled, acct.unsettled_sum, acct.frozen_sum
+            if matured:
+                movable = _matured_movable(records, now)
+                settled += movable
+                unsettled -= movable
         if mode == SPEND_SETTLED:
             # unsettled value neither counts nor explains a shortfall
             unsettled = frozen = 0
@@ -427,14 +466,20 @@ class WrapperLedger:
                 f"{sender} has {available} spendable, needs {amount}"
             )
 
+        # a positive amount was covered, so the sender has an account
         recipient_acct = self._account(recipient)
-        sender_acct = self.accounts[sender]
-        self._settle_account(sender_acct, now)
-        unsettled_spent = self._spend(sender_acct, amount, mode)
+        if matured:
+            self._settle_account(acct, now)
+        if mode == SPEND_SETTLED:
+            # the check above proved the settled balance covers the amount
+            acct.settled -= amount
+            unsettled_spent = 0
+        else:
+            unsettled_spent = self._spend(acct, amount, mode)
 
         transfer_id = len(self.transfer_log) + 1
         due = now + self.recovery_window
-        record = UnsettledRecord(due, transfer_id, amount)
+        record = _new_record((due, transfer_id, amount, 0))
         records = recipient_acct.unsettled
         # the new id is the highest yet, so an equal due time sorts last too
         if not records or records[-1].settlement_time <= due:
@@ -442,14 +487,14 @@ class WrapperLedger:
         else:
             bisect.insort(records, record)
         recipient_acct.unsettled_sum += amount
-        entry = Transfer(
-            "transfer", sender, recipient, amount, mode, now, transfer_id, unsettled_spent
+        entry = _new_transfer(
+            ("transfer", sender, recipient, amount, mode, now, transfer_id, unsettled_spent)
         )
         self.base.journal.append(entry)
         self.transfer_log.append(entry)
         if unsettled_spent:
             self._outflows.setdefault(sender, []).append(entry)
-        sender_acct.nonce += 1
+        acct.nonce += 1
         recipient_acct.nonce += 1
         return transfer_id
 
@@ -472,10 +517,11 @@ class WrapperLedger:
                 take = min(held - frozen, remaining)
                 remaining -= take
                 if held > take:
-                    kept.append(UnsettledRecord(time, transfer_id, held - take, frozen))
+                    kept.append(_new_record((time, transfer_id, held - take, frozen)))
             records[:walked] = kept
             acct.unsettled_sum -= unsettled_spent
-        assert remaining == 0, "spend called without sufficient validated funds"
+        if remaining:
+            raise AssertionError("spend called without sufficient validated funds")
         return unsettled_spent
 
     # -- freezing and recovery ------------------------------------------------
@@ -521,10 +567,11 @@ class WrapperLedger:
                     break
                 take = min(held - frozen, remaining)
                 if take:
-                    records[index] = UnsettledRecord(time, transfer_id, held, frozen + take)
+                    records[index] = _new_record((time, transfer_id, held, frozen + take))
                     marks.append((account, (time, transfer_id), take))
                     remaining -= take
-            assert remaining == 0
+            if remaining:
+                raise AssertionError("freeze called without sufficient validated funds")
             acct.frozen_sum += total
             acct.nonce += 1
         self.cases[case_id] = Case(tuple(marks))
@@ -578,7 +625,7 @@ class WrapperLedger:
                 if not held:
                     del records[index]
                     continue
-            records[index] = UnsettledRecord(time, transfer_id, held, frozen - amount)
+            records[index] = _new_record((time, transfer_id, held, frozen - amount))
         for account in _marked_accounts(marks):
             self.accounts[account].nonce += 1
         self.cases[case_id] = Case(marks, status)

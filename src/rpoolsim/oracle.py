@@ -57,7 +57,8 @@ def canonical_encode(
     account nonce 8, expiry 8, quote 4, signer length 4) followed by the
     requestor's and the signer's UTF-8 bytes.  The head carries both
     lengths, so the bytes split back into exactly one field tuple, as in
-    EIP-712's typed hashing.  A field outside its width is a ``ValueError``.
+    EIP-712's typed hashing.  A field outside its width, or not an integer,
+    is a ``ValueError``.
     """
     requestor_bytes = requestor.encode()
     signer_bytes = signer_id.encode()
@@ -71,7 +72,7 @@ def canonical_encode(
             quote_ppm,
             len(signer_bytes),
         )
-    except struct.error as exc:
+    except (struct.error, TypeError) as exc:
         raise ValueError(f"report field not encodable: {exc}") from None
     return head + requestor_bytes + signer_bytes
 

@@ -25,7 +25,7 @@ from rpoolsim.errors import (
     UnwrapDisabled,
     ZeroAmount,
 )
-from rpoolsim.ledger import check_amount
+from rpoolsim.ledger import Transfer, UnsettledRecord, check_amount
 
 from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
 
@@ -412,6 +412,98 @@ class TestPrefixWalks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == message
+
+
+class TestOnePassTransfer:
+    """A transfer or an unwrap reads its sender once and folds it only when
+    the oldest record is due; a settled-only spend is taken in place."""
+
+    @pytest.mark.parametrize(
+        "spend, error",
+        [
+            (lambda ledger, now: ledger.transfer("a", "b", 10, False, now), InsufficientBalance),
+            (lambda ledger, now: ledger.unwrap_to("a", 10, "b", now), InsufficientSettled),
+        ],
+        ids=["transfer", "unwrap_to"],
+    )
+    def test_the_only_record_is_spendable_from_its_due_time(self, world, spend, error):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 10, now=0)  # due at WINDOW
+        snapshot, mark = world.snapshot(), ledger.mark()
+        with pytest.raises(error):
+            spend(ledger, WINDOW - 1)
+        assert world.snapshot() == snapshot
+        assert ledger.mark() == mark
+        spend(ledger, WINDOW)
+        acct = ledger.accounts["a"]
+        assert (acct.settled, acct.unsettled, acct.unsettled_sum, acct.nonce) == (0, [], 0, 2)
+        assert ledger.balance_of("b", True, WINDOW) + base.balance("b") == 10
+        ledger.check_invariants()
+
+    @pytest.mark.parametrize(
+        "spend",
+        [
+            lambda ledger, now: ledger.transfer("a", "b", 20, False, now),
+            lambda ledger, now: ledger.transfer("a", "b", 20, True, now),
+            lambda ledger, now: ledger.unwrap_to("a", 20, "b", now),
+        ],
+        ids=["settled", "settled+unsettled", "unwrap_to"],
+    )
+    def test_a_wholly_frozen_due_head_does_not_stop_the_fold(self, world, spend):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 10, now=0, source="f1")
+        ledger.freeze(ARB, [("a", 10)], "c1", 0)
+        give_unsettled(base, ledger, "a", 20, now=100, source="f2")
+        spend(ledger, WINDOW + 100)  # both records are due; only the later moves
+        acct = ledger.accounts["a"]
+        assert acct.unsettled == [(WINDOW, 1, 10, 10)]
+        assert (acct.settled, acct.unsettled_sum, acct.frozen_sum) == (0, 10, 10)
+        ledger.check_invariants()
+
+    def test_the_ledger_builds_exact_records_and_transfer_rows(self, world):
+        base, ledger = world.base, world.ledger
+        for i, amount in enumerate((10, 20, 30)):
+            give_unsettled(base, ledger, "a", amount, now=i, source=f"f{i}")
+        ledger.freeze(ARB, [("a", 15)], "c1", 5)  # marks 10 and 5 of 20
+        ledger.freeze(ARB, [("a", 5)], "c2", 5)  # marks 5 more of 20
+        ledger.transfer_unsettled("a", "b", 12, 5)  # leaves 8 of 20 and 30
+        ledger.release(ARB, "c2", 5)
+        ledger.transfer("a", "b", 3, True, WINDOW + 1)  # folds around the frozen 10
+        ledger.recover(ARB, "c1", "victim", WINDOW + 1)
+        records = [rec for acct in ledger.accounts.values() for rec in acct.unsettled]
+        assert {rec.transfer_id for rec in records} == {3, 4, 5}
+        for rec in records:
+            assert type(rec) is UnsettledRecord
+            assert rec == UnsettledRecord(*rec)
+            assert rec._replace(amount=1) == UnsettledRecord(*rec[:2], 1, rec.frozen_amount)
+        assert len(ledger.transfer_log) == 5
+        for row in ledger.transfer_log:
+            assert type(row) is Transfer
+            assert row == Transfer(*row)
+            assert type(row._replace(amount=1)) is Transfer
+        ledger.check_invariants()
+
+    def test_a_short_spend_raises_under_python_O(self):
+        # python -O strips assert statements; _spend's own check must not
+        # rely on them.  The account holds 5 unsettled and is asked for 8.
+        program = textwrap.dedent("""
+            from rpoolsim.ledger import SPEND_UNSETTLED, Account, UnsettledRecord, WrapperLedger
+            assert False, "unreachable under -O"
+            acct = Account()
+            acct.unsettled.append(UnsettledRecord(10, 1, 5))
+            acct.unsettled_sum = 5
+            try:
+                WrapperLedger._spend(acct, 8, SPEND_UNSETTLED)
+            except AssertionError as exc:
+                print(exc)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "spend called without sufficient validated funds"
 
 
 class TestCheckAmount:

@@ -358,7 +358,7 @@ class TestValidateReports:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("quote_ppm", -1), ("quote_ppm", 2**32), ("expiry", 2**64)],
+        [("quote_ppm", -1), ("quote_ppm", 2**32), ("expiry", 2**64), ("amount", 100.0)],
     )
     def test_unencodable_field_is_a_bad_signature(self, world, field, value):
         # canonical_encode cannot write the field, so no signature covers it

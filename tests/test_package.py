@@ -2,6 +2,7 @@
 namespace, the immutability of the value records, and the names the
 benchmark harness reaches into."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -65,6 +66,18 @@ def test_importing_the_attack_lab_leaves_the_parser_unloaded():
 @pytest.mark.parametrize("module", ["rpoolsim.scenario", "rpoolsim.ledger", "rpoolsim.oracle"])
 def test_the_record_modules_load_no_dataclasses(module):
     assert "dataclasses" not in modules_loaded_by(f"import {module}")
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, so a check the library relies on
+    # raises AssertionError explicitly instead
+    found = []
+    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert found == []
 
 
 def test_importing_the_parser_loads_only_what_it_uses():
