@@ -712,14 +712,20 @@ class WrapperLedger:
         totals: dict[str, dict[str, int]] = {}
         for entry in self.base.journal[mark:]:
             for account, key, change in _EFFECTS[entry[0]](self, entry, now):
-                fields = totals.setdefault(account, {})
-                fields[key] = fields.get(key, 0) + change
+                fields = totals.get(account)
+                if fields is None:
+                    totals[account] = {key: change}
+                else:
+                    fields[key] = fields.get(key, 0) + change
         totals.pop(self.address, None)
         effects = {}
         for account in sorted(totals):
-            changed = {key: change for key, change in totals[account].items() if change}
-            if changed:
-                effects[account] = changed
+            fields = totals[account]
+            if 0 in fields.values():
+                fields = {key: change for key, change in fields.items() if change}
+                if not fields:
+                    continue
+            effects[account] = fields
         return effects
 
     # -- genesis and invariants ------------------------------------------------
@@ -742,10 +748,11 @@ class WrapperLedger:
 
         Raises :class:`AssertionError` explicitly rather than through
         ``assert``, so the check also runs under ``python -O``.  An account
-        without records is checked in one comparison: both its cached sums
-        must be zero.  Each record's frozen amount is the total that the
-        active cases' marks place on its key, and every such mark finds a
-        frozen record.
+        without records is checked in one test: its settled balance is not
+        negative and both its cached sums are zero, and which of those failed
+        is worked out only when one did.  Each record's frozen amount is the
+        total that the active cases' marks place on its key, and every such
+        mark finds a frozen record.
         """
         if self.base.total_supply != sum(self.base.balances.values()):
             raise AssertionError("base supply out of balance")
@@ -757,14 +764,17 @@ class WrapperLedger:
         wrapped = 0
         for name, acct in self.accounts.items():
             settled = acct.settled
-            if settled < 0:
-                raise AssertionError(f"{name} settled negative")
             records = acct.unsettled
             if not records:
-                if not acct.unsettled_sum == acct.frozen_sum == 0:
-                    raise AssertionError(_sum_mismatch(name, acct, 0, 0))
+                if settled < 0 or acct.unsettled_sum or acct.frozen_sum:
+                    raise AssertionError(
+                        f"{name} settled negative" if settled < 0
+                        else _sum_mismatch(name, acct, 0, 0)
+                    )
                 wrapped += settled
                 continue
+            if settled < 0:
+                raise AssertionError(f"{name} settled negative")
             unsettled = frozen = 0
             last_time, last_id = _BEFORE_ANY_KEY
             for time, transfer_id, amount, frozen_amount in records:

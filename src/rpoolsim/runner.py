@@ -21,13 +21,17 @@ Every check of a step is a ``(description, expected, observed)`` triple:
 its ``expect_error`` outcome, the unchanged state after that error, its
 success when no error is expected, each ``expect_*`` and ``assert``
 comparison.  One constructor turns each into an :class:`AssertionResult`
-that passed iff ``expected == observed``.  The state is compared in full, by
-value (:meth:`World.snapshot`: every balance, record, case, signer, pool
-and bid, and the journal's length), before and after the step.  Any
-rejected step, expected or not, must also leave the journal at its length
-before the step; that check costs one length, covers the rejections that
-no snapshot is taken around, and is reported only when it fails.  Failures surface in the report
-rather than as exceptions, so a scenario always runs to the end.
+that passed iff ``expected == observed``.  A step's check texts are built
+only for the checks it makes: a step that succeeds with no error expected
+and no ``expect_*`` field builds none, and the ``expect_*`` fields each
+action allows are listed once, at import, in schema order.  The state is
+compared in full, by value (:meth:`World.snapshot`: every balance, record,
+case, signer, pool and bid, and the journal's length), before and after
+the step.  Any rejected step, expected or not, must also leave the journal
+at its length before the step; that check costs one length, covers the
+rejections that no snapshot is taken around, and is reported only when it
+fails.  Failures surface in the report rather than as exceptions, so a
+scenario always runs to the end.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ EXPECTATIONS: dict[str, tuple[str, str | None]] = {
     "expect_rate": ("effective rate == {}", "rate_ppm"),
     "expect_amount": ("recovered amount == {}", "amount"),
     "expect": ("recovery plan", None),
+}
+
+#: action -> (expect_* key, field type) for each expectation its schema
+#: allows, in schema order: the checks a step can make, found once.
+_EXPECT_FIELDS: dict[str, list[tuple[str, str]]] = {
+    action: [(key, kind) for key, (kind, _) in spec.items() if key in EXPECTATIONS]
+    for action, spec in ACTION_SPECS.items()
 }
 
 
@@ -139,43 +150,50 @@ class ScenarioRunner:
 
     def run(self) -> RunResult:
         result = RunResult(self.name, [], [])
+        world = self.world
         for seq, step in enumerate(self.script.steps, start=1):
             self._run_step(seq, step, result)
-            self.world.check_invariants()
+            world.check_invariants()
         return result
 
     def _run_step(self, seq: int, step: Step, result: RunResult) -> None:
-        mark = self.world.ledger.mark()
-        state_before = self.world.snapshot() if step.expect_error else None
-        checks: list[tuple[str, object, object]] = []
-        outcome, op_result = "ok", None
+        world = self.world
+        mark = world.ledger.mark()
+        expect_error = step.expect_error
+        state_before = world.snapshot() if expect_error else None
+        outcome, op_result, checks = "ok", None, []
         try:
             op_result = self.ACTIONS[step.action](self, step.params, step.time)
-            checks = [(f"step {seq}: {d}", e, o) for d, e, o in self._checks(step, op_result)]
+            expected = self._checks(step, op_result)
+            if expected:
+                checks = [(f"step {seq}: {d}", e, o) for d, e, o in expected]
         except RPoolError as exc:
             outcome = exc.name  # result expectations are moot on failure
-        where = f"step {seq} ({step.action})"
-        if step.expect_error is not None:
-            checks.insert(0, (f"{where} fails with {step.expect_error}", step.expect_error, outcome))
-            if outcome != "ok" and self.world.snapshot() != state_before:
-                unchanged = f"{where} leaves state unchanged on error"
-                checks.append((unchanged, "unchanged state", "state changed"))
-        elif outcome != "ok":
-            checks.append((f"{where} succeeds", "ok", outcome))
-        journal = self.world.ledger.mark()
-        if outcome != "ok" and journal != mark:
-            checks.append((f"{where} journals nothing on error", mark, journal))
-        result.assertions.extend(AssertionResult(seq, d, e == o, e, o) for d, e, o in checks)
+        if expect_error is not None or outcome != "ok":
+            where = f"step {seq} ({step.action})"
+            if expect_error is not None:
+                checks.insert(0, (f"{where} fails with {expect_error}", expect_error, outcome))
+                if outcome != "ok" and world.snapshot() != state_before:
+                    unchanged = f"{where} leaves state unchanged on error"
+                    checks.append((unchanged, "unchanged state", "state changed"))
+            else:
+                checks.append((f"{where} succeeds", "ok", outcome))
+            if outcome != "ok":
+                journal = world.ledger.mark()
+                if journal != mark:
+                    checks.append((f"{where} journals nothing on error", mark, journal))
+        if checks:
+            result.assertions.extend(AssertionResult(seq, d, e == o, e, o) for d, e, o in checks)
         result.events.append(
             EventRecord(
-                scenario=self.name,
-                seq=seq,
-                time=step.time,
-                action=step.action,
-                params=step.params,
-                outcome=outcome,
-                result=op_result,
-                deltas=self.world.ledger.effects_since(mark, step.time),
+                self.name,
+                seq,
+                step.time,
+                step.action,
+                step.params,
+                outcome,
+                op_result,
+                world.ledger.effects_since(mark, step.time),
             )
         )
 
@@ -186,8 +204,8 @@ class ScenarioRunner:
             observed = self.ASSERTS[p["kind"]](self, p, step.time)
             return [(what, p[key], value) for key, (what, value) in observed.items() if key in p]
         checks = []
-        for key, (kind, _) in ACTION_SPECS[step.action].items():
-            if key in EXPECTATIONS and key in p:
+        for key, kind in _EXPECT_FIELDS[step.action]:
+            if key in p:
                 template, field_name = EXPECTATIONS[key]
                 observed = op_result if field_name is None else op_result[field_name]
                 checks.append((template.format(format_value(kind, p[key])), p[key], observed))

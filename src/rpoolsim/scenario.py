@@ -39,7 +39,6 @@ DEFAULT_WINDOW = 86_400
 DEFAULT_ARBITRATOR = "arbiter"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 #: INT fields and step times stay below this bound, so a report's expiry
 #: (step time + ttl) always fits the 8-byte field its signature covers.
@@ -296,7 +295,8 @@ class _Parser:
     # expect_error), or else the type itself.
 
     def parse_int(self, key: str, at: int, value: str, of: str = "int") -> int:
-        if not _INT_RE.fullmatch(value):
+        # an INT is ASCII digits: isdigit() alone also takes '²' and '٣'
+        if not (value.isascii() and value.isdigit()):
             raise self.fail(f"{key} must be a non-negative integer, got {value!r}", at)
         number = int(value)
         if number >= INT_LIMIT:
@@ -325,7 +325,7 @@ class _Parser:
 
     def parse_ref(self, key: str, at: int, value: str, kind: str) -> int | str:
         # an integer ref is an id, checked at run time
-        if _INT_RE.fullmatch(value):
+        if value.isascii() and value.isdigit():
             return self.parse_int(key, at, value)
         return self.parse_label(key, at, value, kind)
 
@@ -346,7 +346,7 @@ class _Parser:
             if ":" not in part:
                 raise self.fail(f"{key} entries are name:amount, got {part!r}", at)
             name, amount = part.rsplit(":", 1)
-            if not _NAME_RE.fullmatch(name) or not _INT_RE.fullmatch(amount):
+            if not _NAME_RE.fullmatch(name) or not (amount.isascii() and amount.isdigit()):
                 raise self.fail(f"{key} entries are name:amount, got {part!r}", at)
             targets.append([name, self.parse_int(key, at, amount)])
         return targets
@@ -410,9 +410,10 @@ class _Parser:
                 raise self.fail(unknown.format(repr(key)), i)
             parser, of, _ = rows[key]
             values[key] = parser(self, key, i, value, of)
-        for key, (_, _, required) in rows.items():
-            if required and key not in values:
-                raise self.fail(missing.format(key), at)
+        if len(values) < len(rows):
+            for key, (_, _, required) in rows.items():
+                if required and key not in values:
+                    raise self.fail(missing.format(key), at)
         return values
 
     # -- directives ----------------------------------------------------------

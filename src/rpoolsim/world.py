@@ -135,10 +135,11 @@ class World:
         """
         self.ledger.check_invariants()
         for name, pool in self.pools.items():
-            held = sum(pool.lp_holdings.values())
+            holdings = pool.lp_holdings
+            held = sum(holdings.values())
             if pool.lp_supply != held:
                 raise AssertionError(f"pool {name} lp_supply {pool.lp_supply} != {held} held")
-            if not all(amount > 0 for amount in pool.lp_holdings.values()):
+            if holdings and min(holdings.values()) <= 0:
                 raise AssertionError(f"pool {name} keeps an LP holding that is not positive")
         for name, book in self.books.items():
             if not all(key == bid.bid_id == n for n, (key, bid) in enumerate(book.bids.items(), 1)):

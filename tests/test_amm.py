@@ -96,6 +96,22 @@ class TestDeposit:
                 min_quorum=1, min_lp_deposit=1,
             )
 
+    @pytest.mark.parametrize("kappa_ppm", [0, 1_000_000])
+    def test_kappa_outside_the_open_interval_rejected(self, world, kappa_ppm):
+        with pytest.raises(ValueError, match="kappa must be strictly between 0 and 1"):
+            world.add_pool(
+                "pool", kappa_ppm=kappa_ppm, risk_bounds=(0, 1_000_000),
+                min_quorum=1, min_lp_deposit=1,
+            )
+
+    @pytest.mark.parametrize("kappa_ppm", [1, 999_999])
+    def test_kappa_just_inside_the_open_interval_accepted(self, world, kappa_ppm):
+        pool = world.add_pool(
+            "pool", kappa_ppm=kappa_ppm, risk_bounds=(0, 1_000_000),
+            min_quorum=1, min_lp_deposit=1,
+        )
+        assert pool.kappa_ppm == kappa_ppm
+
 
 class TestUnwrapDisabledPool:
     """A pool account that disables unwrapping after construction rejects

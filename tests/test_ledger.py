@@ -372,6 +372,11 @@ class TestPrefixWalks:
             ("acct.settled = -3", "a settled negative"),
             ("acct.unsettled_sum += 7", "a unsettled_sum 107 != recount 100"),
             ("idle.frozen_sum = 2", "idle frozen_sum 2 != recount 0"),
+            # an account without records: one test, and the message of the
+            # first check that fails, settled before the cached sums
+            ("idle.settled = -1", "idle settled negative"),
+            ("idle.unsettled_sum = 4", "idle unsettled_sum 4 != recount 0"),
+            ("idle.settled = -1; idle.frozen_sum = 2", "idle settled negative"),
             # frozen value that the open case's marks do not explain, with
             # the cached sums kept equal to their recount
             ("acct.unsettled[:] = [first._replace(frozen_amount=5), second._replace(frozen_amount=5)]",
@@ -628,6 +633,16 @@ class TestPlanRecovery:
         with pytest.raises(ValueError):
             ledger.plan_recovery(999, 10, 20)
 
+    def test_unknown_transfer_ids_next_to_the_log(self, world):
+        # the ids just outside 1..len(transfer_log): no IndexError, no
+        # wrap-around to the log's last row, and nothing written
+        ledger, _ = _tainted_pool_world(world, pool_keep=100, lp_withdraw=0)
+        before = world.snapshot()
+        for transfer_id in (len(ledger.transfer_log) + 1, 0):
+            with pytest.raises(ValueError, match=f"unknown transfer id {transfer_id}"):
+                ledger.plan_recovery(transfer_id, 10, 20)
+            assert world.snapshot() == before
+
 
 class TestConservation:
     def test_every_op_conserves(self, world):
@@ -673,6 +688,26 @@ def test_effects_since_folds_every_journal_kind(world):
         "genesis_settled", "mint", "wrap", "base_transfer", "unwrap", "transfer",
         "disable_unwrap", "freeze", "release", "recover",
     }
+
+
+def test_effects_since_drops_changes_that_net_to_zero(world):
+    # In one fold, b's base goes out to c and comes back while b receives a
+    # transfer: only b's base key is dropped, and the rest keep the order of
+    # their first change.  a's transfer spends no unsettled record, so its
+    # zero unsettled change between settled and nonce is dropped too.  c's
+    # only change nets to 0, so c is dropped.
+    base, ledger = world.base, world.ledger
+    ledger.genesis_settled("a", 100)
+    base.mint("b", 50)
+    mark = ledger.mark()
+    base.transfer("b", "c", 20)
+    ledger.transfer("a", "b", 40, False, 0)
+    base.transfer("c", "b", 20)
+    effects = ledger.effects_since(mark, 0)
+    assert effects == {"a": {"settled": -40, "nonce": 1}, "b": {"unsettled": 40, "nonce": 1}}
+    assert [list(fields) for fields in effects.values()] == [
+        ["settled", "nonce"], ["unsettled", "nonce"]
+    ]
 
 
 def test_a_transfer_is_one_object_in_journal_log_and_outflows(world):

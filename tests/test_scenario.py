@@ -262,6 +262,11 @@ LOCATED_ERRORS = [
      "amount must be a non-negative integer, got '-5'"),
     ("", "at\t0 wrap account=alice amount=x", 25, "amount must be a non-negative integer, got 'x'"),
     ("", "at x advance", 4, "time must be a non-negative integer, got 'x'"),
+    # an INT is ASCII digits: no other script's digits, no superscripts, no sign
+    ("", "at \u0663 advance", 4, "time must be a non-negative integer, got '\u0663'"),
+    ("", "account b base=\u00b2", 11, "base must be a non-negative integer, got '\u00b2'"),
+    ("", "at 0 wrap account=alice amount=+5", 25,
+     "amount must be a non-negative integer, got '+5'"),
     ("", "at 0 wrap account=alice amount=9223372036854775808", 25,
      "amount must be below 2**63, got 9223372036854775808"),
     ("", "at 0  wrap   account=1x    amount=5", 14, "account must be a name, got '1x'"),
@@ -316,6 +321,8 @@ LOCATED_ERRORS = [
     (HEADER, "at 0 assert kind=nonce account=alice value=0 pool=main", 6,
      "assert nonce does not take pool="),
     ("", "at 0 assert kind=nonce account=alice", 6, "assert nonce requires value="),
+    # every field of the schema but one required field
+    ("", "at 0 wrap account=alice expect_error=ZeroAmount", 6, "wrap requires amount="),
     ("", "at 0 assert kind=balance account=alice", 6,
      "assert balance needs at least one of ['settled', 'unsettled']"),
     (T1, "at 0 transfer from=alice to=bob amount=1 as=t1", 6, "label 't1' already used"),
