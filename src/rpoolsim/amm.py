@@ -172,15 +172,10 @@ class AmmPool:
         if held < lp_tokens:
             raise InsufficientLpTokens(f"{lp} holds {held}, burning {lp_tokens}")
         state = self.pool_state(now)
-        if state.total == 0:
-            withdrawn = 0
-        else:
-            withdrawn = lp_tokens * state.total // self.lp_supply
-        if withdrawn:
-            unsettled_out = withdrawn * state.unsettled // state.total
-            base_out = withdrawn - unsettled_out
-        else:
-            unsettled_out = base_out = 0
+        # lp_supply >= held >= lp_tokens > 0; a pool total of 0 pays out 0
+        withdrawn = lp_tokens * state.total // self.lp_supply
+        unsettled_out = withdrawn * state.unsettled // state.total if withdrawn else 0
+        base_out = withdrawn - unsettled_out
 
         if base_out:
             self._check_unwrap()

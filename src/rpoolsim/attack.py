@@ -49,12 +49,8 @@ from typing import NamedTuple
 from .amm import check_risk_bounds
 from .errors import InvalidScenario, ZeroShort
 from .oracle import ConstantRiskModel, RatingEntity, RiskModel, issue_report
-from .rates import PPM, check_rate
+from .rates import PPM, ceil_div, check_rate
 from .world import World
-
-
-def _ceil_div(numerator: int, denominator: int) -> int:
-    return -(-numerator // denominator)
 
 
 class _AttackFields(NamedTuple):
@@ -128,7 +124,7 @@ def _breakdown(
     scenario: AttackScenario, swap_out: int, total_before: int, total_after: int
 ) -> ProfitBreakdown:
     sale = scenario.shorted * total_before // scenario.lp_supply
-    buyback = _ceil_div(scenario.shorted * total_after, scenario.lp_supply)
+    buyback = ceil_div(scenario.shorted * total_after, scenario.lp_supply)
     at_limit = scenario.shorted == (
         scenario.collateral * scenario.lp_supply // scenario.pool_total
     )

@@ -131,9 +131,7 @@ def _print_result(result: RunResult, fmt: str) -> None:
 
 def _cmd_check_attack(args: argparse.Namespace) -> int:
     # the attack lab (and Fraction) load here, so run and fmt never pay for them
-    from fractions import Fraction
-
-    from .attack import AttackScenario, exact_threshold, profitability_threshold, simulate_attack
+    from .attack import AttackScenario, profitability_threshold, simulate_attack
 
     lp_supply = args.lp_supply
     if args.short_fraction is not None:
@@ -163,12 +161,13 @@ def _cmd_check_attack(args: argparse.Namespace) -> int:
         )
         breakdown = simulate_attack(scenario)
         threshold_ppm = profitability_threshold(lp_supply, shorted)
-        threshold = exact_threshold(lp_supply, shorted)
     except RPoolError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 2
 
-    safe = Fraction(rate_ppm, PPM) <= threshold
+    # the threshold in ppm is the exact one floored, so for an integer ppm
+    # rate this is the exact comparison
+    safe = rate_ppm <= threshold_ppm
     print(f"pool total (R):        {scenario.pool_total}")
     print(f"lp supply (L):         {scenario.lp_supply}")
     print(f"collateral (c):        {scenario.collateral}")

@@ -12,10 +12,11 @@ Settlement is lazy: there is no background job.  Maturity is evaluated
 against the caller-supplied clock, and mutating operations fold matured
 records into the settled balance before acting.  A record is settled once
 ``now >= settlement_time``.  Frozen portions never mature while their case
-is open.  Records are sorted by due time, so when an account's oldest
-record is not due at ``now`` none is, and a fold or a view at ``now`` leaves
-the records alone: a transfer or an unwrap then reads the sender's
-balances without walking them.
+is open.  Every balance read and every debit sees an account through one
+view at ``now``, ``_view``: its effective settled, unsettled and frozen
+balances, and ``movable``, the unfrozen value a fold at ``now`` would
+settle.  A transfer or an unwrap folds the sender only when ``movable`` is
+positive, since a fold changes nothing otherwise.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list; maturing,
@@ -50,17 +51,21 @@ transfers that drew on unsettled records, in log order.
 mark into per-account balance changes, one rule per entry kind, so a
 caller can tell what an operation changed without rescanning every account.
 
-Key invariants maintained here and asserted by :meth:`WrapperLedger.check_invariants`:
-  - base-token total supply is conserved by every operation;
+Key invariants maintained here and recounted by :meth:`WrapperLedger.check_invariants`:
+  - the base ledger's total supply equals the sum of its balances;
   - the base tokens locked at the wrapper address equal the sum of all
     settled and unsettled (including frozen) wrapper balances;
-  - each account's records are non-empty, in order, and sum to its
-    ``unsettled_sum`` and ``frozen_sum``;
+  - no settled balance is negative;
+  - each account's records are non-empty, in order, hold a frozen amount
+    between 0 and their amount, and sum to its ``unsettled_sum`` and
+    ``frozen_sum``;
   - each record's frozen amount is the total of the active cases' marks on
-    its key, and every such mark names a record that holds it;
-  - each account's nonce increments by exactly one for every ledger event
-    the account participates in;
-  - no operation other than recover/release ever reduces a frozen amount.
+    its key, and every such mark names a record that holds it.
+
+The recount reads state only, not history: that each account's nonce rises
+by one for every event it takes part in is checked by the replay oracle in
+``tests/naive_ledger.py``, which rebuilds every balance and nonce from the
+journal.
 """
 
 from __future__ import annotations
@@ -185,14 +190,19 @@ class Case(NamedTuple):
 _BEFORE_ANY_KEY = (float("-inf"), 0)
 
 
-def _matured_movable(records: list[UnsettledRecord], now: int) -> int:
-    """Unfrozen value of the matured prefix: what a fold at ``now`` moves."""
+def _view(acct: Account | None, now: int) -> tuple[int, int, int, int]:
+    """``acct``'s effective ``(settled, unsettled, frozen, movable)`` at
+    ``now``, where ``movable`` is the unfrozen value of the matured prefix:
+    what a fold at ``now`` moves from unsettled to settled.  No account
+    reads as all zeros."""
+    if acct is None:
+        return 0, 0, 0, 0
     movable = 0
-    for time, _, amount, frozen in records:
+    for time, _, amount, frozen in acct.unsettled:
         if time > now:
             break
         movable += amount - frozen
-    return movable
+    return acct.settled + movable, acct.unsettled_sum - movable, acct.frozen_sum, movable
 
 
 class BaseLedger:
@@ -291,11 +301,8 @@ class WrapperLedger:
 
     def settle_view(self, account: str, now: int) -> tuple[int, int]:
         """Effective (settled, unsettled) balances at ``now``; pure."""
-        acct = self.accounts.get(account)
-        if acct is None:
-            return 0, 0
-        movable = _matured_movable(acct.unsettled, now)
-        return acct.settled + movable, acct.unsettled_sum - movable
+        settled, unsettled, _, _ = _view(self.accounts.get(account), now)
+        return settled, unsettled
 
     def balance_of(self, account: str, include_unsettled: bool, now: int) -> int:
         settled, unsettled = self.settle_view(account, now)
@@ -303,14 +310,8 @@ class WrapperLedger:
 
     def available_unsettled(self, account: str, now: int) -> int:
         """Unsettled value at ``now`` that is not under an active freeze."""
-        acct = self.accounts.get(account)
-        if acct is None:
-            return 0
-        return (
-            acct.unsettled_sum
-            - acct.frozen_sum
-            - _matured_movable(acct.unsettled, now)
-        )
+        _, unsettled, frozen, _ = _view(self.accounts.get(account), now)
+        return unsettled - frozen
 
     def holds_record_from(self, account: str, transfer_id: int, now: int) -> bool:
         """Whether ``account`` still holds, at ``now``, unsettled value of
@@ -376,23 +377,16 @@ class WrapperLedger:
         """Burn settled wrapper tokens and release base tokens to ``to``."""
         check_amount(amount)
         acct = self.accounts.get(caller)
-        settled, matured = 0, False
-        if acct is not None:
-            if acct.unwrap_disabled:
-                raise UnwrapDisabled(f"unwrapping is disabled for {caller}")
-            records = acct.unsettled
-            # records are sorted: if the oldest is not due, none is
-            matured = bool(records) and records[0].settlement_time <= now
-            settled = acct.settled
-            if matured:
-                settled += _matured_movable(records, now)
+        if acct is not None and acct.unwrap_disabled:
+            raise UnwrapDisabled(f"unwrapping is disabled for {caller}")
+        settled, _, _, movable = _view(acct, now)
         if settled < amount:
             raise InsufficientSettled(
                 f"{caller} has {settled} settled, needs {amount}; "
                 "unsettled tokens cannot be unwrapped"
             )
         # a positive amount was covered, so the caller has an account
-        if matured:
+        if movable:
             self._settle_account(acct, now)
         acct.settled -= amount
         acct.nonce += 1
@@ -437,20 +431,8 @@ class WrapperLedger:
         if sender == recipient:
             raise SelfTransfer(f"{sender} cannot transfer to itself")
 
-        # the sender's spendable view, as settle_view computes it, read once
         acct = self.accounts.get(sender)
-        if acct is None:
-            matured = False
-            settled = unsettled = frozen = 0
-        else:
-            records = acct.unsettled
-            # records are sorted: if the oldest is not due, none is
-            matured = bool(records) and records[0].settlement_time <= now
-            settled, unsettled, frozen = acct.settled, acct.unsettled_sum, acct.frozen_sum
-            if matured:
-                movable = _matured_movable(records, now)
-                settled += movable
-                unsettled -= movable
+        settled, unsettled, frozen, movable = _view(acct, now)
         if mode == SPEND_SETTLED:
             # unsettled value neither counts nor explains a shortfall
             unsettled = frozen = 0
@@ -468,7 +450,7 @@ class WrapperLedger:
 
         # a positive amount was covered, so the sender has an account
         recipient_acct = self._account(recipient)
-        if matured:
+        if movable:
             self._settle_account(acct, now)
         if mode == SPEND_SETTLED:
             # the check above proved the settled balance covers the amount
@@ -693,25 +675,26 @@ class WrapperLedger:
         """Position in the journal, for :meth:`effects_since`."""
         return len(self.base.journal)
 
-    def effects_since(self, mark: int, now: int) -> dict[str, dict[str, int]]:
+    def effects_since(self, mark: int) -> dict[str, dict[str, int]]:
         """Per-account changes to ``base``, effective ``settled`` and
-        ``unsettled`` at ``now``, and ``nonce``, made by the journal entries
-        appended since ``mark``.
+        ``unsettled``, and ``nonce``, made by the journal entries appended
+        since ``mark``.
 
-        Each entry is folded by its kind's rule in ``_EFFECTS``; the spend
-        split of a ``transfer`` comes from its own entry, and the marks a
-        ``recover`` or ``release`` closed from ``cases``.  Zero
-        changes and the wrapper's own base address are left out; accounts
-        come out sorted by name.
+        Each entry is folded by its kind's rule in ``_EFFECTS``, which reads
+        maturity at the time in that entry; the spend split of a
+        ``transfer`` comes from its own entry, and the marks a ``recover``
+        or ``release`` closed from ``cases``.  Zero changes and the
+        wrapper's own base address are left out; accounts come out sorted
+        by name.
 
-        The rules read maturity at ``now``, so the result equals the change
-        in :meth:`settle_view` only when the entries were made at ``now``,
-        as one scenario step's are: an operation folds what is due first,
-        so a freeze or a spend at ``now`` acts on records not yet due.
+        When every entry since ``mark`` was made at one time ``now``, as one
+        scenario step's are, the result is the change in :meth:`settle_view`
+        at ``now``: an operation folds what is due first, so a freeze or a
+        spend at ``now`` acts on records not yet due.
         """
         totals: dict[str, dict[str, int]] = {}
         for entry in self.base.journal[mark:]:
-            for account, key, change in _EFFECTS[entry[0]](self, entry, now):
+            for account, key, change in _EFFECTS[entry[0]](self, entry):
                 fields = totals.get(account)
                 if fields is None:
                     totals[account] = {key: change}
@@ -823,60 +806,59 @@ def _sum_mismatch(name: str, acct: Account, unsettled: int, frozen: int) -> str:
 #
 # Each rule reads one journal entry against the ledger as the step left it
 # and yields (account, field, change).  Settled and unsettled are effective
-# balances at ``now``, as settle_view reports them: a record due at or
-# before ``now`` counts as settled except for its frozen part.
+# balances at the entry's own time, as settle_view reports them: a record
+# due at or before that time counts as settled except for its frozen part.
 
 _Effects = Iterator[tuple[str, str, int]]
 
 
-def _mint_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _mint_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, account, amount = entry
     yield account, "base", amount
 
 
-def _base_transfer_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _base_transfer_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, sender, recipient, amount = entry
     yield sender, "base", -amount
     yield recipient, "base", amount
 
 
-def _genesis_settled_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _genesis_settled_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, account, amount = entry
     yield account, "settled", amount
 
 
-def _wrap_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _wrap_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, caller, amount, _ = entry
     yield caller, "settled", amount
     yield caller, "nonce", 1
 
 
-def _unwrap_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _unwrap_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, caller, _, amount, _ = entry  # the base paid out is its own base_transfer
     yield caller, "settled", -amount
     yield caller, "nonce", 1
 
 
-def _transfer_effects(ledger: WrapperLedger, entry: Transfer, now: int) -> _Effects:
+def _transfer_effects(ledger: WrapperLedger, entry: Transfer) -> _Effects:
     sender, recipient, amount = entry.sender, entry.recipient, entry.amount
     spent = entry.unsettled_spent
     yield sender, "settled", spent - amount
     yield sender, "unsettled", -spent
     yield sender, "nonce", 1
-    # the recipient's record is due at entry.time + window: with a zero
-    # window it is settled already
-    due = entry.time + ledger.recovery_window
-    yield recipient, "settled" if due <= now else "unsettled", amount
+    # the recipient's record is due at entry.time + window, so it is
+    # settled already at the entry's time iff the window is zero
+    yield recipient, "unsettled" if ledger.recovery_window else "settled", amount
     yield recipient, "nonce", 1
 
 
-def _freeze_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _freeze_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, _, wanted, _ = entry
     for account, _ in wanted:
         yield account, "nonce", 1
 
 
-def _recover_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _recover_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     _, case_id, victim, _ = entry
     case = ledger.cases[case_id]
     total = 0
@@ -890,8 +872,8 @@ def _recover_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
     yield victim, "nonce", 1
 
 
-def _release_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
-    _, case_id, _ = entry
+def _release_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
+    _, case_id, now = entry
     case = ledger.cases[case_id]
     for account, (due, _), amount in case.marks:
         if due <= now:
@@ -902,11 +884,11 @@ def _release_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
         yield account, "nonce", 1
 
 
-def _no_effects(ledger: WrapperLedger, entry: tuple, now: int) -> _Effects:
+def _no_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     return iter(())
 
 
-_EFFECTS: dict[str, Callable[[WrapperLedger, tuple, int], _Effects]] = {
+_EFFECTS: dict[str, Callable[[WrapperLedger, tuple], _Effects]] = {
     "mint": _mint_effects,
     "base_transfer": _base_transfer_effects,
     "genesis_settled": _genesis_settled_effects,

@@ -29,7 +29,7 @@ from .errors import (
     StaleNonce,
 )
 from .ledger import WrapperLedger, check_amount
-from .rates import check_rate, mul_rate_ceil
+from .rates import PPM, ceil_div, check_rate
 
 OPEN = "open"
 CANCELLED = "cancelled"
@@ -118,7 +118,7 @@ class OrderBook:
             raise StaleNonce(
                 f"bidder nonce moved from {bid.nonce_at_post} to {current}"
             )
-        asking = mul_rate_ceil(bid.amount, bid.min_rate_ppm)
+        asking = ceil_div(bid.amount * bid.min_rate_ppm, PPM)
         if offered_base < asking:
             raise QuoteTooLow(f"offered {offered_base}, asking at least {asking}")
         lp_base = self.ledger.base.balance(lp)

@@ -1,9 +1,11 @@
 """Parts-per-million rate arithmetic.
 
 Exchange rates live in [0, 1] and are carried as integer parts-per-million
-so every computation is exact and reproducible.  Products floor by default;
-a ceiling variant exists for the one place a floor would undercut a bidder's
-stated minimum price.
+so every computation is exact and reproducible.  Products floor by default.
+Where a floor would favour the party that rounding should work against, the
+ceiling :func:`ceil_div` is used instead: an order-book bid's asking price
+(a floor would undercut the bidder's stated minimum), and the attack lab's
+short buy-back cost (integer bookkeeping rounds against the attacker).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ def check_rate(rate_ppm: int) -> int:
     return rate_ppm
 
 
-def mul_rate_ceil(amount: int, rate_ppm: int) -> int:
-    """ceil(amount * rate)."""
-    return -(-(amount * rate_ppm) // PPM)
+def ceil_div(numerator: int, denominator: int) -> int:
+    """ceil(numerator / denominator) for a positive denominator, exactly."""
+    return -(-numerator // denominator)
 
 
 def parse_rate(text: str) -> int:

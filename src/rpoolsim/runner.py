@@ -193,7 +193,7 @@ class ScenarioRunner:
                 step.params,
                 outcome,
                 op_result,
-                world.ledger.effects_since(mark, step.time),
+                world.ledger.effects_since(mark),
             )
         )
 

@@ -112,6 +112,15 @@ class TestDeposit:
         )
         assert pool.kappa_ppm == kappa_ppm
 
+    def test_address_with_unwrap_disabled_rejected(self, world):
+        # a pool must be able to unwrap its settled liquidity
+        world.ledger.disable_unwrap("pool")
+        with pytest.raises(ValueError, match="unwrapping disabled"):
+            world.add_pool(
+                "pool", kappa_ppm=500_000, risk_bounds=(0, 1_000_000),
+                min_quorum=1, min_lp_deposit=1,
+            )
+
 
 class TestUnwrapDisabledPool:
     """A pool account that disables unwrapping after construction rejects

@@ -171,6 +171,11 @@ class TestCapSafety:
         assert is_cap_safe(500000, PPM)
         assert not is_cap_safe(500001, PPM)
 
+    @pytest.mark.parametrize("fraction_ppm", [0, PPM + 1])
+    def test_short_fraction_outside_zero_to_one_rejected(self, fraction_ppm):
+        with pytest.raises(ValueError, match=r"short fraction must be in \(0, 1\]"):
+            is_cap_safe(500000, fraction_ppm)
+
     def test_bounded_exhaustive_up_to_eight_lp_tokens(self):
         # every pool total, short and theft with lp_supply <= 8, at rates 0
         # and PPM and one ppm around the threshold's floor and ceiling

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 import rpoolsim.ledger
+from rpoolsim import World
 from rpoolsim.errors import (
     FrozenFunds,
     InsufficientBalance,
@@ -195,6 +196,10 @@ class TestSettleView:
         assert ledger.balance_of("a", True, 0) == 15
         assert ledger.balance_of("nobody-here", True, 0) == 0
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="recovery window must be non-negative"):
+            World(recovery_window=-1, arbitrator=ARB)
+
 
 class TestNonce:
     def test_fresh_is_zero(self, world):
@@ -233,6 +238,14 @@ class TestFreeze:
         give_unsettled(base, ledger, "a", 80, now=0)
         with pytest.raises(InsufficientUnsettled):
             ledger.freeze(ARB, [("a", 120)], "c1", 0)
+
+    def test_no_targets_rejected_before_any_write(self, world):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 80, now=0)
+        before = world.snapshot()
+        with pytest.raises(ValueError, match="at least one target"):
+            ledger.freeze(ARB, [], "c1", 0)
+        assert world.snapshot() == before
 
     def test_duplicate_case_id(self, world):
         base, ledger = world.base, world.ledger
@@ -660,8 +673,8 @@ class TestConservation:
 
 
 def test_effects_since_folds_every_journal_kind(world):
-    # Each fold covers operations made at the time it is read at, as a
-    # scenario step's are.
+    # Each rule reads maturity at its own entry's time: the release below
+    # is at WINDOW, when the record it unfreezes is due.
     base, ledger = world.base, world.ledger
     mark = ledger.mark()
     ledger.genesis_settled("a", 100)
@@ -673,14 +686,14 @@ def test_effects_since_folds_every_journal_kind(world):
     ledger.freeze(ARB, [("b", 15)], "c1", 0)
     ledger.freeze(ARB, [("b", 5)], "c2", 0)
     ledger.recover(ARB, "c2", "b", 0)
-    assert ledger.effects_since(mark, 0) == {
+    assert ledger.effects_since(mark) == {
         "a": {"settled": 50, "nonce": 2},
         "b": {"base": 20, "settled": 35, "unsettled": 35, "nonce": 6},
         "c": {"base": 10},
     }
     mark = ledger.mark()
     ledger.release(ARB, "c1", WINDOW)  # the frozen record is due by now
-    assert ledger.effects_since(mark, WINDOW) == {
+    assert ledger.effects_since(mark) == {
         "b": {"settled": 15, "unsettled": -15, "nonce": 1},
     }
     kinds = {entry[0] for entry in ledger.base.journal}
@@ -688,6 +701,23 @@ def test_effects_since_folds_every_journal_kind(world):
         "genesis_settled", "mint", "wrap", "base_transfer", "unwrap", "transfer",
         "disable_unwrap", "freeze", "release", "recover",
     }
+
+
+def test_effects_since_reads_each_entrys_own_time(world):
+    # One fold over entries at 0 and at WINDOW: the transfer at 0 lands
+    # unsettled, and only the frozen part the release at WINDOW lifts
+    # counts as settled, though at WINDOW the whole record is due.
+    ledger = world.ledger
+    ledger.genesis_settled("a", 100)
+    mark = ledger.mark()
+    ledger.transfer("a", "b", 40, False, 0)
+    ledger.freeze(ARB, [("b", 15)], "c1", 0)
+    ledger.release(ARB, "c1", WINDOW)
+    assert ledger.effects_since(mark) == {
+        "a": {"settled": -40, "nonce": 1},
+        "b": {"settled": 15, "unsettled": 25, "nonce": 3},
+    }
+    assert ledger.settle_view("b", WINDOW) == (40, 0)
 
 
 def test_effects_since_drops_changes_that_net_to_zero(world):
@@ -703,7 +733,7 @@ def test_effects_since_drops_changes_that_net_to_zero(world):
     base.transfer("b", "c", 20)
     ledger.transfer("a", "b", 40, False, 0)
     base.transfer("c", "b", 20)
-    effects = ledger.effects_since(mark, 0)
+    effects = ledger.effects_since(mark)
     assert effects == {"a": {"settled": -40, "nonce": 1}, "b": {"unsettled": 40, "nonce": 1}}
     assert [list(fields) for fields in effects.values()] == [
         ["settled", "nonce"], ["unsettled", "nonce"]

@@ -625,6 +625,28 @@ class TestCli:
         assert main(["check-attack", "--rate", "0.95", "--assert-safe"]) == 1
         assert main(["check-attack", "--rate", "0.5", "--assert-safe"]) == 0
 
+    def test_check_attack_verdict_at_an_inexact_threshold(self, capsys):
+        # L/(L+l) = 10/11 = 0.909090...: 909090 ppm is at or below it, and
+        # 909091 ppm above
+        pool = ["--pool-total", "10000", "--lp-supply", "10000",
+                "--collateral", "10000", "--short", "1000"]
+        assert main(["check-attack", *pool, "--rate", "0.90909", "--assert-safe"]) == 0
+        assert "verdict:               SAFE" in capsys.readouterr().out
+        assert main(["check-attack", *pool, "--rate", "0.909091", "--assert-safe"]) == 1
+        assert "verdict:               UNSAFE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--short-fraction", "x"], "--short-fraction: malformed rate 'x'"),
+            (["--short", "0"], "ZeroShort: "),
+            (["--stolen", "0"], "InvalidScenario: "),
+        ],
+    )
+    def test_check_attack_config_errors(self, capsys, args, message):
+        assert main(["check-attack", *args]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_bad_rate_is_config_error(self, capsys):
         assert main(["check-attack", "--rate", "1.5"]) == 2
         # RATE digits are ASCII only, as INT's are

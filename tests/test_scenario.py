@@ -181,6 +181,13 @@ def test_bad_token_before_a_comment_keeps_its_column():
     assert err.value.reason == "base must be a non-negative integer, got 'x5'"
 
 
+def test_fmt_without_steps_ends_at_last_header_line():
+    # the blank line after each header block is dropped at the end
+    assert format_scenario(parse_scenario(HEADER)).endswith("\nbook ob\n")
+    config_only = "config window=5 arbitrator=arb\n"
+    assert format_scenario(parse_scenario(config_only)) == config_only
+
+
 def test_fmt_drops_comments():
     commented = HEADER + "# steps\nat 0 wrap account=alice amount=5#inline\n"
     plain = HEADER + "at 0 wrap account=alice amount=5\n"
