@@ -11,35 +11,43 @@ transfer that made it, so a transfer id names both.
 Settlement is lazy: there is no background job.  Maturity is evaluated
 against the caller-supplied clock, and mutating operations fold matured
 records into the settled balance before acting.  A record is settled once
-``now >= settlement_time``.  Frozen portions never mature while their case
-is open.  Every balance read and every debit sees an account through one
-view at ``now``, ``_view``: its effective settled, unsettled and frozen
-balances, and ``movable``, the unfrozen value a fold at ``now`` would
-settle.  A transfer or an unwrap folds the sender only when ``movable`` is
-positive, since a fold changes nothing otherwise.
+``now >= settlement_time``.  Every balance read and every debit sees an
+account through one view at ``now``, ``_view``: its effective settled,
+unsettled and frozen balances, and ``movable``, the value of the matured
+records, which a fold at ``now`` would settle.  A transfer or an unwrap
+folds the sender only when ``movable`` is positive, since a fold changes
+nothing otherwise.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
-any ``now`` the matured records form a prefix of the list; maturing,
-spending and freezing all act on that prefix.  A new record is due at
-``now + recovery_window`` and its transfer id is the highest yet, so while
-the caller's clock never goes back it sorts last and is appended.  Only a
-record due before the recipient's last one (the clock went back) is
-inserted by bisection.  Each account also carries
-``unsettled_sum`` and ``frozen_sum``, the totals of its records' ``amount``
-and ``frozen_amount``.  They are derived values, updated wherever a record
-changes, so that balance views cost the matured prefix instead of the whole
-list; :meth:`WrapperLedger.check_invariants` recounts them from the records.
+any ``now`` the matured records form a prefix of the list.  A fold moves
+that prefix to the settled balance, and a spend or a freeze takes value
+from the head of the list through one walk, ``_take``.  A new record is due
+at ``now + recovery_window`` and its transfer id is the highest yet, so
+while the caller's clock never goes back it sorts last and is appended.
+Only a record due before the recipient's last one (the clock went back) is
+inserted by bisection.
+
+Frozen value lives in its case, not in the records.  A freeze takes the
+value out of the account's records and keeps it as the case's marks,
+``(account, key, amount)``, where the key ``(settlement_time,
+transfer_id)`` names the record it came from; frozen value therefore
+neither matures nor can be spent.  A recovery credits the marked total to
+the victim and touches no record.  A release returns each mark's value to
+the record with its key: it adds to the record if one is left, or inserts a
+new one there by bisection.
+
+Each account also carries ``unsettled_sum``, the total of its records, and
+``frozen_sum``, the total of the open cases' marks on it.  They are derived
+values, updated wherever a record or a case changes, so that balance views
+cost the matured prefix instead of the whole list;
+:meth:`WrapperLedger.check_invariants` recounts them.
 
 Records and cases are immutable values: an operation that changes one
 puts a new value in its place in the account's list or in ``cases``, so a
-copy of a world shares them and no snapshot rebuilds them.  A record keeps
-its key ``(settlement_time, transfer_id)``, its first two fields, for
-life.  A case's freeze marks records by that key, as
-``(account, key, amount)``, and finds each again by bisection when the
-case closes, so every record is held by its account's list alone.
-Every record and every transfer row the ledger makes is built through a
-module-level builder, ``_new_record`` or ``_new_transfer``, not through its
-class's constructor; the values are the same.
+copy of a world shares them and no snapshot rebuilds them.  Every record
+and every transfer row the ledger makes is built through a module-level
+builder, ``_new_record`` or ``_new_transfer``, not through its class's
+constructor; the values are the same.
 
 Every operation records itself in the base ledger's journal, as a tuple
 tagged by its kind.  A transfer's entry is one :class:`Transfer`, and that
@@ -54,13 +62,12 @@ caller can tell what an operation changed without rescanning every account.
 Key invariants maintained here and recounted by :meth:`WrapperLedger.check_invariants`:
   - the base ledger's total supply equals the sum of its balances;
   - the base tokens locked at the wrapper address equal the sum of all
-    settled and unsettled (including frozen) wrapper balances;
+    settled, unsettled and frozen wrapper balances;
   - no settled balance is negative;
-  - each account's records are non-empty, in order, hold a frozen amount
-    between 0 and their amount, and sum to its ``unsettled_sum`` and
-    ``frozen_sum``;
-  - each record's frozen amount is the total of the active cases' marks on
-    its key, and every such mark names a record that holds it.
+  - each account's records are positive, in order, and sum to its
+    ``unsettled_sum``;
+  - each account's ``frozen_sum`` is the total of the open cases' marks on
+    it, and no open mark names an account whose ``frozen_sum`` is 0.
 
 The recount reads state only, not history: that each account's nonce rises
 by one for every event it takes part in is checked by the replay oracle in
@@ -122,13 +129,13 @@ class UnsettledRecord(NamedTuple):
     that made it: each transfer makes exactly one record, at its recipient.
 
     Its first two fields are its key, so a list of records sorts, and is
-    searched by bisection, on the key alone.
+    searched by bisection, on the key alone.  ``amount`` is the unfrozen
+    value it holds; what a case froze of it is in that case's marks.
     """
 
     settlement_time: int
     transfer_id: int
     amount: int
-    frozen_amount: int = 0
 
 
 class Account:
@@ -142,8 +149,9 @@ class Account:
         self.unsettled: list[UnsettledRecord] = []
         self.nonce = 0
         self.unwrap_disabled = False
-        #: totals of ``amount`` and ``frozen_amount`` over ``unsettled``
+        #: total of ``amount`` over ``unsettled``
         self.unsettled_sum = 0
+        #: total of the open cases' marks on this account
         self.frozen_sum = 0
 
 
@@ -175,7 +183,7 @@ class Transfer(NamedTuple):
 #: ``partial`` skips that frame, which on CPython 3.11 takes about 40% off
 #: each build (500 vs 310 ns for a record, by ``timeit``).  Like
 #: ``_make`` without its length check, a builder trusts its caller to pass
-#: every field, defaults included.
+#: every field.
 _new_record = functools.partial(tuple.__new__, UnsettledRecord)
 _new_transfer = functools.partial(tuple.__new__, Transfer)
 
@@ -192,17 +200,44 @@ _BEFORE_ANY_KEY = (float("-inf"), 0)
 
 def _view(acct: Account | None, now: int) -> tuple[int, int, int, int]:
     """``acct``'s effective ``(settled, unsettled, frozen, movable)`` at
-    ``now``, where ``movable`` is the unfrozen value of the matured prefix:
-    what a fold at ``now`` moves from unsettled to settled.  No account
-    reads as all zeros."""
+    ``now``, where ``movable`` is the value of the matured prefix: what a
+    fold at ``now`` moves from unsettled to settled.  Frozen value counts
+    as unsettled.  No account reads as all zeros."""
     if acct is None:
         return 0, 0, 0, 0
     movable = 0
-    for time, _, amount, frozen in acct.unsettled:
+    for time, _, amount in acct.unsettled:
         if time > now:
             break
-        movable += amount - frozen
-    return acct.settled + movable, acct.unsettled_sum - movable, acct.frozen_sum, movable
+        movable += amount
+    frozen = acct.frozen_sum
+    return acct.settled + movable, acct.unsettled_sum - movable + frozen, frozen, movable
+
+
+def _take(acct: Account, amount: int) -> list[tuple[tuple[int, int], int]]:
+    """Take ``amount`` from the head of ``acct``'s records, in key order,
+    and return ``(key, taken)`` for each record drawn on.  A record it
+    empties leaves the list.  The caller has checked that the records
+    hold ``amount``; the check is made again before anything is written."""
+    records = acct.unsettled
+    taken = []
+    emptied = 0
+    rest = amount
+    for time, transfer_id, held in records:
+        if held > rest:
+            records[emptied] = _new_record((time, transfer_id, held - rest))
+            taken.append(((time, transfer_id), rest))
+            break
+        taken.append(((time, transfer_id), held))
+        emptied += 1
+        rest -= held
+        if not rest:
+            break
+    else:
+        raise AssertionError("take called without sufficient validated funds")
+    del records[:emptied]
+    acct.unsettled_sum -= amount
+    return taken
 
 
 class BaseLedger:
@@ -279,23 +314,18 @@ class WrapperLedger:
         return acct
 
     def _settle_account(self, acct: Account, now: int) -> None:
-        """Fold matured, unfrozen value into the settled balance."""
+        """Fold the matured records into the settled balance."""
         records = acct.unsettled
-        kept: list[UnsettledRecord] = []
         moved = matured = 0
-        for time, transfer_id, amount, frozen in records:
+        for time, _, amount in records:
             if time > now:
                 break
             matured += 1
-            moved += amount - frozen
-            if frozen:
-                # Frozen remainder stays unsettled until the case closes.
-                kept.append(_new_record((time, transfer_id, frozen, frozen)))
-        # Nothing moved means every matured record is wholly frozen and stays.
-        if moved:
+            moved += amount
+        if matured:
             acct.settled += moved
             acct.unsettled_sum -= moved
-            records[:matured] = kept
+            del records[:matured]
 
     # -- views ---------------------------------------------------------------
 
@@ -315,13 +345,15 @@ class WrapperLedger:
 
     def holds_record_from(self, account: str, transfer_id: int, now: int) -> bool:
         """Whether ``account`` still holds, at ``now``, unsettled value of
-        the record made by the transfer ``transfer_id``: the record is not
-        yet due, or part of it is frozen.
+        the record made by the transfer ``transfer_id``: the record is
+        present and not yet due, or an open case marks its key.
 
         A transfer's record is made at its recipient, never moves, and
         keeps its key ``(time + window, transfer_id)`` for life, so only the
-        recipient is searched, by one bisection.  An id outside the
-        transfer log names no record.
+        recipient's records are searched, by one bisection.  The open
+        cases' marks are scanned, at a cost of one step per open mark, only
+        when the recipient holds frozen value.  An id outside the transfer
+        log names no record.
         """
         if not 0 < transfer_id <= len(self.transfer_log):
             return False
@@ -329,12 +361,19 @@ class WrapperLedger:
         acct = self.accounts.get(account)
         if acct is None or entry.recipient != account:
             return False
-        records = acct.unsettled
-        due = entry.time + self.recovery_window
-        index = bisect.bisect_left(records, (due, transfer_id))
-        if index == len(records) or records[index].transfer_id != transfer_id:
-            return False
-        return due > now or records[index].frozen_amount > 0
+        key = (entry.time + self.recovery_window, transfer_id)
+        if key[0] > now:
+            records = acct.unsettled
+            index = bisect.bisect_left(records, key)
+            if index < len(records) and records[index].transfer_id == transfer_id:
+                return True
+        if acct.frozen_sum:
+            for case in self.cases.values():
+                if case.status == "active":
+                    for marked, marked_key, _ in case.marks:
+                        if marked == account and marked_key == key:
+                            return True
+        return False
 
     def nonce(self, account: str) -> int:
         acct = self.accounts.get(account)
@@ -348,9 +387,10 @@ class WrapperLedger:
         return self.base.balance(self.address)
 
     def wrapped_total(self) -> int:
-        """Recount of every settled and unsettled wrapper balance."""
+        """Recount of every settled and unsettled wrapper balance, frozen
+        value included."""
         return sum(
-            acct.settled + sum(rec.amount for rec in acct.unsettled)
+            acct.settled + sum(rec.amount for rec in acct.unsettled) + acct.frozen_sum
             for acct in self.accounts.values()
         )
 
@@ -452,16 +492,17 @@ class WrapperLedger:
         recipient_acct = self._account(recipient)
         if movable:
             self._settle_account(acct, now)
-        if mode == SPEND_SETTLED:
-            # the check above proved the settled balance covers the amount
-            acct.settled -= amount
-            unsettled_spent = 0
-        else:
-            unsettled_spent = self._spend(acct, amount, mode)
+        # settled is what this mode may draw from the settled balance; the
+        # check above proved that the records hold the rest
+        from_settled = settled if settled < amount else amount
+        acct.settled -= from_settled
+        unsettled_spent = amount - from_settled
+        if unsettled_spent:
+            _take(acct, unsettled_spent)
 
         transfer_id = len(self.transfer_log) + 1
         due = now + self.recovery_window
-        record = _new_record((due, transfer_id, amount, 0))
+        record = _new_record((due, transfer_id, amount))
         records = recipient_acct.unsettled
         # the new id is the highest yet, so an equal due time sorts last too
         if not records or records[-1].settlement_time <= due:
@@ -480,32 +521,6 @@ class WrapperLedger:
         recipient_acct.nonce += 1
         return transfer_id
 
-    @staticmethod
-    def _spend(acct: Account, amount: int, mode: str) -> int:
-        remaining = amount
-        if mode != SPEND_UNSETTLED:
-            take = min(acct.settled, remaining)
-            acct.settled -= take
-            remaining -= take
-        unsettled_spent = remaining
-        if remaining:
-            records = acct.unsettled
-            kept: list[UnsettledRecord] = []
-            walked = 0
-            for time, transfer_id, held, frozen in records:
-                if not remaining:
-                    break
-                walked += 1
-                take = min(held - frozen, remaining)
-                remaining -= take
-                if held > take:
-                    kept.append(_new_record((time, transfer_id, held - take, frozen)))
-            records[:walked] = kept
-            acct.unsettled_sum -= unsettled_spent
-        if remaining:
-            raise AssertionError("spend called without sufficient validated funds")
-        return unsettled_spent
-
     # -- freezing and recovery ------------------------------------------------
 
     def freeze(
@@ -515,11 +530,12 @@ class WrapperLedger:
         case_id: str,
         now: int,
     ) -> None:
-        """Mark unsettled value on the target accounts under ``case_id``.
+        """Freeze unsettled value on the target accounts under ``case_id``.
 
-        Marks are placed on records in ascending settlement-time order.
-        Frozen value cannot be spent and cannot mature until the case closes
-        via :meth:`recover` or :meth:`release`.
+        Each account's matured records are folded first; the value is then
+        taken from its records in ascending key order and kept as the
+        case's marks.  Frozen value cannot be spent and cannot mature until
+        the case closes via :meth:`recover` or :meth:`release`.
         """
         if caller != self.arbitrator:
             raise NotArbitrator(f"{caller} is not the arbitrator")
@@ -542,18 +558,7 @@ class WrapperLedger:
         for account, total in wanted.items():
             acct = self.accounts[account]
             self._settle_account(acct, now)
-            remaining = total
-            records = acct.unsettled
-            for index, (time, transfer_id, held, frozen) in enumerate(records):
-                if not remaining:
-                    break
-                take = min(held - frozen, remaining)
-                if take:
-                    records[index] = _new_record((time, transfer_id, held, frozen + take))
-                    marks.append((account, (time, transfer_id), take))
-                    remaining -= take
-            if remaining:
-                raise AssertionError("freeze called without sufficient validated funds")
+            marks += [(account, key, taken) for key, taken in _take(acct, total)]
             acct.frozen_sum += total
             acct.nonce += 1
         self.cases[case_id] = Case(tuple(marks))
@@ -587,27 +592,29 @@ class WrapperLedger:
             raise UnknownCase(f"no active case {case_id!r}")
 
     def _close(self, case_id: str, status: str) -> int:
-        """Lift each mark from the record its key finds by bisection, count
+        """Take each mark's value out of its account's ``frozen_sum``, count
         the close once in each marked account's nonce, close the case as
-        ``status`` and return the marked total.  A recovery also takes each
-        marked amount out of its record and drops an emptied record."""
+        ``status`` and return the marked total.
+
+        A recovery touches no record: the caller credits the total.  A
+        release returns each mark's value to the record with the mark's
+        key, found by bisection: it adds to the record if one is left, or
+        inserts a new one there, which matures at its own time."""
         marks = self.cases[case_id].marks
-        recovered = status == "recovered"
+        released = status == "released"
         total = 0
         for account, key, amount in marks:
             acct = self.accounts[account]
-            records = acct.unsettled
-            index = bisect.bisect_left(records, key)
-            time, transfer_id, held, frozen = records[index]
             acct.frozen_sum -= amount
             total += amount
-            if recovered:
-                held -= amount
-                acct.unsettled_sum -= amount
-                if not held:
-                    del records[index]
-                    continue
-            records[index] = _new_record((time, transfer_id, held, frozen - amount))
+            if released:
+                records = acct.unsettled
+                index = bisect.bisect_left(records, key)
+                if index < len(records) and records[index].transfer_id == key[1]:
+                    records[index] = _new_record((*key, records[index].amount + amount))
+                else:
+                    records.insert(index, _new_record((*key, amount)))
+                acct.unsettled_sum += amount
         for account in _marked_accounts(marks):
             self.accounts[account].nonce += 1
         self.cases[case_id] = Case(marks, status)
@@ -731,59 +738,50 @@ class WrapperLedger:
 
         Raises :class:`AssertionError` explicitly rather than through
         ``assert``, so the check also runs under ``python -O``.  An account
-        without records is checked in one test: its settled balance is not
-        negative and both its cached sums are zero, and which of those failed
-        is worked out only when one did.  Each record's frozen amount is the
-        total that the active cases' marks place on its key, and every such
-        mark finds a frozen record.
+        without records or frozen value is checked in one test: its settled
+        balance is not negative and both its cached sums are zero, and which
+        of those failed is worked out only when one did.  An account's
+        ``frozen_sum`` is the total of the open cases' marks on it, and no
+        open mark names an account whose ``frozen_sum`` is 0.
         """
         if self.base.total_supply != sum(self.base.balances.values()):
             raise AssertionError("base supply out of balance")
-        marked: dict[tuple[str, tuple[int, int]], int] = {}
+        marked: dict[str, int] = {}
         for case in self.cases.values():
             if case.status == "active":
-                for account, key, amount in case.marks:
-                    marked[account, key] = marked.get((account, key), 0) + amount
+                for account, _, amount in case.marks:
+                    marked[account] = marked.get(account, 0) + amount
         wrapped = 0
         for name, acct in self.accounts.items():
             settled = acct.settled
             records = acct.unsettled
-            if not records:
-                if settled < 0 or acct.unsettled_sum or acct.frozen_sum:
-                    raise AssertionError(
-                        f"{name} settled negative" if settled < 0
-                        else _sum_mismatch(name, acct, 0, 0)
-                    )
+            if not records and not (settled < 0 or acct.unsettled_sum or acct.frozen_sum):
                 wrapped += settled
                 continue
             if settled < 0:
                 raise AssertionError(f"{name} settled negative")
-            unsettled = frozen = 0
+            unsettled = 0
             last_time, last_id = _BEFORE_ANY_KEY
-            for time, transfer_id, amount, frozen_amount in records:
+            for time, transfer_id, amount in records:
                 if amount <= 0:
                     raise AssertionError(f"{name} holds an empty record")
-                if not 0 <= frozen_amount <= amount:
-                    raise AssertionError(
-                        f"{name} record {transfer_id} frozen amount out of range"
-                    )
                 if time < last_time or (time == last_time and transfer_id <= last_id):
                     raise AssertionError(f"{name} records out of order")
                 last_time, last_id = time, transfer_id
-                if frozen_amount:
-                    expected = marked.pop((name, (time, transfer_id)), 0)
-                    if expected != frozen_amount:
-                        raise AssertionError(
-                            f"{name} record {transfer_id} frozen {frozen_amount} != {expected} marked"
-                        )
                 unsettled += amount
-                frozen += frozen_amount
-            if acct.unsettled_sum != unsettled or acct.frozen_sum != frozen:
-                raise AssertionError(_sum_mismatch(name, acct, unsettled, frozen))
-            wrapped += settled + unsettled
+            if acct.unsettled_sum != unsettled:
+                raise AssertionError(
+                    f"{name} unsettled_sum {acct.unsettled_sum} != recount {unsettled}"
+                )
+            frozen = acct.frozen_sum
+            if frozen:
+                expected = marked.pop(name, 0)
+                if frozen != expected:
+                    raise AssertionError(f"{name} frozen_sum {frozen} != {expected} marked")
+            wrapped += settled + unsettled + frozen
         if marked:
-            (account, (_, transfer_id)), amount = next(iter(marked.items()))
-            raise AssertionError(f"{account} record {transfer_id}: {amount} marked, none frozen")
+            account, amount = next(iter(marked.items()))
+            raise AssertionError(f"{account}: {amount} marked, frozen_sum 0")
         if self.base_locked() != wrapped:
             raise AssertionError(
                 f"locked base {self.base_locked()} != wrapped total {wrapped}"
@@ -795,19 +793,12 @@ def _marked_accounts(marks: tuple) -> dict[str, None]:
     return dict.fromkeys(account for account, _, _ in marks)
 
 
-def _sum_mismatch(name: str, acct: Account, unsettled: int, frozen: int) -> str:
-    """The message for a cached sum that disagrees with its recount."""
-    if acct.unsettled_sum != unsettled:
-        return f"{name} unsettled_sum {acct.unsettled_sum} != recount {unsettled}"
-    return f"{name} frozen_sum {acct.frozen_sum} != recount {frozen}"
-
-
 # -- journal kind -> its effect on (base, settled, unsettled, nonce) ----------
 #
 # Each rule reads one journal entry against the ledger as the step left it
 # and yields (account, field, change).  Settled and unsettled are effective
 # balances at the entry's own time, as settle_view reports them: a record
-# due at or before that time counts as settled except for its frozen part.
+# due at or before that time counts as settled, and frozen value as unsettled.
 
 _Effects = Iterator[tuple[str, str, int]]
 
@@ -877,7 +868,7 @@ def _release_effects(ledger: WrapperLedger, entry: tuple) -> _Effects:
     case = ledger.cases[case_id]
     for account, (due, _), amount in case.marks:
         if due <= now:
-            # a due record's frozen part was its only unsettled value
+            # the mark comes back as a due record, which reads as settled
             yield account, "settled", amount
             yield account, "unsettled", -amount
     for account in _marked_accounts(case.marks):

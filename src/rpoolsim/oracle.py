@@ -173,12 +173,13 @@ class TaintAwareRiskModel:
     """Quotes zero (maximal risk) for holders of tainted funds.
 
     A requestor still holding unsettled value of a record whose origin
-    transfer is in the tainted set (not yet due at ``now``, or in part
-    frozen) is rated unswappable; everyone else gets ``clean_rate_ppm``.
-    The tainted set is shared with the scenario driver, which marks transfer
-    ids as thefts are scripted.  A quote looks up each tainted transfer's
-    record, so it costs the size of the tainted set, not the requestor's
-    record count.
+    transfer is in the tainted set (not yet due at ``now``, or frozen under
+    an open case) is rated unswappable; everyone else gets
+    ``clean_rate_ppm``.  The tainted set is shared with the scenario driver,
+    which marks transfer ids as thefts are scripted.  A quote looks up each
+    tainted transfer's record, and the open cases' marks only for a
+    requestor with frozen value, so it costs the size of the tainted set,
+    not the requestor's record count.
     """
 
     __slots__ = ("tainted_transfer_ids", "clean_rate_ppm")

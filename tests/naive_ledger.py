@@ -178,9 +178,7 @@ def naive_plan_recovery(ledger, tainted_id: int, amount: int, now: int):
     def freezable(account: str) -> int:
         acct = ledger.accounts.get(account)
         records = [] if acct is None else acct.unsettled
-        return sum(
-            r.amount - r.frozen_amount for r in records if r.settlement_time > now
-        )
+        return sum(r.amount for r in records if r.settlement_time > now)
 
     plan: dict[str, int] = {}
     remaining = amount
@@ -222,3 +220,29 @@ def assert_matches(model: NaiveLedger, ledger, now: int) -> None:
             f"{name}: nonce {ledger.nonce(name)} != oracle {model.nonce.get(name, 0)}"
         )
     assert base.balance(ledger.address) == model.base.get(ledger.address, 0)
+
+
+def assert_indexes_match(ledger) -> None:
+    """Recount the ledger's two journal indexes from the journal itself:
+    ``transfer_log`` is the journal's transfer entries, the same objects,
+    in order, with ids 1..n; and each sender's outflow list is the log's
+    transfers from it that drew on unsettled records, in log order."""
+    transfers = [entry for entry in ledger.base.journal if entry[0] == "transfer"]
+    log = ledger.transfer_log
+    assert len(log) == len(transfers), f"log {len(log)} rows != journal {len(transfers)}"
+    for n, (row, entry) in enumerate(zip(log, transfers), 1):
+        assert row is entry, f"log row {n} is not the journal's transfer entry"
+        assert row.transfer_id == n, f"log row {n} has id {row.transfer_id}"
+    outflows: dict[str, list] = {}
+    for row in log:
+        if row.unsettled_spent > 0:
+            outflows.setdefault(row.sender, []).append(row)
+    assert sorted(ledger._outflows) == sorted(outflows), (
+        f"outflow senders {sorted(ledger._outflows)} != {sorted(outflows)}"
+    )
+    for sender, rows in outflows.items():
+        got = ledger._outflows[sender]
+        assert len(got) == len(rows) and all(a is b for a, b in zip(got, rows)), (
+            f"{sender}: outflows {[r.transfer_id for r in got]} != "
+            f"{[r.transfer_id for r in rows]}"
+        )

@@ -196,6 +196,11 @@ class TestMultiplier:
     def test_empty_pool(self):
         assert settled_multiplier(0, 0, 500000) == 0
 
+    @pytest.mark.parametrize("settled", [201, -1])
+    def test_settled_outside_zero_to_total_rejected(self, settled):
+        with pytest.raises(ValueError, match=rf"settled {settled} outside \[0, 200\]"):
+            settled_multiplier(settled, 200, 500000)
+
     def test_monotone_in_settled(self):
         values = [settled_multiplier(s, 200, 300000) for s in range(201)]
         assert values == sorted(values)

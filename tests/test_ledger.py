@@ -268,8 +268,13 @@ class TestFreeze:
         give_unsettled(base, ledger, "a", 10, now=0, source="f1")
         give_unsettled(base, ledger, "a", 90, now=100, source="f2")
         ledger.freeze(ARB, [("a", 30)], "c1", 100)
-        recs = ledger.accounts["a"].unsettled
-        assert [r.frozen_amount for r in recs] == [10, 20]
+        assert ledger.cases["c1"].marks == (
+            ("a", (WINDOW, 1), 10),
+            ("a", (100 + WINDOW, 2), 20),
+        )
+        # the frozen value leaves the records: the first is gone, 70 of the second is left
+        assert ledger.accounts["a"].unsettled == [(100 + WINDOW, 2, 70)]
+        ledger.check_invariants()
 
 
 class TestRecoverRelease:
@@ -308,24 +313,112 @@ class TestRecoverRelease:
             ledger.recover("eve", "c1", "victim", 0)
 
 
-class TestPrefixWalks:
-    """Folds, spends and recoveries touch only a prefix of the record list
-    (or one bisected position) and keep the cached sums in step."""
+class TestFrozenValueInItsCase:
+    """A freeze takes value out of the records and keeps it as the case's
+    marks; a release puts each mark back at its key, and a recovery
+    touches no record."""
 
-    def test_matured_frozen_record_stays_at_head_until_release(self, world):
+    @pytest.mark.parametrize(
+        "held, amount, left",
+        [
+            (0, 5, [(1, 5), (2, 40), (3, 25)]),
+            (0, 10, [(2, 40), (3, 25)]),
+            (0, 25, [(2, 25), (3, 25)]),
+            (10, 40, [(3, 25)]),
+        ],
+        ids=["partly frozen", "wholly frozen", "whole then part", "wholly frozen behind c0"],
+    )
+    def test_a_release_at_the_freeze_time_restores_the_records(self, world, held, amount, left):
+        base, ledger = world.base, world.ledger
+        for i, value in enumerate((10, 40, 25)):
+            give_unsettled(base, ledger, "a", value, now=i, source=f"f{i}")
+        if held:
+            ledger.freeze(ARB, [("a", held)], "c0", 5)  # holds record 1 throughout
+        acct = ledger.accounts["a"]
+        before = list(acct.unsettled), acct.unsettled_sum, acct.frozen_sum
+        ledger.freeze(ARB, [("a", amount)], "c1", 5)
+        assert [(r.transfer_id, r.amount) for r in acct.unsettled] == left
+        assert (acct.unsettled_sum, acct.frozen_sum) == (before[1] - amount, held + amount)
+        ledger.release(ARB, "c1", 5)
+        assert (list(acct.unsettled), acct.unsettled_sum, acct.frozen_sum) == before
+        ledger.check_invariants()
+
+    def test_a_release_after_maturity_settles_at_the_next_debit(self, world):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 10, now=0, source="f1")
+        give_unsettled(base, ledger, "a", 20, now=100, source="f2")
+        ledger.freeze(ARB, [("a", 15)], "c1", 100)  # all of record 1, 5 of record 2
+        acct = ledger.accounts["a"]
+        now = WINDOW + 200  # both records are due
+        assert ledger.settle_view("a", now) == (15, 15)
+        mark = ledger.mark()
+        ledger.release(ARB, "c1", now)
+        assert ledger.effects_since(mark) == {"a": {"settled": 15, "unsettled": -15, "nonce": 1}}
+        # put back at their keys, not yet folded, and read as settled
+        assert acct.unsettled == [(WINDOW, 1, 10), (100 + WINDOW, 2, 20)]
+        assert acct.settled == 0
+        assert ledger.settle_view("a", now) == (30, 0)
+        ledger.transfer("a", "b", 1, False, now)
+        assert (acct.settled, acct.unsettled, acct.unsettled_sum) == (29, [], 0)
+        ledger.check_invariants()
+
+    def test_a_recovery_touches_no_record(self, world):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 10, now=0, source="f1")
+        give_unsettled(base, ledger, "a", 20, now=1, source="f2")
+        ledger.freeze(ARB, [("a", 15)], "c1", 1)
+        acct = ledger.accounts["a"]
+        records = list(acct.unsettled)
+        assert records == [(1 + WINDOW, 2, 15)]
+        assert ledger.recover(ARB, "c1", "victim", 2) == 15
+        assert acct.unsettled == records
+        assert (acct.unsettled_sum, acct.frozen_sum) == (15, 0)
+        assert ledger.settle_view("victim", 2) == (15, 0)
+        ledger.check_invariants()
+
+    def test_the_backing_counts_frozen_value_while_a_case_is_open(self, world):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 100, now=0)
+        ledger.freeze(ARB, [("a", 100)], "c1", 0)
+        assert ledger.accounts["a"].unsettled == []
+        assert ledger.wrapped_total() == ledger.base_locked() == 100
+        ledger.recover(ARB, "c1", "victim", 0)
+        assert ledger.wrapped_total() == ledger.base_locked() == 100
+
+    def test_a_wholly_frozen_record_is_held_while_its_case_is_open(self, world):
+        base, ledger = world.base, world.ledger
+        t1 = give_unsettled(base, ledger, "a", 10, now=0)
+        ledger.freeze(ARB, [("a", 10)], "c1", 0)
+        assert ledger.accounts["a"].unsettled == []
+        assert ledger.holds_record_from("a", t1, 0)
+        assert ledger.holds_record_from("a", t1, WINDOW + 5)  # due, but frozen
+        assert not ledger.holds_record_from("b", t1, 0)
+        ledger.recover(ARB, "c1", "victim", 0)
+        assert not ledger.holds_record_from("a", t1, 0)
+
+
+class TestPrefixWalks:
+    """Folds, spends and freezes touch only a prefix of the record list, a
+    release one bisected position per mark, and a recovery no record; each
+    keeps the cached sums in step."""
+
+    def test_a_wholly_frozen_record_is_reinserted_at_its_key_on_release(self, world):
         base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 10, now=0, source="f1")
         ledger.freeze(ARB, [("a", 10)], "c1", 0)
         give_unsettled(base, ledger, "a", 20, now=100, source="f2")
         give_unsettled(base, ledger, "a", 30, now=200, source="f3")
         acct = ledger.accounts["a"]
+        assert [r.transfer_id for r in acct.unsettled] == [2, 3]
         base.mint("a", 5)
-        ledger.wrap("a", 5, WINDOW + 100)  # folds the 20, keeps the frozen 10
-        assert [(r.amount, r.frozen_amount) for r in acct.unsettled] == [(10, 10), (30, 0)]
+        ledger.wrap("a", 5, WINDOW + 100)  # folds the 20; the frozen 10 is in c1
+        assert acct.unsettled == [(200 + WINDOW, 3, 30)]
         ledger.transfer("a", "b", 5, False, WINDOW + 150)  # a later fold
-        assert [(r.amount, r.frozen_amount) for r in acct.unsettled] == [(10, 10), (30, 0)]
+        assert acct.unsettled == [(200 + WINDOW, 3, 30)]
         assert ledger.settle_view("a", WINDOW + 150) == (20, 40)
         ledger.release(ARB, "c1", WINDOW + 150)
+        # back at its key, ahead of the later record, and due already
+        assert acct.unsettled == [(WINDOW, 1, 10), (200 + WINDOW, 3, 30)]
         assert ledger.settle_view("a", WINDOW + 150) == (30, 30)
         ledger.transfer("a", "b", 1, False, WINDOW + 150)
         assert [r.amount for r in acct.unsettled] == [30]
@@ -341,12 +434,11 @@ class TestPrefixWalks:
         ledger.release(ARB, "c1", 5)
         assert ledger.transfer_unsettled("a", "b", 35, 5)
         acct = ledger.accounts["a"]
-        assert [(r.transfer_id, r.amount, r.frozen_amount) for r in acct.unsettled] == [
-            (2, 20, 20),
-            (3, 5, 0),
-        ]
+        assert [(r.transfer_id, r.amount) for r in acct.unsettled] == [(3, 5)]
+        assert ledger.cases["c2"].marks == (("a", (1 + WINDOW, 2), 20),)
         assert ledger.transfer_log[-1].unsettled_spent == 35
-        assert (acct.unsettled_sum, acct.frozen_sum) == (25, 20)
+        assert (acct.unsettled_sum, acct.frozen_sum) == (5, 20)
+        assert ledger.settle_view("a", 5) == (0, 25)
         ledger.check_invariants()
 
     def test_recover_empties_a_record_in_the_middle_of_a_large_account(self, world):
@@ -383,26 +475,33 @@ class TestPrefixWalks:
         "corrupt, message",
         [
             ("acct.settled = -3", "a settled negative"),
-            ("acct.unsettled_sum += 7", "a unsettled_sum 107 != recount 100"),
-            ("idle.frozen_sum = 2", "idle frozen_sum 2 != recount 0"),
+            ("acct.unsettled_sum += 7", "a unsettled_sum 97 != recount 90"),
+            ("idle.frozen_sum = 2", "idle frozen_sum 2 != 0 marked"),
             # an account without records: one test, and the message of the
             # first check that fails, settled before the cached sums
             ("idle.settled = -1", "idle settled negative"),
             ("idle.unsettled_sum = 4", "idle unsettled_sum 4 != recount 0"),
             ("idle.settled = -1; idle.frozen_sum = 2", "idle settled negative"),
-            # frozen value that the open case's marks do not explain, with
-            # the cached sums kept equal to their recount
-            ("acct.unsettled[:] = [first._replace(frozen_amount=5), second._replace(frozen_amount=5)]",
-             "a record 1 frozen 5 != 10 marked"),
-            ("acct.unsettled[1] = second._replace(frozen_amount=3); acct.frozen_sum += 3",
-             "a record 2 frozen 3 != 0 marked"),
-            ("acct.unsettled[0] = first._replace(frozen_amount=0); acct.frozen_sum -= 10",
-             "a record 1: 10 marked, none frozen"),
+            # records that are empty or out of key order, with the cached
+            # sums kept equal to their recount
+            ("acct.unsettled[0] = first._replace(amount=0); acct.unsettled_sum -= 50",
+             "a holds an empty record"),
+            ("acct.unsettled[1] = second._replace(transfer_id=1)", "a records out of order"),
+            ("acct.unsettled[1] = second._replace(settlement_time=9)", "a records out of order"),
+            # frozen value that the open case's marks do not explain
+            ("acct.frozen_sum += 5", "a frozen_sum 15 != 10 marked"),
+            ("acct.frozen_sum = 0", "a: 10 marked, frozen_sum 0"),
+            ("ledger.cases['c2'] = ledger.cases['c1']._replace(marks=(('idle', (10, 1), 3),))",
+             "idle: 3 marked, frozen_sum 0"),
+            # the base ledger's own total, and the backing of the wrapper
+            ("base.total_supply += 1", "base supply out of balance"),
+            ("acct.settled += 1", "locked base 100 != wrapped total 101"),
         ],
     )
     def test_invariants_are_checked_under_python_O(self, corrupt, message):
         # python -O strips assert statements; check_invariants must not rely
-        # on them.  a holds records of 60 and 40, and c1 freezes 10 of the first.
+        # on them.  a gets records of 60 and 40, and c1 freezes 10 of the
+        # first, which keeps 50.
         program = textwrap.dedent(f"""
             from rpoolsim import World
             assert False, "unreachable under -O"
@@ -467,15 +566,17 @@ class TestOnePassTransfer:
         ],
         ids=["settled", "settled+unsettled", "unwrap_to"],
     )
-    def test_a_wholly_frozen_due_head_does_not_stop_the_fold(self, world, spend):
+    def test_wholly_frozen_due_value_does_not_stop_the_fold(self, world, spend):
         base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "a", 10, now=0, source="f1")
         ledger.freeze(ARB, [("a", 10)], "c1", 0)
         give_unsettled(base, ledger, "a", 20, now=100, source="f2")
-        spend(ledger, WINDOW + 100)  # both records are due; only the later moves
+        spend(ledger, WINDOW + 100)  # both are due; only the unfrozen 20 moves
         acct = ledger.accounts["a"]
-        assert acct.unsettled == [(WINDOW, 1, 10, 10)]
-        assert (acct.settled, acct.unsettled_sum, acct.frozen_sum) == (0, 10, 10)
+        assert acct.unsettled == []
+        assert (acct.settled, acct.unsettled_sum, acct.frozen_sum) == (0, 0, 10)
+        assert ledger.cases["c1"].marks == (("a", (WINDOW, 1), 10),)
+        assert ledger.settle_view("a", WINDOW + 100) == (0, 10)
         ledger.check_invariants()
 
     def test_the_ledger_builds_exact_records_and_transfer_rows(self, world):
@@ -493,7 +594,7 @@ class TestOnePassTransfer:
         for rec in records:
             assert type(rec) is UnsettledRecord
             assert rec == UnsettledRecord(*rec)
-            assert rec._replace(amount=1) == UnsettledRecord(*rec[:2], 1, rec.frozen_amount)
+            assert rec._replace(amount=1) == UnsettledRecord(*rec[:2], 1)
         assert len(ledger.transfer_log) == 5
         for row in ledger.transfer_log:
             assert type(row) is Transfer
@@ -502,18 +603,19 @@ class TestOnePassTransfer:
         ledger.check_invariants()
 
     def test_a_short_spend_raises_under_python_O(self):
-        # python -O strips assert statements; _spend's own check must not
-        # rely on them.  The account holds 5 unsettled and is asked for 8.
+        # python -O strips assert statements; the walk's own check must not
+        # rely on them.  The account holds 5 unsettled and is asked for 8,
+        # and the records are left as they were.
         program = textwrap.dedent("""
-            from rpoolsim.ledger import SPEND_UNSETTLED, Account, UnsettledRecord, WrapperLedger
+            from rpoolsim.ledger import Account, UnsettledRecord, _take
             assert False, "unreachable under -O"
             acct = Account()
             acct.unsettled.append(UnsettledRecord(10, 1, 5))
             acct.unsettled_sum = 5
             try:
-                WrapperLedger._spend(acct, 8, SPEND_UNSETTLED)
+                _take(acct, 8)
             except AssertionError as exc:
-                print(exc)
+                print(exc, acct.unsettled, acct.unsettled_sum)
         """)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src}
@@ -521,7 +623,10 @@ class TestOnePassTransfer:
             [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "spend called without sufficient validated funds"
+        assert proc.stdout.strip() == (
+            "take called without sufficient validated funds"
+            " [UnsettledRecord(settlement_time=10, transfer_id=1, amount=5)] 5"
+        )
 
 
 class TestCheckAmount:

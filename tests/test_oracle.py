@@ -381,15 +381,20 @@ class TestValidateReports:
 
 
 def _full_scan_quote(model, ledger, requestor, now):
-    """The taint quote by scanning every record the requestor holds: a
-    tainted record counts while it is not yet due or still in part frozen."""
+    """The taint quote by scanning every record the requestor holds and
+    every open mark: a tainted record counts while it is not yet due, and
+    its frozen value while an open case marks it on the requestor."""
+    tainted = model.tainted_transfer_ids
     acct = ledger.accounts.get(requestor)
     if acct is not None:
         for rec in acct.unsettled:
-            if rec.transfer_id in model.tainted_transfer_ids and (
-                rec.settlement_time > now or rec.frozen_amount
-            ):
+            if rec.transfer_id in tainted and rec.settlement_time > now:
                 return 0
+    for case in ledger.cases.values():
+        if case.status == "active":
+            for account, (_, transfer_id), _ in case.marks:
+                if account == requestor and transfer_id in tainted:
+                    return 0
     return model.clean_rate_ppm
 
 

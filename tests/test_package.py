@@ -153,7 +153,7 @@ _FILL = Fill(
             ),
             "stolen",
         ),
-        (UnsettledRecord(settlement_time=10, transfer_id=1, amount=5), "frozen_amount"),
+        (UnsettledRecord(settlement_time=10, transfer_id=1, amount=5), "amount"),
         (
             Bid(bid_id=1, bidder="alice", amount=5, min_rate_ppm=0, expiry=10, nonce_at_post=0),
             "status",

@@ -23,7 +23,7 @@ from rpoolsim.runner import ScenarioRunner
 from rpoolsim.scenario import parse_scenario
 
 from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
-from naive_ledger import assert_matches, naive_plan_recovery, replay
+from naive_ledger import assert_indexes_match, assert_matches, naive_plan_recovery, replay
 
 ACCOUNTS = ["a", "b", "c", "d"]
 
@@ -78,6 +78,7 @@ def test_oracle_equivalence_small_instances(seed, events):
         ledger.check_invariants()
     model = replay(base.journal, WINDOW)
     assert_matches(model, ledger, now)
+    assert_indexes_match(ledger)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,6 +107,7 @@ def test_oracle_ignores_what_the_engine_derives(seed, events):
         for event in base.journal
     ]
     assert_matches(replay(journal, WINDOW), ledger, now)
+    assert_indexes_match(ledger)
 
 
 @settings(max_examples=120, deadline=None)
@@ -127,6 +129,7 @@ def test_oracle_equivalence_when_time_moves_backwards(seed, events):
     model = replay(base.journal, WINDOW)
     for probe in (now, rng.randrange(-2 * WINDOW, 2 * WINDOW)):
         assert_matches(model, ledger, probe)
+    assert_indexes_match(ledger)
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,9 +192,9 @@ def test_nonces_count_participating_events(world):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), events=st.integers(1, 30))
 def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
-    """Every held record's ``transfer_id`` names the transfer-log row
-    whose recipient holds it, due one window after that transfer and
-    holding no more than it carried."""
+    """Every held record's and every open mark's ``transfer_id`` names the
+    transfer-log row whose recipient holds it, due one window after that
+    transfer and holding no more than it carried."""
     rng = random.Random(seed)
     world = World(recovery_window=WINDOW, arbitrator=ARB)
     base, ledger = world.base, world.ledger
@@ -201,6 +204,10 @@ def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
     for _ in range(events):
         now += rng.randrange(0, WINDOW // 3)
         _random_ledger_op(rng, base, ledger, now)
+    marks = [
+        mark for case in ledger.cases.values() if case.status == "active" for mark in case.marks
+    ]
+    marked = {(account, key) for account, key, _ in marks}
     for name, acct in ledger.accounts.items():
         for rec in acct.unsettled:
             row = ledger.transfer_log[rec.transfer_id - 1]
@@ -209,8 +216,14 @@ def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
             assert rec.settlement_time == row.time + WINDOW
             assert rec.amount <= row.amount
             assert ledger.holds_record_from(name, rec.transfer_id, rec.settlement_time - 1)
-            held = rec.settlement_time > now or rec.frozen_amount > 0
+            held = rec.settlement_time > now or (name, rec[:2]) in marked
             assert ledger.holds_record_from(name, rec.transfer_id, now) == held
+    for account, key, amount in marks:
+        row = ledger.transfer_log[key[1] - 1]
+        assert key == (row.time + WINDOW, row.transfer_id)
+        assert row.recipient == account
+        assert 0 < amount <= row.amount
+        assert ledger.holds_record_from(account, row.transfer_id, now)
 
 
 @settings(max_examples=60, deadline=None)

@@ -173,8 +173,8 @@ def test_state_digest_is_stable_over_noops():
 
 
 def test_rejected_match_bid_leaves_state_digest_unchanged():
-    # The runner compares state_digest before and after every step with
-    # expect_error= and fails the run if a rejected step moved it.
+    # The runner compares World.snapshot() before and after every step
+    # with expect_error= and fails the run if a rejected step changed it.
     script = parse_scenario(
         "config window=100 arbitrator=arb\n"
         "account lp base=500\naccount poor base=10\naccount whale settled=300\n"
@@ -219,26 +219,28 @@ _RICH_WORLD = (
 
 
 def _freeze_one_more(runner):
-    # the mark, its record and the cached sum move together, so the recount
-    # still passes
+    # the mark takes one more from its record, and both cached sums follow,
+    # so the recount still passes
     ledger = runner.world.ledger
     case = ledger.cases["c1"]
     (account, key, amount), *rest = case.marks
     ledger.cases["c1"] = case._replace(marks=((account, key, amount + 1), *rest))
     acct = ledger.accounts[account]
     record = acct.unsettled[0]
-    acct.unsettled[0] = record._replace(frozen_amount=record.frozen_amount + 1)
+    acct.unsettled[0] = record._replace(amount=record.amount - 1)
+    acct.unsettled_sum -= 1
     acct.frozen_sum += 1
 
 
 def _release_in_place(runner):
-    # the case closes and its record's frozen part is lifted with it
+    # the case closes and each mark's value goes back to its record
     ledger = runner.world.ledger
     case = ledger.cases["c1"] = ledger.cases["c1"]._replace(status="released")
     for account, _, amount in case.marks:
         acct = ledger.accounts[account]
         record = acct.unsettled[0]
-        acct.unsettled[0] = record._replace(frozen_amount=record.frozen_amount - amount)
+        acct.unsettled[0] = record._replace(amount=record.amount + amount)
+        acct.unsettled_sum += amount
         acct.frozen_sum -= amount
 
 
@@ -264,7 +266,7 @@ def _cancel_bid_in_place(runner):
 #: value put in a list or dict the world holds.  Each keeps the invariants,
 #: so only the state comparison sees it
 _IN_PLACE_WRITES = {
-    "record frozen_amount": _freeze_one_more,
+    "mark and record amounts": _freeze_one_more,
     "record settlement_time": _settle_one_later,
     "unwrap flag": lambda r: setattr(r.world.ledger.accounts["idle"], "unwrap_disabled", True),
     "case status": _release_in_place,
@@ -573,9 +575,16 @@ class TestCli:
         assert "ValueError: wrap is broken" in captured.err
         assert "rate_cap" not in captured.out
 
-    @pytest.mark.parametrize("cached", ["unsettled_sum", "frozen_sum"])
+    @pytest.mark.parametrize(
+        "cached, message",
+        [
+            ("unsettled_sum", "idle unsettled_sum 1 != recount 0"),
+            ("frozen_sum", "idle frozen_sum 1 != 0 marked"),
+        ],
+        ids=["unsettled_sum", "frozen_sum"],
+    )
     def test_drifted_sum_on_an_untouched_account_is_an_internal_error(
-        self, tmp_path, capsys, monkeypatch, cached
+        self, tmp_path, capsys, monkeypatch, cached, message
     ):
         # The recount after every step covers accounts the step never
         # touched, record-less ones included.
@@ -591,7 +600,7 @@ class TestCli:
         assert main(["run", str(bad)]) == 3
         captured = capsys.readouterr()
         assert f"{bad}: internal error" in captured.err
-        assert f"idle {cached} 1 != recount 0" in captured.err
+        assert message in captured.err
 
     def test_pool_named_like_the_arbitrator_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -285,6 +285,8 @@ LOCATED_ERRORS = [
      "'ghost' does not label an earlier report"),
     (HEADER, "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1.5 expiry=60", 45,
      "min_rate: rate '1.5' exceeds 1"),
+    (HEADER, "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1. expiry=60", 45,
+     "min_rate: malformed rate '1.'"),
     (HEADER, "at 0 transfer from=alice to=bob amount=1 unsettled=yes", 42,
      "unsettled must be true or false, got 'yes'"),
     ("", "at 0 freeze case=c1 targets=alice", 21, "targets entries are name:amount, got 'alice'"),
@@ -522,6 +524,13 @@ ONE_FIELD_EDITS = {
     "books": lambda script: script.books.append("ob2"),
     "steps": lambda script: script.steps[0].params.update(amount=2),
 }
+
+
+def test_a_script_never_equals_another_type():
+    script = ScenarioScript()
+    assert script.__eq__(object()) is NotImplemented
+    assert (script == object()) is False
+    assert script != object()
 
 
 @pytest.mark.parametrize("field", ScenarioScript.__slots__)

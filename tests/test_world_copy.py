@@ -17,7 +17,7 @@ from rpoolsim.rates import PPM
 from rpoolsim.runner import ScenarioRunner
 from rpoolsim.scenario import parse_scenario
 
-from naive_ledger import assert_matches, replay
+from naive_ledger import assert_indexes_match, assert_matches, replay
 from test_runner import _RICH_WORLD
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
@@ -149,6 +149,7 @@ def test_copy_equals_its_source(source):
     assert full_state(copy) == full_state(world)
     copy.check_invariants()
     assert_matches(replay(copy.base.journal, copy.ledger.recovery_window), copy.ledger, now)
+    assert_indexes_match(copy.ledger)
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -183,3 +184,4 @@ def test_copy_acts_like_a_fresh_rebuild(source):
     copy.check_invariants()
     world.check_invariants()
     assert_matches(replay(copy.base.journal, copy.ledger.recovery_window), copy.ledger, later)
+    assert_indexes_match(copy.ledger)
