@@ -20,6 +20,7 @@ share transferred as wrapper tokens whose window restarts at the LP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,6 +83,12 @@ class PoolState(NamedTuple):
     lp_supply: int
 
 
+#: Builds an exact :class:`PoolState` from one tuple of its four fields
+#: without the generated constructor's frame, as the ledger builds its
+#: records.
+_new_pool_state = functools.partial(tuple.__new__, PoolState)
+
+
 class AmmPool:
     """Automated R-Pool over one wrapper ledger account."""
 
@@ -129,7 +136,7 @@ class AmmPool:
 
     def pool_state(self, now: int) -> PoolState:
         settled, unsettled = self.ledger.settle_view(self.address, now)
-        return PoolState(settled, unsettled, settled + unsettled, self.lp_supply)
+        return _new_pool_state((settled, unsettled, settled + unsettled, self.lp_supply))
 
     # -- liquidity -------------------------------------------------------
 
@@ -144,13 +151,13 @@ class AmmPool:
         they would claim part of it.
         """
         check_amount(amount)
-        state = self.pool_state(now)
+        _, _, total, _ = self.pool_state(now)
         if self.lp_supply == 0:
             minted = amount
-        elif state.total == 0:
+        elif total == 0:
             raise PoolEmptied(f"{self.address} holds nothing against {self.lp_supply} LP tokens")
         else:
-            minted = amount * self.lp_supply // state.total
+            minted = amount * self.lp_supply // total
         self.ledger.base.transfer(lp, self.address, amount)
         self.ledger.wrap(self.address, amount, now)
         if minted:  # a holding is never 0: withdraw deletes emptied ones
@@ -171,10 +178,10 @@ class AmmPool:
         held = self.lp_holdings.get(lp, 0)
         if held < lp_tokens:
             raise InsufficientLpTokens(f"{lp} holds {held}, burning {lp_tokens}")
-        state = self.pool_state(now)
+        _, unsettled, total, _ = self.pool_state(now)
         # lp_supply >= held >= lp_tokens > 0; a pool total of 0 pays out 0
-        withdrawn = lp_tokens * state.total // self.lp_supply
-        unsettled_out = withdrawn * state.unsettled // state.total if withdrawn else 0
+        withdrawn = lp_tokens * total // self.lp_supply
+        unsettled_out = withdrawn * unsettled // total if withdrawn else 0
         base_out = withdrawn - unsettled_out
 
         if base_out:
@@ -202,13 +209,13 @@ class AmmPool:
         """
         check_amount(amount_in)
         median = validate_reports(self, requestor, amount_in, reports, now)
-        state = self.pool_state(now)
-        multiplier = settled_multiplier(state.settled, state.total, self.kappa_ppm)
+        settled, _, total, _ = self.pool_state(now)
+        multiplier = settled_multiplier(settled, total, self.kappa_ppm)
         rate = min(self.rate_cap_ppm, median * multiplier // PPM)
         amount_out = amount_in * rate // PPM
-        if state.settled < amount_out:
+        if settled < amount_out:
             raise InsufficientPoolSettled(
-                f"pool has {state.settled} settled, swap needs {amount_out}"
+                f"pool has {settled} settled, swap needs {amount_out}"
             )
         if amount_out:
             self._check_unwrap()
@@ -217,15 +224,9 @@ class AmmPool:
         )
         if amount_out:
             self.ledger.unwrap_to(self.address, amount_out, requestor, now)
+        # positionally: keywords cost a frozen dataclass about 1 us more
         receipt = SwapReceipt(
-            requestor=requestor,
-            amount_in=amount_in,
-            median_ppm=median,
-            multiplier_ppm=multiplier,
-            rate_ppm=rate,
-            amount_out=amount_out,
-            time=now,
-            transfer_in_id=transfer_in,
+            requestor, amount_in, median, multiplier, rate, amount_out, now, transfer_in
         )
         self.receipts.append(receipt)
         return receipt

@@ -119,16 +119,6 @@ class RiskReport:
         self.signer_id = signer_id
         self.signature = signature
 
-    def signed_bytes(self) -> bytes:
-        return canonical_encode(
-            self.requestor,
-            self.amount,
-            self.account_nonce,
-            self.expiry,
-            self.quote_ppm,
-            self.signer_id,
-        )
-
 
 class SignerRegistry:
     """Authorized rating entities and their verification keys."""
@@ -146,9 +136,6 @@ class SignerRegistry:
     def is_authorized(self, signer_id: str) -> bool:
         entry = self._signers.get(signer_id)
         return entry is not None and entry[1]
-
-    def public_key(self, signer_id: str) -> bytes:
-        return self._signers[signer_id][0]
 
 
 class RiskModel(Protocol):
@@ -176,10 +163,10 @@ class TaintAwareRiskModel:
     transfer is in the tainted set (not yet due at ``now``, or frozen under
     an open case) is rated unswappable; everyone else gets
     ``clean_rate_ppm``.  The tainted set is shared with the scenario driver,
-    which marks transfer ids as thefts are scripted.  A quote looks up each
-    tainted transfer's record, and the open cases' marks only for a
-    requestor with frozen value, so it costs the size of the tainted set,
-    not the requestor's record count.
+    which marks transfer ids as thefts are scripted.  A quote costs one
+    lookup per tainted transfer (:meth:`WrapperLedger.holds_record_from`),
+    so it grows with the tainted set, not with the requestor's records or
+    the open cases' marks.
     """
 
     __slots__ = ("tainted_transfer_ids", "clean_rate_ppm")
@@ -266,17 +253,20 @@ def validate_reports(
     signer_ids = [r.signer_id for r in reports]
     if len(set(signer_ids)) != len(signer_ids):
         raise DuplicateSigner("reports share a signer")
-    for report in reports:
-        holding = pool.lp_holdings.get(report.signer_id, 0)
-        if holding <= 0 or holding < pool.min_lp_deposit:
+    lp_holdings = pool.lp_holdings
+    min_lp_deposit = pool.min_lp_deposit
+    for signer_id in signer_ids:
+        holding = lp_holdings.get(signer_id, 0)
+        if holding <= 0 or holding < min_lp_deposit:
             raise SignerNotLp(
-                f"{report.signer_id} holds {holding} LP tokens, "
-                f"minimum deposit is {pool.min_lp_deposit}"
+                f"{signer_id} holds {holding} LP tokens, "
+                f"minimum deposit is {min_lp_deposit}"
             )
     registry: SignerRegistry = pool.registry
-    for report in reports:
-        if not registry.is_authorized(report.signer_id):
-            raise SignerNotAuthorized(f"{report.signer_id} is not authorized")
+    is_authorized = registry.is_authorized
+    for signer_id in signer_ids:
+        if not is_authorized(signer_id):
+            raise SignerNotAuthorized(f"{signer_id} is not authorized")
     current_nonce = pool.ledger.nonce(requestor)
     for report in reports:
         if report.account_nonce != current_nonce:
@@ -292,16 +282,25 @@ def validate_reports(
                 f"report is for ({report.requestor}, {report.amount}), "
                 f"request is ({requestor}, {amount})"
             )
+    # every signer is registered: check 4 passed
+    signers = registry._signers
+    verify = registry.scheme.verify
     for report in reports:
+        signer_id = report.signer_id
         try:
-            message = report.signed_bytes()
+            message = canonical_encode(
+                report.requestor,
+                report.amount,
+                report.account_nonce,
+                report.expiry,
+                report.quote_ppm,
+                signer_id,
+            )
         except ValueError:
             # an integer outside its field: no signature can cover the report
-            raise BadSignature(f"report by {report.signer_id} is not encodable") from None
-        if not registry.scheme.verify(
-            registry.public_key(report.signer_id), message, report.signature
-        ):
-            raise BadSignature(f"signature by {report.signer_id} does not verify")
+            raise BadSignature(f"report by {signer_id} is not encodable") from None
+        if not verify(signers[signer_id][0], message, report.signature):
+            raise BadSignature(f"signature by {signer_id} does not verify")
     median = median_quote([r.quote_ppm for r in reports])
     lo, hi = pool.risk_bounds
     if not lo <= median <= hi:

@@ -79,16 +79,11 @@ class OrderBook:
             raise InsufficientUnsettled(
                 f"{bidder} has {available} unsettled, bid is for {amount}"
             )
-        bid = Bid(
-            bid_id=len(self.bids) + 1,  # bids are never deleted
-            bidder=bidder,
-            amount=amount,
-            min_rate_ppm=min_rate_ppm,
-            expiry=expiry,
-            nonce_at_post=self.ledger.nonce(bidder),
+        bid_id = len(self.bids) + 1  # bids are never deleted
+        self.bids[bid_id] = Bid(
+            bid_id, bidder, amount, min_rate_ppm, expiry, self.ledger.nonce(bidder)
         )
-        self.bids[bid.bid_id] = bid
-        return bid.bid_id
+        return bid_id
 
     def _open_bid(self, bid_id: int) -> Bid:
         """The bid ``bid_id``, if it is still open."""
@@ -132,14 +127,6 @@ class OrderBook:
         transfer_id = self.ledger.transfer_unsettled(bid.bidder, lp, bid.amount, now)
         self.ledger.base.transfer(lp, bid.bidder, offered_base)
         self.bids[bid_id] = Bid(*bid[:-1], FILLED)
-        fill = Fill(
-            bid_id=bid_id,
-            lp=lp,
-            bidder=bid.bidder,
-            amount_unsettled=bid.amount,
-            base_paid=offered_base,
-            time=now,
-            transfer_id=transfer_id,
-        )
+        fill = Fill(bid_id, lp, bid.bidder, bid.amount, offered_base, now, transfer_id)
         self.fills.append(fill)
         return fill

@@ -1,9 +1,11 @@
 """Automated pool: share accounting, the bonding curve, validated swaps,
 and loss socialization."""
 
+import dataclasses
+
 import pytest
 
-from rpoolsim import AmmPool, settled_multiplier
+from rpoolsim import AmmPool, PoolState, SwapReceipt, settled_multiplier
 from rpoolsim.errors import (
     InsufficientBalance,
     InsufficientLpTokens,
@@ -271,6 +273,32 @@ class TestSwap:
         assert receipt.amount_out == 20
 
 
+class TestReceipt:
+    def test_a_swap_records_every_field_in_its_place(self, world):
+        # every field distinct: pool 200 settled + 200 unsettled at kappa 0.8
+        # gives a multiplier of 0.625, and 0.72 * 0.625 = 0.45 is under the cap
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world, kappa_ppm=800_000, rater_rate_ppm=720_000)
+        give_unsettled(base, ledger, "pool", 200, now=0, source="donor")  # transfer 1
+        give_unsettled(base, ledger, "mallory", 40, now=0)  # transfer 2
+        reports = quorum(pool, rater, "mallory", 40, 5, ledger)
+        receipt = pool.swap("mallory", 40, reports, 5)
+        expected = SwapReceipt(
+            requestor="mallory",
+            amount_in=40,
+            median_ppm=720_000,
+            multiplier_ppm=625_000,
+            rate_ppm=450_000,
+            amount_out=18,
+            time=5,
+            transfer_in_id=3,
+        )
+        assert len(set(dataclasses.astuple(expected))) == len(dataclasses.fields(SwapReceipt))
+        assert type(receipt) is SwapReceipt
+        assert receipt == expected
+        assert pool.receipts == [expected]
+
+
 class TestPoolState:
     def test_self_replenishes_by_exactly_the_swap_amount(self, world):
         base, ledger = world.base, world.ledger
@@ -295,6 +323,21 @@ class TestPoolState:
     def test_fresh_pool_after_deposit(self, world):
         pool, _ = make_pool(world, lp_deposits=(("lp1", 42),))
         assert pool.pool_state(0) == (42, 0, 42, 42)
+
+    def test_the_pool_builds_an_exact_pool_state(self, world):
+        base, ledger = world.base, world.ledger
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 70),))
+        give_unsettled(base, ledger, "pool", 30, now=0, source="donor")
+        for now in (0, WINDOW):
+            state = pool.pool_state(now)
+            settled, unsettled = ledger.settle_view("pool", now)
+            assert type(state) is PoolState
+            assert state == PoolState(
+                settled=settled, unsettled=unsettled, total=settled + unsettled, lp_supply=70
+            )
+            assert state._asdict()["unsettled"] == unsettled
+            assert type(state._replace(total=1)) is PoolState
+        assert pool.pool_state(0) == (70, 30, 100, 70)
 
     def test_no_base_rests_at_pool_address(self, world):
         base, ledger, pool, _ = loss_sharing_pool(world, (("l1", 50), ("big", 50)))

@@ -1,9 +1,11 @@
 """Order-book pool: bid lifecycle, the match gauntlet, atomicity, and the
 LP-borne loss example."""
 
+import dataclasses
+
 import pytest
 
-from rpoolsim import OrderBook
+from rpoolsim import Bid, Fill, OrderBook
 from rpoolsim.errors import (
     BadExpiry,
     BidExpired,
@@ -144,6 +146,32 @@ class TestMatchBid:
         book.match_bid("lp", bid_id, 50, 1)
         ledger.check_invariants()
         assert base.total_supply == supply
+
+
+class TestValues:
+    def test_a_post_and_a_match_record_every_field_in_its_place(self, booked):
+        # every field of the bid and of the fill distinct
+        base, ledger, book = booked
+        give_unsettled(base, ledger, "alice", 5, now=0, source="f2")  # nonce 2
+        bid_id = book.post_bid("alice", 100, 600000, 600, 1)
+        bid = Bid(
+            bid_id=1, bidder="alice", amount=100, min_rate_ppm=600000, expiry=600,
+            nonce_at_post=2,
+        )
+        assert len(set(bid)) == len(Bid._fields)
+        assert bid_id == 1
+        assert type(book.bids[1]) is Bid
+        assert book.bids[1] == bid
+        fill = book.match_bid("lp", 1, 70, 9)
+        expected = Fill(
+            bid_id=1, lp="lp", bidder="alice", amount_unsettled=100, base_paid=70, time=9,
+            transfer_id=3,
+        )
+        assert len(set(dataclasses.astuple(expected))) == len(dataclasses.fields(Fill))
+        assert type(fill) is Fill
+        assert fill == expected
+        assert book.fills == [expected]
+        assert book.bids[1] == bid._replace(status="filled")
 
 
 class TestLpBearsRecoveryRisk:

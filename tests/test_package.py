@@ -1,6 +1,7 @@
 """The package surface: which modules an import loads, the lazy public
-namespace, the immutability of the value records, and the names the
-benchmark harness reaches into."""
+namespace, the immutability of the value records, the names the benchmark
+harness reaches into, and that every function in the library is named
+somewhere."""
 
 import ast
 import dataclasses
@@ -226,3 +227,62 @@ def test_benchmark_harness_names_still_resolve():
             assert attr in vars(getattr(module, class_name)), f"{owner}.{attr}"
         else:
             assert hasattr(module, attr), f"{owner}.{attr}"
+
+
+#: functions and methods that nothing names but that run all the same,
+#: by qualified name, with the reason
+_CALLED_UNNAMED = {
+    "AttackScenario._make": "NamedTuple._replace calls it",
+}
+
+
+def _defined_functions(tree: ast.Module):
+    """(qualified name, name) of every function and method in a module,
+    nested ones included, with their classes' and functions' names."""
+    stack = [(node, "") for node in tree.body]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield qualname, node.name
+            stack.extend((child, qualname + ".") for child in node.body)
+        else:
+            stack.extend((child, prefix) for child in ast.iter_child_nodes(node))
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name a module uses: a name, an attribute, an import alias or a
+    string constant that could be an identifier (a ``getattr`` or a
+    traced-name table)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            if node.asname:
+                names.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_every_function_in_src_is_referenced():
+    # dead code: a function or method no code names, outside dunders,
+    # which the interpreter calls by protocol
+    named = set()
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            named |= _named(ast.parse(path.read_text(), filename=str(path)))
+    unreferenced = []
+    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, name in _defined_functions(tree):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in named and qualname not in _CALLED_UNNAMED:
+                unreferenced.append(f"{path.name}:{qualname}")
+    assert unreferenced == []
