@@ -44,10 +44,10 @@ cost the matured prefix instead of the whole list;
 
 Records and cases are immutable values: an operation that changes one
 puts a new value in its place in the account's list or in ``cases``, so a
-copy of a world shares them and no snapshot rebuilds them.  Every record
-and every transfer row the ledger makes is built through a module-level
-builder, ``_new_record`` or ``_new_transfer``, not through its class's
-constructor; the values are the same.
+copy of a world shares them and no snapshot rebuilds them.  Every record,
+case and transfer row the ledger makes is built through a module-level
+builder, ``_new_record``, ``_new_case`` or ``_new_transfer``, not through
+its class's constructor; the values are the same.
 
 Every operation records itself in the base ledger's journal, as a tuple
 tagged by its kind.  A transfer's entry is one :class:`Transfer`, and that
@@ -192,6 +192,11 @@ class Case(NamedTuple):
     #: (account, marked record's key, amount) marks placed by the freeze
     marks: tuple[tuple[str, tuple[int, int], int], ...]
     status: str = "active"  # active | recovered | released
+
+
+#: Builds a :class:`Case` from one tuple of both fields, as the builders
+#: above build records and transfer rows.
+_new_case = functools.partial(tuple.__new__, Case)
 
 
 #: sorts before every record key: the caller's clock may be negative
@@ -561,7 +566,7 @@ class WrapperLedger:
             marks += [(account, key, taken) for key, taken in _take(acct, total)]
             acct.frozen_sum += total
             acct.nonce += 1
-        self.cases[case_id] = Case(tuple(marks))
+        self.cases[case_id] = _new_case((tuple(marks), "active"))
         self.base.journal.append(
             ("freeze", case_id, tuple(sorted(wanted.items())), now)
         )
@@ -617,7 +622,7 @@ class WrapperLedger:
                 acct.unsettled_sum += amount
         for account in _marked_accounts(marks):
             self.accounts[account].nonce += 1
-        self.cases[case_id] = Case(marks, status)
+        self.cases[case_id] = _new_case((marks, status))
         return total
 
     def plan_recovery(

@@ -8,8 +8,10 @@ event touching the requestor between issuance and the swap invalidates the
 report, which also rejects flash-loan-style atomic flows by construction.
 
 The aggregator side is a pure function: given a pool's configuration and a
-list of reports it either returns the median quote or raises the error for
-the first failed check.
+list of reports it either returns the median quote or raises the error of
+the lowest-numbered check that fails, with the message of the first report
+in list order that fails it.  So the error class does not depend on the
+order of the reports.
 """
 
 from __future__ import annotations
@@ -133,10 +135,6 @@ class SignerRegistry:
     def is_registered(self, signer_id: str) -> bool:
         return signer_id in self._signers
 
-    def is_authorized(self, signer_id: str) -> bool:
-        entry = self._signers.get(signer_id)
-        return entry is not None and entry[1]
-
 
 class RiskModel(Protocol):
     def quote(
@@ -230,6 +228,20 @@ def median_quote(quotes: list[int]) -> int:
     return (ordered[n // 2 - 1] + ordered[n // 2]) // 2
 
 
+#: The error each per-report check raises, by check number.  The pass keeps
+#: a failure's number and message and builds the error where it raises it:
+#: an error held in a local would make a cycle with its traceback's frame,
+#: which keeps the pool and the reports alive until the cyclic collector runs.
+_REPORT_CHECK_ERRORS = {
+    3: SignerNotLp,
+    4: SignerNotAuthorized,
+    5: StaleNonce,
+    6: ReportExpired,
+    7: RequestMismatch,
+    8: BadSignature,
+}
+
+
 def validate_reports(
     pool,
     requestor: str,
@@ -239,68 +251,81 @@ def validate_reports(
 ) -> int:
     """Run the pool's swap-validation checks and return the median quote.
 
-    Checks run in a fixed order over the whole report set, so the outcome is
-    invariant under permutation of ``reports``:
+    The checks, by number:
 
       1. quorum size        6. expiry (strict: now < expiry)
       2. unique signers     7. requestor/amount match the request
       3. signers are LPs    8. signatures verify
       4. signers authorized 9. median inside the pool's risk bounds
       5. nonces current
+
+    The lowest-numbered failed check wins: its error is raised, with the
+    message of the first report in list order that fails it.  So the error
+    class does not depend on the order of ``reports``.
+
+    Check 1 runs first.  Then one pass walks the reports in list order: a
+    repeated signer raises at once, since only check 1 outranks check 2,
+    and checks 3-8 run in order on each report while they could still come
+    before the lowest failure recorded so far.  Check 9 runs on a clean
+    pass.
     """
     if len(reports) < pool.min_quorum:
         raise QuorumTooSmall(f"{len(reports)} reports, quorum is {pool.min_quorum}")
-    signer_ids = [r.signer_id for r in reports]
-    if len(set(signer_ids)) != len(signer_ids):
-        raise DuplicateSigner("reports share a signer")
     lp_holdings = pool.lp_holdings
     min_lp_deposit = pool.min_lp_deposit
-    for signer_id in signer_ids:
-        holding = lp_holdings.get(signer_id, 0)
-        if holding <= 0 or holding < min_lp_deposit:
-            raise SignerNotLp(
-                f"{signer_id} holds {holding} LP tokens, "
-                f"minimum deposit is {min_lp_deposit}"
-            )
     registry: SignerRegistry = pool.registry
-    is_authorized = registry.is_authorized
-    for signer_id in signer_ids:
-        if not is_authorized(signer_id):
-            raise SignerNotAuthorized(f"{signer_id} is not authorized")
+    signers = registry._signers
+    verify = registry.scheme.verify
     current_nonce = pool.ledger.nonce(requestor)
+    seen = set()
+    failed = 9  # the lowest check failed so far: 9 while none of 3-8 has
+    message = ""
     for report in reports:
-        if report.account_nonce != current_nonce:
-            raise StaleNonce(
-                f"report nonce {report.account_nonce} != current {current_nonce}"
-            )
-    for report in reports:
-        if not now < report.expiry:
-            raise ReportExpired(f"report expired at {report.expiry}, now {now}")
-    for report in reports:
-        if report.requestor != requestor or report.amount != amount:
-            raise RequestMismatch(
+        signer_id = report.signer_id
+        if signer_id in seen:
+            raise DuplicateSigner("reports share a signer")
+        seen.add(signer_id)
+        if failed > 3:
+            holding = lp_holdings.get(signer_id, 0)
+            if holding <= 0 or holding < min_lp_deposit:
+                failed = 3
+                message = (
+                    f"{signer_id} holds {holding} LP tokens, minimum deposit is {min_lp_deposit}"
+                )
+        if failed > 4:
+            entry = signers.get(signer_id)  # (public key, authorized)
+            if entry is None or not entry[1]:
+                failed, message = 4, f"{signer_id} is not authorized"
+        if failed > 5 and report.account_nonce != current_nonce:
+            failed = 5
+            message = f"report nonce {report.account_nonce} != current {current_nonce}"
+        if failed > 6 and not now < report.expiry:
+            failed, message = 6, f"report expired at {report.expiry}, now {now}"
+        if failed > 7 and (report.requestor != requestor or report.amount != amount):
+            failed = 7
+            message = (
                 f"report is for ({report.requestor}, {report.amount}), "
                 f"request is ({requestor}, {amount})"
             )
-    # every signer is registered: check 4 passed
-    signers = registry._signers
-    verify = registry.scheme.verify
-    for report in reports:
-        signer_id = report.signer_id
-        try:
-            message = canonical_encode(
-                report.requestor,
-                report.amount,
-                report.account_nonce,
-                report.expiry,
-                report.quote_ppm,
-                signer_id,
-            )
-        except ValueError:
-            # an integer outside its field: no signature can cover the report
-            raise BadSignature(f"report by {signer_id} is not encodable") from None
-        if not verify(signers[signer_id][0], message, report.signature):
-            raise BadSignature(f"signature by {signer_id} does not verify")
+        if failed > 8:
+            # this report passed check 4, so ``entry`` is its signer's
+            try:
+                signed = canonical_encode(
+                    report.requestor,
+                    report.amount,
+                    report.account_nonce,
+                    report.expiry,
+                    report.quote_ppm,
+                    signer_id,
+                )
+            except ValueError:
+                # an integer outside its field: no signature can cover the report
+                failed, message = 8, f"report by {signer_id} is not encodable"
+            else:
+                if not verify(entry[0], signed, report.signature):
+                    failed, message = 8, f"signature by {signer_id} does not verify"
+    if failed < 9:
+        raise _REPORT_CHECK_ERRORS[failed](message)
     median = median_quote([r.quote_ppm for r in reports])
     lo, hi = pool.risk_bounds
     if not lo <= median <= hi:

@@ -15,6 +15,7 @@ bid, the same but for its status, under its id in ``bids``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,9 +47,16 @@ class Bid(NamedTuple):
     status: str = OPEN
 
 
-@dataclass(frozen=True)
+#: Builds a :class:`Bid` from one tuple of all seven fields, status
+#: included, without the generated constructor's frame, as the ledger
+#: builds its records.
+_new_bid = functools.partial(tuple.__new__, Bid)
+
+
+@dataclass(frozen=True, init=False)
 class Fill:
-    # slotted by hand, as SwapReceipt is
+    # slotted by hand and built through its slots' member descriptors, as
+    # SwapReceipt is
     __slots__ = (
         "bid_id", "lp", "bidder", "amount_unsettled", "base_paid", "time", "transfer_id",
     )
@@ -59,6 +67,32 @@ class Fill:
     base_paid: int
     time: int
     transfer_id: int
+
+    def __init__(
+        self,
+        bid_id: int,
+        lp: str,
+        bidder: str,
+        amount_unsettled: int,
+        base_paid: int,
+        time: int,
+        transfer_id: int,
+    ) -> None:
+        (
+            set_bid_id, set_lp, set_bidder, set_amount_unsettled, set_base_paid, set_time,
+            set_transfer_id,
+        ) = _FILL_SETTERS
+        set_bid_id(self, bid_id)
+        set_lp(self, lp)
+        set_bidder(self, bidder)
+        set_amount_unsettled(self, amount_unsettled)
+        set_base_paid(self, base_paid)
+        set_time(self, time)
+        set_transfer_id(self, transfer_id)
+
+
+#: each ``Fill`` slot's member-descriptor store, in field order
+_FILL_SETTERS = tuple(getattr(Fill, name).__set__ for name in Fill.__slots__)
 
 
 class OrderBook:
@@ -80,8 +114,8 @@ class OrderBook:
                 f"{bidder} has {available} unsettled, bid is for {amount}"
             )
         bid_id = len(self.bids) + 1  # bids are never deleted
-        self.bids[bid_id] = Bid(
-            bid_id, bidder, amount, min_rate_ppm, expiry, self.ledger.nonce(bidder)
+        self.bids[bid_id] = _new_bid(
+            (bid_id, bidder, amount, min_rate_ppm, expiry, self.ledger.nonce(bidder), OPEN)
         )
         return bid_id
 
@@ -96,7 +130,7 @@ class OrderBook:
         bid = self._open_bid(bid_id)
         if caller != bid.bidder:
             raise NotBidder(f"{caller} does not own bid {bid_id}")
-        self.bids[bid_id] = Bid(*bid[:-1], CANCELLED)
+        self.bids[bid_id] = _new_bid((*bid[:-1], CANCELLED))
 
     def match_bid(self, lp: str, bid_id: int, offered_base: int, now: int) -> Fill:
         """Fill a bid: the LP pays ``offered_base`` for the bid's unsettled tokens.
@@ -126,7 +160,7 @@ class OrderBook:
             )
         transfer_id = self.ledger.transfer_unsettled(bid.bidder, lp, bid.amount, now)
         self.ledger.base.transfer(lp, bid.bidder, offered_base)
-        self.bids[bid_id] = Bid(*bid[:-1], FILLED)
+        self.bids[bid_id] = _new_bid((*bid[:-1], FILLED))
         fill = Fill(bid_id, lp, bid.bidder, bid.amount, offered_base, now, transfer_id)
         self.fills.append(fill)
         return fill

@@ -297,6 +297,9 @@ class TestReceipt:
         assert type(receipt) is SwapReceipt
         assert receipt == expected
         assert pool.receipts == [expected]
+        fields = ("mallory", 40, 720_000, 625_000, 450_000, 18, 5, 3)
+        assert SwapReceipt(*fields) == expected
+        assert dataclasses.astuple(SwapReceipt(*fields)) == fields
 
 
 class TestPoolState:

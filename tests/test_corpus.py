@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import fuzz_corpus
 from rpoolsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +75,14 @@ def test_corpus_output_bytes_do_not_depend_on_the_hash_seed(seed):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == json.loads(DIGESTS.read_text())
+
+
+def test_corpus_mutants_run_and_format_consistently(tmp_path):
+    # a fixed seed and a count that runs in about 1.5 s; tests/fuzz_corpus.py
+    # runs a deep pass from the command line
+    codes, accepted = fuzz_corpus.fuzz(300, 0, tmp_path)
+    assert sum(codes.values()) == 300 and set(codes) <= {0, 1, 2}
+    assert accepted
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpoolsim import (
@@ -36,6 +36,7 @@ from rpoolsim.errors import (
 )
 from rpoolsim.oracle import RiskReport
 
+import naive_quorum
 from conftest import give_unsettled, make_pool
 
 
@@ -211,6 +212,76 @@ def _reports(pool, rater, ledger, requestor="alice", amount=100, now=0, n=1, ttl
     ]
 
 
+_NOW = 10
+
+#: the error of each check after the quorum size, by number
+_CHECK_ERRORS = {
+    2: DuplicateSigner,
+    3: SignerNotLp,
+    4: SignerNotAuthorized,
+    5: StaleNonce,
+    6: ReportExpired,
+    7: RequestMismatch,
+    8: BadSignature,
+    9: OutOfRiskBounds,
+}
+
+
+def _signer(world, pool, name, *, deposit=100, registered=True, authorized=True):
+    """A rating entity quoting 0.5 that holds ``deposit`` of the pool's LP
+    tokens; an unregistered one signs with a secret the registry never saw."""
+    if registered:
+        entity = world.add_signer(name, ConstantRiskModel(500_000), authorized=authorized)
+    else:
+        entity = RatingEntity(name, name.encode(), ConstantRiskModel(500_000))
+    if deposit:
+        world.base.mint(name, deposit)
+        pool.deposit(name, deposit, 0)
+    return entity
+
+
+def _signed(world, entity, **fields):
+    """``entity``'s signed report on the request (alice, 100) at alice's
+    current nonce, expiring at 600 with a 0.5 quote, but for ``fields``."""
+    values = dict(
+        requestor="alice",
+        amount=100,
+        account_nonce=world.ledger.nonce("alice"),
+        expiry=600,
+        quote_ppm=500_000,
+        signer_id=entity.signer_id,
+    )
+    values.update(fields)
+    signature = world.registry.scheme.sign(entity.secret, canonical_encode(**values))
+    return RiskReport(**values, signature=signature)
+
+
+def _tampered(report, **fields):
+    """``report`` with ``fields`` replaced after it was signed."""
+    values = {name: getattr(report, name) for name in RiskReport.__slots__}
+    return RiskReport(**{**values, **fields})
+
+
+def _report_failing(world, pool, check, valid):
+    """A report that fails ``check`` (2-9) and passes every earlier one,
+    next to the report ``valid`` at time ``_NOW`` in a pool whose risk
+    bounds hold 0.5 but not 0.75."""
+    if check == 2:
+        return valid  # its signer twice
+    entity = _signer(
+        world, pool, f"fails{check}", deposit=0 if check == 3 else 100, authorized=check != 4
+    )
+    if check == 5:
+        return _signed(world, entity, account_nonce=world.ledger.nonce("alice") + 1)
+    if check == 6:
+        return _signed(world, entity, expiry=_NOW)
+    if check == 7:
+        return _signed(world, entity, requestor="bob")
+    if check == 8:
+        return _tampered(_signed(world, entity), signature=bytes(32))
+    return _signed(world, entity, quote_ppm=1_000_000 if check == 9 else 500_000)
+
+
 class TestValidateReports:
     def test_happy_path_returns_median(self, world):
         ledger = world.ledger
@@ -249,42 +320,22 @@ class TestValidateReports:
         }
         assert medians == {400000}
 
-    @pytest.mark.parametrize("checks", ["stale nonce before expiry", "authorization before signature"])
-    def test_earlier_check_wins_in_every_order(self, world, checks):
-        # two reports each fail a different check, a third is valid: every
-        # order of the three raises the earlier check's error
-        ledger = world.ledger
-        pool, s1 = make_pool(
-            world, lp_deposits=(("s1", 100), ("s2", 100), ("s3", 100)), min_quorum=2
-        )
-        if checks == "stale nonce before expiry":
-            s2 = world.add_signer("s2", ConstantRiskModel(500000))
-            s3 = world.add_signer("s3", ConstantRiskModel(500000))
-            stale = issue_report(s1, world.registry, "alice", 100, 0, 600, ledger)
-            give_unsettled(world.base, ledger, "alice", 1, now=0)  # nonce moves
-            expired = issue_report(s2, world.registry, "alice", 100, 0, 5, ledger)
-            valid = issue_report(s3, world.registry, "alice", 100, 0, 600, ledger)
-            first, second = stale, expired
-            errors = StaleNonce, ReportExpired
-        else:
-            s2 = world.add_signer("s2", ConstantRiskModel(500000), authorized=False)
-            s3 = world.add_signer("s3", ConstantRiskModel(500000))
-            unauthorized = issue_report(s2, world.registry, "alice", 100, 0, 600, ledger)
-            signed = issue_report(s3, world.registry, "alice", 100, 0, 600, ledger)
-            values = {name: getattr(signed, name) for name in RiskReport.__slots__}
-            forged = RiskReport(**{**values, "quote_ppm": signed.quote_ppm + 1})
-            valid = issue_report(s1, world.registry, "alice", 100, 0, 600, ledger)
-            first, second = unauthorized, forged
-            errors = SignerNotAuthorized, BadSignature
-        for failing, error in zip((first, second), errors):  # each fails alone
-            with pytest.raises(error):
-                validate_reports(pool, "alice", 100, [failing, valid], 5)
+    @pytest.mark.parametrize("first", range(2, 9), ids=lambda check: f"{check}-{check + 1}")
+    def test_earlier_check_wins_in_every_order(self, world, first):
+        # one report fails check ``first``, another the check after it, a
+        # third is valid: every order of the three raises the earlier error
+        pool, _ = make_pool(world, min_quorum=2, risk_bounds=(0, 600_000))
+        valid = _signed(world, _signer(world, pool, "valid"))
+        reports = [_report_failing(world, pool, check, valid) for check in (first, first + 1)]
+        for report, check in zip(reports, (first, first + 1)):  # each fails alone
+            with pytest.raises(_CHECK_ERRORS[check]):
+                validate_reports(pool, "alice", 100, [report, valid], _NOW)
         raised = set()
-        for perm in itertools.permutations([first, second, valid]):
+        for perm in itertools.permutations([*reports, valid]):
             with pytest.raises(RPoolError) as info:
-                validate_reports(pool, "alice", 100, list(perm), 5)
+                validate_reports(pool, "alice", 100, list(perm), _NOW)
             raised.add(type(info.value))
-        assert raised == {errors[0]}
+        assert raised == {_CHECK_ERRORS[first]}
 
     def test_quorum_too_small(self, world):
         ledger = world.ledger
@@ -378,6 +429,123 @@ class TestValidateReports:
         reports = _reports(pool, rater, ledger)
         with pytest.raises(OutOfRiskBounds):
             validate_reports(pool, "alice", 100, reports, 0)
+
+
+#: a report's fault -> (its signer's kind, fields signed into it, fields
+#: replaced after signing), the fields as a function of the report's index
+#: so that two reports failing one check give different messages;
+#: "duplicate" reuses an earlier report's signer
+_FAULTS = {
+    "none": ("lp", {}, {}),
+    "duplicate": ("lp", {}, {}),
+    "not an LP": ("outsider", {}, {}),
+    "under the minimum deposit": ("small", {}, {}),
+    "unregistered": ("unregistered", {}, {}),
+    "unauthorized": ("unauthorized", {}, {}),
+    "nonce behind": ("lp", {"account_nonce": lambda i: 0}, {}),
+    "nonce ahead": ("lp", {"account_nonce": lambda i: 2 + i}, {}),
+    "now == expiry": ("lp", {"expiry": lambda i: _NOW}, {}),
+    "expired before now": ("lp", {"expiry": lambda i: _NOW - 1 - i}, {}),
+    "requestor mismatch": ("lp", {"requestor": lambda i: f"bob{i}"}, {}),
+    "amount mismatch": ("lp", {"amount": lambda i: 99 - i}, {}),
+    "tampered quote": ("lp", {}, {"quote_ppm": lambda i: 123_456 + i}),
+    "tampered signature": ("lp", {}, {"signature": lambda i: bytes([i]) * 32}),
+    # each unencodable field of test_unencodable_field_is_a_bad_signature
+    "quote -1": ("lp", {}, {"quote_ppm": lambda i: -1}),
+    "quote 2**32": ("lp", {}, {"quote_ppm": lambda i: 2**32}),
+    "expiry 2**64": ("lp", {}, {"expiry": lambda i: 2**64}),
+    "amount 100.0": ("lp", {}, {"amount": lambda i: 100.0}),
+}
+
+#: signer kind -> (LP deposit, registered, authorized); the pool's
+#: minimum deposit is 50
+_SIGNER_KINDS = {
+    "lp": (100, True, True),
+    "outsider": (0, True, True),
+    "small": (10, True, True),
+    "unregistered": (100, False, True),
+    "unauthorized": (100, True, False),
+}
+
+
+def _outcome(validate, pool, reports):
+    try:
+        return validate(pool, "alice", 100, reports, _NOW)
+    except RPoolError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _drawn_reports(draw):
+    """Up to 7 (fault, quote, earlier report index) triples.  Each list
+    draws its faults from a palette of one to three, and half its reports
+    are sound, so a check often fails on several reports and later checks
+    are reached."""
+    palette = draw(st.lists(st.sampled_from(sorted(_FAULTS)), min_size=1, max_size=3))
+    fault = st.one_of(st.just("none"), st.sampled_from(palette))
+    quote = st.sampled_from([0, 300_000, 500_000, 900_000, 1_000_000])
+    return draw(st.lists(st.tuples(fault, quote, st.integers(0, 6)), max_size=7))
+
+
+def _each_fault_twice(test):
+    """An explicit example per fault: two reports with it around a sound
+    one, so every check meets a second failing report after its first."""
+    for fault in sorted(_FAULTS):
+        test = example(
+            drawn=[(fault, 500_000, 0), ("none", 500_000, 0), (fault, 500_000, 1)],
+            quorum_short=False,
+            risk_bounds=(0, 1_000_000),
+            rng=random.Random(0),
+        )(test)
+    return test
+
+
+@_each_fault_twice
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=_drawn_reports(),
+    quorum_short=st.integers(0, 4).map(lambda n: n == 0),
+    risk_bounds=st.sampled_from([(0, 1_000_000), (400_000, 600_000), (600_000, 1_000_000)]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_one_pass_check_matches_the_six_pass_check(drawn, quorum_short, risk_bounds, rng):
+    """The one-pass quorum check raises the same error with the same
+    message, or returns the same median, as the six-pass check it
+    replaced, in every order of up to 4 reports and in sampled orders of
+    more."""
+    world = World(recovery_window=100, arbitrator="arb")
+    min_quorum = len(drawn) + 1 if quorum_short else max(1, len(drawn) - 2)
+    pool = world.add_pool(
+        "pool", kappa_ppm=500_000, risk_bounds=risk_bounds, min_quorum=min_quorum,
+        min_lp_deposit=50,
+    )
+    give_unsettled(world.base, world.ledger, "alice", 10, now=0)  # alice's nonce is 1
+    reports, entities = [], []
+    for index, (fault, quote, earlier) in enumerate(drawn):
+        kind, signed_fields, tampered_fields = _FAULTS[fault]
+        if fault == "duplicate" and entities:
+            entity = entities[earlier % len(entities)]
+        else:
+            deposit, registered, authorized = _SIGNER_KINDS[kind]
+            entity = _signer(
+                world, pool, f"s{index}", deposit=deposit, registered=registered,
+                authorized=authorized,
+            )
+        entities.append(entity)
+        signed = {name: value(index) for name, value in signed_fields.items()}
+        report = _signed(world, entity, **{"quote_ppm": quote, **signed})
+        reports.append(
+            _tampered(report, **{name: value(index) for name, value in tampered_fields.items()})
+        )
+    if len(reports) <= 4:
+        orders = itertools.permutations(reports)
+    else:
+        orders = (rng.sample(reports, len(reports)) for _ in range(24))
+    for order in orders:
+        order = list(order)
+        assert _outcome(validate_reports, pool, order) == _outcome(
+            naive_quorum.validate_reports, pool, order
+        )
 
 
 def _full_scan_quote(model, ledger, requestor, now):

@@ -18,9 +18,9 @@ import pytest
 import rpoolsim
 from rpoolsim.amm import SwapReceipt
 from rpoolsim.attack import AttackScenario, ProfitBreakdown
-from rpoolsim.ledger import Account, Case, UnsettledRecord
+from rpoolsim.ledger import Account, Case, UnsettledRecord, _new_case
 from rpoolsim.oracle import ConstantRiskModel, RatingEntity, RiskReport, TaintAwareRiskModel
-from rpoolsim.orderbook import Bid, Fill
+from rpoolsim.orderbook import Bid, Fill, _new_bid
 from rpoolsim.rates import PPM
 from rpoolsim.runner import AssertionResult, EventRecord
 from rpoolsim.scenario import GenesisAccount, PoolSpec, ScenarioScript, SignerSpec, Step
@@ -206,6 +206,54 @@ def test_only_the_bench_hashed_records_are_dataclasses():
             if isinstance(value, type) and dataclasses.is_dataclass(value)
         }
     assert found == {SwapReceipt, Fill}
+
+
+#: each hashed record's field names, in the order the bench's pool_deep
+#: digest reads them through ``dataclasses.astuple``
+_HASHED_FIELDS = {
+    SwapReceipt: (
+        "requestor", "amount_in", "median_ppm", "multiplier_ppm", "rate_ppm", "amount_out",
+        "time", "transfer_in_id",
+    ),
+    Fill: ("bid_id", "lp", "bidder", "amount_unsettled", "base_paid", "time", "transfer_id"),
+}
+
+
+@pytest.mark.parametrize("record", [_RECEIPT, _FILL], ids=lambda value: type(value).__name__)
+def test_hashed_records_keep_their_fields_and_tuples(record):
+    cls = type(record)
+    names = _HASHED_FIELDS[cls]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    values = tuple(getattr(record, name) for name in names)
+    assert dataclasses.astuple(record) == values
+    positional = cls(*values)
+    assert type(positional) is cls
+    assert positional == record == cls(**dict(zip(names, values)))
+    assert hash(positional) == hash(record)
+
+
+@pytest.mark.parametrize("record", [_RECEIPT, _FILL], ids=lambda value: type(value).__name__)
+def test_hashed_records_refuse_every_field_assignment(record):
+    # an unknown name is test_slotted_records_reject_unknown_attributes's
+    for name in _HASHED_FIELDS[type(record)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+
+
+@pytest.mark.parametrize(
+    "build, construct, fields",
+    [
+        (_new_case, Case, ((("alice", (5, 1), 3),), "active")),
+        (_new_case, Case, ((), "released")),
+        (_new_bid, Bid, (1, "alice", 5, 250_000, 10, 2, "open")),
+        (_new_bid, Bid, (1, "alice", 5, 250_000, 10, 2, "filled")),
+    ],
+    ids=["Case", "Case-released", "Bid", "Bid-filled"],
+)
+def test_builders_match_their_constructors(build, construct, fields):
+    built = build(fields)
+    assert type(built) is construct
+    assert built == construct(*fields)
 
 
 def _load_bench_spans():
