@@ -27,11 +27,7 @@ from typing import NamedTuple
 from .errors import InsufficientLpTokens, InsufficientPoolSettled, PoolEmptied, UnwrapDisabled
 from .ledger import WrapperLedger, check_amount
 from .oracle import RiskReport, SignerRegistry, validate_reports
-from .rates import PPM, check_rate
-
-#: Default hard cap on the effective exchange rate; at or below one half the
-#: LP-shorting attack can never beat the attacker's plain-theft baseline.
-DEFAULT_RATE_CAP_PPM = 500_000
+from .rates import DEFAULT_RATE_CAP_PPM, PPM, check_rate
 
 
 def settled_multiplier(settled: int, total: int, kappa_ppm: int) -> int:
@@ -139,7 +135,7 @@ class AmmPool:
         rate_cap_ppm: int = DEFAULT_RATE_CAP_PPM,
     ) -> None:
         if not 0 < kappa_ppm < PPM:
-            raise ValueError("kappa must be strictly between 0 and 1")
+            raise ValueError(f"kappa_ppm must be strictly between 0 and {PPM}")
         check_risk_bounds(risk_bounds)
         if min_quorum < 1:
             raise ValueError("quorum must be at least 1")

@@ -7,8 +7,13 @@
     rpoolsim fmt <file>
 
 Exit codes: 0 success, 1 assertion or safety-verdict failure, 2 a file that
-cannot be read, parsed or written, or a configuration error, 3 internal
-error (an exception escaped a run).
+cannot be read, parsed or written, 3 internal error (an exception escaped a
+run).  ``run`` and ``fmt`` load a file the same way: read, parse, then build
+its world, so a header the world refuses (a reserved name, a pool's bounds
+or quorum out of range, ...) is a parse error at the refused declaration,
+and ``fmt`` refuses exactly the files that ``run`` refuses before running.
+Every exit 2 caused by a file's contents prints one ``path:line:col: reason``
+line.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 from .errors import RPoolError
 from .rates import PPM, format_rate, parse_rate
 from .runner import RunResult, ScenarioRunner
-from .scenario import ParseError, ScenarioScript, format_scenario, parse_scenario
+from .scenario import ParseError, format_scenario, parse_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,11 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_scenario(path: Path) -> ScenarioScript | None:
-    """Read and parse one scenario file; on failure say why on stderr and
-    return None, which the commands turn into exit code 2."""
+def _load(path: Path) -> ScenarioRunner | None:
+    """Read and parse one scenario file and build its world; on failure say
+    why on stderr and return None, which the commands turn into exit code 2."""
     try:
-        return parse_scenario(path.read_text(encoding="utf-8"))
+        return ScenarioRunner(parse_scenario(path.read_text(encoding="utf-8")), name=path.stem)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
     except ParseError as exc:
@@ -76,15 +81,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results: list[RunResult] = []
     for path_text in args.files:
         path = Path(path_text)
-        script = _read_scenario(path)
-        if script is None:
-            return 2
-        try:
-            world = ScenarioRunner(script, name=path.stem)
-        except (ValueError, RPoolError) as exc:
-            # world construction rejected the configuration (reserved names,
-            # inconsistent pool bounds, ...); steps report their own errors
-            print(f"{path}: {exc}", file=sys.stderr)
+        world = _load(path)
+        if world is None:
             return 2
         try:
             result = world.run()
@@ -195,10 +193,10 @@ def _cmd_check_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
-    script = _read_scenario(Path(args.file))
-    if script is None:
+    world = _load(Path(args.file))
+    if world is None:
         return 2
-    sys.stdout.write(format_scenario(script))
+    sys.stdout.write(format_scenario(world.script))
     return 0
 
 

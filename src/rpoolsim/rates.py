@@ -14,6 +14,10 @@ import re
 
 PPM = 1_000_000
 
+#: Default hard cap on a pool's effective exchange rate; at or below one half
+#: the LP-shorting attack can never beat the attacker's plain-theft baseline.
+DEFAULT_RATE_CAP_PPM = 500_000
+
 _RATE_RE = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 
 

@@ -108,7 +108,13 @@ class RunResult(NamedTuple):
 
 
 class ScenarioRunner:
-    """One isolated world per runner; run() executes the whole script."""
+    """One isolated world per runner; run() executes the whole script.
+
+    Genesis builds the header's accounts, then its signers, pools and books.
+    The constructors alone judge the header's values: the first one that
+    refuses a directive (a ``ValueError`` or an :class:`RPoolError`) stops
+    genesis with a :class:`ParseError` at that directive's declared name.
+    """
 
     def __init__(self, script: ScenarioScript, name: str = "scenario") -> None:
         self.script = script
@@ -118,26 +124,34 @@ class ScenarioRunner:
         #: as= label -> the transfer id, RiskReport or bid id it names
         self.labels: dict[str, Any] = {}
         self.world = world = World(recovery_window=script.window, arbitrator=script.arbitrator)
-        for acct in script.accounts:
-            if acct.base:
-                world.base.mint(acct.name, acct.base)
-            if acct.settled:
-                world.ledger.genesis_settled(acct.name, acct.settled)
-        for spec in script.signers:
-            if spec.model == "constant":
-                model = ConstantRiskModel(spec.rate)
-            else:
-                model = TaintAwareRiskModel(self.tainted, spec.rate)
-            self.entities[spec.name] = world.add_signer(spec.name, model, spec.authorized)
-        for spec in script.pools:
-            world.add_pool(
-                spec.name,
-                kappa_ppm=spec.kappa_ppm,
-                risk_bounds=(spec.risk_lo_ppm, spec.risk_hi_ppm),
-                min_quorum=spec.min_quorum,
-                min_lp_deposit=spec.min_lp_deposit,
-                rate_cap_ppm=spec.rate_cap_ppm,
-            )
+        directive = "account"
+        try:
+            for spec in script.accounts:
+                if spec.base:
+                    world.base.mint(spec.name, spec.base)
+                if spec.settled:
+                    world.ledger.genesis_settled(spec.name, spec.settled)
+            directive = "signer"
+            for spec in script.signers:
+                if spec.model == "constant":
+                    model = ConstantRiskModel(spec.rate)
+                else:
+                    model = TaintAwareRiskModel(self.tainted, spec.rate)
+                self.entities[spec.name] = world.add_signer(spec.name, model, spec.authorized)
+            directive = "pool"
+            for spec in script.pools:
+                world.add_pool(
+                    spec.name,
+                    kappa_ppm=spec.kappa_ppm,
+                    risk_bounds=(spec.risk_lo_ppm, spec.risk_hi_ppm),
+                    min_quorum=spec.min_quorum,
+                    min_lp_deposit=spec.min_lp_deposit,
+                    rate_cap_ppm=spec.rate_cap_ppm,
+                )
+        except (ValueError, RPoolError) as exc:
+            if (directive, spec.name) not in script.declared_at:
+                raise  # a script built in code has no line to point at
+            raise script.refusal(directive, spec.name, str(exc)) from exc
         for name in script.books:
             world.books[name] = OrderBook(world.ledger)
 

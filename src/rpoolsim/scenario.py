@@ -20,7 +20,12 @@ line separates tokens and starts no new line.
 Amounts are plain integers; rates are decimals with at most six places and
 convert exactly to ppm.  Unknown directives, actions, or fields are
 rejected with a located :class:`ParseError`, whose column is worked out
-from the token's index only when the error is raised.  Steps may carry
+from the token's index only when the error is raised.  The parser checks
+the grammar only: whether a header's values describe a world that can be
+built (a reserved name, a pool's kappa, rate and risk bounds, its quorum)
+is decided by the world's constructors alone.  The script records the line
+of each declaration, so :class:`~rpoolsim.runner.ScenarioRunner` reports a
+refusal as a :class:`ParseError` at the declared name.  Steps may carry
 ``as=`` labels naming the transfer/report/bid they produce, ``expect_*``
 result checks, and ``expect_error=`` for steps that must fail with exactly
 that error.
@@ -33,7 +38,7 @@ from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from .errors import ERRORS_BY_NAME
-from .rates import PPM, format_rate, parse_rate
+from .rates import DEFAULT_RATE_CAP_PPM, PPM, format_rate, parse_rate
 
 DEFAULT_WINDOW = 86_400
 DEFAULT_ARBITRATOR = "arbiter"
@@ -216,6 +221,17 @@ class ParseError(Exception):
         self.reason = message
 
 
+def _error_at(message: str, line_no: int, line: str, at: int) -> ParseError:
+    """The error at token ``at`` of line ``line_no``, whose text is ``line``:
+    0 is the directive, 1 a declared name or a step's time, 2 a step's
+    action.  The token's column counts code points from 1."""
+    code = line.partition("#")[0]
+    end = 0
+    for token in code.split()[: at + 1]:
+        end = code.index(token, end) + len(token)
+    return ParseError(message, line_no, end - len(token) + 1)
+
+
 class GenesisAccount(NamedTuple):
     name: str
     base: int = 0
@@ -236,7 +252,7 @@ class PoolSpec(NamedTuple):
     risk_hi_ppm: int = PPM
     min_quorum: int = 1
     min_lp_deposit: int = 1
-    rate_cap_ppm: int = 500_000
+    rate_cap_ppm: int = DEFAULT_RATE_CAP_PPM
 
 
 class Step(NamedTuple):
@@ -248,9 +264,15 @@ class Step(NamedTuple):
 
 class ScenarioScript:
     """A parsed scenario: its config values and its lines, each kind in
-    file order.  The parser fills it; config fields are set by name."""
+    file order.  The parser fills it; config fields are set by name.
 
-    __slots__ = ("window", "arbitrator", "accounts", "signers", "pools", "books", "steps")
+    ``declared_at`` maps each ``(directive, name)`` declaration to its line
+    number and text.  It says where the script came from, not what it
+    says, so ``==`` compares the :attr:`COMPARED` fields only and a script
+    equals its canonical form."""
+
+    COMPARED = ("window", "arbitrator", "accounts", "signers", "pools", "books", "steps")
+    __slots__ = (*COMPARED, "declared_at")
 
     def __init__(self) -> None:
         self.window = DEFAULT_WINDOW
@@ -260,11 +282,17 @@ class ScenarioScript:
         self.pools: list[PoolSpec] = []
         self.books: list[str] = []
         self.steps: list[Step] = []
+        self.declared_at: dict[tuple[str, str], tuple[int, str]] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return all(getattr(self, name) == getattr(other, name) for name in self.COMPARED)
+
+    def refusal(self, directive: str, name: str, reason: str) -> ParseError:
+        """The error for a declaration the world refused, at its declared name."""
+        line_no, line = self.declared_at[directive, name]
+        return _error_at(reason, line_no, line, 1)
 
 
 class _Parser:
@@ -280,14 +308,8 @@ class _Parser:
         self.line = ""
 
     def fail(self, message: str, at: int = 0) -> ParseError:
-        """The error at the line's token ``at``: 0 is the directive, 1 a
-        declared name or a step's time, 2 a step's action.  The token's
-        column counts code points from 1."""
-        code = self.line.partition("#")[0]
-        end = 0
-        for token in code.split()[: at + 1]:
-            end = code.index(token, end) + len(token)
-        return ParseError(message, self.line_no, end - len(token) + 1)
+        """The error at the current line's token ``at`` (see :func:`_error_at`)."""
+        return _error_at(message, self.line_no, self.line, at)
 
     # -- field types ---------------------------------------------------------
     # Each parser takes the field's key, token index and text, and the part
@@ -430,7 +452,8 @@ class _Parser:
             setattr(self.script, key, value)
 
     def declare(self, directive: str, tokens: list[str]) -> str:
-        """Declare the name a declaring line gives after its directive."""
+        """Declare the name a declaring line gives after its directive, and
+        record the line that declares it."""
         if len(tokens) < 2:
             raise self.fail(f"{directive} needs a name")
         name = self.parse_name(directive, 1, tokens[1])
@@ -438,6 +461,7 @@ class _Parser:
         if seen and (directive in seen or {directive, *seen} != SHARED_NAME):
             raise self.fail(f"{name!r} already declared as {seen[0]}", 1)
         seen.append(directive)
+        self.script.declared_at[directive, name] = (self.line_no, self.line)
         return name
 
     def named_directive(
@@ -465,8 +489,6 @@ class _Parser:
 
     def handle_pool(self, tokens: list[str]) -> None:
         name, values = self.named_directive("pool", tokens)
-        if not 0 < values["kappa_ppm"] < PPM:
-            raise self.fail("kappa_ppm must be strictly between 0 and 1000000", 1)
         self.script.pools.append(PoolSpec(name=name, **values))
 
     def handle_book(self, tokens: list[str]) -> None:

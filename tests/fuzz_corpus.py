@@ -7,6 +7,9 @@ duplicated or dropped, or a step's time moved.  For every mutant:
 
 - ``rpoolsim run`` exits 0, 1 or 2, never 3 (an internal error), and
   raises nothing;
+- ``rpoolsim fmt`` exits 2 exactly when ``run`` does: the log path is
+  writable, so ``run`` exits 2 only for a file it cannot read, parse or
+  build a world from, which is what ``fmt`` loads too;
 - if ``rpoolsim fmt`` accepts it, formatting the output again changes
   nothing, and ``run`` of the formatted script gives the same exit code,
   the same ``--format json`` output and the same ``--log`` bytes.
@@ -16,9 +19,8 @@ generator, so a failure names the one mutant to replay.  A deep pass:
 
     PYTHONPATH=src python tests/fuzz_corpus.py --count 20000 --seed 7
 
-prints the mix of exit codes and how many mutants ``fmt`` accepted.  The
-library is imported from ``src/``; nothing outside the standard library is
-needed.
+prints the mix of ``(run, fmt)`` exit-code pairs.  The library is imported
+from ``src/``; nothing outside the standard library is needed.
 """
 
 from __future__ import annotations
@@ -150,10 +152,10 @@ def _run(path: Path, log: Path) -> tuple[int, str, bytes | None]:
     return code, out, log.read_bytes() if log.exists() else None
 
 
-def check_mutant(text: str, stem: str, workdir: Path) -> tuple[int, bool]:
-    """Run the checks above on one mutant; return ``run``'s exit code and
-    whether ``fmt`` accepted the mutant.  The formatted copy keeps the
-    mutant's file stem, which names the scenario in every output."""
+def check_mutant(text: str, stem: str, workdir: Path) -> tuple[int, int]:
+    """Run the checks above on one mutant; return ``run``'s and ``fmt``'s
+    exit codes.  The formatted copy keeps the mutant's file stem, which
+    names the scenario in every output."""
     mutant = workdir / "mutant" / f"{stem}.scn"
     formatted = workdir / "formatted" / f"{stem}.scn"
     mutant.parent.mkdir(exist_ok=True)
@@ -161,32 +163,40 @@ def check_mutant(text: str, stem: str, workdir: Path) -> tuple[int, bool]:
     mutant.write_text(text)
     outcome = _run(mutant, workdir / "mutant.log")
     fmt_code, canonical, _ = _cli(["fmt", str(mutant)])
+    assert (fmt_code == 2) == (outcome[0] == 2), f"run exited {outcome[0]}, fmt {fmt_code}"
     if fmt_code != 0:
-        return outcome[0], False
+        return outcome[0], fmt_code
     formatted.write_text(canonical)
     again_code, again, _ = _cli(["fmt", str(formatted)])
     assert (again_code, again) == (0, canonical), "fmt is not at a fixed point"
     assert _run(formatted, workdir / "formatted.log") == outcome, "fmt changed what run does"
-    return outcome[0], True
+    return outcome[0], fmt_code
 
 
 def fuzz(count: int, seed: int, workdir: Path) -> tuple[collections.Counter, int]:
-    """Check ``count`` mutants of seed ``seed``; return the exit codes'
-    tally and how many mutants ``fmt`` accepted."""
-    scripts = [(path.stem, Script(path.read_text())) for path in CORPUS]
+    """Check ``count`` mutants of seed ``seed``; return the tally of
+    ``run``'s exit codes and how many mutants ``fmt`` accepted."""
+    pairs = fuzz_pairs(count, seed, workdir)
     codes: collections.Counter = collections.Counter()
-    accepted = 0
+    for (code, _), n in pairs.items():
+        codes[code] += n
+    return codes, sum(n for (_, fmt_code), n in pairs.items() if fmt_code == 0)
+
+
+def fuzz_pairs(count: int, seed: int, workdir: Path) -> collections.Counter:
+    """Check ``count`` mutants of seed ``seed``; return the tally of their
+    ``(run, fmt)`` exit-code pairs."""
+    scripts = [(path.stem, Script(path.read_text())) for path in CORPUS]
+    pairs: collections.Counter = collections.Counter()
     for index in range(count):
         rng = random.Random(f"{seed}/{index}")
         stem, script = rng.choice(scripts)
         text = mutate(script, rng)
         try:
-            code, formats = check_mutant(text, stem, workdir)
+            pairs[check_mutant(text, stem, workdir)] += 1
         except Exception as exc:  # name the mutant, whatever failed
             raise AssertionError(f"seed {seed} mutant {index} of {stem}: {exc!r}\n{text}") from exc
-        codes[code] += 1
-        accepted += formats
-    return codes, accepted
+    return pairs
 
 
 def _main() -> int:
@@ -196,10 +206,10 @@ def _main() -> int:
     args = parser.parse_args()
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as workdir:
-        codes, accepted = fuzz(args.count, args.seed, Path(workdir))
+        pairs = fuzz_pairs(args.count, args.seed, Path(workdir))
     seconds = time.perf_counter() - start
-    mix = ", ".join(f"exit {code}: {codes[code]}" for code in sorted(codes))
-    print(f"{args.count} mutants of seed {args.seed} in {seconds:.1f} s: {mix}; fmt accepted {accepted}")
+    mix = ", ".join(f"{pair} {pairs[pair]}" for pair in sorted(pairs))
+    print(f"{args.count} mutants of seed {args.seed} in {seconds:.1f} s: (run, fmt) exit codes {mix}")
     return 0
 
 

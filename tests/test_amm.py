@@ -100,7 +100,7 @@ class TestDeposit:
 
     @pytest.mark.parametrize("kappa_ppm", [0, 1_000_000])
     def test_kappa_outside_the_open_interval_rejected(self, world, kappa_ppm):
-        with pytest.raises(ValueError, match="kappa must be strictly between 0 and 1"):
+        with pytest.raises(ValueError, match="kappa_ppm must be strictly between 0 and 1000000"):
             world.add_pool(
                 "pool", kappa_ppm=kappa_ppm, risk_bounds=(0, 1_000_000),
                 min_quorum=1, min_lp_deposit=1,

@@ -12,10 +12,17 @@ from pathlib import Path
 import pytest
 
 from rpoolsim.cli import main
-from rpoolsim.errors import ZeroAmount
+from rpoolsim.errors import ReservedName, ZeroAmount
 from rpoolsim.ledger import WrapperLedger
 from rpoolsim.runner import EXPECTATIONS, EventRecord, ScenarioRunner, run_scenario
-from rpoolsim.scenario import ACTION_SPECS, ASSERT_KINDS, parse_scenario
+from rpoolsim.scenario import (
+    ACTION_SPECS,
+    ASSERT_KINDS,
+    ParseError,
+    PoolSpec,
+    ScenarioScript,
+    parse_scenario,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CORPUS = sorted(SCENARIO_DIR.glob("*.scn"))
@@ -170,6 +177,23 @@ def test_state_digest_is_stable_over_noops():
     digest = runner.state_digest()
     runner.run()
     assert runner.state_digest() == digest
+
+
+def test_genesis_refusal_is_a_parse_error_at_the_declared_name():
+    # accounts are built before pools, so the account's refusal wins
+    script = parse_scenario("config arbitrator=arb\npool p kappa_ppm=0\naccount arb settled=5\n")
+    with pytest.raises(ParseError) as err:
+        ScenarioRunner(script)
+    assert (err.value.line, err.value.column) == (3, 9)
+    assert err.value.reason == "'arb' is reserved and cannot hold an account"
+    assert isinstance(err.value.__cause__, ReservedName)
+
+
+def test_genesis_refusal_of_a_script_built_in_code_is_the_constructors_error():
+    script = ScenarioScript()
+    script.pools.append(PoolSpec("p", kappa_ppm=0))
+    with pytest.raises(ValueError, match="kappa_ppm must be strictly between 0 and 1000000"):
+        ScenarioRunner(script)
 
 
 def test_rejected_match_bid_leaves_state_digest_unchanged():
@@ -489,18 +513,19 @@ class TestCli:
         assert captured.err.startswith(f"{log}: ") and "No such file" in captured.err
 
     def test_bad_world_config_exit_code(self, tmp_path, capsys):
-        # each refused world prints one "path: reason" line and no traceback
-        for header, reason in (
-            ("config arbitrator=arb\naccount arb settled=5", "reserved"),
-            ("pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000", "out of order"),
-            ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "outside"),
-            ("pool p kappa_ppm=500000 min_quorum=0", "quorum"),
+        # each refused world prints one "path:line:col: reason" line, at the
+        # refused declaration's name, and no traceback
+        for header, where, reason in (
+            ("config arbitrator=arb\naccount arb settled=5", "2:9", "reserved"),
+            ("pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000", "1:6", "out of order"),
+            ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "1:6", "outside"),
+            ("pool p kappa_ppm=500000 min_quorum=0", "1:6", "quorum"),
         ):
             bad = tmp_path / "bad.scn"
             bad.write_text(header + "\nat 0 advance\n")
             assert main(["run", str(bad)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"{bad}: ") and err.count("\n") == 1, err
+            assert err.startswith(f"{bad}:{where}: ") and err.count("\n") == 1, err
             assert reason in err and "Traceback" not in err
 
     # sha256 of the whole shipped corpus's output; any change to the log
@@ -610,7 +635,9 @@ class TestCli:
             "at 0 deposit pool=main lp=lp amount=40 expect_error=ReservedName\n"
         )
         assert main(["run", str(bad)]) == 2
-        assert "reserved" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"{bad}:3:6: 'main' is reserved and cannot hold an account\n"
+        )
 
     def test_fmt_round_trip(self, capsys):
         assert main(["fmt", str(SCENARIO_DIR / "recovery_L1.scn")]) == 0

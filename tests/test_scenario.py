@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -314,7 +315,6 @@ LOCATED_ERRORS = [
     ("", "\tbook", 2, "book takes exactly one name"),
     (HEADER, "account alice", 9, "'alice' already declared as account"),
     (HEADER, "book main", 6, "'main' already declared as pool"),
-    ("", "pool p2 kappa_ppm=0", 6, "kappa_ppm must be strictly between 0 and 1000000"),
     ("", "book ob2 extra", 1, "book takes exactly one name"),
     ("", "widget foo", 1, "unknown directive 'widget'"),
     ("", "   widget#foo", 4, "unknown directive 'widget'"),
@@ -354,6 +354,50 @@ def test_every_parse_error_names_its_line_column_and_reason(before, bad, column,
         parse_scenario(before + bad + "\nat 99 advance\n")
     assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
     assert str(err.value) == f"line {line}, column {column}: {reason}"
+
+
+KAPPA = "kappa_ppm must be strictly between 0 and 1000000"
+RESERVED = "'arb' is reserved and cannot hold an account"
+
+#: (header, "line:col: reason" or None): headers the grammar accepts, and
+#: where genesis refuses each, at the refused declaration's name; None
+#: marks a header that genesis accepts
+GENESIS_REFUSALS = [
+    ("config arbitrator=arb\naccount arb settled=5", f"2:9: {RESERVED}"),
+    ("config arbitrator=arb\npool arb kappa_ppm=500000", f"2:6: {RESERVED}"),
+    ("pool p kappa_ppm=500000 risk_lo_ppm=1000001", "1:6: rate 1000001 ppm outside [0, 1000000]"),
+    ("pool p kappa_ppm=500000 risk_hi_ppm=1000001", "1:6: rate 1000001 ppm outside [0, 1000000]"),
+    ("pool p kappa_ppm=500000 risk_lo_ppm=600000 risk_hi_ppm=500000",
+     "1:6: risk bounds out of order"),
+    ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "1:6: rate 1000001 ppm outside [0, 1000000]"),
+    ("pool p kappa_ppm=500000 min_quorum=0", "1:6: quorum must be at least 1"),
+    ("pool p2 kappa_ppm=0", f"1:6: {KAPPA}"),
+    ("pool p kappa_ppm=1000000", f"1:6: {KAPPA}"),
+    # the column counts code points, as for any parse error
+    ("account a\n\tpool\u3000 p kappa_ppm=0  # comment", f"2:8: {KAPPA}"),
+    # the first refusal in genesis order wins: accounts before pools, and
+    # then file order
+    ("config arbitrator=arb\npool p kappa_ppm=0\naccount arb settled=5", f"3:9: {RESERVED}"),
+    ("pool p kappa_ppm=0\npool q kappa_ppm=500000 min_quorum=0", f"1:6: {KAPPA}"),
+    # base is not a wrapper account: the arbitrator may hold genesis base
+    ("config arbitrator=arb\naccount arb base=5", None),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "fmt"])
+@pytest.mark.parametrize(
+    "header, error", GENESIS_REFUSALS, ids=[case[0] for case in GENESIS_REFUSALS]
+)
+def test_run_and_fmt_refuse_a_header_at_the_refused_name(tmp_path, capsys, command, header, error):
+    path = tmp_path / "world.scn"
+    path.write_text(header + "\nat 0 advance\n", encoding="utf-8")
+    parse_scenario(path.read_text(encoding="utf-8"))  # the grammar accepts every row
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    if error is None:
+        assert (code, captured.err) == (0, "")
+    else:
+        assert (code, captured.out, captured.err) == (2, "", f"{path}:{error}\n")
 
 
 #: characters that str.splitlines() breaks at but a scenario line does not
@@ -533,7 +577,7 @@ def test_a_script_never_equals_another_type():
     assert script != object()
 
 
-@pytest.mark.parametrize("field", ScenarioScript.__slots__)
+@pytest.mark.parametrize("field", ScenarioScript.COMPARED)
 def test_scripts_differing_in_one_field_compare_unequal(field):
     text = HEADER + "at 0 wrap account=alice amount=1\n"
     script, edited = parse_scenario(text), parse_scenario(text)
@@ -541,6 +585,15 @@ def test_scripts_differing_in_one_field_compare_unequal(field):
     ONE_FIELD_EDITS[field](edited)
     assert script != edited
     assert edited != script
+
+
+def test_where_a_script_declares_a_name_is_not_compared():
+    script = parse_scenario(HEADER)
+    moved = parse_scenario("# the header, one line down\n" + HEADER)
+    assert script.declared_at["pool", "main"] == (4, "pool main kappa_ppm=500000")
+    assert moved.declared_at["pool", "main"] == (5, "pool main kappa_ppm=500000")
+    assert script == moved
+    assert set(ScenarioScript.__slots__) - set(ScenarioScript.COMPARED) == {"declared_at"}
 
 
 @settings(max_examples=40, deadline=None)
@@ -573,6 +626,31 @@ def test_generated_scripts_never_reach_an_internal_error(lines):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["run", str(path)])
     assert code in (0, 1), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=scenario_lines())
+def test_run_and_fmt_refuse_the_same_generated_headers(lines):
+    """The grammar accepts every generated script, and its header may
+    describe a world that cannot be built.  ``run`` and ``fmt`` then exit 2
+    together, each printing one ``path:line:col: reason`` line at a header
+    line; otherwise ``run`` exits 0 or 1."""
+    header_lines = {number for number, line in enumerate(lines, 1) if line[0] != "at"}
+    codes, errors = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.scn"
+        path.write_text(_text(lines) + "\n", encoding="utf-8")
+        for command in ("run", "fmt"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes.append(main([command, str(path)]))
+            errors.append(err.getvalue())
+    run_code, fmt_code = codes
+    assert run_code in (0, 1, 2) and (run_code == 2) == (fmt_code == 2), errors
+    if fmt_code == 2:
+        assert errors[0] == errors[1]
+        located = re.fullmatch(rf"{re.escape(str(path))}:(\d+):(\d+): [^\n]+\n", errors[0])
+        assert located and int(located[1]) in header_lines, errors[0]
 
 
 def _table_rows(text):
