@@ -47,8 +47,8 @@ def settled_multiplier(settled: int, total: int, kappa_ppm: int) -> int:
 
 def check_risk_bounds(risk_bounds: tuple[int, int]) -> None:
     """Validate a pool's ``(low, high)`` bounds on the median quote."""
-    check_rate(risk_bounds[0])
-    check_rate(risk_bounds[1])
+    check_rate(risk_bounds[0], "risk_lo_ppm")
+    check_rate(risk_bounds[1], "risk_hi_ppm")
     if risk_bounds[0] > risk_bounds[1]:
         raise ValueError("risk bounds out of order")
 
@@ -139,7 +139,7 @@ class AmmPool:
         check_risk_bounds(risk_bounds)
         if min_quorum < 1:
             raise ValueError("quorum must be at least 1")
-        check_rate(rate_cap_ppm)
+        check_rate(rate_cap_ppm, "rate_cap_ppm")
         ledger.check_name(address)
         self.ledger = ledger
         self.address = address

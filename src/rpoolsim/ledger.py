@@ -15,8 +15,9 @@ records into the settled balance before acting.  A record is settled once
 account through one view at ``now``, ``_view``: its effective settled,
 unsettled and frozen balances, and ``movable``, the value of the matured
 records, which a fold at ``now`` would settle.  A transfer or an unwrap
-folds the sender only when ``movable`` is positive, since a fold changes
-nothing otherwise.
+folds the sender, a freeze each target and a recovery its victim, only
+when the account's oldest record is due, since a fold changes nothing
+otherwise.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list.  A fold moves
@@ -494,7 +495,7 @@ class WrapperLedger:
             )
 
         # a positive amount was covered, so the sender has an account
-        recipient_acct = self._account(recipient)
+        recipient_acct = self.accounts.get(recipient) or self._account(recipient)
         if movable:
             self._settle_account(acct, now)
         # settled is what this mode may draw from the settled balance; the
@@ -537,7 +538,7 @@ class WrapperLedger:
     ) -> None:
         """Freeze unsettled value on the target accounts under ``case_id``.
 
-        Each account's matured records are folded first; the value is then
+        Each account's due records are folded first; the value is then
         taken from its records in ascending key order and kept as the
         case's marks.  Frozen value cannot be spent and cannot mature until
         the case closes via :meth:`recover` or :meth:`release`.
@@ -553,17 +554,20 @@ class WrapperLedger:
             check_amount(amount)
             wanted[account] = wanted.get(account, 0) + amount
         for account, total in wanted.items():
-            available = self.available_unsettled(account, now)
-            if available < total:
+            _, unsettled, frozen, _ = _view(self.accounts.get(account), now)
+            if unsettled - frozen < total:
                 raise InsufficientUnsettled(
-                    f"{account} has {available} freezable unsettled, needs {total}"
+                    f"{account} has {unsettled - frozen} freezable unsettled, needs {total}"
                 )
 
         marks: list[tuple[str, tuple[int, int], int]] = []
         for account, total in wanted.items():
             acct = self.accounts[account]
-            self._settle_account(acct, now)
-            marks += [(account, key, taken) for key, taken in _take(acct, total)]
+            # a positive total was covered, so the account holds a record
+            if acct.unsettled[0].settlement_time <= now:
+                self._settle_account(acct, now)
+            for key, taken in _take(acct, total):
+                marks.append((account, key, taken))
             acct.frozen_sum += total
             acct.nonce += 1
         self.cases[case_id] = _new_case((tuple(marks), "active"))
@@ -575,7 +579,8 @@ class WrapperLedger:
         """Move all frozen value of the case into the victim's settled balance."""
         self._check_active(caller, case_id)
         victim_acct = self._account(victim)
-        self._settle_account(victim_acct, now)
+        if victim_acct.unsettled and victim_acct.unsettled[0].settlement_time <= now:
+            self._settle_account(victim_acct, now)
         total = self._close(case_id, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
@@ -608,8 +613,9 @@ class WrapperLedger:
         marks = self.cases[case_id].marks
         released = status == "released"
         total = 0
+        marked = {}  # each marked account once, in mark order
         for account, key, amount in marks:
-            acct = self.accounts[account]
+            acct = marked[account] = self.accounts[account]
             acct.frozen_sum -= amount
             total += amount
             if released:
@@ -620,8 +626,8 @@ class WrapperLedger:
                 else:
                     records.insert(index, _new_record((*key, amount)))
                 acct.unsettled_sum += amount
-        for account in _marked_accounts(marks):
-            self.accounts[account].nonce += 1
+        for acct in marked.values():
+            acct.nonce += 1
         self.cases[case_id] = _new_case((marks, status))
         return total
 

@@ -132,9 +132,6 @@ class SignerRegistry:
     def register(self, signer_id: str, public_key: bytes, authorized: bool = True) -> None:
         self._signers[signer_id] = (public_key, authorized)
 
-    def is_registered(self, signer_id: str) -> bool:
-        return signer_id in self._signers
-
 
 class RiskModel(Protocol):
     def quote(
@@ -201,7 +198,7 @@ def issue_report(
     ledger: WrapperLedger,
 ) -> RiskReport:
     """Produce a signed report for the requestor's current account state."""
-    if not registry.is_registered(entity.signer_id):
+    if entity.signer_id not in registry._signers:
         raise UnknownSigner(f"{entity.signer_id} is not registered")
     if ttl <= 0:
         raise BadExpiry(f"report ttl must be positive, got {ttl}")

@@ -21,12 +21,12 @@ DEFAULT_RATE_CAP_PPM = 500_000
 _RATE_RE = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 
 
-def check_rate(rate_ppm: int) -> int:
-    """Validate a ppm rate, returning it unchanged."""
+def check_rate(rate_ppm: int, name: str = "rate") -> int:
+    """Validate a ppm rate, returning it unchanged; a refusal names it ``name``."""
     if not isinstance(rate_ppm, int) or isinstance(rate_ppm, bool):
-        raise TypeError(f"rate must be an integer ppm value, got {rate_ppm!r}")
+        raise TypeError(f"{name} must be an integer ppm value, got {rate_ppm!r}")
     if not 0 <= rate_ppm <= PPM:
-        raise ValueError(f"rate {rate_ppm} ppm outside [0, {PPM}]")
+        raise ValueError(f"{name} {rate_ppm} ppm outside [0, {PPM}]")
     return rate_ppm
 
 

@@ -84,15 +84,18 @@ class World:
     def copy(self) -> World:
         """An equal world that shares no mutable object with this one.
 
-        Immutable parts are shared: journal entries (tuples and
+        The world, both ledgers, the registry and each pool and book are
+        cloned by :func:`_clone`, their containers replaced by each
+        container's own ``.copy()``; each slotted account is rebuilt field
+        by field.  Immutable parts are shared: journal entries (tuples and
         :class:`~rpoolsim.ledger.Transfer` rows), unsettled records, cases,
         bids, swap receipts, fills, key bytes and the stateless signature
         scheme.
         """
         new = _clone(self)
         base = new.base = _clone(self.base)
-        base.balances = dict(self.base.balances)
-        base.journal = list(self.base.journal)
+        base.balances = self.base.balances.copy()
+        base.journal = self.base.journal.copy()
 
         ledger = new.ledger = _clone(self.ledger)
         ledger.base = base
@@ -104,27 +107,29 @@ class World:
             copied.unwrap_disabled = acct.unwrap_disabled
             copied.unsettled_sum = acct.unsettled_sum
             copied.frozen_sum = acct.frozen_sum
-            copied.unsettled = list(acct.unsettled)
-        ledger.transfer_log = list(self.ledger.transfer_log)
-        ledger._outflows = {sender: list(out) for sender, out in self.ledger._outflows.items()}
-        ledger.cases = dict(self.ledger.cases)
+            copied.unsettled = acct.unsettled.copy()
+        ledger.transfer_log = self.ledger.transfer_log.copy()
+        outflows = ledger._outflows = {}
+        for sender, out in self.ledger._outflows.items():
+            outflows[sender] = out.copy()
+        ledger.cases = self.ledger.cases.copy()
 
         registry = new.registry = _clone(self.registry)
-        registry._signers = dict(self.registry._signers)
+        registry._signers = self.registry._signers.copy()
 
         pools = new.pools = {}
         for name, pool in self.pools.items():
             copied = pools[name] = _clone(pool)
             copied.ledger = ledger
             copied.registry = registry
-            copied.lp_holdings = dict(pool.lp_holdings)
-            copied.receipts = list(pool.receipts)
+            copied.lp_holdings = pool.lp_holdings.copy()
+            copied.receipts = pool.receipts.copy()
         books = new.books = {}
         for name, book in self.books.items():
             copied = books[name] = _clone(book)
             copied.ledger = ledger
-            copied.bids = dict(book.bids)
-            copied.fills = list(book.fills)
+            copied.bids = book.bids.copy()
+            copied.fills = book.fills.copy()
         return new
 
     def check_invariants(self) -> None:
@@ -153,9 +158,8 @@ class World:
 
 
 def _clone(obj):
-    """A new instance of ``obj``'s class whose attributes are ``obj``'s own
-    values: the caller replaces the mutable ones."""
+    """A new instance of ``obj``'s class given a copy of ``obj``'s instance
+    ``__dict__``: ``obj``'s values, of which the caller replaces the mutable."""
     new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__)
+    new.__dict__ = obj.__dict__.copy()
     return new
-

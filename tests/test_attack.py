@@ -345,8 +345,20 @@ class TestEndToEndReplay:
         with pytest.raises(OutOfRiskBounds):
             end_to_end_attack_replay(scenario, risk_bounds=(100000, PPM), model=model)
         assert end_to_end_attack_replay(scenario) == end_to_end_attack_replay(scenario)
+        # a capped and a bounded replay set only their own copy's pool
+        capped = scenario._replace(rate_ppm=min(scenario.rate_ppm, 500_000))
+        assert end_to_end_attack_replay(scenario, rate_cap_ppm=500_000) == simulate_attack(capped)
+        if scenario.rate_ppm > 900_000:
+            with pytest.raises(OutOfRiskBounds):
+                end_to_end_attack_replay(scenario, risk_bounds=(0, 900_000))
+        else:
+            bounded = end_to_end_attack_replay(scenario, risk_bounds=(0, 900_000))
+            assert bounded == simulate_attack(scenario)
         key = scenario.pool_total, scenario.lp_supply, scenario.stolen
         template, secret = _pre_swap_world(*key)
+        pool = template.pools["pool"]
+        assert (pool.rate_cap_ppm, pool.risk_bounds) == (PPM, (0, PPM))
+        assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
         fresh, fresh_secret = _pre_swap_world.__wrapped__(*key)
         assert _template_state(template) == _template_state(fresh)
         assert secret == fresh_secret

@@ -629,6 +629,66 @@ class TestOnePassTransfer:
         )
 
 
+class TestFoldGuards:
+    """A freeze folds each target, and a recovery its victim, only when the
+    account's oldest record is due: due exactly at ``now`` it is folded, due
+    at ``now + 1`` it is left.  A refused call folds nothing."""
+
+    @pytest.mark.parametrize(
+        "now, settled, records, marks",
+        [
+            (WINDOW, 10, [(WINDOW + 5, 2, 15)], (("a", (WINDOW + 5, 2), 5),)),
+            (WINDOW - 1, 0, [(WINDOW, 1, 5), (WINDOW + 5, 2, 20)], (("a", (WINDOW, 1), 5),)),
+        ],
+        ids=["due-at-now", "due-at-now+1"],
+    )
+    def test_a_freeze_target(self, world, now, settled, records, marks):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "a", 10, now=0, source="f1")  # due at WINDOW
+        give_unsettled(base, ledger, "a", 20, now=5, source="f2")  # due at WINDOW + 5
+        snapshot, mark = world.snapshot(), ledger.mark()
+        with pytest.raises(InsufficientUnsettled):
+            ledger.freeze(ARB, [("a", 31 - settled)], "c1", now)  # one above what is freezable
+        assert (world.snapshot(), ledger.mark()) == (snapshot, mark)
+
+        ledger.freeze(ARB, [("a", 5)], "c1", now)
+        assert ledger.settle_view("a", now) == (settled, 30 - settled)
+        assert ledger.accounts["a"].unsettled == records
+        assert ledger.accounts["a"].settled == settled
+        assert ledger.cases["c1"].marks == marks
+        assert ledger.nonce("a") == 3
+        assert ledger.effects_since(mark) == {"a": {"nonce": 1}}
+        ledger.check_invariants()
+
+    @pytest.mark.parametrize(
+        "now, view, records",
+        [(WINDOW, (17, 0), []), (WINDOW - 1, (10, 7), [(WINDOW, 1, 7)])],
+        ids=["due-at-now", "due-at-now+1"],
+    )
+    def test_a_recovery_victim(self, world, now, view, records):
+        base, ledger = world.base, world.ledger
+        give_unsettled(base, ledger, "v", 7, now=0, source="f1")  # due at WINDOW
+        give_unsettled(base, ledger, "a", 10, now=0, source="f2")
+        ledger.freeze(ARB, [("a", 10)], "c1", 0)
+        snapshot, mark = world.snapshot(), ledger.mark()
+        with pytest.raises(NotArbitrator):
+            ledger.recover("mallory", "c1", "v", now)
+        with pytest.raises(UnknownCase):
+            ledger.recover(ARB, "c2", "v", now)
+        assert (world.snapshot(), ledger.mark()) == (snapshot, mark)
+
+        assert ledger.recover(ARB, "c1", "v", now) == 10
+        assert ledger.settle_view("v", now) == view
+        assert ledger.accounts["v"].unsettled == records
+        assert ledger.accounts["v"].settled == view[0]  # a fold leaves nothing due
+        assert ledger.nonce("v") == 2
+        assert ledger.effects_since(mark) == {
+            "a": {"unsettled": -10, "nonce": 1},
+            "v": {"settled": 10, "nonce": 1},
+        }
+        ledger.check_invariants()
+
+
 class TestCheckAmount:
     """The fast path for a positive ``int`` changes no outcome."""
 

@@ -365,11 +365,14 @@ RESERVED = "'arb' is reserved and cannot hold an account"
 GENESIS_REFUSALS = [
     ("config arbitrator=arb\naccount arb settled=5", f"2:9: {RESERVED}"),
     ("config arbitrator=arb\npool arb kappa_ppm=500000", f"2:6: {RESERVED}"),
-    ("pool p kappa_ppm=500000 risk_lo_ppm=1000001", "1:6: rate 1000001 ppm outside [0, 1000000]"),
-    ("pool p kappa_ppm=500000 risk_hi_ppm=1000001", "1:6: rate 1000001 ppm outside [0, 1000000]"),
+    ("pool p kappa_ppm=500000 risk_lo_ppm=1000001",
+     "1:6: risk_lo_ppm 1000001 ppm outside [0, 1000000]"),
+    ("pool p kappa_ppm=500000 risk_hi_ppm=1000001",
+     "1:6: risk_hi_ppm 1000001 ppm outside [0, 1000000]"),
     ("pool p kappa_ppm=500000 risk_lo_ppm=600000 risk_hi_ppm=500000",
      "1:6: risk bounds out of order"),
-    ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "1:6: rate 1000001 ppm outside [0, 1000000]"),
+    ("pool p kappa_ppm=500000 rate_cap_ppm=1000001",
+     "1:6: rate_cap_ppm 1000001 ppm outside [0, 1000000]"),
     ("pool p kappa_ppm=500000 min_quorum=0", "1:6: quorum must be at least 1"),
     ("pool p2 kappa_ppm=0", f"1:6: {KAPPA}"),
     ("pool p kappa_ppm=1000000", f"1:6: {KAPPA}"),
