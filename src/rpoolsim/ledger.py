@@ -9,39 +9,39 @@ record whose window restarts at the recipient; the record is named by the
 transfer that made it, so a transfer id names both.
 
 Settlement is lazy: there is no background job.  Maturity is evaluated
-against the caller-supplied clock, and mutating operations fold matured
-records into the settled balance before acting.  A record is settled once
-``now >= settlement_time``.  Every balance read and every debit sees an
-account through one view at ``now``, ``_view``: its effective settled,
-unsettled and frozen balances, and ``movable``, the value of the matured
-records, which a fold at ``now`` would settle.  A transfer or an unwrap
-folds the sender, a freeze each target and a recovery its victim, only
-when the account's oldest record is due, since a fold changes nothing
-otherwise.
+against the caller-supplied clock: a record is settled once ``now >=
+settlement_time``.  Every balance read and every debit sees an account
+through one view at ``now``, ``_view``: its effective settled, unsettled
+and frozen balances, and ``movable``, the value of the matured records,
+which a fold at ``now`` would settle.
+
+Three module-level primitives are the only code that edits an account's
+records and its ``unsettled_sum``: ``_fold`` settles the matured records,
+``_take`` takes value from the head of the list, and ``_put`` adds value at
+a key.  Only a debit folds, as a fold changes no view at or after its time:
+a transfer or an unwrap its sender and a freeze each target, before taking
+value and only when its own check found matured value.  A fold is final: a
+view at an earlier time, for a clock that goes back, sees its value settled.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
-any ``now`` the matured records form a prefix of the list.  A fold moves
-that prefix to the settled balance, and a spend or a freeze takes value
-from the head of the list through one walk, ``_take``.  A new record is due
-at ``now + recovery_window`` and its transfer id is the highest yet, so
-while the caller's clock never goes back it sorts last and is appended.
-Only a record due before the recipient's last one (the clock went back) is
-inserted by bisection.
+any ``now`` the matured records form a prefix of the list.  A new record is
+due at ``now + recovery_window`` and its transfer id is the highest yet, so
+while the caller's clock never goes back it sorts last and ``_put`` appends
+it.  Only a record due before the recipient's last one (the clock went
+back) is inserted by bisection.
 
 Frozen value lives in its case, not in the records.  A freeze takes the
 value out of the account's records and keeps it as the case's marks,
 ``(account, key, amount)``, where the key ``(settlement_time,
 transfer_id)`` names the record it came from; frozen value therefore
 neither matures nor can be spent.  A recovery credits the marked total to
-the victim and touches no record.  A release returns each mark's value to
-the record with its key: it adds to the record if one is left, or inserts a
-new one there by bisection.
+the victim and touches no record.  A release puts each mark's value back
+at its key: it adds to the record if one is left, or inserts a new one.
 
 Each account also carries ``unsettled_sum``, the total of its records, and
-``frozen_sum``, the total of the open cases' marks on it.  They are derived
-values, updated wherever a record or a case changes, so that balance views
-cost the matured prefix instead of the whole list;
-:meth:`WrapperLedger.check_invariants` recounts them.
+``frozen_sum``, the total of the open cases' marks on it.  These derived
+values let a balance view cost the matured prefix instead of the whole
+list; :meth:`WrapperLedger.check_invariants` recounts them.
 
 Records and cases are immutable values: an operation that changes one
 puts a new value in its place in the account's list or in ``cases``, so a
@@ -140,6 +140,9 @@ class UnsettledRecord(NamedTuple):
 
 
 class Account:
+    """One wrapper account.  Only ``_fold``, ``_put`` and ``_take`` edit its
+    records and ``unsettled_sum``."""
+
     __slots__ = (
         "settled", "unsettled", "nonce", "unwrap_disabled", "unsettled_sum", "frozen_sum"
     )
@@ -218,6 +221,36 @@ def _view(acct: Account | None, now: int) -> tuple[int, int, int, int]:
         movable += amount
     frozen = acct.frozen_sum
     return acct.settled + movable, acct.unsettled_sum - movable + frozen, frozen, movable
+
+
+def _fold(acct: Account, now: int) -> None:
+    """Move ``acct``'s matured records into its settled balance."""
+    records = acct.unsettled
+    moved = matured = 0
+    for time, _, amount in records:
+        if time > now:
+            break
+        matured += 1
+        moved += amount
+    acct.settled += moved
+    acct.unsettled_sum -= moved
+    del records[:matured]
+
+
+def _put(acct: Account, due: int, transfer_id: int, amount: int) -> None:
+    """Add ``amount`` to ``acct``'s records at the key ``(due, transfer_id)``:
+    append a key that sorts last, else add to or insert at its bisected place."""
+    records = acct.unsettled
+    acct.unsettled_sum += amount
+    key = (due, transfer_id)
+    if not records or records[-1] < key:  # a record with the key sorts after it
+        records.append(_new_record((due, transfer_id, amount)))
+        return
+    index = bisect.bisect_left(records, key)
+    if index < len(records) and records[index].transfer_id == transfer_id:
+        records[index] = _new_record((due, transfer_id, records[index].amount + amount))
+    else:
+        records.insert(index, _new_record((due, transfer_id, amount)))
 
 
 def _take(acct: Account, amount: int) -> list[tuple[tuple[int, int], int]]:
@@ -319,20 +352,6 @@ class WrapperLedger:
             acct = self.accounts[name] = Account()
         return acct
 
-    def _settle_account(self, acct: Account, now: int) -> None:
-        """Fold the matured records into the settled balance."""
-        records = acct.unsettled
-        moved = matured = 0
-        for time, _, amount in records:
-            if time > now:
-                break
-            matured += 1
-            moved += amount
-        if matured:
-            acct.settled += moved
-            acct.unsettled_sum -= moved
-            del records[:matured]
-
     # -- views ---------------------------------------------------------------
 
     def settle_view(self, account: str, now: int) -> tuple[int, int]:
@@ -410,7 +429,6 @@ class WrapperLedger:
                 f"{caller} holds {self.base.balance(caller)} base, needs {amount}"
             )
         acct = self._account(caller)
-        self._settle_account(acct, now)
         self.base.transfer(caller, self.address, amount)
         acct.settled += amount
         acct.nonce += 1
@@ -433,7 +451,7 @@ class WrapperLedger:
             )
         # a positive amount was covered, so the caller has an account
         if movable:
-            self._settle_account(acct, now)
+            _fold(acct, now)
         acct.settled -= amount
         acct.nonce += 1
         self.base.transfer(self.address, to, amount)
@@ -497,7 +515,7 @@ class WrapperLedger:
         # a positive amount was covered, so the sender has an account
         recipient_acct = self.accounts.get(recipient) or self._account(recipient)
         if movable:
-            self._settle_account(acct, now)
+            _fold(acct, now)
         # settled is what this mode may draw from the settled balance; the
         # check above proved that the records hold the rest
         from_settled = settled if settled < amount else amount
@@ -507,15 +525,7 @@ class WrapperLedger:
             _take(acct, unsettled_spent)
 
         transfer_id = len(self.transfer_log) + 1
-        due = now + self.recovery_window
-        record = _new_record((due, transfer_id, amount))
-        records = recipient_acct.unsettled
-        # the new id is the highest yet, so an equal due time sorts last too
-        if not records or records[-1].settlement_time <= due:
-            records.append(record)
-        else:
-            bisect.insort(records, record)
-        recipient_acct.unsettled_sum += amount
+        _put(recipient_acct, now + self.recovery_window, transfer_id, amount)
         entry = _new_transfer(
             ("transfer", sender, recipient, amount, mode, now, transfer_id, unsettled_spent)
         )
@@ -565,7 +575,7 @@ class WrapperLedger:
             acct = self.accounts[account]
             # a positive total was covered, so the account holds a record
             if acct.unsettled[0].settlement_time <= now:
-                self._settle_account(acct, now)
+                _fold(acct, now)
             for key, taken in _take(acct, total):
                 marks.append((account, key, taken))
             acct.frozen_sum += total
@@ -579,8 +589,6 @@ class WrapperLedger:
         """Move all frozen value of the case into the victim's settled balance."""
         self._check_active(caller, case_id)
         victim_acct = self._account(victim)
-        if victim_acct.unsettled and victim_acct.unsettled[0].settlement_time <= now:
-            self._settle_account(victim_acct, now)
         total = self._close(case_id, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
@@ -607,25 +615,17 @@ class WrapperLedger:
         ``status`` and return the marked total.
 
         A recovery touches no record: the caller credits the total.  A
-        release returns each mark's value to the record with the mark's
-        key, found by bisection: it adds to the record if one is left, or
-        inserts a new one there, which matures at its own time."""
+        release puts each mark's value back at its key, through ``_put``."""
         marks = self.cases[case_id].marks
         released = status == "released"
         total = 0
         marked = {}  # each marked account once, in mark order
-        for account, key, amount in marks:
+        for account, (due, transfer_id), amount in marks:
             acct = marked[account] = self.accounts[account]
             acct.frozen_sum -= amount
             total += amount
             if released:
-                records = acct.unsettled
-                index = bisect.bisect_left(records, key)
-                if index < len(records) and records[index].transfer_id == key[1]:
-                    records[index] = _new_record((*key, records[index].amount + amount))
-                else:
-                    records.insert(index, _new_record((*key, amount)))
-                acct.unsettled_sum += amount
+                _put(acct, due, transfer_id, amount)
         for acct in marked.values():
             acct.nonce += 1
         self.cases[case_id] = _new_case((marks, status))

@@ -14,6 +14,20 @@ def world():
     return World(recovery_window=WINDOW, arbitrator=ARB)
 
 
+def full_state(world):
+    """The snapshot, plus the parts it counts but does not list: the
+    journal, the transfer log and outflow index, receipts and fills."""
+    ledger = world.ledger
+    return (
+        world.snapshot(),
+        list(world.base.journal),
+        list(ledger.transfer_log),
+        {sender: list(out) for sender, out in ledger._outflows.items()},
+        {name: list(pool.receipts) for name, pool in world.pools.items()},
+        {name: list(book.fills) for name, book in world.books.items()},
+    )
+
+
 def make_pool(
     world,
     *,

@@ -28,7 +28,7 @@ from rpoolsim.attack import _pre_swap_world
 from rpoolsim.errors import InvalidScenario, OutOfRiskBounds, ZeroShort
 from rpoolsim.rates import PPM
 
-from conftest import criterion6_grid
+from conftest import criterion6_grid, full_state
 
 
 def scn(pool_total=1000, lp_supply=1000, collateral=100, shorted=100, stolen=1000, rate_ppm=950000):
@@ -360,7 +360,7 @@ class TestEndToEndReplay:
         assert (pool.rate_cap_ppm, pool.risk_bounds) == (PPM, (0, PPM))
         assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
         fresh, fresh_secret = _pre_swap_world.__wrapped__(*key)
-        assert _template_state(template) == _template_state(fresh)
+        assert full_state(template) == full_state(fresh)
         assert secret == fresh_secret
         worked = scn(rate_ppm=950000)
         assert end_to_end_attack_replay(worked) == simulate_attack(worked)
@@ -459,15 +459,6 @@ class TestEndToEndReplay:
                 pool_total, lp_supply, rng.randrange(0, 5000), shorted, stolen, rate_ppm
             )
             assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
-
-
-def _template_state(world):
-    return (
-        world.snapshot(),
-        world.base.journal,
-        world.ledger.transfer_log,
-        world.pools["pool"].receipts,
-    )
 
 
 class TestReplayUsesConstantModel:

@@ -285,7 +285,7 @@ _CALLED_UNNAMED = {
 
 
 def _defined_functions(tree: ast.Module):
-    """(qualified name, name) of every function and method in a module,
+    """(qualified name, node) of every function and method in a module,
     nested ones included, with their classes' and functions' names."""
     stack = [(node, "") for node in tree.body]
     while stack:
@@ -293,7 +293,7 @@ def _defined_functions(tree: ast.Module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualname = prefix + node.name
             if not isinstance(node, ast.ClassDef):
-                yield qualname, node.name
+                yield qualname, node
             stack.extend((child, qualname + ".") for child in node.body)
         else:
             stack.extend((child, prefix) for child in ast.iter_child_nodes(node))
@@ -329,8 +329,35 @@ def test_every_function_in_src_is_referenced():
     unreferenced = []
     for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for qualname, name in _defined_functions(tree):
+        for qualname, node in _defined_functions(tree):
+            name = node.name
             dunder = name.startswith("__") and name.endswith("__")
             if not dunder and name not in named and qualname not in _CALLED_UNNAMED:
                 unreferenced.append(f"{path.name}:{qualname}")
     assert unreferenced == []
+
+
+def test_only_three_primitives_edit_an_accounts_records():
+    # one owner for the records and their cached total: in the ledger only
+    # _fold, _put and _take assign unsettled_sum, apart from the 0 that
+    # Account.__init__ starts it at, and only _put and _take build a record
+    tree = ast.parse((ROOT / "src" / "rpoolsim" / "ledger.py").read_text())
+    owner = {}  # node -> the innermost function around it
+    for qualname, function in sorted(_defined_functions(tree), key=lambda pair: len(pair[0])):
+        owner.update((node, qualname) for node in ast.walk(function))
+    sum_writers, record_builders = set(), set()
+    for node in ast.walk(tree):
+        where = owner.get(node, "<module>")
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            starts_at_zero = where == "Account.__init__" and ast.unparse(node.value) == "0"
+            if not starts_at_zero and any(
+                isinstance(target, ast.Attribute) and target.attr == "unsettled_sum"
+                for top in targets
+                for target in ast.walk(top)
+            ):
+                sum_writers.add(where)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_new_record":
+            record_builders.add(where)
+    assert sum_writers == {"_fold", "_put", "_take"}
+    assert record_builders == {"_put", "_take"}

@@ -15,9 +15,11 @@ from rpoolsim.cli import main
 from rpoolsim.errors import ReservedName, ZeroAmount
 from rpoolsim.ledger import WrapperLedger
 from rpoolsim.runner import EXPECTATIONS, EventRecord, ScenarioRunner, run_scenario
+from rpoolsim.orderbook import CANCELLED, FILLED, OPEN
 from rpoolsim.scenario import (
     ACTION_SPECS,
     ASSERT_KINDS,
+    BID_STATUSES,
     ParseError,
     PoolSpec,
     ScenarioScript,
@@ -169,6 +171,32 @@ def test_runner_tables_cover_the_scenario_schema():
         if key.startswith("expect")
     }
     assert EXPECTATIONS.keys() == expect_keys
+
+
+#: what an assert step's selector fields name in _RICH_WORLD; every other
+#: field of an assert kind is a value to compare
+_ASSERT_SELECTORS = {"kind": None, "account": "alice", "pool": "p", "book": "ob", "bid": "b1"}
+
+
+def test_every_assert_value_field_is_compared():
+    # a value field that its kind's handler does not observe would be parsed
+    # and never compared, so its step would pass without a check
+    value_of_type = {"int": 7, "status": "cancelled"}
+    steps = []
+    for kind, (required, optional) in ASSERT_KINDS.items():
+        chosen = sorted(required & _ASSERT_SELECTORS.keys())
+        selectors = "".join(f" {key}={_ASSERT_SELECTORS[key]}" for key in chosen)
+        for field in sorted((required | optional) - _ASSERT_SELECTORS.keys()):
+            value = value_of_type[ACTION_SPECS["assert"][field][0]]
+            steps.append((f"at 2 assert kind={kind}{selectors} {field}={value}\n", value))
+    first = len(parse_scenario(_RICH_WORLD).steps) + 1
+    result = run_scenario(parse_scenario(_RICH_WORLD + "".join(line for line, _ in steps)))
+    assert len(steps) == 10
+    assert [(a.seq, a.expected) for a in result.assertions] == [
+        (seq, value) for seq, (_, value) in enumerate(steps, start=first)
+    ]
+    # the parser may not import the order book, so it spells the statuses too
+    assert BID_STATUSES == (OPEN, CANCELLED, FILLED)
 
 
 def test_state_digest_is_stable_over_noops():
@@ -656,6 +684,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.90909" in out
         assert "SAFE" in out
+
+    def test_check_attack_rates_may_leave_out_the_whole_part(self, capsys):
+        assert main(["check-attack", "--short-fraction", ".1", "--rate", ".5"]) == 0
+        dotted = capsys.readouterr().out
+        assert "shorted (l):           100\n" in dotted
+        assert "rate (x/p):            0.5\n" in dotted
+        assert main(["check-attack", "--short-fraction", "0.1", "--rate", "0.5"]) == 0
+        assert capsys.readouterr().out == dotted
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            (".", "malformed rate '0.'"),
+            ("1.", "malformed rate '1.'"),
+            (".1234567", "rate '0.1234567' has more than six decimal places"),
+        ],
+    )
+    def test_check_attack_refuses_a_point_without_its_digits(self, capsys, rate, message):
+        # a leading point is read as "0.", and the message quotes the rate as read
+        assert main(["check-attack", "--rate", rate]) == 2
+        assert capsys.readouterr().err == f"--rate: {message}\n"
 
     def test_check_attack_assert_safe_fails_on_hot_rate(self, capsys):
         assert main(["check-attack", "--rate", "0.95", "--assert-safe"]) == 1

@@ -189,6 +189,15 @@ def test_fmt_without_steps_ends_at_last_header_line():
     assert format_scenario(parse_scenario(config_only)) == config_only
 
 
+def test_a_rate_may_leave_out_its_whole_part(tmp_path, capsys):
+    # RATE ".5" is 0.5, as rates.parse_rate says; fmt writes it as "0.5"
+    path = tmp_path / "dot.scn"
+    path.write_text("signer s model=constant rate=.5\n")
+    assert parse_scenario(path.read_text()).signers[0].rate == 500_000
+    assert main(["fmt", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\n\nsigner s model=constant rate=0.5\n")
+
+
 def test_fmt_drops_comments():
     commented = HEADER + "# steps\nat 0 wrap account=alice amount=5#inline\n"
     plain = HEADER + "at 0 wrap account=alice amount=5\n"

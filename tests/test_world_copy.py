@@ -17,6 +17,7 @@ from rpoolsim.rates import PPM
 from rpoolsim.runner import ScenarioRunner
 from rpoolsim.scenario import parse_scenario
 
+from conftest import full_state
 from naive_ledger import assert_indexes_match, assert_matches, replay
 from test_runner import _RICH_WORLD
 
@@ -84,20 +85,6 @@ def reachable(root):
             if hasattr(obj, "__dict__"):
                 stack.append(vars(obj))
     return seen
-
-
-def full_state(world):
-    """The snapshot, plus the parts it counts but does not list: the
-    journal, the transfer log and outflow index, receipts and fills."""
-    ledger = world.ledger
-    return (
-        world.snapshot(),
-        list(world.base.journal),
-        list(ledger.transfer_log),
-        {sender: list(out) for sender, out in ledger._outflows.items()},
-        {name: list(pool.receipts) for name, pool in world.pools.items()},
-        {name: list(book.fills) for name, book in world.books.items()},
-    )
 
 
 def further_operations(world, now):
