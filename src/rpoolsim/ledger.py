@@ -18,25 +18,23 @@ which a fold at ``now`` would settle.
 Three module-level primitives are the only code that edits an account's
 records and its ``unsettled_sum``: ``_fold`` settles the matured records,
 ``_take`` takes value from the head of the list, and ``_put`` adds value at
-a key.  Only a debit folds, as a fold changes no view at or after its time:
-a transfer or an unwrap its sender and a freeze each target, before taking
-value and only when its own check found matured value.  A fold is final: a
-view at an earlier time, for a clock that goes back, sees its value settled.
+a key.  Before acting, a wrap folds its caller, a transfer or an unwrap its
+sender, a freeze each target and a recovery its victim, each only when the
+account's oldest record is due, since a fold changes nothing otherwise.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list.  A new record is
 due at ``now + recovery_window`` and its transfer id is the highest yet, so
-while the caller's clock never goes back it sorts last and ``_put`` appends
-it.  Only a record due before the recipient's last one (the clock went
-back) is inserted by bisection.
+while the caller's clock never goes back ``_put`` appends it; only a record
+due before the recipient's last one is inserted by bisection.
 
 Frozen value lives in its case, not in the records.  A freeze takes the
 value out of the account's records and keeps it as the case's marks,
 ``(account, key, amount)``, where the key ``(settlement_time,
 transfer_id)`` names the record it came from; frozen value therefore
 neither matures nor can be spent.  A recovery credits the marked total to
-the victim and touches no record.  A release puts each mark's value back
-at its key: it adds to the record if one is left, or inserts a new one.
+the victim and touches no record; a release puts each mark's value back at
+its key, adding to the record if one is left or inserting a new one.
 
 Each account also carries ``unsettled_sum``, the total of its records, and
 ``frozen_sum``, the total of the open cases' marks on it.  These derived
@@ -429,6 +427,8 @@ class WrapperLedger:
                 f"{caller} holds {self.base.balance(caller)} base, needs {amount}"
             )
         acct = self._account(caller)
+        if acct.unsettled and acct.unsettled[0].settlement_time <= now:
+            _fold(acct, now)
         self.base.transfer(caller, self.address, amount)
         acct.settled += amount
         acct.nonce += 1
@@ -589,6 +589,8 @@ class WrapperLedger:
         """Move all frozen value of the case into the victim's settled balance."""
         self._check_active(caller, case_id)
         victim_acct = self._account(victim)
+        if victim_acct.unsettled and victim_acct.unsettled[0].settlement_time <= now:
+            _fold(victim_acct, now)
         total = self._close(case_id, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
@@ -612,10 +614,8 @@ class WrapperLedger:
     def _close(self, case_id: str, status: str) -> int:
         """Take each mark's value out of its account's ``frozen_sum``, count
         the close once in each marked account's nonce, close the case as
-        ``status`` and return the marked total.
-
-        A recovery touches no record: the caller credits the total.  A
-        release puts each mark's value back at its key, through ``_put``."""
+        ``status`` and return the marked total.  A release puts each mark's
+        value back at its key; a recovery leaves the caller to credit it."""
         marks = self.cases[case_id].marks
         released = status == "released"
         total = 0

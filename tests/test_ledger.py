@@ -410,18 +410,19 @@ class TestPrefixWalks:
         give_unsettled(base, ledger, "a", 30, now=200, source="f3")
         acct = ledger.accounts["a"]
         assert [r.transfer_id for r in acct.unsettled] == [2, 3]
-        ledger.unwrap("a", 5, WINDOW + 100)  # folds the 20; the frozen 10 is in c1
+        base.mint("a", 5)
+        ledger.wrap("a", 5, WINDOW + 100)  # folds the 20; the frozen 10 is in c1
         assert acct.unsettled == [(200 + WINDOW, 3, 30)]
         ledger.transfer("a", "b", 5, False, WINDOW + 150)  # a later fold
         assert acct.unsettled == [(200 + WINDOW, 3, 30)]
-        assert ledger.settle_view("a", WINDOW + 150) == (10, 40)
+        assert ledger.settle_view("a", WINDOW + 150) == (20, 40)
         ledger.release(ARB, "c1", WINDOW + 150)
         # back at its key, ahead of the later record, and due already
         assert acct.unsettled == [(WINDOW, 1, 10), (200 + WINDOW, 3, 30)]
-        assert ledger.settle_view("a", WINDOW + 150) == (20, 30)
+        assert ledger.settle_view("a", WINDOW + 150) == (30, 30)
         ledger.transfer("a", "b", 1, False, WINDOW + 150)
         assert [r.amount for r in acct.unsettled] == [30]
-        assert (acct.settled, acct.unsettled_sum, acct.frozen_sum) == (19, 30, 0)
+        assert (acct.settled, acct.unsettled_sum, acct.frozen_sum) == (29, 30, 0)
         ledger.check_invariants()
 
     def test_spend_passes_over_a_frozen_record_in_the_middle(self, world):
@@ -629,10 +630,9 @@ class TestOnePassTransfer:
 
 
 class TestFoldGuards:
-    """A freeze folds each target only when the account's oldest record is
-    due: due exactly at ``now`` it is folded, due at ``now + 1`` it is left.
-    A recovery credits its victim and folds nothing, as no credit does.  A
-    refused call folds nothing."""
+    """A freeze folds each target, and a recovery its victim, only when the
+    account's oldest record is due: due exactly at ``now`` it is folded, due
+    at ``now + 1`` it is left.  A refused call folds nothing."""
 
     @pytest.mark.parametrize(
         "now, settled, records, marks",
@@ -662,7 +662,7 @@ class TestFoldGuards:
 
     @pytest.mark.parametrize(
         "now, view, records",
-        [(WINDOW, (17, 0), [(WINDOW, 1, 7)]), (WINDOW - 1, (10, 7), [(WINDOW, 1, 7)])],
+        [(WINDOW, (17, 0), []), (WINDOW - 1, (10, 7), [(WINDOW, 1, 7)])],
         ids=["due-at-now", "due-at-now+1"],
     )
     def test_a_recovery_victim(self, world, now, view, records):
@@ -680,24 +680,12 @@ class TestFoldGuards:
         assert ledger.recover(ARB, "c1", "v", now) == 10
         assert ledger.settle_view("v", now) == view
         assert ledger.accounts["v"].unsettled == records
-        assert ledger.accounts["v"].settled == 10  # the due 7 is left in its record
+        assert ledger.accounts["v"].settled == view[0]  # a fold leaves nothing due
         assert ledger.nonce("v") == 2
         assert ledger.effects_since(mark) == {
             "a": {"unsettled": -10, "nonce": 1},
             "v": {"settled": 10, "nonce": 1},
         }
-        ledger.check_invariants()
-
-
-    def test_a_credit_leaves_a_due_record_for_a_clock_that_goes_back(self, world):
-        base, ledger = world.base, world.ledger
-        give_unsettled(base, ledger, "a", 10, now=0)  # due at WINDOW
-        base.mint("a", 5)
-        ledger.wrap("a", 5, WINDOW)
-        assert ledger.settle_view("a", WINDOW) == (15, 0)
-        assert ledger.settle_view("a", WINDOW - 1) == (5, 10)
-        ledger.transfer("a", "b", 1, False, WINDOW)  # a debit's fold is final
-        assert ledger.settle_view("a", WINDOW - 1) == (14, 0)
         ledger.check_invariants()
 
 

@@ -337,27 +337,70 @@ def test_every_function_in_src_is_referenced():
     assert unreferenced == []
 
 
-def test_only_three_primitives_edit_an_accounts_records():
-    # one owner for the records and their cached total: in the ledger only
-    # _fold, _put and _take assign unsettled_sum, apart from the 0 that
-    # Account.__init__ starts it at, and only _put and _take build a record
-    tree = ast.parse((ROOT / "src" / "rpoolsim" / "ledger.py").read_text())
+#: list methods that change a list in place
+_LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def _record_owners(source: str) -> tuple[set[str], set[str], set[str]]:
+    """The functions of a ledger module that edit a record list, that
+    assign ``unsettled_sum`` and that call ``_new_record``, by qualified
+    name.  A record list is an ``.unsettled`` attribute or a local name
+    bound to one; an edit is a list method from ``_LIST_EDITS``, a
+    ``bisect.insort``, an item or slice store or ``del``, an augmented
+    assignment or a new list.  ``Account.__init__`` starting a list at
+    ``[]`` or a sum at ``0`` is not counted."""
+    tree = ast.parse(source)
     owner = {}  # node -> the innermost function around it
     for qualname, function in sorted(_defined_functions(tree), key=lambda pair: len(pair[0])):
         owner.update((node, qualname) for node in ast.walk(function))
-    sum_writers, record_builders = set(), set()
+    aliases = {}  # function -> the local names bound to a record list
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and ast.unparse(node.value).endswith(".unsettled"):
+            names = {target.id for target in node.targets if isinstance(target, ast.Name)}
+            aliases.setdefault(owner.get(node), set()).update(names)
+
+    def is_records(expr, where):
+        if isinstance(expr, ast.Name):
+            return expr.id in aliases.get(where, ())
+        return isinstance(expr, ast.Attribute) and expr.attr == "unsettled"
+
+    editors, sum_writers, record_builders = set(), set(), set()
     for node in ast.walk(tree):
         where = owner.get(node, "<module>")
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            starts_at_zero = where == "Account.__init__" and ast.unparse(node.value) == "0"
-            if not starts_at_zero and any(
-                isinstance(target, ast.Attribute) and target.attr == "unsettled_sum"
-                for top in targets
-                for target in ast.walk(top)
-            ):
-                sum_writers.add(where)
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_new_record":
-            record_builders.add(where)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            if where == "Account.__init__" and ast.unparse(node.value) in ("0", "[]"):
+                continue
+            if isinstance(node, ast.AugAssign) and is_records(node.target, where):
+                editors.add(where)
+            for target in (inner for top in targets for inner in ast.walk(top)):
+                if not isinstance(getattr(target, "ctx", None), (ast.Store, ast.Del)):
+                    continue
+                if isinstance(target, ast.Attribute) and target.attr == "unsettled_sum":
+                    sum_writers.add(where)
+                elif isinstance(target, ast.Attribute) and target.attr == "unsettled":
+                    editors.add(where)
+                elif isinstance(target, ast.Subscript) and is_records(target.value, where):
+                    editors.add(where)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if ast.unparse(func) == "_new_record":
+                record_builders.add(where)
+            elif isinstance(func, ast.Attribute) and func.attr in _LIST_EDITS:
+                if is_records(func.value, where):
+                    editors.add(where)
+            elif ast.unparse(func).startswith("bisect.insort") and node.args:
+                if is_records(node.args[0], where):
+                    editors.add(where)
+    return editors, sum_writers, record_builders
+
+
+def test_only_three_primitives_edit_an_accounts_records():
+    # one owner for the records and their cached total: in the ledger only
+    # _fold, _put and _take edit a record list or assign unsettled_sum, and
+    # only _put and _take build a record
+    source = (ROOT / "src" / "rpoolsim" / "ledger.py").read_text()
+    editors, sum_writers, record_builders = _record_owners(source)
+    assert editors == {"_fold", "_put", "_take"}
     assert sum_writers == {"_fold", "_put", "_take"}
     assert record_builders == {"_put", "_take"}
