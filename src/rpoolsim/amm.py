@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InsufficientLpTokens, InsufficientPoolSettled, PoolEmptied, UnwrapDisabled
-from .ledger import WrapperLedger, check_amount
+from .ledger import WrapperLedger, check_amount, slot_initializer
 from .oracle import RiskReport, SignerRegistry, validate_reports
 from .rates import DEFAULT_RATE_CAP_PPM, PPM, check_rate
 
@@ -53,16 +53,11 @@ def check_risk_bounds(risk_bounds: tuple[int, int]) -> None:
         raise ValueError("risk bounds out of order")
 
 
+@slot_initializer
 @dataclass(frozen=True, init=False)
 class SwapReceipt:
-    # Slotted by hand: slots=True would rebuild the class, and on Python
-    # 3.11 the rebuilt class's frozen __setattr__ raises TypeError for an
-    # unknown name.  init=False: the generated __init__ gets past the
-    # frozen __setattr__ with one object.__setattr__ call per field, which
-    # looks the field up on the class each time.  This one calls each
-    # slot's member descriptor, looked up once at import, and stores the
-    # same values: 0.70 against 1.30 us a receipt by timeit, CPython 3.11.7
-    # on a 2-vCPU x86-64 host.
+    # slotted by hand and given its __init__ by slot_initializer: see the
+    # comment on the ledger's record builders
     __slots__ = (
         "requestor", "amount_in", "median_ppm", "multiplier_ppm", "rate_ppm", "amount_out",
         "time", "transfer_in_id",
@@ -76,34 +71,6 @@ class SwapReceipt:
     time: int
     #: ledger id of the inbound unsettled transfer; recovery plans start here
     transfer_in_id: int
-
-    def __init__(
-        self,
-        requestor: str,
-        amount_in: int,
-        median_ppm: int,
-        multiplier_ppm: int,
-        rate_ppm: int,
-        amount_out: int,
-        time: int,
-        transfer_in_id: int,
-    ) -> None:
-        (
-            set_requestor, set_amount_in, set_median_ppm, set_multiplier_ppm, set_rate_ppm,
-            set_amount_out, set_time, set_transfer_in_id,
-        ) = _RECEIPT_SETTERS
-        set_requestor(self, requestor)
-        set_amount_in(self, amount_in)
-        set_median_ppm(self, median_ppm)
-        set_multiplier_ppm(self, multiplier_ppm)
-        set_rate_ppm(self, rate_ppm)
-        set_amount_out(self, amount_out)
-        set_time(self, time)
-        set_transfer_in_id(self, transfer_in_id)
-
-
-#: each ``SwapReceipt`` slot's member-descriptor store, in field order
-_RECEIPT_SETTERS = tuple(getattr(SwapReceipt, name).__set__ for name in SwapReceipt.__slots__)
 
 
 class PoolState(NamedTuple):

@@ -131,22 +131,23 @@ def _cmd_check_attack(args: argparse.Namespace) -> int:
     # the attack lab (and Fraction) load here, so run and fmt never pay for them
     from .attack import AttackScenario, profitability_threshold, simulate_attack
 
-    lp_supply = args.lp_supply
-    if args.short_fraction is not None:
+    def rate_flag(flag: str, text: str) -> int | None:
+        """``text`` in ppm, or None once stderr says why it is refused."""
         try:
-            fraction_ppm = parse_rate(args.short_fraction)
+            return parse_rate(text)
         except ValueError as exc:
-            print(f"--short-fraction: {exc}", file=sys.stderr)
+            print(f"{flag}: {exc}", file=sys.stderr)
+            return None
+
+    lp_supply = args.lp_supply
+    shorted = lp_supply if args.short is None else args.short
+    if args.short_fraction is not None:
+        fraction_ppm = rate_flag("--short-fraction", args.short_fraction)
+        if fraction_ppm is None:
             return 2
         shorted = lp_supply * fraction_ppm // PPM
-    elif args.short is not None:
-        shorted = args.short
-    else:
-        shorted = lp_supply
-    try:
-        rate_ppm = parse_rate(args.rate)
-    except ValueError as exc:
-        print(f"--rate: {exc}", file=sys.stderr)
+    rate_ppm = rate_flag("--rate", args.rate)
+    if rate_ppm is None:
         return 2
     try:
         scenario = AttackScenario(

@@ -22,6 +22,14 @@ a key.  Before acting, a wrap folds its caller, a transfer or an unwrap its
 sender, a freeze each target and a recovery its victim, each only when the
 account's oldest record is due, since a fold changes nothing otherwise.
 
+A fold is final, so a view is exact only at or after the latest time an
+operation folded the account: ``_view``, and through it ``settle_view``,
+``balance_of`` and ``available_unsettled``, read value folded since an
+earlier ``now`` as settled though it was not due then.  A 10-token record
+due at 100 reads ``(0, 10)`` at 99; once a transfer at 100 folds it, it
+reads ``(9, 0)`` at 99.  The parser refuses a step time that goes back, so
+only a library caller can ask for such a view.
+
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list.  A new record is
 due at ``now + recovery_window`` and its transfer id is the highest yet, so
@@ -177,17 +185,42 @@ class Transfer(NamedTuple):
     unsettled_spent: int
 
 
-#: Builders for the ledger's own records and transfer rows.  Each takes one
-#: tuple of every field, in order, and returns an exact instance of its
-#: type, equal to what the constructor builds from the same fields.  The
-#: constructor a ``NamedTuple`` generates is a Python function that fills in
-#: defaults and then calls ``tuple.__new__``; calling ``tuple.__new__`` through
-#: ``partial`` skips that frame, which on CPython 3.11 takes about 40% off
-#: each build (500 vs 310 ns for a record, by ``timeit``).  Like
-#: ``_make`` without its length check, a builder trusts its caller to pass
-#: every field.
+#: Records are built one of two ways, each timed by ``timeit`` with CPython
+#: 3.11.7 on a 2-vCPU x86-64 host.  A named tuple's builder takes one tuple
+#: of every field, in order, and returns the instance its constructor would:
+#: calling ``tuple.__new__`` through ``partial`` skips the Python frame of
+#: the constructor ``NamedTuple`` generates (310 vs 500 ns a record).  Like
+#: ``_make`` without its length check, it trusts its caller to pass every
+#: field.  The two frozen dataclasses, ``SwapReceipt`` and ``Fill``, are
+#: slotted by hand: on Python 3.11 the class ``slots=True`` rebuilds has a
+#: frozen ``__setattr__`` that raises ``TypeError`` for an unknown name.
+#: Declared with ``init=False``, they take their ``__init__`` from
+#: :func:`slot_initializer`, which stores each field through its slot's
+#: member descriptor, looked up once at import; the dataclass's own calls
+#: ``object.__setattr__``, which looks the field up on the class each time
+#: (0.70 vs 1.30 us a receipt).
 _new_record = functools.partial(tuple.__new__, UnsettledRecord)
 _new_transfer = functools.partial(tuple.__new__, Transfer)
+
+
+def slot_initializer(cls: type) -> type:
+    """Give ``cls`` an ``__init__`` with one positional-or-keyword
+    parameter per name in its ``__slots__``, in order, that stores each
+    argument through that slot's member descriptor."""
+    names = cls.__slots__
+    stores = "".join(f"        set_{name}(self, {name})\n" for name in names)
+    source = (
+        f"def make({', '.join(f'set_{name}' for name in names)}):\n"
+        f"    def __init__(self, {', '.join(names)}):\n{stores}"
+        "    return __init__\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    init = namespace["make"](*(getattr(cls, name).__set__ for name in names))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 class Case(NamedTuple):
@@ -209,7 +242,8 @@ def _view(acct: Account | None, now: int) -> tuple[int, int, int, int]:
     """``acct``'s effective ``(settled, unsettled, frozen, movable)`` at
     ``now``, where ``movable`` is the value of the matured prefix: what a
     fold at ``now`` moves from unsettled to settled.  Frozen value counts
-    as unsettled.  No account reads as all zeros."""
+    as unsettled.  No account reads as all zeros.  Exact only at or after
+    the account's latest fold (see the module docstring)."""
     if acct is None:
         return 0, 0, 0, 0
     movable = 0
@@ -353,16 +387,20 @@ class WrapperLedger:
     # -- views ---------------------------------------------------------------
 
     def settle_view(self, account: str, now: int) -> tuple[int, int]:
-        """Effective (settled, unsettled) balances at ``now``; pure."""
+        """Effective (settled, unsettled) balances at ``now``; pure.  Exact
+        only at or after the account's latest fold (see the module docstring)."""
         settled, unsettled, _, _ = _view(self.accounts.get(account), now)
         return settled, unsettled
 
     def balance_of(self, account: str, include_unsettled: bool, now: int) -> int:
+        """The settled balance at ``now``, with the unsettled one if asked;
+        exact as :meth:`settle_view` is."""
         settled, unsettled = self.settle_view(account, now)
         return settled + unsettled if include_unsettled else settled
 
     def available_unsettled(self, account: str, now: int) -> int:
-        """Unsettled value at ``now`` that is not under an active freeze."""
+        """Unsettled value at ``now`` that is not under an active freeze;
+        exact as :meth:`settle_view` is."""
         _, unsettled, frozen, _ = _view(self.accounts.get(account), now)
         return unsettled - frozen
 

@@ -125,8 +125,10 @@ class RiskReport:
 class SignerRegistry:
     """Authorized rating entities and their verification keys."""
 
+    #: stateless, so one scheme serves every registry
+    scheme = HashSignatureScheme()
+
     def __init__(self) -> None:
-        self.scheme = HashSignatureScheme()
         self._signers: dict[str, tuple[bytes, bool]] = {}
 
     def register(self, signer_id: str, public_key: bytes, authorized: bool = True) -> None:

@@ -29,7 +29,7 @@ from .errors import (
     QuoteTooLow,
     StaleNonce,
 )
-from .ledger import WrapperLedger, check_amount
+from .ledger import WrapperLedger, check_amount, slot_initializer
 from .rates import PPM, ceil_div, check_rate
 
 OPEN = "open"
@@ -53,9 +53,10 @@ class Bid(NamedTuple):
 _new_bid = functools.partial(tuple.__new__, Bid)
 
 
+@slot_initializer
 @dataclass(frozen=True, init=False)
 class Fill:
-    # slotted by hand and built through its slots' member descriptors, as
+    # slotted by hand and given its __init__ by slot_initializer, as
     # SwapReceipt is
     __slots__ = (
         "bid_id", "lp", "bidder", "amount_unsettled", "base_paid", "time", "transfer_id",
@@ -67,32 +68,6 @@ class Fill:
     base_paid: int
     time: int
     transfer_id: int
-
-    def __init__(
-        self,
-        bid_id: int,
-        lp: str,
-        bidder: str,
-        amount_unsettled: int,
-        base_paid: int,
-        time: int,
-        transfer_id: int,
-    ) -> None:
-        (
-            set_bid_id, set_lp, set_bidder, set_amount_unsettled, set_base_paid, set_time,
-            set_transfer_id,
-        ) = _FILL_SETTERS
-        set_bid_id(self, bid_id)
-        set_lp(self, lp)
-        set_bidder(self, bidder)
-        set_amount_unsettled(self, amount_unsettled)
-        set_base_paid(self, base_paid)
-        set_time(self, time)
-        set_transfer_id(self, transfer_id)
-
-
-#: each ``Fill`` slot's member-descriptor store, in field order
-_FILL_SETTERS = tuple(getattr(Fill, name).__set__ for name in Fill.__slots__)
 
 
 class OrderBook:

@@ -89,8 +89,7 @@ class World:
         container's own ``.copy()``; each slotted account is rebuilt field
         by field.  Immutable parts are shared: journal entries (tuples and
         :class:`~rpoolsim.ledger.Transfer` rows), unsettled records, cases,
-        bids, swap receipts, fills, key bytes and the stateless signature
-        scheme.
+        bids, swap receipts, fills and key bytes.
         """
         new = _clone(self)
         base = new.base = _clone(self.base)

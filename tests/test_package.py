@@ -1,7 +1,7 @@
 """The package surface: which modules an import loads, the lazy public
 namespace, the immutability of the value records, the names the benchmark
-harness reaches into, and that every function in the library is named
-somewhere."""
+harness reaches into, that every function in the library is named
+somewhere and that every import is used."""
 
 import ast
 import dataclasses
@@ -238,6 +238,21 @@ def test_hashed_records_refuse_every_field_assignment(record):
     for name in _HASHED_FIELDS[type(record)]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record", [_RECEIPT, _FILL], ids=lambda value: type(value).__name__)
+def test_replace_changes_one_field_of_a_hashed_record(record):
+    # dataclasses.replace passes every field to __init__ by keyword
+    cls = type(record)
+    for n, name in enumerate(_HASHED_FIELDS[cls]):
+        values = list(dataclasses.astuple(record))
+        values[n] = "carol" if isinstance(values[n], str) else values[n] + 7
+        replaced = dataclasses.replace(record, **{name: values[n]})
+        assert type(replaced) is cls
+        assert replaced == cls(*values)
+        assert dataclasses.astuple(replaced) == tuple(values)
 
 
 @pytest.mark.parametrize(
@@ -335,6 +350,24 @@ def test_every_function_in_src_is_referenced():
             if not dunder and name not in named and qualname not in _CALLED_UNNAMED:
                 unreferenced.append(f"{path.name}:{qualname}")
     assert unreferenced == []
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads, outside __future__ imports
+    unused = []
+    for folder in (ROOT / "src" / "rpoolsim", ROOT / "tests"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert unused == []
 
 
 #: list methods that change a list in place

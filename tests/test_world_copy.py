@@ -11,7 +11,7 @@ import pytest
 from rpoolsim import ConstantRiskModel
 from rpoolsim.errors import RPoolError
 from rpoolsim.ledger import UnsettledRecord
-from rpoolsim.oracle import HashSignatureScheme, issue_report
+from rpoolsim.oracle import issue_report
 from rpoolsim.orderbook import OPEN
 from rpoolsim.rates import PPM
 from rpoolsim.runner import ScenarioRunner
@@ -41,13 +41,11 @@ _ATOMS = (int, str, bytes, float, type(None))
 
 def may_share(obj):
     """Whether two worlds may hold the same non-atom ``obj``: a tuple
-    (records, cases, bids, journal entries), a frozen dataclass (receipts,
-    fills) or the stateless signature scheme.  Anything else, including a
-    class added later, is mutable until this list says otherwise."""
-    return (
-        isinstance(obj, tuple)
-        or (dataclasses.is_dataclass(obj) and type(obj).__dataclass_params__.frozen)
-        or type(obj) is HashSignatureScheme
+    (records, cases, bids, journal entries) or a frozen dataclass (receipts,
+    fills).  Anything else, including a class added later, is mutable until
+    this list says otherwise."""
+    return isinstance(obj, tuple) or (
+        dataclasses.is_dataclass(obj) and type(obj).__dataclass_params__.frozen
     )
 
 
@@ -146,11 +144,7 @@ def test_copy_shares_no_mutable_object(source):
     world, _ = final_world(SOURCES[source])
     copy = world.copy()
     theirs, ours = reachable(world), reachable(copy)
-    # a shareable object's own instance dict (the scheme's) is shared with it
-    held = {id(vars(obj)) for obj in ours.values() if may_share(obj) and hasattr(obj, "__dict__")}
-    shared = [
-        obj for key, obj in ours.items() if key in theirs and key not in held and not may_share(obj)
-    ]
+    shared = [obj for key, obj in ours.items() if key in theirs and not may_share(obj)]
     assert not shared, shared
 
 
