@@ -36,8 +36,8 @@ model's breakdown.
 The live replay builds its pre-swap world (the LP deposit, any prior
 recovery, and the theft) once per ``(pool_total, lp_supply, stolen)``.
 Each replay forks it with one :meth:`~rpoolsim.world.World.copy`, sets the
-fork's risk bounds and rate cap, runs the swap and the recovery on the
-fork, and drops it: the cached world is never written to.
+fork's risk bounds, rate cap and lender's model, runs the swap and the
+recovery on the fork, and drops it: the cached world is never written to.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from .amm import check_risk_bounds
 from .errors import InvalidScenario, ZeroShort
-from .oracle import ConstantRiskModel, RatingEntity, RiskModel, issue_report
+from .oracle import ConstantRiskModel, RiskModel, issue_report
 from .rates import PPM, ceil_div, check_rate
 from .world import World
 
@@ -210,10 +210,10 @@ _VICTIM, _THIEF = "victim-protocol", "marvin"
 
 
 def _steal(ledger, victim, thief, amount, now):
-    """Mint and wrap ``amount`` at ``victim``, then move it to ``thief``."""
+    """Mint and wrap ``amount`` at ``victim``, then taint its move to ``thief``."""
     ledger.base.mint(victim, amount)
     ledger.wrap(victim, amount, now)
-    ledger.transfer(victim, thief, amount, False, now)
+    ledger.tainted.add(ledger.transfer(victim, thief, amount, False, now))
 
 
 def _swap_recover(pool, signer, victim, thief, amount, case, now):
@@ -229,8 +229,8 @@ def _swap_recover(pool, signer, victim, thief, amount, case, now):
 
 
 @lru_cache(maxsize=8)  # the criterion 6 grid visits its keys in runs
-def _pre_swap_world(pool_total: int, lp_supply: int, stolen: int) -> tuple[World, bytes]:
-    """The world just before the attack swap, and the lender's signing secret.
+def _pre_swap_world(pool_total: int, lp_supply: int, stolen: int) -> World:
+    """The world just before the attack swap.
 
     The lender deposits ``lp_supply`` into an uncapped pool with risk
     bounds ``[0, 1]``.  When ``pool_total`` is lower, a prior recovery
@@ -258,7 +258,7 @@ def _pre_swap_world(pool_total: int, lp_supply: int, stolen: int) -> tuple[World
         _steal(world.ledger, "early-victim", "early-thief", shortfall, now)
         _swap_recover(pool, lender, "early-victim", "early-thief", shortfall, "prior-case", now)
     _steal(world.ledger, _VICTIM, _THIEF, stolen, now)
-    return world, lender.secret
+    return world
 
 
 def end_to_end_attack_replay(
@@ -286,15 +286,15 @@ def end_to_end_attack_replay(
     check_rate(rate_cap_ppm)
     _swap_payout(scenario)
     pool_total, lp_supply, _, _, stolen, rate_ppm = scenario
-    template, secret = _pre_swap_world(pool_total, lp_supply, stolen)
-    world = template.copy()
+    world = _pre_swap_world(pool_total, lp_supply, stolen).copy()
     ledger, pool = world.ledger, world.pools["pool"]
     pool.risk_bounds = risk_bounds
     pool.rate_cap_ppm = rate_cap_ppm
 
     now = 0
     total_before = sum(ledger.settle_view("pool", now))
-    lender = RatingEntity("lender", secret, model or ConstantRiskModel(rate_ppm))
+    lender = world.signers["lender"]  # the fork's own entity
+    lender.model = model or ConstantRiskModel(rate_ppm)
     receipt = _swap_recover(pool, lender, _VICTIM, _THIEF, stolen, "theft-case", now)
     total_after = sum(ledger.settle_view("pool", now))
 

@@ -367,6 +367,8 @@ class WrapperLedger:
         #: sender -> its transfers with ``unsettled_spent > 0``
         self._outflows: dict[str, list[Transfer]] = {}
         self.cases: dict[str, Case] = {}
+        #: the ids of the transfers marked as thefts: what taint-aware models read
+        self.tainted: set[int] = set()
 
     # -- account plumbing ---------------------------------------------------
 

@@ -136,6 +136,8 @@ class SignerRegistry:
 
 
 class RiskModel(Protocol):
+    rate_ppm: int  # a world's snapshot lists it; its copy builds type(model)(rate_ppm)
+
     def quote(
         self, ledger: WrapperLedger, requestor: str, amount: int, now: int
     ) -> int: ...
@@ -153,30 +155,24 @@ class ConstantRiskModel:
         return self.rate_ppm
 
 
-class TaintAwareRiskModel:
+class TaintAwareRiskModel(ConstantRiskModel):
     """Quotes zero (maximal risk) for holders of tainted funds.
 
     A requestor still holding unsettled value of a record whose origin
-    transfer is in the tainted set (not yet due at ``now``, or frozen under
-    an open case) is rated unswappable; everyone else gets
-    ``clean_rate_ppm``.  The tainted set is shared with the scenario driver,
-    which marks transfer ids as thefts are scripted.  A quote costs one
-    lookup per tainted transfer (:meth:`WrapperLedger.holds_record_from`),
-    so it grows with the tainted set, not with the requestor's records or
-    the open cases' marks.
+    transfer is in the ledger's tainted set (not yet due at ``now``, or
+    frozen under an open case) is rated unswappable; everyone else gets
+    ``rate_ppm``.  A quote costs one lookup per tainted transfer
+    (:meth:`WrapperLedger.holds_record_from`), so it grows with the tainted
+    set, not with the requestor's records or the open cases' marks.
     """
 
-    __slots__ = ("tainted_transfer_ids", "clean_rate_ppm")
-
-    def __init__(self, tainted_transfer_ids: set[int], clean_rate_ppm: int) -> None:
-        self.tainted_transfer_ids = tainted_transfer_ids
-        self.clean_rate_ppm = clean_rate_ppm
+    __slots__ = ()
 
     def quote(self, ledger: WrapperLedger, requestor: str, amount: int, now: int) -> int:
-        for transfer_id in self.tainted_transfer_ids:
+        for transfer_id in ledger.tainted:
             if ledger.holds_record_from(requestor, transfer_id, now):
                 return 0
-        return self.clean_rate_ppm
+        return self.rate_ppm
 
 
 class RatingEntity:

@@ -41,7 +41,7 @@ import json
 from typing import Any, Callable, NamedTuple
 
 from .errors import RPoolError, UnboundLabel
-from .oracle import ConstantRiskModel, RatingEntity, TaintAwareRiskModel, issue_report
+from .oracle import ConstantRiskModel, TaintAwareRiskModel, issue_report
 from .orderbook import OrderBook
 from .scenario import ACTION_SPECS, Params, ScenarioScript, Step, format_value
 from .world import World
@@ -67,6 +67,9 @@ _EXPECT_FIELDS: dict[str, list[tuple[str, str]]] = {
     action: [(key, kind) for key, (kind, _) in spec.items() if key in EXPECTATIONS]
     for action, spec in ACTION_SPECS.items()
 }
+
+#: a signer line's model= -> its risk model class
+MODELS = {"constant": ConstantRiskModel, "taint": TaintAwareRiskModel}
 
 
 class EventRecord(NamedTuple):
@@ -113,14 +116,12 @@ class ScenarioRunner:
     Genesis builds the header's accounts, then its signers, pools and books.
     The constructors alone judge the header's values: the first one that
     refuses a directive (a ``ValueError`` or an :class:`RPoolError`) stops
-    genesis with a :class:`ParseError` at that directive's declared name.
+    genesis with the :meth:`ScenarioScript.refusal` on its line.
     """
 
     def __init__(self, script: ScenarioScript, name: str = "scenario") -> None:
         self.script = script
         self.name = name
-        self.tainted: set[int] = set()
-        self.entities: dict[str, RatingEntity] = {}
         #: as= label -> the transfer id, RiskReport or bid id it names
         self.labels: dict[str, Any] = {}
         self.world = world = World(recovery_window=script.window, arbitrator=script.arbitrator)
@@ -133,11 +134,7 @@ class ScenarioRunner:
                     world.ledger.genesis_settled(spec.name, spec.settled)
             directive = "signer"
             for spec in script.signers:
-                if spec.model == "constant":
-                    model = ConstantRiskModel(spec.rate)
-                else:
-                    model = TaintAwareRiskModel(self.tainted, spec.rate)
-                self.entities[spec.name] = world.add_signer(spec.name, model, spec.authorized)
+                world.add_signer(spec.name, MODELS[spec.model](spec.rate), spec.authorized)
             directive = "pool"
             for spec in script.pools:
                 world.add_pool(
@@ -227,11 +224,11 @@ class ScenarioRunner:
 
     def _bind(self, p: Params, value: Any) -> None:
         """Name the object a step produced by its as= label; a transfer id
-        marked tainted= feeds the taint-aware risk models."""
+        marked tainted= joins the world's taint set."""
         if "as" in p:
             self.labels[p["as"]] = value
         if p.get("tainted"):
-            self.tainted.add(value)
+            self.world.ledger.tainted.add(value)
 
     def _label(self, name: str) -> Any:
         """What an earlier step bound by as=; that step may have failed."""
@@ -271,7 +268,7 @@ class ScenarioRunner:
 
     def _issue_report(self, p: Params, now: int) -> dict:
         report = issue_report(
-            self.entities[p["signer"]],
+            self.world.signers[p["signer"]],
             self.world.registry,
             p["requestor"],
             p["amount"],

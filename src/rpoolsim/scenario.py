@@ -25,10 +25,10 @@ the grammar only: whether a header's values describe a world that can be
 built (a reserved name, a pool's kappa, rate and risk bounds, its quorum)
 is decided by the world's constructors alone.  The script records the line
 of each declaration, so :class:`~rpoolsim.runner.ScenarioRunner` reports a
-refusal as a :class:`ParseError` at the declared name.  Steps may carry
-``as=`` labels naming the transfer/report/bid they produce, ``expect_*``
-result checks, and ``expect_error=`` for steps that must fail with exactly
-that error.
+refusal as a :class:`ParseError` at the field it names, else at the declared
+name.  Steps may carry ``as=`` labels naming the transfer/report/bid they
+produce, ``expect_*`` result checks, and ``expect_error=`` for steps that
+must fail with exactly that error.
 """
 
 from __future__ import annotations
@@ -290,9 +290,13 @@ class ScenarioScript:
         return all(getattr(self, name) == getattr(other, name) for name in self.COMPARED)
 
     def refusal(self, directive: str, name: str, reason: str) -> ParseError:
-        """The error for a declaration the world refused, at its declared name."""
+        """The error for a declaration the world refused: at the ``key=``
+        field the reason's first word names, else at the declared name."""
         line_no, line = self.declared_at[directive, name]
-        return _error_at(reason, line_no, line, 1)
+        field = reason.partition(" ")[0] + "="
+        tokens = line.partition("#")[0].split()
+        at = next((n for n, token in enumerate(tokens) if token.startswith(field)), 1)
+        return _error_at(reason, line_no, line, at)
 
 
 class _Parser:

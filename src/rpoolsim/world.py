@@ -1,7 +1,7 @@
-"""One world of ledgers, signers, pools and books, and the one definition of
-its state: the :meth:`World.snapshot` a rejected step must leave unchanged,
-the :meth:`World.check_invariants` recount across every layer, and
-:meth:`World.copy`, an equal world that shares no mutable object."""
+"""One world of ledgers and taint set, signers, pools and books, and the one
+definition of its state: the :meth:`World.snapshot` a rejected step must
+leave unchanged, the :meth:`World.check_invariants` recount across every
+layer, and :meth:`World.copy`, an equal world that shares no mutable object."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ _BID_STATUSES = {OPEN, CANCELLED, FILLED}
 
 
 class World:
-    """The base ledger, the wrapper ledger over it, the signer registry, and
-    the pools and order books by name.
+    """The base ledger, the wrapper ledger over it with its taint set, the
+    signer registry and its rating entities, and the pools and books by name.
 
     :meth:`copy` returns an equal, independent world, so a caller can build
     a state once and run each trial on a copy of it.
@@ -27,14 +27,16 @@ class World:
             self.base, recovery_window=recovery_window, arbitrator=arbitrator
         )
         self.registry = SignerRegistry()
+        self.signers: dict[str, RatingEntity] = {}
         self.pools: dict[str, AmmPool] = {}
         self.books: dict[str, OrderBook] = {}
 
     def add_signer(self, name: str, model: RiskModel, authorized: bool = True) -> RatingEntity:
-        """Register a signer's key and return the entity that signs with it."""
+        """Register a signer's key, and keep and return the entity that signs with it."""
         secret, public = self.registry.scheme.keygen(name)
         self.registry.register(name, public, authorized=authorized)
-        return RatingEntity(name, secret, model)
+        entity = self.signers[name] = RatingEntity(name, secret, model)
+        return entity
 
     def add_pool(self, name: str, **config) -> AmmPool:
         """An :class:`AmmPool` at address ``name`` on this world's ledger and registry."""
@@ -44,11 +46,11 @@ class World:
     def snapshot(self) -> dict:
         """The complete raw world state, by value (empty accounts excluded).
 
-        Records, cases, bids and signer entries are immutable values and are
-        listed as stored; every container is copied, so no later operation
-        can change a snapshot taken before it.  The journal and the transfer
-        log only grow, so their lengths stand for them.  Two snapshots are
-        compared with ``==``.
+        Records, cases, bids and signer entries are immutable values, listed
+        as stored; models are listed by kind and rate; every container, the
+        taint set too, is copied, so no later operation can change a snapshot
+        taken before it.  The journal and the transfer log only grow, so
+        their lengths stand for them.  Two snapshots are compared with ``==``.
         """
         return {
             "base": {name: amount for name, amount in self.base.balances.items() if amount},
@@ -62,6 +64,11 @@ class World:
             },
             "cases": dict(self.ledger.cases),
             "signers": dict(self.registry._signers),
+            "models": {
+                name: (type(entity.model).__name__, entity.model.rate_ppm)
+                for name, entity in self.signers.items()
+            },
+            "tainted": sorted(self.ledger.tainted),
             "pools": {
                 name: (
                     pool.lp_supply,
@@ -85,11 +92,11 @@ class World:
         """An equal world that shares no mutable object with this one.
 
         The world, both ledgers, the registry and each pool and book are
-        cloned by :func:`_clone`, their containers replaced by each
-        container's own ``.copy()``; each slotted account is rebuilt field
-        by field.  Immutable parts are shared: journal entries (tuples and
-        :class:`~rpoolsim.ledger.Transfer` rows), unsettled records, cases,
-        bids, swap receipts, fills and key bytes.
+        cloned by :func:`_clone`, their containers (the taint set too)
+        replaced by each container's own ``.copy()``; each slotted account,
+        rating entity and model is rebuilt.  Immutable parts are shared:
+        journal entries (tuples and :class:`~rpoolsim.ledger.Transfer` rows),
+        unsettled records, cases, bids, swap receipts, fills and key bytes.
         """
         new = _clone(self)
         base = new.base = _clone(self.base)
@@ -112,9 +119,14 @@ class World:
         for sender, out in self.ledger._outflows.items():
             outflows[sender] = out.copy()
         ledger.cases = self.ledger.cases.copy()
+        ledger.tainted = self.ledger.tainted.copy()
 
         registry = new.registry = _clone(self.registry)
         registry._signers = self.registry._signers.copy()
+        signers = new.signers = {}
+        for name, entity in self.signers.items():
+            model = entity.model
+            signers[name] = RatingEntity(name, entity.secret, type(model)(model.rate_ppm))
 
         pools = new.pools = {}
         for name, pool in self.pools.items():

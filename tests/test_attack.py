@@ -299,10 +299,8 @@ class TestEndToEndReplay:
 
     def test_taint_aware_oracle_rejects_the_swap(self):
         scenario = scn(rate_ppm=950000)
-        model = TaintAwareRiskModel(set(), 950000)
-        # the replay marks nothing tainted itself; mark everything by making
-        # the model consider any origin tainted
-        model.tainted_transfer_ids = set(range(1, 100))
+        # the replay marks its theft tainted, so the thief is quoted 0
+        model = TaintAwareRiskModel(950000)
         with pytest.raises(OutOfRiskBounds):
             end_to_end_attack_replay(
                 scenario, risk_bounds=(100000, PPM), model=model
@@ -341,7 +339,7 @@ class TestEndToEndReplay:
         # the taint-aware replay raises part-way, at the swap after the cached
         # theft; then two replays on the same key succeed, and the second
         # sees what the first saw
-        model = TaintAwareRiskModel(set(range(1, 100)), 950000)
+        model = TaintAwareRiskModel(950000)
         with pytest.raises(OutOfRiskBounds):
             end_to_end_attack_replay(scenario, risk_bounds=(100000, PPM), model=model)
         assert end_to_end_attack_replay(scenario) == end_to_end_attack_replay(scenario)
@@ -355,13 +353,12 @@ class TestEndToEndReplay:
             bounded = end_to_end_attack_replay(scenario, risk_bounds=(0, 900_000))
             assert bounded == simulate_attack(scenario)
         key = scenario.pool_total, scenario.lp_supply, scenario.stolen
-        template, secret = _pre_swap_world(*key)
+        template = _pre_swap_world(*key)
         pool = template.pools["pool"]
         assert (pool.rate_cap_ppm, pool.risk_bounds) == (PPM, (0, PPM))
         assert end_to_end_attack_replay(scenario) == simulate_attack(scenario)
-        fresh, fresh_secret = _pre_swap_world.__wrapped__(*key)
+        fresh = _pre_swap_world.__wrapped__(*key)
         assert full_state(template) == full_state(fresh)
-        assert secret == fresh_secret
         worked = scn(rate_ppm=950000)
         assert end_to_end_attack_replay(worked) == simulate_attack(worked)
 

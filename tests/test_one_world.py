@@ -1,6 +1,7 @@
 """Tests, demos and the README build every world through
-:class:`rpoolsim.World`.  A ledger, signer registry, pool or signer key
-built by hand anywhere else fails here, named by file, function and line."""
+:class:`rpoolsim.World`.  A ledger, signer registry, pool, signer key or
+rating entity built by hand anywhere else fails here, named by file,
+function and line."""
 
 import ast
 import re
@@ -9,7 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: the calls that ``World``, ``World.add_pool`` and ``World.add_signer`` make
-HAND_BUILT = re.compile(r"\b(scheme\.keygen|SignerRegistry|BaseLedger|WrapperLedger|AmmPool)\(")
+HAND_BUILT = re.compile(
+    r"\b(scheme\.keygen|SignerRegistry|BaseLedger|WrapperLedger|AmmPool|RatingEntity)\("
+)
 
 #: every site that still builds by hand, by (file, enclosing function), and why
 ALLOWED_SITES = {
@@ -21,6 +24,12 @@ ALLOWED_SITES = {
         "tests the signature scheme itself, with no world around it",
     ("tests/test_oracle.py", "test_unknown_signer"):
         "its entity must stay unregistered, and add_signer registers",
+    ("tests/test_oracle.py", "_signer"):
+        "builds the unregistered signer whose reports no registry can verify",
+    ("tests/test_rejections.py", None):
+        "the UnknownSigner row signs with an entity no registry holds",
+    ("tests/test_package.py", None):
+        "the slotted-record list checks the entity class itself, with no world around it",
 }
 # tests/naive_ledger.py needs no entry: the replay oracle imports nothing
 # from the library, by design.

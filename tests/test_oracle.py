@@ -177,7 +177,8 @@ class TestIssueReport:
         base, ledger = world.base, world.ledger
         tainted_id = give_unsettled(base, ledger, "mallory", 100, now=0)
         registry = world.registry
-        entity = world.add_signer("e", TaintAwareRiskModel({tainted_id}, 800000))
+        ledger.tainted.add(tainted_id)
+        entity = world.add_signer("e", TaintAwareRiskModel(800000))
         report = issue_report(entity, registry, "mallory", 100, 0, 60, ledger)
         assert report.quote_ppm == 0
         clean = issue_report(entity, registry, "saint", 100, 0, 60, ledger)
@@ -552,7 +553,7 @@ def _full_scan_quote(model, ledger, requestor, now):
     """The taint quote by scanning every record the requestor holds and
     every open mark: a tainted record counts while it is not yet due, and
     its frozen value while an open case marks it on the requestor."""
-    tainted = model.tainted_transfer_ids
+    tainted = ledger.tainted
     acct = ledger.accounts.get(requestor)
     if acct is not None:
         for rec in acct.unsettled:
@@ -563,7 +564,7 @@ def _full_scan_quote(model, ledger, requestor, now):
             for account, (_, transfer_id), _ in case.marks:
                 if account == requestor and transfer_id in tainted:
                     return 0
-    return model.clean_rate_ppm
+    return model.rate_ppm
 
 
 @settings(max_examples=150, deadline=None)
@@ -602,7 +603,8 @@ def test_taint_quote_matches_a_full_scan(seed, window):
         except RPoolError:
             pass
         ids = range(-1, len(ledger.transfer_log) + 3)
-        model = TaintAwareRiskModel(set(rng.sample(ids, rng.randrange(4))), 700000)
+        ledger.tainted = set(rng.sample(ids, rng.randrange(4)))
+        model = TaintAwareRiskModel(700000)
         for name in [*names, "nobody"]:
             expected = _full_scan_quote(model, ledger, name, now)
             assert model.quote(ledger, name, 1, now) == expected
@@ -617,7 +619,8 @@ def test_a_matured_tainted_record_stops_rating_its_holder_zero():
     base.mint("thief", 10)
     ledger.wrap("thief", 10, 0)
     t1 = ledger.transfer("thief", "req", 10, False, 0)
-    model = TaintAwareRiskModel({t1}, 900_000)
+    ledger.tainted.add(t1)
+    model = TaintAwareRiskModel(900_000)
     assert model.quote(ledger, "req", 1, 99) == 0
     assert ledger.settle_view("req", 200) == (10, 0)
     assert model.quote(ledger, "req", 1, 200) == 900_000
@@ -626,7 +629,7 @@ def test_a_matured_tainted_record_stops_rating_its_holder_zero():
 
     t2 = ledger.transfer("other", "req", 1, True, 200)
     ledger.freeze("arb", [("req", 1)], "c1", 250)
-    model.tainted_transfer_ids.add(t2)
+    ledger.tainted.add(t2)
     assert model.quote(ledger, "req", 1, 400) == 0  # due, but frozen
     ledger.release("arb", "c1", 400)
     assert model.quote(ledger, "req", 1, 400) == 900_000

@@ -178,7 +178,7 @@ def test_value_records_reject_field_assignment(record, field):
         Case(marks=()),
         RiskReport("alice", 5, 0, 10, 500_000, "rater", b""),
         ConstantRiskModel(500_000),
-        TaintAwareRiskModel(set(), 500_000),
+        TaintAwareRiskModel(500_000),
         RatingEntity("rater", b"", ConstantRiskModel(500_000)),
         Bid(bid_id=1, bidder="alice", amount=5, min_rate_ppm=0, expiry=10, nonce_at_post=0),
         ScenarioScript(),

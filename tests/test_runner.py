@@ -542,11 +542,12 @@ class TestCli:
 
     def test_bad_world_config_exit_code(self, tmp_path, capsys):
         # each refused world prints one "path:line:col: reason" line, at the
-        # refused declaration's name, and no traceback
+        # field the reason names or else the refused declaration's name, and
+        # no traceback
         for header, where, reason in (
             ("config arbitrator=arb\naccount arb settled=5", "2:9", "reserved"),
             ("pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000", "1:6", "out of order"),
-            ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "1:6", "outside"),
+            ("pool p kappa_ppm=500000 rate_cap_ppm=1000001", "1:25", "outside"),
             ("pool p kappa_ppm=500000 min_quorum=0", "1:6", "quorum"),
         ):
             bad = tmp_path / "bad.scn"

@@ -369,28 +369,28 @@ KAPPA = "kappa_ppm must be strictly between 0 and 1000000"
 RESERVED = "'arb' is reserved and cannot hold an account"
 
 #: (header, "line:col: reason" or None): headers the grammar accepts, and
-#: where genesis refuses each, at the refused declaration's name; None
-#: marks a header that genesis accepts
+#: where genesis refuses each, at the field the reason names or else at the
+#: refused declaration's name; None marks a header that genesis accepts
 GENESIS_REFUSALS = [
     ("config arbitrator=arb\naccount arb settled=5", f"2:9: {RESERVED}"),
     ("config arbitrator=arb\npool arb kappa_ppm=500000", f"2:6: {RESERVED}"),
     ("pool p kappa_ppm=500000 risk_lo_ppm=1000001",
-     "1:6: risk_lo_ppm 1000001 ppm outside [0, 1000000]"),
+     "1:25: risk_lo_ppm 1000001 ppm outside [0, 1000000]"),
     ("pool p kappa_ppm=500000 risk_hi_ppm=1000001",
-     "1:6: risk_hi_ppm 1000001 ppm outside [0, 1000000]"),
+     "1:25: risk_hi_ppm 1000001 ppm outside [0, 1000000]"),
     ("pool p kappa_ppm=500000 risk_lo_ppm=600000 risk_hi_ppm=500000",
      "1:6: risk bounds out of order"),
     ("pool p kappa_ppm=500000 rate_cap_ppm=1000001",
-     "1:6: rate_cap_ppm 1000001 ppm outside [0, 1000000]"),
+     "1:25: rate_cap_ppm 1000001 ppm outside [0, 1000000]"),
     ("pool p kappa_ppm=500000 min_quorum=0", "1:6: quorum must be at least 1"),
-    ("pool p2 kappa_ppm=0", f"1:6: {KAPPA}"),
-    ("pool p kappa_ppm=1000000", f"1:6: {KAPPA}"),
+    ("pool p2 kappa_ppm=0", f"1:9: {KAPPA}"),
+    ("pool p kappa_ppm=1000000", f"1:8: {KAPPA}"),
     # the column counts code points, as for any parse error
-    ("account a\n\tpool\u3000 p kappa_ppm=0  # comment", f"2:8: {KAPPA}"),
+    ("account a\n\tpool\u3000 p kappa_ppm=0  # comment", f"2:10: {KAPPA}"),
     # the first refusal in genesis order wins: accounts before pools, and
     # then file order
     ("config arbitrator=arb\npool p kappa_ppm=0\naccount arb settled=5", f"3:9: {RESERVED}"),
-    ("pool p kappa_ppm=0\npool q kappa_ppm=500000 min_quorum=0", f"1:6: {KAPPA}"),
+    ("pool p kappa_ppm=0\npool q kappa_ppm=500000 min_quorum=0", f"1:8: {KAPPA}"),
     # base is not a wrapper account: the arbitrator may hold genesis base
     ("config arbitrator=arb\naccount arb base=5", None),
 ]

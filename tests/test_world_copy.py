@@ -1,7 +1,8 @@
 """``World.copy()``: an equal world that shares no mutable object with its
 source, checked on every shipped scenario's final world and on a rich one
 (a pool with a swap, a book with a filled bid, a recovered case and an
-active case marking the same record)."""
+active case marking the same record), and on the signers' models and the
+taint set, which a copy changes on its own."""
 
 import dataclasses
 from pathlib import Path
@@ -31,6 +32,14 @@ _RICHER_WORLD = _RICH_WORLD + (
     "at 2 match_bid book=ob bid=b1 lp=lp offer=20\n"
     "at 3 recover case=c1 victim=whale\n"
     "at 4 freeze case=c2 targets=bob:5\n"
+)
+
+#: a taint-aware and a constant signer, and bob holding an untainted record
+_RATED_WORLD = (
+    "config window=100 arbitrator=arb\n"
+    "account whale settled=100\n"
+    "signer t model=taint rate=0.8\nsigner c model=constant rate=0.6\n"
+    "at 0 transfer from=whale to=bob amount=10 as=t1\n"
 )
 
 SOURCES = {path.stem: path.read_text() for path in CORPUS}
@@ -172,3 +181,27 @@ def test_copy_acts_like_a_fresh_rebuild(source):
     world.check_invariants()
     assert_matches(replay(copy.base.journal, copy.ledger.recovery_window), copy.ledger, later)
     assert_indexes_match(copy.ledger)
+
+
+def test_a_copy_taints_and_rerates_on_its_own():
+    runner = ScenarioRunner(parse_scenario(_RATED_WORLD))
+    assert runner.run().passed
+    world = runner.world
+    before, digest = world.snapshot(), runner.state_digest()
+    copy = world.copy()
+    copy.ledger.tainted.add(runner.labels["t1"])
+    copy.signers["c"].model.rate_ppm = PPM
+
+    def quotes(w):
+        return [
+            issue_report(w.signers[name], w.registry, "bob", 10, 0, 60, w.ledger).quote_ppm
+            for name in ("t", "c")
+        ]
+
+    assert quotes(world) == [800_000, 600_000]
+    assert quotes(copy) == [0, PPM]
+    assert world.snapshot() == before
+    assert runner.state_digest() == digest
+    assert copy.snapshot() != before
+    runner.world = copy
+    assert runner.state_digest() != digest
