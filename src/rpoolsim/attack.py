@@ -293,8 +293,11 @@ def end_to_end_attack_replay(
 
     now = 0
     total_before = sum(ledger.settle_view("pool", now))
-    lender = world.signers["lender"]  # the fork's own entity
-    lender.model = model or ConstantRiskModel(rate_ppm)
+    lender = world.signers["lender"]  # the fork's own entity and constant model
+    if model is None:
+        lender.model.rate_ppm = rate_ppm
+    else:
+        lender.model = model
     receipt = _swap_recover(pool, lender, _VICTIM, _THIEF, stolen, "theft-case", now)
     total_after = sum(ledger.settle_view("pool", now))
 

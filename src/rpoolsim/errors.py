@@ -71,6 +71,10 @@ class ReservedName(RPoolError):
     sentinel cannot hold an account."""
 
 
+class ClockWentBack(RPoolError):
+    """Called at a time before the latest one an operation used."""
+
+
 # ---------------------------------------------------------------------------
 # risk oracle
 # ---------------------------------------------------------------------------

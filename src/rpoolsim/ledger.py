@@ -18,23 +18,20 @@ which a fold at ``now`` would settle.
 Three module-level primitives are the only code that edits an account's
 records and its ``unsettled_sum``: ``_fold`` settles the matured records,
 ``_take`` takes value from the head of the list, and ``_put`` adds value at
-a key.  Before acting, a wrap folds its caller, a transfer or an unwrap its
-sender, a freeze each target and a recovery its victim, each only when the
-account's oldest record is due, since a fold changes nothing otherwise.
+a key.  Only a debit folds: before acting, a transfer or an unwrap folds its
+sender and a freeze each target, each only when the account's oldest record
+is due, since a fold changes nothing otherwise.
 
-A fold is final, so a view is exact only at or after the latest time an
-operation folded the account: ``_view``, and through it ``settle_view``,
-``balance_of`` and ``available_unsettled``, read value folded since an
-earlier ``now`` as settled though it was not due then.  A 10-token record
-due at 100 reads ``(0, 10)`` at 99; once a transfer at 100 folds it, it
-reads ``(9, 0)`` at 99.  The parser refuses a step time that goes back, so
-only a library caller can ask for such a view.
+The ledger's ``clock`` is the latest ``now`` an accepted operation used,
+from 0; a call at an earlier ``now`` raises ``ClockWentBack`` before any
+other check, as a chain never runs a block before its parent's.  So no view
+can tell where a fold happened.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list.  A new record is
 due at ``now + recovery_window`` and its transfer id is the highest yet, so
-while the caller's clock never goes back ``_put`` appends it; only a record
-due before the recipient's last one is inserted by bisection.
+``_put`` always appends it; only a release, which puts a mark back at its
+key, inserts by bisection.
 
 Frozen value lives in its case, not in the records.  A freeze takes the
 value out of the account's records and keeps it as the case's marks,
@@ -90,6 +87,7 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .errors import (
+    ClockWentBack,
     FrozenFunds,
     InsufficientBalance,
     InsufficientBase,
@@ -234,16 +232,15 @@ class Case(NamedTuple):
 _new_case = functools.partial(tuple.__new__, Case)
 
 
-#: sorts before every record key: the caller's clock may be negative
-_BEFORE_ANY_KEY = (float("-inf"), 0)
+#: sorts before every record key: no record is due before the clock's start, 0
+_BEFORE_ANY_KEY = (-1, 0)
 
 
 def _view(acct: Account | None, now: int) -> tuple[int, int, int, int]:
     """``acct``'s effective ``(settled, unsettled, frozen, movable)`` at
     ``now``, where ``movable`` is the value of the matured prefix: what a
     fold at ``now`` moves from unsettled to settled.  Frozen value counts
-    as unsettled.  No account reads as all zeros.  Exact only at or after
-    the account's latest fold (see the module docstring)."""
+    as unsettled.  No account reads as all zeros."""
     if acct is None:
         return 0, 0, 0, 0
     movable = 0
@@ -344,8 +341,9 @@ class BaseLedger:
 class WrapperLedger:
     """The recoverable wrapper around a :class:`BaseLedger`.
 
-    All operations take an explicit ``now``; the ledger holds no clock of
-    its own, which keeps runs deterministic and replayable.
+    All operations take an explicit ``now``, which keeps runs deterministic
+    and replayable.  ``clock`` is the latest ``now`` an accepted operation
+    used, and every method that takes ``now`` refuses an earlier one.
     """
 
     def __init__(
@@ -369,6 +367,7 @@ class WrapperLedger:
         self.cases: dict[str, Case] = {}
         #: the ids of the transfers marked as thefts: what taint-aware models read
         self.tainted: set[int] = set()
+        self.clock = 0
 
     # -- account plumbing ---------------------------------------------------
 
@@ -376,6 +375,11 @@ class WrapperLedger:
         """Reject the names that can never hold an account."""
         if name in (self.arbitrator, self.address, NOBODY):
             raise ReservedName(f"{name!r} is reserved and cannot hold an account")
+
+    def _at(self, now: int) -> None:
+        """Refuse ``now`` before the clock, before any other check."""
+        if now < self.clock:
+            raise ClockWentBack(f"now {now} is before the clock {self.clock}")
 
     def _account(self, name: str) -> Account:
         """The account ``name``, created on first use.  The reserved names
@@ -389,20 +393,19 @@ class WrapperLedger:
     # -- views ---------------------------------------------------------------
 
     def settle_view(self, account: str, now: int) -> tuple[int, int]:
-        """Effective (settled, unsettled) balances at ``now``; pure.  Exact
-        only at or after the account's latest fold (see the module docstring)."""
+        """Effective (settled, unsettled) balances at ``now``; pure."""
+        self._at(now)
         settled, unsettled, _, _ = _view(self.accounts.get(account), now)
         return settled, unsettled
 
     def balance_of(self, account: str, include_unsettled: bool, now: int) -> int:
-        """The settled balance at ``now``, with the unsettled one if asked;
-        exact as :meth:`settle_view` is."""
+        """The settled balance at ``now``, with the unsettled one if asked."""
         settled, unsettled = self.settle_view(account, now)
         return settled + unsettled if include_unsettled else settled
 
     def available_unsettled(self, account: str, now: int) -> int:
-        """Unsettled value at ``now`` that is not under an active freeze;
-        exact as :meth:`settle_view` is."""
+        """Unsettled value at ``now`` that is not under an active freeze."""
+        self._at(now)
         _, unsettled, frozen, _ = _view(self.accounts.get(account), now)
         return unsettled - frozen
 
@@ -418,6 +421,7 @@ class WrapperLedger:
         when the recipient holds frozen value.  An id outside the transfer
         log names no record.
         """
+        self._at(now)
         if not 0 < transfer_id <= len(self.transfer_log):
             return False
         entry = self.transfer_log[transfer_id - 1]
@@ -461,14 +465,14 @@ class WrapperLedger:
 
     def wrap(self, caller: str, amount: int, now: int) -> None:
         """Lock base tokens and mint the same amount of settled wrapper tokens."""
+        self._at(now)
         check_amount(amount)
         if self.base.balance(caller) < amount:
             raise InsufficientBase(
                 f"{caller} holds {self.base.balance(caller)} base, needs {amount}"
             )
         acct = self._account(caller)
-        if acct.unsettled and acct.unsettled[0].settlement_time <= now:
-            _fold(acct, now)
+        self.clock = now
         self.base.transfer(caller, self.address, amount)
         acct.settled += amount
         acct.nonce += 1
@@ -479,6 +483,7 @@ class WrapperLedger:
 
     def unwrap_to(self, caller: str, amount: int, to: str, now: int) -> None:
         """Burn settled wrapper tokens and release base tokens to ``to``."""
+        self._at(now)
         check_amount(amount)
         acct = self.accounts.get(caller)
         if acct is not None and acct.unwrap_disabled:
@@ -490,6 +495,7 @@ class WrapperLedger:
                 "unsettled tokens cannot be unwrapped"
             )
         # a positive amount was covered, so the caller has an account
+        self.clock = now
         if movable:
             _fold(acct, now)
         acct.settled -= amount
@@ -531,6 +537,7 @@ class WrapperLedger:
     def _transfer(
         self, sender: str, recipient: str, amount: int, mode: str, now: int
     ) -> int:
+        self._at(now)
         check_amount(amount)
         if sender == recipient:
             raise SelfTransfer(f"{sender} cannot transfer to itself")
@@ -554,6 +561,7 @@ class WrapperLedger:
 
         # a positive amount was covered, so the sender has an account
         recipient_acct = self.accounts.get(recipient) or self._account(recipient)
+        self.clock = now
         if movable:
             _fold(acct, now)
         # settled is what this mode may draw from the settled balance; the
@@ -593,6 +601,7 @@ class WrapperLedger:
         case's marks.  Frozen value cannot be spent and cannot mature until
         the case closes via :meth:`recover` or :meth:`release`.
         """
+        self._at(now)
         if caller != self.arbitrator:
             raise NotArbitrator(f"{caller} is not the arbitrator")
         if case_id in self.cases:
@@ -610,6 +619,7 @@ class WrapperLedger:
                     f"{account} has {unsettled - frozen} freezable unsettled, needs {total}"
                 )
 
+        self.clock = now
         marks: list[tuple[str, tuple[int, int], int]] = []
         for account, total in wanted.items():
             acct = self.accounts[account]
@@ -627,10 +637,10 @@ class WrapperLedger:
 
     def recover(self, caller: str, case_id: str, victim: str, now: int) -> int:
         """Move all frozen value of the case into the victim's settled balance."""
+        self._at(now)
         self._check_active(caller, case_id)
         victim_acct = self._account(victim)
-        if victim_acct.unsettled and victim_acct.unsettled[0].settlement_time <= now:
-            _fold(victim_acct, now)
+        self.clock = now
         total = self._close(case_id, "recovered")
         victim_acct.settled += total
         victim_acct.nonce += 1
@@ -639,7 +649,9 @@ class WrapperLedger:
 
     def release(self, caller: str, case_id: str, now: int) -> None:
         """Lift the case's freeze; records resume maturing normally."""
+        self._at(now)
         self._check_active(caller, case_id)
+        self.clock = now
         self._close(case_id, "released")
         self.base.journal.append(("release", case_id, now))
 
@@ -659,15 +671,14 @@ class WrapperLedger:
         marks = self.cases[case_id].marks
         released = status == "released"
         total = 0
-        marked = {}  # each marked account once, in mark order
         for account, (due, transfer_id), amount in marks:
-            acct = marked[account] = self.accounts[account]
+            acct = self.accounts[account]
             acct.frozen_sum -= amount
             total += amount
             if released:
                 _put(acct, due, transfer_id, amount)
-        for acct in marked.values():
-            acct.nonce += 1
+        for account in _marked_accounts(marks):
+            self.accounts[account].nonce += 1
         self.cases[case_id] = _new_case((marks, status))
         return total
 
@@ -841,7 +852,7 @@ class WrapperLedger:
 
 def _marked_accounts(marks: tuple) -> dict[str, None]:
     """A case's marked accounts, each once, in mark order."""
-    return dict.fromkeys(account for account, _, _ in marks)
+    return {account: None for account, _, _ in marks}
 
 
 # -- journal kind -> its effect on (base, settled, unsettled, nonce) ----------

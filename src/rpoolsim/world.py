@@ -57,6 +57,7 @@ class World:
             "supply": self.base.total_supply,
             "journal": len(self.base.journal),
             "transfers": len(self.ledger.transfer_log),
+            "clock": self.ledger.clock,
             "accounts": {
                 name: (acct.settled, acct.nonce, acct.unwrap_disabled, list(acct.unsettled))
                 for name, acct in self.ledger.accounts.items()

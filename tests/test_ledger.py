@@ -2,6 +2,7 @@
 recovery, and the recovery-plan deficiency rule."""
 
 import bisect
+import inspect
 import os
 import subprocess
 import sys
@@ -14,21 +15,25 @@ import pytest
 import rpoolsim.ledger
 from rpoolsim import World
 from rpoolsim.errors import (
+    ClockWentBack,
     FrozenFunds,
     InsufficientBalance,
     InsufficientBase,
     InsufficientSettled,
     InsufficientUnsettled,
     NotArbitrator,
+    ReservedName,
+    RPoolError,
     SelfTransfer,
     Uncoverable,
     UnknownCase,
     UnwrapDisabled,
     ZeroAmount,
 )
-from rpoolsim.ledger import Transfer, UnsettledRecord, check_amount
+from rpoolsim.ledger import Transfer, UnsettledRecord, WrapperLedger, check_amount
+from rpoolsim.orderbook import OrderBook
 
-from conftest import ARB, WINDOW, give_unsettled, make_pool, quorum
+from conftest import ARB, WINDOW, full_state, give_unsettled, make_pool, quorum
 
 
 class TestWrap:
@@ -411,9 +416,9 @@ class TestPrefixWalks:
         acct = ledger.accounts["a"]
         assert [r.transfer_id for r in acct.unsettled] == [2, 3]
         base.mint("a", 5)
-        ledger.wrap("a", 5, WINDOW + 100)  # folds the 20; the frozen 10 is in c1
-        assert acct.unsettled == [(200 + WINDOW, 3, 30)]
-        ledger.transfer("a", "b", 5, False, WINDOW + 150)  # a later fold
+        ledger.wrap("a", 5, WINDOW + 100)  # a credit folds nothing; the frozen 10 is in c1
+        assert acct.unsettled == [(100 + WINDOW, 2, 20), (200 + WINDOW, 3, 30)]
+        ledger.transfer("a", "b", 5, False, WINDOW + 150)  # a debit folds the 20
         assert acct.unsettled == [(200 + WINDOW, 3, 30)]
         assert ledger.settle_view("a", WINDOW + 150) == (20, 40)
         ledger.release(ARB, "c1", WINDOW + 150)
@@ -630,9 +635,10 @@ class TestOnePassTransfer:
 
 
 class TestFoldGuards:
-    """A freeze folds each target, and a recovery its victim, only when the
-    account's oldest record is due: due exactly at ``now`` it is folded, due
-    at ``now + 1`` it is left.  A refused call folds nothing."""
+    """A freeze folds each target only when the account's oldest record is
+    due: due exactly at ``now`` it is folded, due at ``now + 1`` it is left.
+    A recovery credits its victim and folds nothing, due or not.  A refused
+    call folds nothing."""
 
     @pytest.mark.parametrize(
         "now, settled, records, marks",
@@ -661,11 +667,9 @@ class TestFoldGuards:
         ledger.check_invariants()
 
     @pytest.mark.parametrize(
-        "now, view, records",
-        [(WINDOW, (17, 0), []), (WINDOW - 1, (10, 7), [(WINDOW, 1, 7)])],
-        ids=["due-at-now", "due-at-now+1"],
+        "now, view", [(WINDOW, (17, 0)), (WINDOW - 1, (10, 7))], ids=["due-at-now", "due-at-now+1"]
     )
-    def test_a_recovery_victim(self, world, now, view, records):
+    def test_a_recovery_victim(self, world, now, view):
         base, ledger = world.base, world.ledger
         give_unsettled(base, ledger, "v", 7, now=0, source="f1")  # due at WINDOW
         give_unsettled(base, ledger, "a", 10, now=0, source="f2")
@@ -679,8 +683,8 @@ class TestFoldGuards:
 
         assert ledger.recover(ARB, "c1", "v", now) == 10
         assert ledger.settle_view("v", now) == view
-        assert ledger.accounts["v"].unsettled == records
-        assert ledger.accounts["v"].settled == view[0]  # a fold leaves nothing due
+        assert ledger.accounts["v"].unsettled == [(WINDOW, 1, 7)]
+        assert ledger.accounts["v"].settled == 10  # only the credit, due or not
         assert ledger.nonce("v") == 2
         assert ledger.effects_since(mark) == {
             "a": {"unsettled": -10, "nonce": 1},
@@ -715,18 +719,22 @@ class TestCheckAmount:
 
 
 class TestRecordOrder:
-    """A new record sorts last while the clock never goes back, and is
-    appended; only one due before the recipient's last record is inserted
+    """The clock never goes back, so a new record sorts last and is
+    appended; only a release, which puts a mark back at its key, inserts
     by bisection."""
 
     def test_a_clock_that_goes_back_keeps_records_in_order(self, world):
         base, ledger = world.base, world.ledger
         base.mint("f", 3)
         ledger.wrap("f", 3, 0)
-        for now in (100, 50, 100):
-            ledger.transfer("f", "a", 1, False, now)
+        ledger.transfer("f", "a", 1, False, 100)
+        snapshot, mark = world.snapshot(), ledger.mark()
+        with pytest.raises(ClockWentBack):
+            ledger.transfer("f", "a", 1, False, 50)
+        assert (world.snapshot(), ledger.mark(), ledger.clock) == (snapshot, mark, 100)
+        ledger.transfer("f", "a", 1, False, 100)
         keys = [(r.settlement_time, r.transfer_id) for r in ledger.accounts["a"].unsettled]
-        assert keys == [(50 + WINDOW, 2), (100 + WINDOW, 1), (100 + WINDOW, 3)]
+        assert keys == [(100 + WINDOW, 1), (100 + WINDOW, 2)]
         ledger.check_invariants()
 
     def test_only_an_out_of_order_record_is_inserted_by_bisection(self, world, monkeypatch):
@@ -739,13 +747,143 @@ class TestRecordOrder:
             ledger.transfer("f", "a", 1, False, t)
         ledger.transfer("f", "a", 1, False, 999)  # an equal clock sorts last too
         ledger.transfer("f", "a", 1, False, 1000)
+        with pytest.raises(ClockWentBack):
+            ledger.transfer("f", "a", 1, False, 500)
+        ledger.freeze(ARB, [("a", 2)], "c1", 1000)  # marks the two oldest records
         assert counting.bisect_left.call_count == 0
-        ledger.transfer("f", "a", 1, False, 500)
-        assert counting.bisect_left.call_count == 1
+        ledger.release(ARB, "c1", 1000)
+        assert counting.bisect_left.call_count == 2  # one per mark
         keys = [(r.settlement_time, r.transfer_id) for r in ledger.accounts["a"].unsettled]
         assert keys == sorted(keys)
-        assert keys[501] == (500 + WINDOW, 1003)
+        assert keys[:2] == [(WINDOW, 1), (1 + WINDOW, 2)]
+        assert len(keys) == 1002
         ledger.check_invariants()
+
+
+#: a value for each parameter, other than ``now``, of a ledger method that takes ``now``
+_CLOCK_ARGS = {
+    "account": "a", "caller": "a", "sender": "a", "recipient": "b", "to": "b", "victim": "v",
+    "amount": 1, "include_unsettled": True, "transfer_id": 1, "tainted_transfer_id": 1,
+    "targets": [("a", 1)], "case_id": "c2",
+}
+
+#: every public ledger method that takes ``now``, operations and views
+_TAKES_NOW = sorted(
+    name
+    for name, method in vars(WrapperLedger).items()
+    if inspect.isfunction(method)
+    and not name.startswith("_")
+    and "now" in inspect.signature(method).parameters
+)
+
+
+def _clock_at_100(world):
+    """``a`` holds 10 settled and 19 unsettled, plus 5 frozen in case ``c1``;
+    the latest operation, at 100, is ``a``'s transfer 2 to ``b``."""
+    base, ledger = world.base, world.ledger
+    give_unsettled(base, ledger, "a", 24, now=0)
+    base.mint("a", 10)
+    ledger.wrap("a", 10, 0)
+    ledger.freeze(ARB, [("a", 5)], "c1", 50)
+    ledger.transfer("a", "b", 1, True, 100)
+    assert ledger.clock == 100
+    return ledger
+
+
+class TestClock:
+    """The ledger's clock is the latest ``now`` an accepted operation used,
+    from 0.  Every public method that takes ``now`` refuses an earlier one
+    before any other check and any write; only an accepted operation moves
+    the clock."""
+
+    def test_the_methods_that_take_now_are_found(self, world):
+        views = {"settle_view", "balance_of", "available_unsettled", "holds_record_from"}
+        operations = {"wrap", "unwrap", "unwrap_to", "transfer", "transfer_unsettled",
+                      "freeze", "recover", "release", "plan_recovery"}
+        assert views | operations <= set(_TAKES_NOW)
+        assert world.ledger.clock == 0
+
+    @pytest.mark.parametrize("name", _TAKES_NOW)
+    def test_a_call_before_the_clock_is_refused_first(self, world, name):
+        ledger = _clock_at_100(world)
+        method = getattr(ledger, name)
+        args = {p: _CLOCK_ARGS[p] for p in inspect.signature(method).parameters if p != "now"}
+        snapshot, mark = world.snapshot(), ledger.mark()
+        with pytest.raises(ClockWentBack):
+            method(**args, now=99)
+        assert (world.snapshot(), ledger.mark(), ledger.clock) == (snapshot, mark, 100)
+        try:  # at the clock, the same call is not refused for its time
+            method(**args, now=100)
+        except RPoolError as exc:
+            assert not isinstance(exc, ClockWentBack)
+
+    def test_a_negative_time_is_before_the_genesis_clock(self, world):
+        world.base.mint("a", 1)
+        with pytest.raises(ClockWentBack):
+            world.ledger.wrap("a", 1, -1)
+        with pytest.raises(ClockWentBack):
+            world.ledger.settle_view("a", -1)
+        assert (world.ledger.accounts, world.ledger.clock) == ({}, 0)
+
+    def test_a_view_after_the_clock_leaves_it(self, world):
+        ledger = _clock_at_100(world)
+        later = 100 + 2 * WINDOW
+        assert ledger.settle_view("a", later) == (28, 5)  # the frozen 5 reads unsettled
+        assert ledger.balance_of("a", True, later) == 33
+        assert ledger.available_unsettled("a", later) == 0
+        assert ledger.holds_record_from("a", 1, later)  # its marked part is frozen
+        assert ledger.plan_recovery(2, 1, 150) == [("b", 1)]
+        assert ledger.clock == 100
+
+    @pytest.mark.parametrize(
+        "reject, error",
+        [
+            (lambda ledger: ledger.wrap("a", 0, 200), ZeroAmount),
+            (lambda ledger: ledger.wrap("a", 1, 200), InsufficientBase),
+            (lambda ledger: ledger.unwrap("a", 11, 200), InsufficientSettled),
+            (lambda ledger: ledger.transfer("a", "b", 30, True, 200), FrozenFunds),
+            (lambda ledger: ledger.transfer("a", ARB, 1, False, 200), ReservedName),
+            (lambda ledger: ledger.freeze("a", [("a", 1)], "c2", 200), NotArbitrator),
+            (lambda ledger: ledger.freeze(ARB, [("a", 20)], "c2", 200), InsufficientUnsettled),
+            (lambda ledger: ledger.recover(ARB, "c1", ARB, 200), ReservedName),
+            (lambda ledger: ledger.release(ARB, "c2", 200), UnknownCase),
+        ],
+        ids=["zero", "base", "settled", "frozen", "reserved-recipient", "arbitrator",
+             "unsettled", "reserved-victim", "case"],
+    )
+    def test_a_rejected_operation_leaves_the_clock(self, world, reject, error):
+        ledger = _clock_at_100(world)
+        snapshot = world.snapshot()
+        with pytest.raises(error):
+            reject(ledger)
+        assert (world.snapshot(), ledger.clock) == (snapshot, 100)
+        ledger.release(ARB, "c1", 200)
+        assert ledger.clock == 200
+
+    def test_an_acceptable_swap_before_the_clock_is_refused(self, world):
+        base, ledger = world.base, world.ledger
+        pool, rater = make_pool(world)
+        give_unsettled(base, ledger, "mallory", 10, now=0)
+        reports = quorum(pool, rater, "mallory", 10, 0, ledger)
+        give_unsettled(base, ledger, "other", 1, now=5, source="f2")
+        state = full_state(world)
+        with pytest.raises(ClockWentBack):
+            pool.swap("mallory", 10, reports, 4)
+        assert full_state(world) == state
+        assert pool.swap("mallory", 10, reports, 5).amount_out == 5
+
+    def test_an_acceptable_match_before_the_clock_is_refused(self, world):
+        base, ledger = world.base, world.ledger
+        book = world.books["ob"] = OrderBook(ledger)
+        give_unsettled(base, ledger, "alice", 40, now=0)
+        book.post_bid("alice", 40, 500_000, 90, 0)
+        base.mint("lp", 20)
+        give_unsettled(base, ledger, "other", 1, now=5, source="f2")
+        state = full_state(world)
+        with pytest.raises(ClockWentBack):
+            book.match_bid("lp", 1, 20, 4)
+        assert full_state(world) == state
+        assert book.match_bid("lp", 1, 20, 5).base_paid == 20
 
 
 def _tainted_pool_world(world, pool_keep: int, lp_withdraw: int):

@@ -81,6 +81,23 @@ def test_the_library_has_no_assert_statement():
     assert found == []
 
 
+def test_the_library_has_no_float():
+    # amounts, rates and times are ints and the attack lab's ratios are
+    # Fractions, so the library has no true division, no float constant and
+    # no float() or round() call
+    found = []
+    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Call) and ast.unparse(node.func) in ("float", "round")
+        ]
+    assert found == []
+
+
 def test_importing_the_parser_loads_only_what_it_uses():
     loaded = modules_loaded_by("import rpoolsim.scenario")
     assert {name for name in loaded if name.startswith("rpoolsim.")} == {

@@ -16,7 +16,7 @@ from rpoolsim import (
     parse_rate,
     format_rate,
 )
-from rpoolsim.errors import RPoolError, Uncoverable
+from rpoolsim.errors import ClockWentBack, RPoolError, Uncoverable
 from rpoolsim.oracle import validate_reports
 from rpoolsim.rates import PPM
 from rpoolsim.runner import ScenarioRunner
@@ -29,7 +29,10 @@ ACCOUNTS = ["a", "b", "c", "d"]
 
 
 def _random_ledger_op(rng, base, ledger, now):
-    """Apply one random ledger event; modeled rejections are fine."""
+    """Apply one random ledger event and return its kind.  Modeled
+    rejections are fine, except a refusal for the time, which propagates.
+    Every kind but ``disable`` calls the ledger with ``now``: a close with
+    no active case names one that is not."""
     kind = rng.choice(
         ["wrap", "unwrap", "transfer", "transfer_u", "freeze", "recover", "release", "disable"]
     )
@@ -50,16 +53,17 @@ def _random_ledger_op(rng, base, ledger, now):
             ledger.freeze(ARB, [(who, amount)], case, now)
         elif kind == "recover":
             active = [c for c, case in ledger.cases.items() if case.status == "active"]
-            if active:
-                ledger.recover(ARB, rng.choice(active), other, now)
+            ledger.recover(ARB, rng.choice(active) if active else "none", other, now)
         elif kind == "release":
             active = [c for c, case in ledger.cases.items() if case.status == "active"]
-            if active:
-                ledger.release(ARB, rng.choice(active), now)
+            ledger.release(ARB, rng.choice(active) if active else "none", now)
         elif kind == "disable":
             ledger.disable_unwrap(who)
+    except ClockWentBack:
+        raise
     except RPoolError:
         pass
+    return kind
 
 
 @settings(max_examples=120, deadline=None)
@@ -113,9 +117,10 @@ def test_oracle_ignores_what_the_engine_derives(seed, events):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), events=st.integers(1, 20))
 def test_oracle_equivalence_when_time_moves_backwards(seed, events):
-    """Library callers may pass any clock, negative included: records
-    received out of time order must still fold, spend and freeze as the
-    replay model says."""
+    """Library callers may pass any time, negative included.  Every call
+    before the ledger's clock is refused and leaves the world's snapshot
+    and the journal unchanged; what the ledger accepts matches the replay
+    model at and after the clock, and a view before it is refused too."""
     rng = random.Random(seed)
     world = World(recovery_window=WINDOW, arbitrator=ARB)
     base, ledger = world.base, world.ledger
@@ -124,11 +129,22 @@ def test_oracle_equivalence_when_time_moves_backwards(seed, events):
     now = 0
     for _ in range(events):
         now = rng.randrange(-2 * WINDOW, 2 * WINDOW)
-        _random_ledger_op(rng, base, ledger, now)
+        clock, state = ledger.clock, (world.snapshot(), ledger.mark())
+        try:
+            kind = _random_ledger_op(rng, base, ledger, now)
+        except ClockWentBack:
+            assert now < clock
+            assert (world.snapshot(), ledger.mark(), ledger.clock) == (*state, clock)
+        else:
+            assert now >= clock or kind == "disable"
         ledger.check_invariants()
     model = replay(base.journal, WINDOW)
-    for probe in (now, rng.randrange(-2 * WINDOW, 2 * WINDOW)):
-        assert_matches(model, ledger, probe)
+    for probe in (now, rng.randrange(-2 * WINDOW, 2 * WINDOW), ledger.clock):
+        if probe < ledger.clock:
+            with pytest.raises(ClockWentBack):
+                assert_matches(model, ledger, probe)
+        else:
+            assert_matches(model, ledger, probe)
     assert_indexes_match(ledger)
 
 
@@ -141,10 +157,15 @@ def test_settlement_monotone_in_time(seed, amounts):
     rng = random.Random(seed)
     world = World(recovery_window=WINDOW, arbitrator=ARB)
     base, ledger = world.base, world.ledger
-    for i, amount in enumerate(amounts):
-        give_unsettled(base, ledger, "a", amount, now=rng.randrange(0, 5000), source=f"s{i}")
+    times = sorted(rng.randrange(0, 5000) for _ in amounts)
+    for i, (amount, at) in enumerate(zip(amounts, times)):
+        give_unsettled(base, ledger, "a", amount, now=at, source=f"s{i}")
     last = -1
     for now in range(0, 2 * WINDOW, 7919):
+        if now < ledger.clock:
+            with pytest.raises(ClockWentBack):
+                ledger.settle_view("a", now)
+            continue
         settled, unsettled = ledger.settle_view("a", now)
         assert settled >= last
         assert settled + unsettled == sum(amounts)
@@ -215,7 +236,11 @@ def test_each_record_is_named_by_the_transfer_that_made_it(seed, events):
             assert row.recipient == name
             assert rec.settlement_time == row.time + WINDOW
             assert rec.amount <= row.amount
-            assert ledger.holds_record_from(name, rec.transfer_id, rec.settlement_time - 1)
+            if rec.settlement_time > ledger.clock:  # held the tick before it is due
+                assert ledger.holds_record_from(name, rec.transfer_id, rec.settlement_time - 1)
+            else:
+                with pytest.raises(ClockWentBack):
+                    ledger.holds_record_from(name, rec.transfer_id, rec.settlement_time - 1)
             held = rec.settlement_time > now or (name, rec[:2]) in marked
             assert ledger.holds_record_from(name, rec.transfer_id, now) == held
     for account, key, amount in marks:
@@ -235,13 +260,14 @@ def test_frozen_amounts_only_move_via_case_close(seed):
     give_unsettled(base, ledger, "a", 100, now=0)
     frozen = rng.randrange(1, 100)
     ledger.freeze(ARB, [("a", frozen)], "c1", 0)
-    for _ in range(10):
+    times = sorted(rng.randrange(0, WINDOW) for _ in range(10))
+    for now in times:
         try:
-            ledger.transfer("a", "b", rng.randrange(1, 120), True, rng.randrange(0, WINDOW))
+            ledger.transfer("a", "b", rng.randrange(1, 120), True, now)
         except RPoolError:
             pass
         assert ledger.accounts["a"].frozen_sum == frozen
-    ledger.release(ARB, "c1", 0)
+    ledger.release(ARB, "c1", times[-1])
     assert ledger.accounts["a"].frozen_sum == 0
 
 

@@ -104,6 +104,7 @@ ON_A_WORLD = {
     "UnknownCase": lambda w, s: w.ledger.recover(ARB, "c0", "victim", NOW),
     "Uncoverable": lambda w, s: w.ledger.plan_recovery(w.ledger.transfer_log[-1].transfer_id, 41, NOW),
     "ReservedName": lambda w, s: w.ledger.transfer("idle", ARB, 1, False, NOW),
+    "ClockWentBack": lambda w, s: w.ledger.transfer("idle", "bob", 1, False, -1),
     # oracle
     "UnknownSigner": lambda w, s: issue_report(
         RatingEntity("ghost", b"", ConstantRiskModel(PPM)), w.registry, "bob", 10, NOW, 60, w.ledger

@@ -1,8 +1,8 @@
 """``World.copy()``: an equal world that shares no mutable object with its
 source, checked on every shipped scenario's final world and on a rich one
 (a pool with a swap, a book with a filled bid, a recovered case and an
-active case marking the same record), and on the signers' models and the
-taint set, which a copy changes on its own."""
+active case marking the same record), and on the signers' models, the
+taint set and the ledger's clock, which a copy changes on its own."""
 
 import dataclasses
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from rpoolsim import ConstantRiskModel
-from rpoolsim.errors import RPoolError
+from rpoolsim.errors import ClockWentBack, RPoolError
 from rpoolsim.ledger import UnsettledRecord
 from rpoolsim.oracle import issue_report
 from rpoolsim.orderbook import OPEN
@@ -181,6 +181,22 @@ def test_copy_acts_like_a_fresh_rebuild(source):
     world.check_invariants()
     assert_matches(replay(copy.base.journal, copy.ledger.recovery_window), copy.ledger, later)
     assert_indexes_match(copy.ledger)
+
+
+def test_a_copy_moves_its_clock_on_its_own():
+    runner = ScenarioRunner(parse_scenario(_RICHER_WORLD))
+    assert runner.run().passed
+    world = runner.world
+    before = world.snapshot()
+    assert before["clock"] == 4
+    copy = world.copy()
+    copy.ledger.transfer("whale", "carol", 1, False, 10)
+    assert (copy.ledger.clock, world.ledger.clock) == (10, 4)
+    assert world.snapshot() == before
+    with pytest.raises(ClockWentBack):
+        copy.ledger.transfer("whale", "carol", 1, False, 9)
+    world.ledger.transfer("whale", "carol", 1, False, 9)
+    assert (copy.ledger.clock, world.ledger.clock) == (10, 9)
 
 
 def test_a_copy_taints_and_rerates_on_its_own():
