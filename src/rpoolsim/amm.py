@@ -16,6 +16,11 @@ not diluted by clawbacks that predate them.  Withdrawals pay out the pool's
 settled:unsettled mix pro rata — keeping the bonding-curve input ratio
 unchanged — with the settled share unwrapped to base and the unsettled
 share transferred as wrapper tokens whose window restarts at the LP.
+
+Every pool operation reads the pool's balance through the ledger, so a call
+before the ledger's clock is refused with ``ClockWentBack``, and every
+accepted one moves the clock to its ``now``: a withdrawal stores it itself,
+since one that pays ``(0, 0)`` makes no ledger call.
 """
 
 from __future__ import annotations
@@ -187,6 +192,9 @@ class AmmPool:
             self.ledger.transfer_unsettled(self.address, lp, unsettled_out, now)
         if base_out:
             self.ledger.unwrap_to(self.address, base_out, lp, now)
+        # a payout of (0, 0) makes no ledger call, so the clock is stored
+        # here, after the transfer that may still refuse frozen value
+        self.ledger.clock = now
         self.lp_holdings[lp] = held - lp_tokens
         if self.lp_holdings[lp] == 0:
             del self.lp_holdings[lp]

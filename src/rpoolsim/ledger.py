@@ -23,9 +23,13 @@ sender and a freeze each target, each only when the account's oldest record
 is due, since a fold changes nothing otherwise.
 
 The ledger's ``clock`` is the latest ``now`` an accepted operation used,
-from 0; a call at an earlier ``now`` raises ``ClockWentBack`` before any
-other check, as a chain never runs a block before its parent's.  So no view
-can tell where a fold happened.
+from 0, a pool's or a book's operation included: one that writes no ledger
+entry, such as posting a bid, stores its ``now`` here itself.  A call at an
+earlier ``now`` raises ``ClockWentBack`` before any other check, as a chain
+never runs a block before its parent's.  So no view can tell where a fold
+happened.  Each method tests ``now < self.clock`` inline, so a call at or
+after the clock pays one comparison, and only ``_went_back`` builds the
+refusal.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list.  A new record is
@@ -84,7 +88,7 @@ from __future__ import annotations
 import bisect
 import functools
 from collections.abc import Callable, Iterator
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     ClockWentBack,
@@ -376,10 +380,11 @@ class WrapperLedger:
         if name in (self.arbitrator, self.address, NOBODY):
             raise ReservedName(f"{name!r} is reserved and cannot hold an account")
 
-    def _at(self, now: int) -> None:
-        """Refuse ``now`` before the clock, before any other check."""
-        if now < self.clock:
-            raise ClockWentBack(f"now {now} is before the clock {self.clock}")
+    def _went_back(self, now: int) -> NoReturn:
+        """Refuse ``now``, which is before the clock.  Each method that
+        takes ``now`` tests ``now < self.clock`` inline, before any other
+        check, and calls this only when the test holds."""
+        raise ClockWentBack(f"now {now} is before the clock {self.clock}")
 
     def _account(self, name: str) -> Account:
         """The account ``name``, created on first use.  The reserved names
@@ -394,7 +399,8 @@ class WrapperLedger:
 
     def settle_view(self, account: str, now: int) -> tuple[int, int]:
         """Effective (settled, unsettled) balances at ``now``; pure."""
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         settled, unsettled, _, _ = _view(self.accounts.get(account), now)
         return settled, unsettled
 
@@ -405,7 +411,8 @@ class WrapperLedger:
 
     def available_unsettled(self, account: str, now: int) -> int:
         """Unsettled value at ``now`` that is not under an active freeze."""
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         _, unsettled, frozen, _ = _view(self.accounts.get(account), now)
         return unsettled - frozen
 
@@ -421,7 +428,8 @@ class WrapperLedger:
         when the recipient holds frozen value.  An id outside the transfer
         log names no record.
         """
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         if not 0 < transfer_id <= len(self.transfer_log):
             return False
         entry = self.transfer_log[transfer_id - 1]
@@ -465,7 +473,8 @@ class WrapperLedger:
 
     def wrap(self, caller: str, amount: int, now: int) -> None:
         """Lock base tokens and mint the same amount of settled wrapper tokens."""
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         check_amount(amount)
         if self.base.balance(caller) < amount:
             raise InsufficientBase(
@@ -483,7 +492,8 @@ class WrapperLedger:
 
     def unwrap_to(self, caller: str, amount: int, to: str, now: int) -> None:
         """Burn settled wrapper tokens and release base tokens to ``to``."""
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         check_amount(amount)
         acct = self.accounts.get(caller)
         if acct is not None and acct.unwrap_disabled:
@@ -537,7 +547,8 @@ class WrapperLedger:
     def _transfer(
         self, sender: str, recipient: str, amount: int, mode: str, now: int
     ) -> int:
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         check_amount(amount)
         if sender == recipient:
             raise SelfTransfer(f"{sender} cannot transfer to itself")
@@ -601,7 +612,8 @@ class WrapperLedger:
         case's marks.  Frozen value cannot be spent and cannot mature until
         the case closes via :meth:`recover` or :meth:`release`.
         """
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         if caller != self.arbitrator:
             raise NotArbitrator(f"{caller} is not the arbitrator")
         if case_id in self.cases:
@@ -637,7 +649,8 @@ class WrapperLedger:
 
     def recover(self, caller: str, case_id: str, victim: str, now: int) -> int:
         """Move all frozen value of the case into the victim's settled balance."""
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         self._check_active(caller, case_id)
         victim_acct = self._account(victim)
         self.clock = now
@@ -649,7 +662,8 @@ class WrapperLedger:
 
     def release(self, caller: str, case_id: str, now: int) -> None:
         """Lift the case's freeze; records resume maturing normally."""
-        self._at(now)
+        if now < self.clock:
+            self._went_back(now)
         self._check_active(caller, case_id)
         self.clock = now
         self._close(case_id, "released")

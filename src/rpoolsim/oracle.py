@@ -195,7 +195,12 @@ def issue_report(
     ttl: int,
     ledger: WrapperLedger,
 ) -> RiskReport:
-    """Produce a signed report for the requestor's current account state."""
+    """Produce a signed report for the requestor's current account state.
+
+    A view: it writes no state and leaves the ledger's clock where it is.
+    A report at a time before the clock is refused only when its model
+    reads the ledger at that time, as a taint-aware model does for each
+    tainted transfer; the swap that submits it is refused in any case."""
     if entity.signer_id not in registry._signers:
         raise UnknownSigner(f"{entity.signer_id} is not registered")
     if ttl <= 0:

@@ -11,6 +11,10 @@ rejected if the nonce has moved since, mirroring the automated pool's
 anti-laundering defense.  Rejected matches are non-destructive: the bid
 stays open.  A bid is an immutable value: a cancel or a fill puts a new
 bid, the same but for its status, under its id in ``bids``.
+
+Posting a bid writes no ledger entry, so it stores its ``now`` as the
+ledger's clock itself: a match, or any ledger call, before a posted bid's
+time is then refused with ``ClockWentBack``.  A cancel takes no time.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ class OrderBook:
             raise InsufficientUnsettled(
                 f"{bidder} has {available} unsettled, bid is for {amount}"
             )
+        self.ledger.clock = now
         bid_id = len(self.bids) + 1  # bids are never deleted
         self.bids[bid_id] = _new_bid(
             (bid_id, bidder, amount, min_rate_ppm, expiry, self.ledger.nonce(bidder), OPEN)

@@ -23,6 +23,8 @@ _RATE_RE = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
 
 def check_rate(rate_ppm: int, name: str = "rate") -> int:
     """Validate a ppm rate, returning it unchanged; a refusal names it ``name``."""
+    if type(rate_ppm) is int and 0 <= rate_ppm <= PPM:
+        return rate_ppm
     if not isinstance(rate_ppm, int) or isinstance(rate_ppm, bool):
         raise TypeError(f"{name} must be an integer ppm value, got {rate_ppm!r}")
     if not 0 <= rate_ppm <= PPM:

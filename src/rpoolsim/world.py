@@ -44,24 +44,29 @@ class World:
         return pool
 
     def snapshot(self) -> dict:
-        """The complete raw world state, by value (empty accounts excluded).
+        """The complete raw world state, by value.
 
-        Records, cases, bids and signer entries are immutable values, listed
-        as stored; models are listed by kind and rate; every container, the
-        taint set too, is copied, so no later operation can change a snapshot
-        taken before it.  The journal and the transfer log only grow, so
-        their lengths stand for them.  Two snapshots are compared with ``==``.
+        Every base balance and every account is listed, zero balances and
+        empty accounts included: copying a container whole costs only its
+        data, where filtering it costs a Python test per entry, and listing
+        more can only tell more states apart.  Records, cases, bids and
+        signer entries are immutable values, listed as stored, so a tuple of
+        an account's records holds them by value (an account without records
+        lists the shared empty tuple); models are listed by kind and rate;
+        every container, the taint set too, is copied, so no later operation
+        can change a snapshot taken before it.  The journal and the transfer
+        log only grow, so their lengths stand for them.  Two snapshots are
+        compared with ``==``.
         """
         return {
-            "base": {name: amount for name, amount in self.base.balances.items() if amount},
+            "base": dict(self.base.balances),
             "supply": self.base.total_supply,
             "journal": len(self.base.journal),
             "transfers": len(self.ledger.transfer_log),
             "clock": self.ledger.clock,
             "accounts": {
-                name: (acct.settled, acct.nonce, acct.unwrap_disabled, list(acct.unsettled))
+                name: (acct.settled, acct.nonce, acct.unwrap_disabled, tuple(acct.unsettled))
                 for name, acct in self.ledger.accounts.items()
-                if acct.settled or acct.nonce or acct.unwrap_disabled or acct.unsettled
             },
             "cases": dict(self.ledger.cases),
             "signers": dict(self.registry._signers),

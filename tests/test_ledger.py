@@ -32,6 +32,7 @@ from rpoolsim.errors import (
 )
 from rpoolsim.ledger import Transfer, UnsettledRecord, WrapperLedger, check_amount
 from rpoolsim.orderbook import OrderBook
+from rpoolsim.rates import PPM, check_rate
 
 from conftest import ARB, WINDOW, full_state, give_unsettled, make_pool, quorum
 
@@ -718,6 +719,39 @@ class TestCheckAmount:
         assert check_amount(amount) is amount
 
 
+class TestCheckRate:
+    """The fast path for an ``int`` in [0, PPM] changes no outcome: every
+    other value gets the same refusal, class and message, as before it."""
+
+    @pytest.mark.parametrize(
+        "rate, error, message",
+        [
+            (True, TypeError, "kappa must be an integer ppm value, got True"),
+            (1.0, TypeError, "kappa must be an integer ppm value, got 1.0"),
+            ("1", TypeError, "kappa must be an integer ppm value, got '1'"),
+            (-1, ValueError, "kappa -1 ppm outside [0, 1000000]"),
+            (PPM + 1, ValueError, "kappa 1000001 ppm outside [0, 1000000]"),
+        ],
+    )
+    def test_rejections(self, rate, error, message):
+        with pytest.raises(error) as refused:
+            check_rate(rate, "kappa")
+        assert type(refused.value) is error and str(refused.value) == message
+
+    @pytest.mark.parametrize("rate", [0, PPM])
+    def test_the_bounds_are_accepted(self, rate):
+        assert check_rate(rate) is rate
+
+    def test_an_int_subclass_is_returned_unchanged(self):
+        class Ppm(int):
+            pass
+
+        rate = Ppm(7)
+        assert check_rate(rate) is rate
+        with pytest.raises(ValueError, match=r"rate 1000001 ppm outside"):
+            check_rate(Ppm(PPM + 1))
+
+
 class TestRecordOrder:
     """The clock never goes back, so a new record sorts last and is
     appended; only a release, which puts a mark back at its key, inserts
@@ -884,6 +918,62 @@ class TestClock:
             book.match_bid("lp", 1, 20, 4)
         assert full_state(world) == state
         assert book.match_bid("lp", 1, 20, 5).base_paid == 20
+
+    def test_a_withdraw_refused_for_frozen_value_leaves_the_clock(self, world):
+        base, ledger = world.base, world.ledger
+        pool, _ = make_pool(world, lp_deposits=(("lp1", 100),))
+        give_unsettled(base, ledger, "pool", 100, now=0, source="donor")
+        ledger.freeze(ARB, [("pool", 100)], "c1", 0)
+        state = full_state(world)
+        with pytest.raises(FrozenFunds):
+            pool.withdraw("lp1", 100, 5)
+        assert (full_state(world), ledger.clock) == (state, 0)
+
+    @pytest.mark.parametrize("name", ["match_bid", *_TAKES_NOW])
+    @pytest.mark.parametrize("writer", ["post_bid", "zero_withdraw"])
+    def test_a_call_before_a_book_or_pool_write_is_refused(self, world, writer, name):
+        # posting a bid and a withdrawal that pays (0, 0) make no ledger
+        # entry, so each stores its time as the clock itself
+        book = _clock_at_150(world, writer)
+        if name == "match_bid":
+            method, args = book.match_bid, {"lp": "lp", "bid_id": 1, "offered_base": 5}
+        else:
+            method = getattr(world.ledger, name)
+            args = {p: _CLOCK_ARGS[p] for p in inspect.signature(method).parameters if p != "now"}
+        state = full_state(world)
+        with pytest.raises(ClockWentBack):
+            method(**args, now=149)
+        assert (full_state(world), world.ledger.clock) == (state, 150)
+        try:  # at the clock, the same call is not refused for its time
+            method(**args, now=150)
+        except RPoolError as exc:
+            assert not isinstance(exc, ClockWentBack)
+
+
+def _clock_at_150(world, writer):
+    """A pool that clawbacks emptied (total 0, ``lp1`` holding all 100 LP
+    tokens), then :func:`_clock_at_100`, a book and ``lp`` holding the base
+    to fill its bid 1, ``a``'s bid for 10; at 150 the one write ``writer``
+    that makes no ledger entry: that bid's posting, or ``lp1`` withdrawing
+    one LP token for ``(0, 0)`` after a bid posted at 100."""
+    base, ledger = world.base, world.ledger
+    pool, rater = make_pool(world, lp_deposits=(("lp1", 100),), rate_cap_ppm=PPM,
+                            rater_rate_ppm=PPM)
+    give_unsettled(base, ledger, "mallory", 100, now=0, source="victim")
+    receipt = pool.swap("mallory", 100, quorum(pool, rater, "mallory", 100, 0, ledger), 0)
+    ledger.freeze(ARB, [("pool", 100)], "p1", 0)
+    ledger.recover(ARB, "p1", "victim", 0)
+    assert (receipt.amount_out, pool.pool_state(0)) == (100, (0, 0, 0, 100))
+    _clock_at_100(world)
+    book = world.books["ob"] = OrderBook(ledger)
+    base.mint("lp", 5)
+    if writer == "post_bid":
+        book.post_bid("a", 10, 500_000, 300, 150)
+    else:
+        book.post_bid("a", 10, 500_000, 300, 100)
+        assert pool.withdraw("lp1", 1, 150) == (0, 0)
+    assert ledger.clock == 150
+    return book
 
 
 def _tainted_pool_world(world, pool_keep: int, lp_withdraw: int):

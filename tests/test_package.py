@@ -454,3 +454,28 @@ def test_only_three_primitives_edit_an_accounts_records():
     assert editors == {"_fold", "_put", "_take"}
     assert sum_writers == {"_fold", "_put", "_take"}
     assert record_builders == {"_put", "_take"}
+
+
+def test_one_function_refuses_a_time_before_the_clock():
+    # ClockWentBack is built and raised in one function of the library, and
+    # each of its calls is a ledger method's ``if now < self.clock:`` body,
+    # so a call at or after the clock pays that one comparison
+    raisers, calls, guarded = set(), set(), set()
+    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, function in _defined_functions(tree):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if ast.unparse(raised) == "ClockWentBack":
+                        raisers.add(f"{path.name}:{qualname}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_went_back"):
+                calls.add((path.name, node.lineno))
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "now < self.clock":
+                body = [ast.unparse(stmt) for stmt in node.body]
+                if body == ["self._went_back(now)"] and not node.orelse:
+                    guarded.add((path.name, node.body[0].lineno))
+    assert raisers == {"ledger.py:WrapperLedger._went_back"}
+    assert calls and calls == guarded
+    assert {name for name, _ in calls} == {"ledger.py"}

@@ -327,6 +327,7 @@ _IN_PLACE_WRITES = {
     "receipt count": lambda r: r.world.pools["p"].receipts.append(None),
     "bid status": _cancel_bid_in_place,
     "base balance": lambda r: r.world.base.balances.update(lp=299, whale=1),
+    "zero base balance": lambda r: r.world.base.balances.update(ghost=0),
 }
 
 

@@ -2,7 +2,8 @@
 source, checked on every shipped scenario's final world and on a rich one
 (a pool with a swap, a book with a filled bid, a recovered case and an
 active case marking the same record), and on the signers' models, the
-taint set and the ledger's clock, which a copy changes on its own."""
+taint set and the ledger's clock, which a copy changes on its own; and
+``World.snapshot()``, which on the same worlds holds no live container."""
 
 import dataclasses
 from pathlib import Path
@@ -155,6 +156,16 @@ def test_copy_shares_no_mutable_object(source):
     theirs, ours = reachable(world), reachable(copy)
     shared = [obj for key, obj in ours.items() if key in theirs and not may_share(obj)]
     assert not shared, shared
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_snapshot_holds_no_live_container(source):
+    # every list, dict and set a snapshot lists is its own copy, so no
+    # later write into the world can reach it
+    world, _ = final_world(SOURCES[source])
+    live = {key for key, obj in reachable(world).items() if isinstance(obj, (list, dict, set))}
+    held = [obj for key, obj in reachable(world.snapshot()).items() if key in live]
+    assert not held, held
 
 
 @pytest.mark.parametrize("source", SOURCES)
