@@ -17,10 +17,13 @@ settled:unsettled mix pro rata — keeping the bonding-curve input ratio
 unchanged — with the settled share unwrapped to base and the unsettled
 share transferred as wrapper tokens whose window restarts at the LP.
 
-Every pool operation reads the pool's balance through the ledger, so a call
-before the ledger's clock is refused with ``ClockWentBack``, and every
-accepted one moves the clock to its ``now``: a withdrawal stores it itself,
-since one that pays ``(0, 0)`` makes no ledger call.
+Every pool operation tests the ledger's clock before it checks anything
+else, so a call before the clock is refused with ``ClockWentBack`` whatever
+its arguments, as a ledger call is: a deposit or a withdrawal reads the
+pool's balance first, and a swap, which reads it only once its reports
+pass, calls :meth:`~rpoolsim.ledger.WrapperLedger.check_clock`.  Every
+accepted operation moves the clock to its ``now``: a withdrawal stores it
+itself, since one that pays ``(0, 0)`` makes no ledger call.
 """
 
 from __future__ import annotations
@@ -152,8 +155,8 @@ class AmmPool:
         deposit until those worthless tokens are burned: at any share price
         they would claim part of it.
         """
+        _, _, total, _ = self.pool_state(now)  # first: it refuses a time before the clock
         check_amount(amount)
-        _, _, total, _ = self.pool_state(now)
         if self.lp_supply == 0:
             minted = amount
         elif total == 0:
@@ -176,11 +179,11 @@ class AmmPool:
         pool's settled:unsettled ratio so withdrawals cannot steer the
         bonding curve.
         """
+        _, unsettled, total, _ = self.pool_state(now)  # first, as in deposit
         check_amount(lp_tokens)
         held = self.lp_holdings.get(lp, 0)
         if held < lp_tokens:
             raise InsufficientLpTokens(f"{lp} holds {held}, burning {lp_tokens}")
-        _, unsettled, total, _ = self.pool_state(now)
         # lp_supply >= held >= lp_tokens > 0; a pool total of 0 pays out 0
         withdrawn = lp_tokens * total // self.lp_supply
         unsettled_out = withdrawn * unsettled // total if withdrawn else 0
@@ -212,6 +215,7 @@ class AmmPool:
         any state changes; pricing reads the pre-swap pool state, so the
         requestor gets exactly the rate it could have computed beforehand.
         """
+        self.ledger.check_clock(now)
         check_amount(amount_in)
         median = validate_reports(self, requestor, amount_in, reports, now)
         settled, _, total, _ = self.pool_state(now)

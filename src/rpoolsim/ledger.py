@@ -29,7 +29,9 @@ earlier ``now`` raises ``ClockWentBack`` before any other check, as a chain
 never runs a block before its parent's.  So no view can tell where a fold
 happened.  Each method tests ``now < self.clock`` inline, so a call at or
 after the clock pays one comparison, and only ``_went_back`` builds the
-refusal.
+refusal.  A pool's or a book's operation reads the ledger at its ``now``,
+or calls :meth:`WrapperLedger.check_clock`, before its own checks, so it
+is refused first too.
 
 Records are kept in ascending ``(settlement_time, transfer_id)`` order, so at
 any ``now`` the matured records form a prefix of the list.  A new record is
@@ -385,6 +387,12 @@ class WrapperLedger:
         takes ``now`` tests ``now < self.clock`` inline, before any other
         check, and calls this only when the test holds."""
         raise ClockWentBack(f"now {now} is before the clock {self.clock}")
+
+    def check_clock(self, now: int) -> None:
+        """Refuse ``now`` if it is before the clock, for an operation that
+        makes no ledger call before its own checks."""
+        if now < self.clock:
+            self._went_back(now)
 
     def _account(self, name: str) -> Account:
         """The account ``name``, created on first use.  The reserved names

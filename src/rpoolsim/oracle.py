@@ -7,6 +7,13 @@ expiry.  The nonce binding is the anti-laundering defense: any balance
 event touching the requestor between issuance and the swap invalidates the
 report, which also rejects flash-loan-style atomic flows by construction.
 
+A report is an immutable value that carries its signed bytes: building one
+encodes its six signed fields once, with :func:`canonical_encode`, and
+keeps the bytes as ``signed`` (``None`` when a field cannot be encoded).
+:func:`issue_report` keeps the bytes it signed, and the quorum check
+verifies each signature over the report's own bytes, so no report is
+encoded twice.
+
 The aggregator side is a pure function: given a pool's configuration and a
 list of reports it either returns the median quote or raises the error of
 the lowest-numbered check that fails, with the message of the first report
@@ -16,10 +23,11 @@ order of the reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import struct
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import (
     BadExpiry,
@@ -98,13 +106,32 @@ class HashSignatureScheme:
         return hmac.compare_digest(expected, signature)
 
 
-class RiskReport:
-    __slots__ = (
-        "requestor", "amount", "account_nonce", "expiry", "quote_ppm", "signer_id", "signature"
-    )
+class _ReportFields(NamedTuple):
+    requestor: str
+    amount: int
+    account_nonce: int
+    expiry: int
+    quote_ppm: int
+    signer_id: str
+    signature: bytes
+    #: canonical_encode of the six fields before ``signature``, or None
+    #: when one of them cannot be encoded
+    signed: bytes | None
 
-    def __init__(
-        self,
+
+class RiskReport(_ReportFields):
+    """A signed report: an immutable value that carries its signed bytes.
+
+    The constructor takes the six signed fields and the signature and
+    encodes the fields itself, so ``signed`` always matches them; a caller
+    cannot pass it.  A report with a changed field is a new report, with
+    new bytes, that the old signature no longer covers.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         requestor: str,
         amount: int,
         account_nonce: int,
@@ -112,14 +139,33 @@ class RiskReport:
         quote_ppm: int,
         signer_id: str,
         signature: bytes,
-    ) -> None:
-        self.requestor = requestor
-        self.amount = amount
-        self.account_nonce = account_nonce
-        self.expiry = expiry
-        self.quote_ppm = quote_ppm
-        self.signer_id = signer_id
-        self.signature = signature
+    ) -> RiskReport:
+        try:
+            signed = canonical_encode(
+                requestor, amount, account_nonce, expiry, quote_ppm, signer_id
+            )
+        except ValueError:
+            signed = None  # no signature can cover the report
+        return tuple.__new__(
+            cls,
+            (requestor, amount, account_nonce, expiry, quote_ppm, signer_id, signature, signed),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> RiskReport:
+        # ``_replace`` builds through ``_make``: a copy re-encodes its
+        # fields, and a ``signed`` passed in is dropped
+        return cls(*tuple(iterable)[:7])
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a report through the constructor
+        return self[:7]
+
+
+#: Builds a :class:`RiskReport` from one tuple of all eight fields without
+#: the constructor's frame or its encoding, as the ledger builds its
+#: records.  Only :func:`issue_report` uses it, with the bytes it signed.
+_new_report = functools.partial(tuple.__new__, RiskReport)
 
 
 class SignerRegistry:
@@ -208,9 +254,12 @@ def issue_report(
     quote = check_rate(entity.model.quote(ledger, requestor, amount, now))
     account_nonce = ledger.nonce(requestor)
     expiry = now + ttl
-    message = canonical_encode(requestor, amount, account_nonce, expiry, quote, entity.signer_id)
-    signature = registry.scheme.sign(entity.secret, message)
-    return RiskReport(requestor, amount, account_nonce, expiry, quote, entity.signer_id, signature)
+    signer_id = entity.signer_id
+    signed = canonical_encode(requestor, amount, account_nonce, expiry, quote, signer_id)
+    signature = registry.scheme.sign(entity.secret, signed)
+    return _new_report(
+        (requestor, amount, account_nonce, expiry, quote, signer_id, signature, signed)
+    )
 
 
 def median_quote(quotes: list[int]) -> int:
@@ -263,11 +312,14 @@ def validate_reports(
     message of the first report in list order that fails it.  So the error
     class does not depend on the order of ``reports``.
 
-    Check 1 runs first.  Then one pass walks the reports in list order: a
-    repeated signer raises at once, since only check 1 outranks check 2,
-    and checks 3-8 run in order on each report while they could still come
-    before the lowest failure recorded so far.  Check 9 runs on a clean
-    pass.
+    Check 1 runs first.  Then one pass walks the reports in list order,
+    unpacking each once and collecting its quote: a repeated signer raises
+    at once, since only check 1 outranks check 2, and checks 3-8 run in
+    order on each report while they could still come before the lowest
+    failure recorded so far.  Check 8 verifies the signature over the
+    report's ``signed`` bytes, which always match its fields; a report whose
+    bytes are ``None`` has a field no signature can cover and fails it.
+    Nothing is encoded here.  Check 9 runs on a clean pass.
     """
     if len(reports) < pool.min_quorum:
         raise QuorumTooSmall(f"{len(reports)} reports, quorum is {pool.min_quorum}")
@@ -278,13 +330,18 @@ def validate_reports(
     verify = registry.scheme.verify
     current_nonce = pool.ledger.nonce(requestor)
     seen = set()
+    quotes = []
     failed = 9  # the lowest check failed so far: 9 while none of 3-8 has
     message = ""
     for report in reports:
-        signer_id = report.signer_id
+        (
+            report_requestor, report_amount, account_nonce, expiry, quote, signer_id,
+            signature, signed,
+        ) = report
         if signer_id in seen:
             raise DuplicateSigner("reports share a signer")
         seen.add(signer_id)
+        quotes.append(quote)
         if failed > 3:
             holding = lp_holdings.get(signer_id, 0)
             if holding <= 0 or holding < min_lp_deposit:
@@ -296,37 +353,26 @@ def validate_reports(
             entry = signers.get(signer_id)  # (public key, authorized)
             if entry is None or not entry[1]:
                 failed, message = 4, f"{signer_id} is not authorized"
-        if failed > 5 and report.account_nonce != current_nonce:
-            failed = 5
-            message = f"report nonce {report.account_nonce} != current {current_nonce}"
-        if failed > 6 and not now < report.expiry:
-            failed, message = 6, f"report expired at {report.expiry}, now {now}"
-        if failed > 7 and (report.requestor != requestor or report.amount != amount):
+        if failed > 5 and account_nonce != current_nonce:
+            failed, message = 5, f"report nonce {account_nonce} != current {current_nonce}"
+        if failed > 6 and not now < expiry:
+            failed, message = 6, f"report expired at {expiry}, now {now}"
+        if failed > 7 and (report_requestor != requestor or report_amount != amount):
             failed = 7
             message = (
-                f"report is for ({report.requestor}, {report.amount}), "
+                f"report is for ({report_requestor}, {report_amount}), "
                 f"request is ({requestor}, {amount})"
             )
         if failed > 8:
             # this report passed check 4, so ``entry`` is its signer's
-            try:
-                signed = canonical_encode(
-                    report.requestor,
-                    report.amount,
-                    report.account_nonce,
-                    report.expiry,
-                    report.quote_ppm,
-                    signer_id,
-                )
-            except ValueError:
-                # an integer outside its field: no signature can cover the report
+            if signed is None:
+                # a field canonical_encode cannot write: no signature covers it
                 failed, message = 8, f"report by {signer_id} is not encodable"
-            else:
-                if not verify(entry[0], signed, report.signature):
-                    failed, message = 8, f"signature by {signer_id} does not verify"
+            elif not verify(entry[0], signed, signature):
+                failed, message = 8, f"signature by {signer_id} does not verify"
     if failed < 9:
         raise _REPORT_CHECK_ERRORS[failed](message)
-    median = median_quote([r.quote_ppm for r in reports])
+    median = median_quote(quotes)
     lo, hi = pool.risk_bounds
     if not lo <= median <= hi:
         raise OutOfRiskBounds(f"median {median} ppm outside [{lo}, {hi}]")

@@ -12,9 +12,13 @@ anti-laundering defense.  Rejected matches are non-destructive: the bid
 stays open.  A bid is an immutable value: a cancel or a fill puts a new
 bid, the same but for its status, under its id in ``bids``.
 
+A post or a match tests the ledger's clock before any other check, so a
+call before the clock is refused with ``ClockWentBack`` whatever its
+arguments, as a ledger call is: a post reads the bidder's balance first,
+and a match calls :meth:`~rpoolsim.ledger.WrapperLedger.check_clock`.
 Posting a bid writes no ledger entry, so it stores its ``now`` as the
 ledger's clock itself: a match, or any ledger call, before a posted bid's
-time is then refused with ``ClockWentBack``.  A cancel takes no time.
+time is then refused too.  A cancel takes no time.
 """
 
 from __future__ import annotations
@@ -83,11 +87,11 @@ class OrderBook:
     def post_bid(
         self, bidder: str, amount: int, min_rate_ppm: int, expiry: int, now: int
     ) -> int:
+        available = self.ledger.available_unsettled(bidder, now)  # first: the clock
         check_amount(amount)
         check_rate(min_rate_ppm)
         if expiry <= now:
             raise BadExpiry(f"expiry {expiry} is not after {now}")
-        available = self.ledger.available_unsettled(bidder, now)
         if available < amount:
             raise InsufficientUnsettled(
                 f"{bidder} has {available} unsettled, bid is for {amount}"
@@ -118,6 +122,7 @@ class OrderBook:
         The minimum price check rounds in the bidder's favor: the offer must
         reach ceil(amount * min_rate).
         """
+        self.ledger.check_clock(now)
         check_amount(offered_base)
         bid = self._open_bid(bid_id)
         if now >= bid.expiry:

@@ -15,13 +15,19 @@ import pytest
 import rpoolsim.ledger
 from rpoolsim import World
 from rpoolsim.errors import (
+    BadExpiry,
+    BidNotOpen,
     ClockWentBack,
     FrozenFunds,
     InsufficientBalance,
     InsufficientBase,
+    InsufficientLpTokens,
     InsufficientSettled,
     InsufficientUnsettled,
     NotArbitrator,
+    QuorumTooSmall,
+    QuoteTooLow,
+    RequestMismatch,
     ReservedName,
     RPoolError,
     SelfTransfer,
@@ -31,6 +37,7 @@ from rpoolsim.errors import (
     ZeroAmount,
 )
 from rpoolsim.ledger import Transfer, UnsettledRecord, WrapperLedger, check_amount
+from rpoolsim.oracle import issue_report
 from rpoolsim.orderbook import OrderBook
 from rpoolsim.rates import PPM, check_rate
 
@@ -824,6 +831,45 @@ def _clock_at_100(world):
     return ledger
 
 
+def _pool_and_book_at_50(world):
+    """The pool of :func:`make_pool`, ``mallory``'s report on (mallory, 10)
+    issued at 0, a book holding ``alice``'s open bid 1 for 40 at 0.5 until
+    90, and ``lp`` holding 20 base; the clock at 50."""
+    base, ledger = world.base, world.ledger
+    pool, rater = make_pool(world)
+    give_unsettled(base, ledger, "mallory", 10, now=0)
+    report = issue_report(rater, world.registry, "mallory", 10, 0, 600, ledger)
+    book = world.books["ob"] = OrderBook(ledger)
+    give_unsettled(base, ledger, "alice", 40, now=0, source="f2")
+    book.post_bid("alice", 40, 500_000, 90, 0)
+    base.mint("lp", 20)
+    give_unsettled(base, ledger, "other", 1, now=50, source="f3")
+    return pool, book, report
+
+
+#: a pool or book call with a faulty argument -> the error it raises at
+#: the clock; before the clock each raises ClockWentBack instead
+_FAULTY_POOL_AND_BOOK_CALLS = {
+    "swap-zero": (lambda pool, book, report, now: pool.swap("mallory", 0, [report], now),
+                  ZeroAmount),
+    "swap-no-reports": (lambda pool, book, report, now: pool.swap("mallory", 10, [], now),
+                        QuorumTooSmall),
+    "swap-mismatch": (lambda pool, book, report, now: pool.swap("mallory", 9, [report], now),
+                      RequestMismatch),
+    "deposit-zero": (lambda pool, book, report, now: pool.deposit("lp1", 0, now), ZeroAmount),
+    "withdraw-too-many": (lambda pool, book, report, now: pool.withdraw("lp1", 101, now),
+                          InsufficientLpTokens),
+    "post-bid-expiry": (lambda pool, book, report, now: book.post_bid("alice", 1, 0, now, now),
+                        BadExpiry),
+    "post-bid-rate": (lambda pool, book, report, now: book.post_bid("alice", 1, 2 * PPM, 90, now),
+                      ValueError),
+    "match-low-offer": (lambda pool, book, report, now: book.match_bid("lp", 1, 19, now),
+                        QuoteTooLow),
+    "match-unknown-bid": (lambda pool, book, report, now: book.match_bid("lp", 9, 20, now),
+                          BidNotOpen),
+}
+
+
 class TestClock:
     """The ledger's clock is the latest ``now`` an accepted operation used,
     from 0.  Every public method that takes ``now`` refuses an earlier one
@@ -918,6 +964,18 @@ class TestClock:
             book.match_bid("lp", 1, 20, 4)
         assert full_state(world) == state
         assert book.match_bid("lp", 1, 20, 5).base_paid == 20
+
+    @pytest.mark.parametrize("call", _FAULTY_POOL_AND_BOOK_CALLS)
+    def test_a_pool_or_book_call_checks_the_clock_before_its_arguments(self, world, call):
+        faulty, error = _FAULTY_POOL_AND_BOOK_CALLS[call]
+        pool, book, report = _pool_and_book_at_50(world)
+        ledger = world.ledger
+        snapshot, mark = world.snapshot(), ledger.mark()
+        with pytest.raises(ClockWentBack):
+            faulty(pool, book, report, 49)
+        assert (world.snapshot(), ledger.mark(), ledger.clock) == (snapshot, mark, 50)
+        with pytest.raises(error):  # at the clock, the call's own fault is found
+            faulty(pool, book, report, 50)
 
     def test_a_withdraw_refused_for_frozen_value_leaves_the_clock(self, world):
         base, ledger = world.base, world.ledger

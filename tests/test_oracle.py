@@ -1,6 +1,8 @@
 """Report encoding, signatures, the median, and the nine-check validation."""
 
+import copy
 import itertools
+import pickle
 import random
 import struct
 
@@ -35,10 +37,12 @@ from rpoolsim.errors import (
     StaleNonce,
     UnknownSigner,
 )
+import rpoolsim.oracle
 from rpoolsim.oracle import RiskReport
+from rpoolsim.rates import PPM
 
 import naive_quorum
-from conftest import give_unsettled, make_pool
+from conftest import ARB, WINDOW, full_state, give_unsettled, make_pool
 
 
 class TestCanonicalEncode:
@@ -207,6 +211,114 @@ class TestIssueReport:
             issue_report(entity, world.registry, "alice", 1, 0, ttl, world.ledger)
 
 
+#: a report's constructor arguments: its six signed fields and the signature
+_REPORT_ARGS = (
+    "requestor", "amount", "account_nonce", "expiry", "quote_ppm", "signer_id", "signature"
+)
+
+#: each signed field's values: inside its width, and outside it or not an
+#: integer, as in test_field_outside_its_width_is_a_value_error
+_FIELD_VALUES = {
+    "requestor": st.text() | st.just("\ud800"),
+    "amount": st.integers(0, 2**128 - 1) | st.sampled_from([-1, 2**128, 100.0]),
+    "account_nonce": st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64]),
+    "expiry": st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64]),
+    "quote_ppm": st.integers(0, 2**32 - 1) | st.sampled_from([-1, 2**32]),
+    "signer_id": st.text() | st.just("\ud800"),
+}
+
+
+def _encoded(fields) -> bytes | None:
+    """The six signed fields' bytes, or None where they cannot be encoded."""
+    try:
+        return canonical_encode(*fields)
+    except ValueError:
+        return None
+
+
+class TestReportBytes:
+    """A report carries the bytes of its six signed fields however it is
+    built, and the quorum check verifies those bytes without encoding."""
+
+    @given(
+        fields=st.tuples(*_FIELD_VALUES.values()),
+        replacements=st.tuples(*_FIELD_VALUES.values()),
+        signature=st.binary(max_size=32),
+    )
+    def test_bytes_match_the_fields(self, fields, replacements, signature):
+        args = (*fields, signature)
+        built = [
+            RiskReport(*args),
+            RiskReport(**dict(zip(_REPORT_ARGS, args))),
+            RiskReport._make(args),
+            RiskReport._make((*args, b"passed in")),
+        ]
+        assert len(set(built)) == 1
+        for report in built[:1]:
+            built += [
+                report._replace(**{name: value})
+                for name, value in zip(_FIELD_VALUES, replacements)
+            ]
+            built += [report._replace(signed=b"passed in"), report._replace(signature=b"")]
+            built += [copy.copy(report), pickle.loads(pickle.dumps(report))]
+        for report in built:
+            assert report.signed == _encoded(report[:6])
+        assert built[-3].signed == built[-2].signed == built[0].signed
+
+    @given(
+        requestor=_FIELD_VALUES["requestor"],
+        amount=_FIELD_VALUES["amount"],
+        now=st.integers(0, 2**64),
+        quote=st.integers(0, PPM),
+    )
+    def test_an_issued_report_carries_the_bytes_it_signed(self, requestor, amount, now, quote):
+        world = World(recovery_window=WINDOW, arbitrator=ARB)
+        rater = world.add_signer("rater", ConstantRiskModel(quote))
+        fields = (requestor, amount, world.ledger.nonce(requestor), now + 60, quote, "rater")
+        signed = _encoded(fields)
+        if signed is None:
+            with pytest.raises(ValueError):
+                issue_report(rater, world.registry, requestor, amount, now, 60, world.ledger)
+            return
+        report = issue_report(rater, world.registry, requestor, amount, now, 60, world.ledger)
+        assert (report[:6], report.signed) == (fields, signed)
+        assert report == RiskReport(*report[:7])
+        public_key, _ = world.registry._signers["rater"]
+        assert world.registry.scheme.verify(public_key, signed, report.signature)
+
+    def test_a_report_changed_after_signing_is_refused(self, world):
+        pool, rater = make_pool(world)
+        give_unsettled(world.base, world.ledger, "alice", 100, now=0)
+        (issued,) = _reports(pool, rater, world.ledger)
+        stale = issued._replace(quote_ppm=issued.quote_ppm + 1)
+        assert stale.signature == issued.signature and stale.signed != issued.signed
+        state = full_state(world)
+        with pytest.raises(BadSignature):
+            pool.swap("alice", 100, [stale], 0)
+        assert full_state(world) == state
+        assert pool.swap("alice", 100, [issued], 0).median_ppm == issued.quote_ppm
+
+    def test_each_report_is_encoded_once(self, world, monkeypatch):
+        lps = [(f"lp{n}", 100) for n in range(5)]
+        pool, rater = make_pool(world, lp_deposits=lps, min_quorum=5)
+        raters = [rater] + [world.add_signer(lp, ConstantRiskModel(500_000)) for lp, _ in lps[1:]]
+        give_unsettled(world.base, world.ledger, "alice", 100, now=0)
+        calls = []
+
+        def counting(*fields):
+            calls.append(fields)
+            return canonical_encode(*fields)
+
+        monkeypatch.setattr(rpoolsim.oracle, "canonical_encode", counting)
+        reports = [
+            issue_report(entity, world.registry, "alice", 100, 0, 600, world.ledger)
+            for entity in raters
+        ]
+        assert calls == [report[:6] for report in reports]
+        receipt = pool.swap("alice", 100, reports, 0)
+        assert (receipt.median_ppm, len(calls)) == (500_000, 5)
+
+
 def _reports(pool, rater, ledger, requestor="alice", amount=100, now=0, n=1, ttl=600):
     return [
         issue_report(rater, pool.registry, requestor, amount, now, ttl, ledger)
@@ -260,7 +372,7 @@ def _signed(world, entity, **fields):
 
 def _tampered(report, **fields):
     """``report`` with ``fields`` replaced after it was signed."""
-    values = {name: getattr(report, name) for name in RiskReport.__slots__}
+    values = {name: getattr(report, name) for name in _REPORT_ARGS}
     return RiskReport(**{**values, **fields})
 
 
@@ -418,7 +530,7 @@ class TestValidateReports:
         ledger = world.ledger
         pool, rater = make_pool(world)
         (report,) = _reports(pool, rater, ledger)
-        values = {name: getattr(report, name) for name in RiskReport.__slots__}
+        values = {name: getattr(report, name) for name in _REPORT_ARGS}
         forged = RiskReport(**{**values, field: value})
         with pytest.raises(BadSignature):
             validate_reports(pool, "alice", 100, [forged], 0)

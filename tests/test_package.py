@@ -179,6 +179,8 @@ _FILL = Fill(
         (Case(marks=()), "status"),
         (_RECEIPT, "amount_out"),
         (_FILL, "base_paid"),
+        (RiskReport("alice", 5, 0, 10, 500_000, "rater", b""), "quote_ppm"),
+        (RiskReport("alice", 5, 0, 10, 500_000, "rater", b""), "signed"),
     ],
     ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
 )
@@ -313,6 +315,7 @@ def test_benchmark_harness_names_still_resolve():
 #: by qualified name, with the reason
 _CALLED_UNNAMED = {
     "AttackScenario._make": "NamedTuple._replace calls it",
+    "RiskReport._make": "NamedTuple._replace calls it",
 }
 
 
@@ -454,6 +457,17 @@ def test_only_three_primitives_edit_an_accounts_records():
     assert editors == {"_fold", "_put", "_take"}
     assert sum_writers == {"_fold", "_put", "_take"}
     assert record_builders == {"_put", "_take"}
+
+
+def test_the_naive_quorum_check_encodes_every_report_itself():
+    # the differential oracle re-encodes each report from its fields, so it
+    # never relies on the bytes a report carries, which the one-pass check
+    # verifies
+    tree = ast.parse((ROOT / "tests" / "naive_quorum.py").read_text())
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "signed" not in reads | strings
+    assert "canonical_encode" in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_one_function_refuses_a_time_before_the_clock():

@@ -70,10 +70,9 @@ def _template():
 
 def _swap(world, signer, amount=10, **tampered):
     """Swap ``amount`` of bob's into ``pool`` on one report by ``signer``,
-    with the report's ``tampered`` fields overwritten after signing."""
+    with the report's ``tampered`` fields replaced after signing."""
     report = issue_report(signer, world.registry, "bob", amount, NOW, 60, world.ledger)
-    for field, value in tampered.items():
-        setattr(report, field, value)
+    report = report._replace(**tampered)
     return world.pools["pool"].swap("bob", amount, [report], NOW)
 
 
