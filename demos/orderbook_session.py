@@ -5,12 +5,12 @@ Run:
     python3 demos/orderbook_session.py
 """
 
-from rpoolsim import OrderBook, World
+from rpoolsim import World
 from rpoolsim.errors import BidNotOpen, QuoteTooLow, StaleNonce
 
 world = World(recovery_window=86_400, arbitrator="arb")
 base, ledger = world.base, world.ledger
-book = world.books["book"] = OrderBook(ledger)
+book = world.add_book("book")
 
 base.mint("lp", 200)
 base.mint("whale", 300)

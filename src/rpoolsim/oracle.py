@@ -67,12 +67,12 @@ def canonical_encode(
     account nonce 8, expiry 8, quote 4, signer length 4) followed by the
     requestor's and the signer's UTF-8 bytes.  The head carries both
     lengths, so the bytes split back into exactly one field tuple, as in
-    EIP-712's typed hashing.  A field outside its width, or not an integer,
-    is a ``ValueError``.
+    EIP-712's typed hashing.  A number outside its width or not an integer,
+    or a name that is not a string UTF-8 can encode, is a ``ValueError``.
     """
-    requestor_bytes = requestor.encode()
-    signer_bytes = signer_id.encode()
     try:
+        requestor_bytes = requestor.encode()
+        signer_bytes = signer_id.encode()
         head = _HEAD.pack(
             len(requestor_bytes),
             amount >> 64,
@@ -82,7 +82,7 @@ def canonical_encode(
             quote_ppm,
             len(signer_bytes),
         )
-    except (struct.error, TypeError) as exc:
+    except (struct.error, TypeError, AttributeError, UnicodeEncodeError) as exc:
         raise ValueError(f"report field not encodable: {exc}") from None
     return head + requestor_bytes + signer_bytes
 
@@ -243,10 +243,10 @@ def issue_report(
 ) -> RiskReport:
     """Produce a signed report for the requestor's current account state.
 
-    A view: it writes no state and leaves the ledger's clock where it is.
-    A report at a time before the clock is refused only when its model
-    reads the ledger at that time, as a taint-aware model does for each
-    tainted transfer; the swap that submits it is refused in any case."""
+    A view: it writes no state and leaves the ledger's clock where it is,
+    and, as every ledger view does, refuses a time before the clock first."""
+    if now < ledger.clock:
+        ledger.check_clock(now)
     if entity.signer_id not in registry._signers:
         raise UnknownSigner(f"{entity.signer_id} is not registered")
     if ttl <= 0:

@@ -42,7 +42,6 @@ from typing import Any, Callable, NamedTuple
 
 from .errors import RPoolError, UnboundLabel
 from .oracle import ConstantRiskModel, TaintAwareRiskModel, issue_report
-from .orderbook import OrderBook
 from .scenario import ACTION_SPECS, Params, ScenarioScript, Step, format_value
 from .world import World
 
@@ -150,7 +149,7 @@ class ScenarioRunner:
                 raise  # a script built in code has no line to point at
             raise script.refusal(directive, spec.name, str(exc)) from exc
         for name in script.books:
-            world.books[name] = OrderBook(world.ledger)
+            world.add_book(name)
 
     def state_digest(self) -> str:
         """sha256 of :meth:`World.snapshot`, for comparing states across runs."""

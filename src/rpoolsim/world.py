@@ -43,6 +43,11 @@ class World:
         pool = self.pools[name] = AmmPool(self.ledger, name, self.registry, **config)
         return pool
 
+    def add_book(self, name: str) -> OrderBook:
+        """An empty :class:`OrderBook` named ``name`` on this world's ledger."""
+        book = self.books[name] = OrderBook(self.ledger)
+        return book
+
     def snapshot(self) -> dict:
         """The complete raw world state, by value.
 

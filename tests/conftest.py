@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,30 @@ def full_state(world):
         {name: list(pool.receipts) for name, pool in world.pools.items()},
         {name: list(book.fills) for name, book in world.books.items()},
     )
+
+
+def assert_unchanged(world, before, state=World.snapshot):
+    """``state(world)`` still equals ``before``, and every invariant holds.
+
+    The default state is :meth:`World.snapshot`, which holds the journal's
+    length (``ledger.mark()``) and the clock, and is what the runner compares
+    around a step that expects an error."""
+    assert state(world) == before, "a refused operation changed the world"
+    world.check_invariants()
+
+
+@contextmanager
+def refused(world, error, match=None, *, state=World.snapshot):
+    """The block raises exactly ``error``, its message matching ``match`` as
+    in :func:`pytest.raises`, and leaves ``world`` unchanged: see
+    :func:`assert_unchanged`.  Yields the ``ExceptionInfo``.
+
+    Every test of a rejected operation on a world checks it through here."""
+    before = state(world)
+    with pytest.raises(error, match=match) as info:
+        yield info
+    assert type(info.value) is error, f"raised {info.value!r}, not exactly {error.__name__}"
+    assert_unchanged(world, before, state)
 
 
 def make_pool(

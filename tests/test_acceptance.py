@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from rpoolsim import (
     ConstantRiskModel,
-    OrderBook,
     World,
     end_to_end_attack_replay,
     exact_profit,
@@ -196,7 +195,7 @@ def _conservation_sequence(rng):
         "pool", kappa_ppm=500000, risk_bounds=(0, PPM),
         min_quorum=1, min_lp_deposit=1, rate_cap_ppm=rng.choice((500000, PPM)),
     )
-    book = world.books["book"] = OrderBook(ledger)
+    book = world.add_book("book")
     rater = world.add_signer("lp0", ConstantRiskModel(rng.randrange(0, PPM + 1)))
     names = ["lp0", "u1", "u2", "u3", "u4"]
     for name in names:
@@ -264,7 +263,7 @@ def test_criterion_9_orderbook_loss_and_atomicity():
     with criterion(9, "order book: fill 100 for 50, clawback leaves the LP exactly -50 base"):
         world = World(recovery_window=WINDOW, arbitrator=ARB)
         base, ledger = world.base, world.ledger
-        book = world.books["ob"] = OrderBook(ledger)
+        book = world.add_book("ob")
         base.mint("lp", 200)
         give_unsettled(base, ledger, "seller", 100, now=0, source="victim")
         bid = book.post_bid("seller", 100, 500000, 900, 0)

@@ -1,28 +1,35 @@
 """Tests, demos and the README build every world through
-:class:`rpoolsim.World`.  A ledger, signer registry, pool, signer key or
+:class:`rpoolsim.World`.  A ledger, signer registry, pool, book, signer key or
 rating entity built by hand anywhere else fails here, named by file,
-function and line."""
+function and line.  So does a test that expects a modelled error with a bare
+``pytest.raises`` where ``conftest.refused`` would check the world too."""
 
 import ast
+import builtins
+import dataclasses
 import re
 from pathlib import Path
 
+from rpoolsim.errors import ERRORS_BY_NAME, RPoolError
+from rpoolsim.scenario import ParseError
+
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the calls that ``World``, ``World.add_pool`` and ``World.add_signer`` make
+#: the calls that ``World``, ``World.add_pool``, ``World.add_book`` and
+#: ``World.add_signer`` make
 HAND_BUILT = re.compile(
-    r"\b(scheme\.keygen|SignerRegistry|BaseLedger|WrapperLedger|AmmPool|RatingEntity)\("
+    r"\b(scheme\.keygen|SignerRegistry|BaseLedger|WrapperLedger|AmmPool|OrderBook|RatingEntity)\("
 )
 
 #: every site that still builds by hand, by (file, enclosing function), and why
 ALLOWED_SITES = {
-    ("tests/test_amm.py", "test_reserved_address_rejected_at_construction"):
+    ("tests/test_amm.py", "TestDeposit.test_reserved_address_rejected_at_construction"):
         "checks the pool constructor's own refusal of a reserved address",
-    ("tests/test_oracle.py", "test_sign_verify_round_trip"):
+    ("tests/test_oracle.py", "TestCanonicalEncode.test_sign_verify_round_trip"):
         "tests the signature scheme itself, with no world around it",
-    ("tests/test_oracle.py", "test_tamper_evidence"):
+    ("tests/test_oracle.py", "TestCanonicalEncode.test_tamper_evidence"):
         "tests the signature scheme itself, with no world around it",
-    ("tests/test_oracle.py", "test_unknown_signer"):
+    ("tests/test_oracle.py", "TestIssueReport.test_unknown_signer"):
         "its entity must stay unregistered, and add_signer registers",
     ("tests/test_oracle.py", "_signer"):
         "builds the unregistered signer whose reports no registry can verify",
@@ -36,13 +43,17 @@ ALLOWED_SITES = {
 
 
 def _enclosing_function(tree, line):
-    """The name of the innermost function around ``line``, or ``None``."""
-    names = [  # ast.walk is breadth first, so inner functions come later
-        node.name
+    """The qualified name of the innermost function around ``line``, as in
+    ``TestClass.test_method``, or ``None`` outside every function."""
+    scopes = [  # ast.walk is breadth first, so inner scopes come later
+        node
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.lineno <= line <= node.end_lineno
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.lineno <= line <= node.end_lineno
     ]
-    return names[-1] if names else None
+    while scopes and isinstance(scopes[-1], ast.ClassDef):
+        scopes.pop()
+    return ".".join(node.name for node in scopes) or None
 
 
 def hand_built_sites():
@@ -66,3 +77,77 @@ def test_worlds_are_built_only_through_world():
     assert not unexpected, f"build these through rpoolsim.World: {unexpected}"
     stale = set(ALLOWED_SITES) - set(sites)
     assert not stale, f"allowed sites that no longer build by hand: {stale}"
+
+
+#: every exception class a test names in ``pytest.raises``, as it is written
+NAMED_ERRORS = {
+    **{
+        name: value
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    },
+    "ParseError": ParseError,
+    "dataclasses.FrozenInstanceError": dataclasses.FrozenInstanceError,
+    "RPoolError": RPoolError,
+    **ERRORS_BY_NAME,
+}
+
+#: every function that expects a modelled error without ``conftest.refused``, and why
+RAISES_ALLOWED = {
+    ("tests/conftest.py", "refused"): "the helper itself",
+    **dict.fromkeys(
+        [
+            ("tests/test_attack.py", f"TestScenarioValidation.{name}")
+            for name in (
+                "test_short_cannot_exceed_supply", "test_pool_total_cannot_exceed_supply",
+                "test_rate_bounds", "test_total_and_supply_must_be_positive",
+                "test_collateral_cannot_be_negative", "test_stolen_amount_must_be_positive",
+                "test_rules_run_in_order", "test_a_replaced_copy_is_checked_too",
+            )
+        ]
+        + [
+            ("tests/test_attack.py", "TestThreshold.test_zero_short"),
+            ("tests/test_attack.py", "TestThreshold.test_short_above_supply"),
+            ("tests/test_rejections.py", "test_the_attack_lab_raises_its_errors"),
+        ],
+        "the attack lab checks its own arguments, with no world around them",
+    ),
+    ("tests/test_attack.py", "TestEndToEndReplay.test_bounds_and_cap_are_checked_before_any_work"):
+        "its errors are ValueError and TypeError, raised before the replay builds a world",
+    ("tests/test_attack.py", "TestEndToEndReplay.test_taint_aware_oracle_rejects_the_swap"):
+        "the replay refuses inside a world it builds and drops",
+    ("tests/test_attack.py", "TestEndToEndReplay.test_cached_template_is_never_written_to"):
+        "the replay refuses inside a copy it drops; the template's full state is compared after",
+    ("tests/test_ledger.py", "TestCheckAmount.test_rejections"):
+        "check_amount takes no world; the transfer it guards is checked through refused",
+    ("tests/test_ledger.py", "TestCheckRate.test_rejections"):
+        "check_rate takes no world, and its errors are ValueError and TypeError",
+    ("tests/test_oracle.py", "TestMedian.test_empty"):
+        "median_quote takes a list of quotes, not a world",
+}
+
+
+def bare_raises_sites():
+    """{(file, enclosing function or None): [line, ...]} for every
+    ``pytest.raises`` whose expected type is a modelled error, or is written
+    as anything but a class's name, since that may hold one."""
+    sites = {}
+    for path in sorted(ROOT.glob("tests/*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises":
+                expected = NAMED_ERRORS.get(ast.unparse(node.args[0]))
+                if expected is None or issubclass(expected, RPoolError):
+                    function = _enclosing_function(tree, node.lineno)
+                    sites.setdefault((rel, function), []).append(node.lineno)
+    return sites
+
+
+def test_refusals_are_checked_through_refused():
+    assert not issubclass(ParseError, RPoolError)
+    sites = bare_raises_sites()
+    unexpected = {site: lines for site, lines in sites.items() if site not in RAISES_ALLOWED}
+    assert not unexpected, f"check these through conftest.refused: {unexpected}"
+    stale = set(RAISES_ALLOWED) - set(sites)
+    assert not stale, f"allowed sites that no longer expect a modelled error: {stale}"

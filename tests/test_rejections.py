@@ -10,12 +10,11 @@ import pytest
 from rpoolsim import AttackScenario, ConstantRiskModel, World, exact_threshold, issue_report
 from rpoolsim.errors import ERRORS_BY_NAME
 from rpoolsim.oracle import RatingEntity, median_quote
-from rpoolsim.orderbook import OrderBook
 from rpoolsim.rates import PPM
 from rpoolsim.runner import ScenarioRunner
 from rpoolsim.scenario import parse_scenario
 
-from conftest import ARB, WINDOW, give_unsettled
+from conftest import ARB, WINDOW, give_unsettled, refused
 
 NOW = 1
 
@@ -62,7 +61,7 @@ def _template():
     ledger.wrap("idle", 5, 0)
     ledger.disable_unwrap("idle")
     give_unsettled(base, ledger, "alice", 40, source="whale")
-    book = world.books["ob"] = OrderBook(ledger)
+    book = world.add_book("ob")
     book.post_bid("alice", 40, 500_000, 90, 0)
     world.check_invariants()
     return world, signers
@@ -148,12 +147,8 @@ def test_every_modelled_error_has_one_row():
 def test_a_rejected_operation_leaves_the_world_unchanged(name):
     template, signers = _template()
     world = template.copy()
-    before = world.snapshot()  # it holds the journal's length
-    with pytest.raises(ERRORS_BY_NAME[name]) as err:
+    with refused(world, ERRORS_BY_NAME[name]):
         ON_A_WORLD[name](world, signers)
-    assert type(err.value) is ERRORS_BY_NAME[name]
-    assert world.snapshot() == before
-    world.check_invariants()
 
 
 @pytest.mark.parametrize("name", WITHOUT_A_WORLD)
