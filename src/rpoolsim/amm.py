@@ -64,6 +64,8 @@ def check_risk_bounds(risk_bounds: tuple[int, int]) -> None:
 @slot_initializer
 @dataclass(frozen=True, init=False)
 class SwapReceipt:
+    """What one accepted swap paid, at which rates, and the transfer it took in."""
+
     # slotted by hand and given its __init__ by slot_initializer: see the
     # comment on the ledger's record builders
     __slots__ = (

@@ -471,7 +471,12 @@ class WrapperLedger:
 
     def wrapped_total(self) -> int:
         """Recount of every settled and unsettled wrapper balance, frozen
-        value included."""
+        value included.
+
+        It repeats part of :meth:`check_invariants`' recount, and stays
+        because bench pool_deep's gate checks ``base_locked()`` against it:
+        it can go only in a change that claims no gain and may edit the
+        bench."""
         return sum(
             acct.settled + sum(rec.amount for rec in acct.unsettled) + acct.frozen_sum
             for acct in self.accounts.values()

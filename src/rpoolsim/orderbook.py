@@ -64,6 +64,8 @@ _new_bid = functools.partial(tuple.__new__, Bid)
 @slot_initializer
 @dataclass(frozen=True, init=False)
 class Fill:
+    """One matched bid: the unsettled tokens the LP sold and the base it got."""
+
     # slotted by hand and given its __init__ by slot_initializer, as
     # SwapReceipt is
     __slots__ = (

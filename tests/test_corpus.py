@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,7 @@ import pytest
 
 import fuzz_corpus
 from rpoolsim.cli import main
+from rpoolsim.scenario import ACTION_SPECS, DIRECTIVE_FIELDS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted((ROOT / "scenarios").glob("*.scn"))
@@ -83,6 +85,76 @@ def test_corpus_mutants_run_and_format_consistently(tmp_path):
     codes, accepted = fuzz_corpus.fuzz(300, 0, tmp_path)
     assert sum(codes.values()) == 300 and set(codes) <= {0, 1, 2}
     assert accepted
+
+
+#: field types that hold a name: an account's, a signer's, a pool's or a
+#: book's (a ``targets`` entry is ``name:amount``)
+_NAME_TYPES = {"name", "pool", "book", "signer", "targets"}
+
+
+def _rename(text: str, rename) -> str:
+    """``text`` with ``rename`` applied to each declared name and each
+    name-typed field, but not to ``assert``'s ``kind=`` or to labels."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            lines.append(line)
+            continue
+        if tokens[0] == "at":
+            schema, first = ACTION_SPECS[tokens[2]], 3
+        elif tokens[0] == "config":
+            schema, first = DIRECTIVE_FIELDS["config"], 1
+        else:  # account, signer, pool or book, then its name
+            schema, first = DIRECTIVE_FIELDS.get(tokens[0], {}), 2
+            tokens[1] = rename(tokens[1])
+        for n, token in enumerate(tokens[first:], first):
+            key, _, value = token.partition("=")
+            kind = schema.get(key, ("",))[0]
+            if kind == "targets":
+                value = ",".join(
+                    f"{rename(name)}:{amount}"
+                    for name, amount in (part.rsplit(":", 1) for part in value.split(","))
+                )
+            elif kind in _NAME_TYPES and key != "kind":  # assert's kind names a check
+                value = rename(value)
+            tokens[n] = f"{key}={value}"
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def _run(path: Path, tmp: Path) -> list:
+    """Exit code, log events and JSON report of ``rpoolsim run`` on ``path``."""
+    out, log = io.StringIO(), tmp / "events.jsonl"
+    with contextlib.redirect_stdout(out):
+        code = main(["run", str(path), "--format", "json", "--log", str(log)])
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    return [code, events, json.loads(out.getvalue())]
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_renaming_every_name_in_reverse_order_changes_no_output(path, tmp_path):
+    # a metamorphic relation: names are opaque, so mapping them onto fresh
+    # names in the reverse of their order changes no verdict, and mapping
+    # the names in the output back gives the same events and report
+    names = set()
+    _rename(path.read_text(), lambda name: names.add(name) or name)
+    fresh = [f"name{n:03d}" for n in range(len(names))]
+    forward = dict(zip(sorted(names), reversed(fresh)))
+    back = {new: old for old, new in forward.items()}
+    renamed = tmp_path / path.name
+    renamed.write_text(_rename(path.read_text(), forward.__getitem__))
+
+    def restore(value):
+        if isinstance(value, dict):
+            return {restore(key): restore(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [restore(item) for item in value]
+        if isinstance(value, str):
+            return re.sub(r"\bname\d{3}\b", lambda match: back[match[0]], value)
+        return value
+
+    assert restore(_run(renamed, tmp_path)) == _run(path, tmp_path)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ import ast
 import builtins
 import dataclasses
 import re
-from pathlib import Path
 
+import pytest
+
+from astgates import ROOT, check_allowed, walk
 from rpoolsim.errors import ERRORS_BY_NAME, RPoolError
 from rpoolsim.scenario import ParseError
-
-ROOT = Path(__file__).resolve().parent.parent
 
 #: the calls that ``World``, ``World.add_pool``, ``World.add_book`` and
 #: ``World.add_signer`` make
@@ -42,41 +42,21 @@ ALLOWED_SITES = {
 # from the library, by design.
 
 
-def _enclosing_function(tree, line):
-    """The qualified name of the innermost function around ``line``, as in
-    ``TestClass.test_method``, or ``None`` outside every function."""
-    scopes = [  # ast.walk is breadth first, so inner scopes come later
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-        and node.lineno <= line <= node.end_lineno
-    ]
-    while scopes and isinstance(scopes[-1], ast.ClassDef):
-        scopes.pop()
-    return ".".join(node.name for node in scopes) or None
-
-
 def hand_built_sites():
-    """{(file, enclosing function or None): [line, ...]} for every match."""
-    paths = [*sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("demos/*.py")), ROOT / "README.md"]
+    """{(file, enclosing function or None): [line, ...]} for every hand-built
+    call in the tests and demos, and every match in the README's text."""
     sites = {}
-    for path in paths:
-        rel = path.relative_to(ROOT).as_posix()
-        text = path.read_text()
-        tree = ast.parse(text) if path.suffix == ".py" else None
-        for number, line in enumerate(text.splitlines(), 1):
-            if HAND_BUILT.search(line):
-                function = tree and _enclosing_function(tree, number)
-                sites.setdefault((rel, function), []).append(number)
+    for file, function, node in walk("tests", "demos"):
+        if isinstance(node, ast.Call) and HAND_BUILT.search(f"{ast.unparse(node.func)}("):
+            sites.setdefault((file, function), []).append(node.lineno)
+    for number, line in enumerate((ROOT / "README.md").read_text().splitlines(), 1):
+        if HAND_BUILT.search(line):
+            sites.setdefault(("README.md", None), []).append(number)
     return sites
 
 
 def test_worlds_are_built_only_through_world():
-    sites = hand_built_sites()
-    unexpected = {site: lines for site, lines in sites.items() if site not in ALLOWED_SITES}
-    assert not unexpected, f"build these through rpoolsim.World: {unexpected}"
-    stale = set(ALLOWED_SITES) - set(sites)
-    assert not stale, f"allowed sites that no longer build by hand: {stale}"
+    check_allowed(hand_built_sites(), ALLOWED_SITES, "build these through rpoolsim.World")
 
 
 #: every exception class a test names in ``pytest.raises``, as it is written
@@ -132,22 +112,25 @@ def bare_raises_sites():
     ``pytest.raises`` whose expected type is a modelled error, or is written
     as anything but a class's name, since that may hold one."""
     sites = {}
-    for path in sorted(ROOT.glob("tests/*.py")):
-        rel = path.relative_to(ROOT).as_posix()
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises":
-                expected = NAMED_ERRORS.get(ast.unparse(node.args[0]))
-                if expected is None or issubclass(expected, RPoolError):
-                    function = _enclosing_function(tree, node.lineno)
-                    sites.setdefault((rel, function), []).append(node.lineno)
+    for file, function, node in walk("tests"):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises":
+            expected = NAMED_ERRORS.get(ast.unparse(node.args[0]))
+            if expected is None or issubclass(expected, RPoolError):
+                sites.setdefault((file, function), []).append(node.lineno)
     return sites
 
 
 def test_refusals_are_checked_through_refused():
     assert not issubclass(ParseError, RPoolError)
-    sites = bare_raises_sites()
-    unexpected = {site: lines for site, lines in sites.items() if site not in RAISES_ALLOWED}
-    assert not unexpected, f"check these through conftest.refused: {unexpected}"
-    stale = set(RAISES_ALLOWED) - set(sites)
-    assert not stale, f"allowed sites that no longer expect a modelled error: {stale}"
+    check_allowed(bare_raises_sites(), RAISES_ALLOWED, "check these through conftest.refused")
+
+
+@pytest.mark.parametrize(
+    "found, allowed",
+    [({"new": [1]}, {}), ({}, {"gone": "why"}), ({"site": [1]}, {"site": " "})],
+    ids=["unexpected", "stale", "no-reason"],
+)
+def test_an_allow_list_fails_on_each_of_its_three_faults(found, allowed):
+    check_allowed({"site": [1]}, {"site": "why"}, "advice")
+    with pytest.raises(AssertionError):
+        check_allowed(found, allowed, "advice")

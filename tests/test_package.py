@@ -1,7 +1,8 @@
 """The package surface: which modules an import loads, the lazy public
 namespace, the immutability of the value records, the names the benchmark
-harness reaches into, that every function in the library is named
-somewhere and that every import is used."""
+harness reaches into, and the source gates over the library: no assert, no
+float, every function named, every import used, one owner each for the
+records and the clock.  The gates walk the sources through ``astgates``."""
 
 import ast
 import dataclasses
@@ -11,11 +12,11 @@ import os
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import rpoolsim
+from astgates import ROOT, check_allowed, files, nodes, walk
 from rpoolsim.amm import SwapReceipt
 from rpoolsim.attack import AttackScenario, ProfitBreakdown
 from rpoolsim.ledger import Account, Case, UnsettledRecord, _new_case
@@ -25,86 +26,39 @@ from rpoolsim.rates import PPM
 from rpoolsim.runner import AssertionResult, EventRecord
 from rpoolsim.scenario import GenesisAccount, PoolSpec, ScenarioScript, SignerSpec, Step
 
-ROOT = Path(__file__).resolve().parent.parent
+
+#: each import a fresh interpreter runs -> the exact ``rpoolsim`` modules it
+#: loads, and the stdlib modules it must leave unloaded: the CLI and the
+#: record modules stay off the attack lab's Fraction math and dataclasses
+IMPORTS = {
+    "rpoolsim": ("", ""),
+    "rpoolsim.cli": (
+        "amm cli errors ledger oracle orderbook rates runner scenario world", "fractions decimal"
+    ),
+    "rpoolsim.attack": ("amm attack errors ledger oracle orderbook rates world", ""),
+    "rpoolsim.scenario": ("errors rates scenario", "dataclasses"),
+    "rpoolsim.ledger": ("errors ledger", "dataclasses"),
+    "rpoolsim.oracle": ("errors ledger oracle rates", "dataclasses"),
+}
 
 
-def modules_loaded_by(statement: str) -> set[str]:
-    """Names a fresh interpreter adds to ``sys.modules`` by running the
-    statement, so nothing this test process already imported counts."""
-    program = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        f"{statement}\n"
-        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
-    )
+@pytest.mark.parametrize("module", IMPORTS)
+def test_an_import_loads_exactly_what_it_uses(module):
+    # a fresh interpreter, so nothing this test process imported counts
+    program = f"import sys; before = set(sys.modules); import {module}; "
+    program += "print(*set(sys.modules) - before)"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", program], capture_output=True, text=True, env=env, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
-
-
-def test_importing_the_package_loads_no_submodule():
-    loaded = modules_loaded_by("import rpoolsim")
-    assert {name for name in loaded if name.startswith("rpoolsim.")} == set()
-
-
-def test_importing_the_cli_leaves_the_attack_lab_unloaded():
-    loaded = modules_loaded_by("import rpoolsim.cli")
-    assert "rpoolsim.runner" in loaded
-    assert not loaded & {"rpoolsim.attack", "fractions", "decimal"}
-
-
-def test_importing_the_attack_lab_leaves_the_parser_unloaded():
-    # the attack replay builds a World, which must not pull in the runner
-    loaded = modules_loaded_by("import rpoolsim.attack")
-    assert "rpoolsim.world" in loaded
-    assert not loaded & {"rpoolsim.scenario", "rpoolsim.runner"}
-
-
-@pytest.mark.parametrize("module", ["rpoolsim.scenario", "rpoolsim.ledger", "rpoolsim.oracle"])
-def test_the_record_modules_load_no_dataclasses(module):
-    assert "dataclasses" not in modules_loaded_by(f"import {module}")
-
-
-def test_the_library_has_no_assert_statement():
-    # python -O strips assert statements, so a check the library relies on
-    # raises AssertionError explicitly instead
-    found = []
-    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
-        ]
-    assert found == []
-
-
-def test_the_library_has_no_float():
-    # amounts, rates and times are ints and the attack lab's ratios are
-    # Fractions, so the library has no true division, no float constant and
-    # no float() or round() call
-    found = []
-    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-            or isinstance(node, ast.Constant) and isinstance(node.value, float)
-            or isinstance(node, ast.Call) and ast.unparse(node.func) in ("float", "round")
-        ]
-    assert found == []
-
-
-def test_importing_the_parser_loads_only_what_it_uses():
-    loaded = modules_loaded_by("import rpoolsim.scenario")
-    assert {name for name in loaded if name.startswith("rpoolsim.")} == {
-        "rpoolsim.errors",
-        "rpoolsim.rates",
-        "rpoolsim.scenario",
+    loaded = set(proc.stdout.split())
+    ours, unloaded = IMPORTS[module]
+    assert {name for name in loaded if name.startswith("rpoolsim")} == {
+        "rpoolsim", *(f"rpoolsim.{name}" for name in ours.split())
     }
+    assert not loaded & set(unloaded.split())
 
 
 @pytest.mark.parametrize("name", rpoolsim.__all__)
@@ -311,82 +265,81 @@ def test_benchmark_harness_names_still_resolve():
             assert hasattr(module, attr), f"{owner}.{attr}"
 
 
-#: functions and methods that nothing names but that run all the same,
-#: by qualified name, with the reason
-_CALLED_UNNAMED = {
-    "AttackScenario._make": "NamedTuple._replace calls it",
-    "RiskReport._make": "NamedTuple._replace calls it",
+def test_the_library_has_no_assert_statement():
+    # python -O strips assert statements, so a check the library relies on
+    # raises AssertionError explicitly instead
+    found = [f"{file}:{node.lineno}" for file, _, node in walk("src") if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_the_library_has_no_float():
+    # amounts, rates and times are ints and the attack lab's ratios are
+    # Fractions, so the library has no true division, no float constant and
+    # no float() or round() call
+    found = [
+        f"{file}:{node.lineno}"
+        for file, _, node in walk("src")
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call) and ast.unparse(node.func) in ("float", "round")
+    ]
+    assert found == []
+
+
+#: the library's functions and methods that no module of the library names,
+#: by (file, qualified name), with who calls them
+NAMED_OUTSIDE_SRC = {
+    ("src/rpoolsim/attack.py", "AttackScenario._make"): "NamedTuple._replace calls it",
+    ("src/rpoolsim/oracle.py", "RiskReport._make"): "NamedTuple._replace calls it",
+    ("src/rpoolsim/ledger.py", "WrapperLedger.wrapped_total"):
+        "bench pool_deep's gate checks base_locked() against it; see its docstring",
+    ("src/rpoolsim/ledger.py", "WrapperLedger.balance_of"):
+        "a public ledger read that the tests and demos/orderbook_session.py call",
+    ("src/rpoolsim/runner.py", "run_scenario"):
+        "runs a parsed script in one call for the tests; bench/spans.py traces it",
+    ("src/rpoolsim/runner.py", "ScenarioRunner.state_digest"):
+        "test_world_copy compares runs by it; bench/spans.py traces it",
 }
 
 
-def _defined_functions(tree: ast.Module):
-    """(qualified name, node) of every function and method in a module,
-    nested ones included, with their classes' and functions' names."""
-    stack = [(node, "") for node in tree.body]
-    while stack:
-        node, prefix = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qualname = prefix + node.name
-            if not isinstance(node, ast.ClassDef):
-                yield qualname, node
-            stack.extend((child, qualname + ".") for child in node.body)
-        else:
-            stack.extend((child, prefix) for child in ast.iter_child_nodes(node))
-
-
-def _named(tree: ast.Module) -> set[str]:
-    """Every name a module uses: a name, an attribute, an import alias or a
-    string constant that could be an identifier (a ``getattr`` or a
-    traced-name table)."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
-            if node.asname:
-                names.add(node.asname)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                names.add(node.value)
-    return names
-
-
 def test_every_function_in_src_is_referenced():
-    # dead code: a function or method no code names, outside dunders,
-    # which the interpreter calls by protocol
+    # dead code: a function or method no module of the library names,
+    # outside dunders, which the interpreter calls by protocol.  A name is a
+    # name, an attribute, an import alias or a string constant (a
+    # ``getattr`` or a table of names)
     named = set()
-    for folder in ("src", "tests", "bench", "demos"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            named |= _named(ast.parse(path.read_text(), filename=str(path)))
-    unreferenced = []
-    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for qualname, node in _defined_functions(tree):
-            name = node.name
-            dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in named and qualname not in _CALLED_UNNAMED:
-                unreferenced.append(f"{path.name}:{qualname}")
-    assert unreferenced == []
+    for _, _, node in walk("src"):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."), [node.asname])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    found = {
+        (file, qualname): [node.lineno]
+        for file, qualname, node in walk("src")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    }
+    check_allowed(found, NAMED_OUTSIDE_SRC, "name these in src or list them")
 
 
 def test_every_import_is_used():
     # a name a module imports and never reads, outside __future__ imports
     unused = []
-    for folder in (ROOT / "src" / "rpoolsim", ROOT / "tests"):
-        for path in sorted(folder.glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                    continue
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    for alias in node.names:
-                        name = alias.asname or alias.name.split(".")[0]
-                        if name not in read:
-                            unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    for file in files("src", "tests", "demos", "bench"):
+        read = {node.id for _, node in nodes(file) if isinstance(node, ast.Name)}
+        for _, node in nodes(file):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{file}:{node.lineno}: {name}")
     assert unused == []
 
 
@@ -394,7 +347,7 @@ def test_every_import_is_used():
 _LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 
 
-def _record_owners(source: str) -> tuple[set[str], set[str], set[str]]:
+def _record_owners(file: str) -> tuple[set, set, set]:
     """The functions of a ledger module that edit a record list, that
     assign ``unsettled_sum`` and that call ``_new_record``, by qualified
     name.  A record list is an ``.unsettled`` attribute or a local name
@@ -402,15 +355,11 @@ def _record_owners(source: str) -> tuple[set[str], set[str], set[str]]:
     ``bisect.insort``, an item or slice store or ``del``, an augmented
     assignment or a new list.  ``Account.__init__`` starting a list at
     ``[]`` or a sum at ``0`` is not counted."""
-    tree = ast.parse(source)
-    owner = {}  # node -> the innermost function around it
-    for qualname, function in sorted(_defined_functions(tree), key=lambda pair: len(pair[0])):
-        owner.update((node, qualname) for node in ast.walk(function))
     aliases = {}  # function -> the local names bound to a record list
-    for node in ast.walk(tree):
+    for where, node in nodes(file):
         if isinstance(node, ast.Assign) and ast.unparse(node.value).endswith(".unsettled"):
             names = {target.id for target in node.targets if isinstance(target, ast.Name)}
-            aliases.setdefault(owner.get(node), set()).update(names)
+            aliases.setdefault(where, set()).update(names)
 
     def is_records(expr, where):
         if isinstance(expr, ast.Name):
@@ -418,8 +367,7 @@ def _record_owners(source: str) -> tuple[set[str], set[str], set[str]]:
         return isinstance(expr, ast.Attribute) and expr.attr == "unsettled"
 
     editors, sum_writers, record_builders = set(), set(), set()
-    for node in ast.walk(tree):
-        where = owner.get(node, "<module>")
+    for where, node in nodes(file):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
             targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
             if where == "Account.__init__" and ast.unparse(node.value) in ("0", "[]"):
@@ -452,8 +400,7 @@ def test_only_three_primitives_edit_an_accounts_records():
     # one owner for the records and their cached total: in the ledger only
     # _fold, _put and _take edit a record list or assign unsettled_sum, and
     # only _put and _take build a record
-    source = (ROOT / "src" / "rpoolsim" / "ledger.py").read_text()
-    editors, sum_writers, record_builders = _record_owners(source)
+    editors, sum_writers, record_builders = _record_owners("src/rpoolsim/ledger.py")
     assert editors == {"_fold", "_put", "_take"}
     assert sum_writers == {"_fold", "_put", "_take"}
     assert record_builders == {"_put", "_take"}
@@ -463,11 +410,11 @@ def test_the_naive_quorum_check_encodes_every_report_itself():
     # the differential oracle re-encodes each report from its fields, so it
     # never relies on the bytes a report carries, which the one-pass check
     # verifies
-    tree = ast.parse((ROOT / "tests" / "naive_quorum.py").read_text())
-    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    found = [node for _, node in nodes("tests/naive_quorum.py")]
+    reads = {node.attr for node in found if isinstance(node, ast.Attribute)}
+    strings = {node.value for node in found if isinstance(node, ast.Constant)}
     assert "signed" not in reads | strings
-    assert "canonical_encode" in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "canonical_encode" in {node.id for node in found if isinstance(node, ast.Name)}
 
 
 def test_one_function_refuses_a_time_before_the_clock():
@@ -475,21 +422,17 @@ def test_one_function_refuses_a_time_before_the_clock():
     # each of its calls is a ledger method's ``if now < self.clock:`` body,
     # so a call at or after the clock pays that one comparison
     raisers, calls, guarded = set(), set(), set()
-    for path in sorted((ROOT / "src" / "rpoolsim").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for qualname, function in _defined_functions(tree):
-            for node in ast.walk(function):
-                if isinstance(node, ast.Raise) and node.exc is not None:
-                    raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    if ast.unparse(raised) == "ClockWentBack":
-                        raisers.add(f"{path.name}:{qualname}")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_went_back"):
-                calls.add((path.name, node.lineno))
-            if isinstance(node, ast.If) and ast.unparse(node.test) == "now < self.clock":
-                body = [ast.unparse(stmt) for stmt in node.body]
-                if body == ["self._went_back(now)"] and not node.orelse:
-                    guarded.add((path.name, node.body[0].lineno))
-    assert raisers == {"ledger.py:WrapperLedger._went_back"}
+    for file, qualname, node in walk("src"):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(raised) == "ClockWentBack":
+                raisers.add(f"{file}:{qualname}")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_went_back"):
+            calls.add((file, node.lineno))
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "now < self.clock":
+            body = [ast.unparse(stmt) for stmt in node.body]
+            if body == ["self._went_back(now)"] and not node.orelse:
+                guarded.add((file, node.body[0].lineno))
+    assert raisers == {"src/rpoolsim/ledger.py:WrapperLedger._went_back"}
     assert calls and calls == guarded
-    assert {name for name, _ in calls} == {"ledger.py"}
+    assert {file for file, _ in calls} == {"src/rpoolsim/ledger.py"}
