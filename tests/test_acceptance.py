@@ -22,10 +22,11 @@ from rpoolsim import (
     settled_multiplier,
     simulate_attack,
 )
-from rpoolsim.errors import RPoolError, StaleNonce
+from rpoolsim.errors import BidExpired, InsufficientBase, QuoteTooLow, RPoolError, StaleNonce
 from rpoolsim.rates import PPM
 
 from conftest import ARB, WINDOW, criterion6_grid, give_unsettled, loss_sharing_pool, quorum
+from conftest import assert_unchanged, refused
 from naive_ledger import assert_matches, replay
 
 
@@ -155,8 +156,7 @@ def _flashloan_world(rate_ppm):
 def test_criterion_7_flash_loan_rejection():
     with criterion(7, "flash-loan defense: 1000+ interleavings all StaleNonce, state unchanged"):
         rng = random.Random(0xF1A5)
-        rejected = 0
-        for i in range(1000):
+        for _ in range(1000):
             world, pool, rater = _flashloan_world(rng.randrange(0, PPM + 1))
             base, ledger = world.base, world.ledger
             reports = quorum(pool, rater, "alice", 100, 0, ledger)
@@ -178,14 +178,8 @@ def test_criterion_7_flash_loan_rejection():
                     ledger.recover(ARB, "c", "alice", 1)
                 else:
                     ledger.release(ARB, "c", 1)
-            before = world.snapshot()
-            try:
+            with refused(world, StaleNonce):
                 pool.swap("alice", 100, reports, 1)
-                raise AssertionError(f"interleaving {i}: swap was not rejected")
-            except StaleNonce:
-                rejected += 1
-            assert world.snapshot() == before
-        assert rejected == 1000
 
 
 def _conservation_sequence(rng):
@@ -211,6 +205,7 @@ def _conservation_sequence(rng):
         other = names[rng.randrange(5)]
         amount = rng.randrange(1, 80)
         op = rng.randrange(12)
+        before = world.snapshot()
         try:
             if op == 0:
                 ledger.wrap(who, amount, now)
@@ -243,7 +238,7 @@ def _conservation_sequence(rng):
                 if active:
                     ledger.release(ARB, active[rng.randrange(len(active))], now)
         except RPoolError:
-            pass
+            assert_unchanged(world, before)
         assert base.total_supply == supply
         assert ledger.base_locked() == ledger.wrapped_total()
         assert base.balance("pool") == 0  # no base rests at the pool address
@@ -269,14 +264,13 @@ def test_criterion_9_orderbook_loss_and_atomicity():
         bid = book.post_bid("seller", 100, 500000, 900, 0)
 
         # atomicity: every rejected match leaves the book and ledger as-is
-        before = world.snapshot()
-        for lp, offer, at in (("lp", 49, 1), ("pauper", 50, 1), ("lp", 50, 900)):
-            try:
+        for lp, offer, at, error in (
+            ("lp", 49, 1, QuoteTooLow),
+            ("pauper", 50, 1, InsufficientBase),
+            ("lp", 50, 900, BidExpired),
+        ):
+            with refused(world, error):
                 book.match_bid(lp, bid, offer, at)
-                raise AssertionError("match should have been rejected")
-            except RPoolError:
-                pass
-            assert world.snapshot() == before
 
         book.match_bid("lp", bid, 50, 1)
         ledger.freeze(ARB, [("lp", 100)], "case", 2)

@@ -1,9 +1,12 @@
-"""The shipped scenarios' output bytes, pinned.
+"""The shipped scenarios' output bytes, pinned in one file.
 
 For each scenario in ``scenarios/`` the sha256 of four outputs is checked
 against ``tests/corpus_digests.json``: the ``run --log`` event log, the
 ``run --format json`` stdout, the ``run`` table stdout and the ``fmt``
-stdout.  A change that alters any of them on purpose re-pins the file with
+stdout.  Each run exits 0 and checks at least one assertion.  One ``run``
+over many files writes the runs of its files joined, so these digests pin
+its bytes too.  A change that alters any output on purpose re-pins the
+corpus with the one command
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -41,23 +44,30 @@ def _sha(data: bytes) -> str:
 def _stdout(argv: list[str]) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(argv)
+        assert main(argv) == 0, argv
     return out.getvalue().encode()
+
+
+def _run_outputs(paths: list[Path]) -> dict[str, bytes]:
+    """The ``--log`` event log, the ``--format json`` stdout and the table
+    stdout of ``rpoolsim run`` over ``paths``.  Each run exits 0, and each
+    file checks at least one assertion."""
+    argv = ["run", *map(str, paths)]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "events.jsonl"
+        table = _stdout([*argv, "--log", str(log)])
+        outputs = {"log": log.read_bytes(), "json": _stdout([*argv, "--format", "json"])}
+    reports = [json.loads(line) for line in outputs["json"].splitlines()]
+    assert [r["scenario"] for r in reports if r["assertions"]] == [path.stem for path in paths]
+    return {**outputs, "table": table}
 
 
 def corpus_digests() -> dict[str, dict[str, str]]:
     """Scenario stem -> output -> sha256 of that output's bytes."""
     digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "events.jsonl"
-        for path in CORPUS:
-            table = _stdout(["run", str(path), "--log", str(log)])
-            digests[path.stem] = {
-                "log": _sha(log.read_bytes()),
-                "json": _sha(_stdout(["run", str(path), "--format", "json"])),
-                "table": _sha(table),
-                "fmt": _sha(_stdout(["fmt", str(path)])),
-            }
+    for path in CORPUS:
+        outputs = {**_run_outputs([path]), "fmt": _stdout(["fmt", str(path)])}
+        digests[path.stem] = {name: _sha(data) for name, data in outputs.items()}
     return digests
 
 
@@ -65,6 +75,13 @@ def test_corpus_output_bytes_are_pinned():
     pinned = json.loads(DIGESTS.read_text())
     assert sorted(pinned) == [path.stem for path in CORPUS]
     assert corpus_digests() == pinned
+
+
+def test_one_run_over_the_corpus_joins_the_runs_of_its_files():
+    # so the digests of each file pin the bytes of a run over many files too
+    apart = [_run_outputs([path]) for path in CORPUS]
+    joined = {name: b"".join(outputs[name] for outputs in apart) for name in apart[0]}
+    assert _run_outputs(CORPUS) == joined
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

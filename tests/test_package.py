@@ -266,9 +266,13 @@ def test_benchmark_harness_names_still_resolve():
 
 
 def test_the_library_has_no_assert_statement():
-    # python -O strips assert statements, so a check the library relies on
-    # raises AssertionError explicitly instead
-    found = [f"{file}:{node.lineno}" for file, _, node in walk("src") if isinstance(node, ast.Assert)]
+    # python -O strips assert statements and __debug__ blocks, so a check the
+    # library relies on raises AssertionError explicitly instead
+    found = [
+        f"{file}:{node.lineno}"
+        for file, _, node in walk("src")
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
     assert found == []
 
 
