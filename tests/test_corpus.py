@@ -16,6 +16,7 @@ that hashing decides.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -48,10 +49,11 @@ def _stdout(argv: list[str]) -> bytes:
     return out.getvalue().encode()
 
 
-def _run_outputs(paths: list[Path]) -> dict[str, bytes]:
+@functools.cache
+def _run_outputs(*paths: Path) -> dict[str, bytes]:
     """The ``--log`` event log, the ``--format json`` stdout and the table
-    stdout of ``rpoolsim run`` over ``paths``.  Each run exits 0, and each
-    file checks at least one assertion."""
+    stdout of ``rpoolsim run`` over ``paths``, run once.  Each run exits 0,
+    and each file checks at least one assertion."""
     argv = ["run", *map(str, paths)]
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "events.jsonl"
@@ -62,26 +64,31 @@ def _run_outputs(paths: list[Path]) -> dict[str, bytes]:
     return {**outputs, "table": table}
 
 
+def _digests(path: Path) -> dict[str, str]:
+    """Output -> sha256 of that output's bytes, for one scenario."""
+    outputs = {**_run_outputs(path), "fmt": _stdout(["fmt", str(path)])}
+    return {name: _sha(data) for name, data in outputs.items()}
+
+
 def corpus_digests() -> dict[str, dict[str, str]]:
     """Scenario stem -> output -> sha256 of that output's bytes."""
-    digests = {}
-    for path in CORPUS:
-        outputs = {**_run_outputs([path]), "fmt": _stdout(["fmt", str(path)])}
-        digests[path.stem] = {name: _sha(data) for name, data in outputs.items()}
-    return digests
+    return {path.stem: _digests(path) for path in CORPUS}
 
 
-def test_corpus_output_bytes_are_pinned():
-    pinned = json.loads(DIGESTS.read_text())
-    assert sorted(pinned) == [path.stem for path in CORPUS]
-    assert corpus_digests() == pinned
+def test_the_digests_pin_every_scenario():
+    assert sorted(json.loads(DIGESTS.read_text())) == [path.stem for path in CORPUS]
 
 
-def test_one_run_over_the_corpus_joins_the_runs_of_its_files():
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_corpus_output_bytes_are_pinned(path):
+    assert _digests(path) == json.loads(DIGESTS.read_text())[path.stem]
+
+
+@pytest.mark.parametrize("output", ["log", "json", "table"])
+def test_one_run_over_the_corpus_joins_the_runs_of_its_files(output):
     # so the digests of each file pin the bytes of a run over many files too
-    apart = [_run_outputs([path]) for path in CORPUS]
-    joined = {name: b"".join(outputs[name] for outputs in apart) for name in apart[0]}
-    assert _run_outputs(CORPUS) == joined
+    joined = b"".join(_run_outputs(path)[output] for path in CORPUS)
+    assert _run_outputs(*CORPUS)[output] == joined
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

@@ -147,19 +147,25 @@ def _pattern(message: ast.expr) -> str:
     return "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
 
 
-def test_every_explicit_invariant_failure_has_a_row():
-    sites = {
-        f"{file}:{node.lineno}": _pattern(node.exc.args[0])
-        for file, _, node in walk("src")
-        if isinstance(node, ast.Raise)
-        and isinstance(node.exc, ast.Call)
-        and ast.unparse(node.exc.func) == "AssertionError"
-    }
+#: the message of each explicit ``raise AssertionError`` in ``src/``, as
+#: written there -> a regular expression for the messages it can make
+SITES = {
+    ast.unparse(node.exc.args[0]): _pattern(node.exc.args[0])
+    for _, _, node in walk("src")
+    if isinstance(node, ast.Raise)
+    and isinstance(node.exc, ast.Call)
+    and ast.unparse(node.exc.func) == "AssertionError"
+}
+
+
+def test_the_library_raises_assertion_errors_itself():
+    assert SITES, "no raise AssertionError found in src/"
+
+
+@pytest.mark.parametrize("regex", SITES.values(), ids=SITES)
+def test_every_explicit_invariant_failure_has_a_row(regex):
     messages = [message for _, message in ROWS.values()]
-    missing = [
-        site for site, regex in sites.items() if not any(map(re.compile(regex).fullmatch, messages))
-    ]
-    assert sites and missing == [], f"add a row to ROWS for each of {missing}"
+    assert any(map(re.compile(regex).fullmatch, messages)), f"add a row to ROWS for {regex}"
 
 
 def test_the_table_holds_under_python_O():
@@ -175,6 +181,6 @@ def test_the_table_holds_under_python_O():
         cwd=ROOT, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         capture_output=True, text=True, check=False,
     )
-    # every row and the coverage test pass, and none is skipped
+    # every row and every coverage test pass, and none is skipped
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"\n{len(ROWS) + 1} passed, 1 deselected in " in proc.stdout, proc.stdout
+    assert f"\n{len(ROWS) + len(SITES) + 1} passed, 1 deselected in " in proc.stdout, proc.stdout
