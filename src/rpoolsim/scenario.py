@@ -448,8 +448,6 @@ class _Parser:
     def handle_config(self, tokens: list[str]) -> None:
         if self.saw_config:
             raise self.fail("duplicate config directive")
-        if self.script.steps:
-            raise self.fail("config must precede all steps")
         self.saw_config = True
         values = self.fields(_DIRECTIVE_ROWS["config"], tokens, 0, "unknown config field {}", "")
         for key, value in values.items():
@@ -573,6 +571,8 @@ class _Parser:
             handler = self.DIRECTIVES.get(tokens[0])
             if handler is None:
                 raise self.fail(f"unknown directive {tokens[0]!r}")
+            if self.script.steps and tokens[0] != "at":
+                raise self.fail(f"{tokens[0]} must precede all steps")
             handler(self, tokens)
         return self.script
 

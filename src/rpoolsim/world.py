@@ -39,12 +39,18 @@ class World:
         return entity
 
     def add_pool(self, name: str, **config) -> AmmPool:
-        """An :class:`AmmPool` at address ``name`` on this world's ledger and registry."""
+        """An :class:`AmmPool` at address ``name`` on this world's ledger and
+        registry; a name another pool holds is refused before any write."""
+        if name in self.pools:
+            raise ValueError(f"a pool named {name!r} already exists")
         pool = self.pools[name] = AmmPool(self.ledger, name, self.registry, **config)
         return pool
 
     def add_book(self, name: str) -> OrderBook:
-        """An empty :class:`OrderBook` named ``name`` on this world's ledger."""
+        """An empty :class:`OrderBook` named ``name`` on this world's ledger; a
+        name another book holds is refused."""
+        if name in self.books:
+            raise ValueError(f"a book named {name!r} already exists")
         book = self.books[name] = OrderBook(self.ledger)
         return book
 

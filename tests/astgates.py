@@ -54,6 +54,17 @@ def walk(*folders: str):
             yield file, where, node
 
 
+def raises(*folders: str):
+    """(file, qualified name, raised name, node) for every ``raise`` of an
+    exception under the folders; the raised name is the source text of the
+    class or the call's callee, as in ``ZeroAmount`` or ``self.fail``.  A
+    bare ``raise``, which re-raises, is left out."""
+    for file, where, node in walk(*folders):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield file, where, ast.unparse(raised), node
+
+
 def check_allowed(found: dict, allowed: dict[object, str], advice: str) -> None:
     """The one allow-list rule.  ``found`` maps each site to its lines and
     ``allowed`` maps each allowed site to the reason it may stay: a site

@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from astgates import ROOT, walk
+from astgates import ROOT, raises
 from conftest import assert_unchanged
 from rpoolsim import AmmPool, AttackScenario, World, end_to_end_attack_replay
 from rpoolsim.ledger import _take
@@ -151,10 +151,8 @@ def _pattern(message: ast.expr) -> str:
 #: written there -> a regular expression for the messages it can make
 SITES = {
     ast.unparse(node.exc.args[0]): _pattern(node.exc.args[0])
-    for _, _, node in walk("src")
-    if isinstance(node, ast.Raise)
-    and isinstance(node.exc, ast.Call)
-    and ast.unparse(node.exc.func) == "AssertionError"
+    for _, _, raised, node in raises("src")
+    if raised == "AssertionError"
 }
 
 

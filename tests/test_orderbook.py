@@ -1,22 +1,13 @@
-"""Order-book pool: bid lifecycle, the match gauntlet, atomicity, and the
-LP-borne loss example."""
+"""Order-book pool: bid lifecycle, the match price, and the LP-borne loss
+example.  Each refusal of a post, cancel or match is a row of
+``tests/test_rejections.py``."""
 
 import dataclasses
 
 import pytest
 
 from rpoolsim import Bid, Fill
-from rpoolsim.errors import (
-    BadExpiry,
-    BidExpired,
-    BidNotOpen,
-    InsufficientBase,
-    InsufficientUnsettled,
-    NotBidder,
-    QuoteTooLow,
-    StaleNonce,
-    ZeroAmount,
-)
+from rpoolsim.errors import QuoteTooLow
 
 from conftest import ARB, give_unsettled, refused
 
@@ -38,21 +29,6 @@ class TestPostBid:
         assert bid.status == "open"
         assert bid.nonce_at_post == ledger.nonce("alice")
 
-    def test_bad_expiry(self, world, booked):
-        _, _, book = booked
-        with refused(world, BadExpiry):
-            book.post_bid("alice", 100, 600000, 0, 0)
-
-    def test_zero_amount(self, world, booked):
-        _, _, book = booked
-        with refused(world, ZeroAmount):
-            book.post_bid("alice", 0, 600000, 600, 0)
-
-    def test_needs_unsettled_balance(self, world, booked):
-        _, _, book = booked
-        with refused(world, InsufficientUnsettled):
-            book.post_bid("alice", 101, 600000, 600, 0)
-
 
 class TestCancelBid:
     def test_owner_cancels(self, booked):
@@ -60,24 +36,6 @@ class TestCancelBid:
         bid_id = book.post_bid("alice", 100, 600000, 600, 0)
         book.cancel_bid("alice", bid_id)
         assert book.bids[bid_id].status == "cancelled"
-
-    def test_stranger_cannot(self, world, booked):
-        _, _, book = booked
-        bid_id = book.post_bid("alice", 100, 600000, 600, 0)
-        with refused(world, NotBidder):
-            book.cancel_bid("eve", bid_id)
-
-    def test_filled_bid_not_cancellable(self, world, booked):
-        base, ledger, book = booked
-        bid_id = book.post_bid("alice", 100, 600000, 600, 0)
-        book.match_bid("lp", bid_id, 60, 1)
-        with refused(world, BidNotOpen):
-            book.cancel_bid("alice", bid_id)
-
-    def test_unknown_bid(self, world, booked):
-        _, _, book = booked
-        with refused(world, BidNotOpen):
-            book.cancel_bid("alice", 99)
 
 
 class TestMatchBid:
@@ -91,51 +49,6 @@ class TestMatchBid:
         assert base.balance("alice") == 60
         assert base.balance("lp") == 140
         assert ledger.settle_view("lp", 1) == (0, 100)
-
-    def test_ceil_on_fractional_ask(self, world, booked):
-        _, _, book = booked
-        bid_id = book.post_bid("alice", 100, 555000, 600, 0)  # ask ceil(55.5) = 56
-        with refused(world, QuoteTooLow):
-            book.match_bid("lp", bid_id, 55, 1)
-
-    def test_expiry_is_strict(self, world, booked):
-        _, _, book = booked
-        bid_id = book.post_bid("alice", 100, 500000, 600, 0)
-        with refused(world, BidExpired):
-            book.match_bid("lp", bid_id, 50, 600)
-
-    def test_nonce_guard(self, world, booked):
-        base, ledger, book = booked
-        bid_id = book.post_bid("alice", 100, 500000, 600, 0)
-        give_unsettled(base, ledger, "alice", 5, now=1, source="drip")
-        with refused(world, StaleNonce):
-            book.match_bid("lp", bid_id, 50, 2)
-        assert book.bids[bid_id].status == "open"
-
-    def test_lp_needs_base(self, world, booked):
-        base, ledger, book = booked
-        bid_id = book.post_bid("alice", 100, 500000, 600, 0)
-        with refused(world, InsufficientBase):
-            book.match_bid("pauper", bid_id, 50, 1)
-
-    def test_no_double_fill(self, world, booked):
-        base, ledger, book = booked
-        bid_id = book.post_bid("alice", 100, 500000, 600, 0)
-        book.match_bid("lp", bid_id, 50, 1)
-        with refused(world, BidNotOpen):
-            book.match_bid("lp", bid_id, 50, 1)
-        assert len(book.fills) == 1
-
-    def test_rejections_are_non_destructive(self, world, booked):
-        _, _, book = booked
-        bid_id = book.post_bid("alice", 100, 500000, 600, 0)
-        for lp, offer, now, exc in (
-            ("lp", 49, 2, QuoteTooLow),
-            ("pauper", 50, 2, InsufficientBase),
-            ("lp", 50, 600, BidExpired),
-        ):
-            with refused(world, exc):
-                book.match_bid(lp, bid_id, offer, now)
 
     def test_conserves_supply(self, booked):
         base, ledger, book = booked

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import rpoolsim
-from astgates import ROOT, check_allowed, files, nodes, walk
+from astgates import ROOT, check_allowed, files, nodes, raises, walk
 from rpoolsim.amm import SwapReceipt
 from rpoolsim.attack import AttackScenario, ProfitBreakdown
 from rpoolsim.ledger import Account, Case, UnsettledRecord, _new_case
@@ -429,13 +429,11 @@ def test_one_function_refuses_a_time_before_the_clock():
     # ClockWentBack is built and raised in one function of the library, and
     # each of its calls is a ledger method's ``if now < self.clock:`` body,
     # so a call at or after the clock pays that one comparison
-    raisers, calls, guarded = set(), set(), set()
-    for file, qualname, node in walk("src"):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if ast.unparse(raised) == "ClockWentBack":
-                raisers.add(f"{file}:{qualname}")
-        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_went_back"):
+    raisers = {f"{file}:{where}" for file, where, raised, _ in raises("src")
+               if raised == "ClockWentBack"}
+    calls, guarded = set(), set()
+    for file, _, node in walk("src"):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_went_back"):
             calls.add((file, node.lineno))
         elif isinstance(node, ast.If) and ast.unparse(node.test) == "now < self.clock":
             body = [ast.unparse(stmt) for stmt in node.body]

@@ -320,6 +320,12 @@ LOCATED_ERRORS = [
     # directives
     (HEADER, "config window=5", 1, "duplicate config directive"),
     ("at 0 advance\n", "  config window=5", 3, "config must precede all steps"),
+    # a late declaration would take effect at genesis: refused at its directive
+    ("at 0 advance\n", "account a base=5", 1, "account must precede all steps"),
+    ("at 0 advance\n", "signer s model=constant", 1, "signer must precede all steps"),
+    ("at 0 advance\n", " pool p kappa_ppm=500000", 2, "pool must precede all steps"),
+    (HEADER + "at 0 advance\n", "book ob2", 1, "book must precede all steps"),
+    ("at 0 advance\n", "gadget foo", 1, "unknown directive 'gadget'"),
     ("", "account", 1, "account needs a name"),
     ("", "\tbook", 2, "book takes exactly one name"),
     (HEADER, "account alice", 9, "'alice' already declared as account"),
