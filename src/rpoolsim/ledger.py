@@ -721,6 +721,8 @@ class WrapperLedger:
         The returned plan always totals exactly ``amount`` and every target
         holds enough freezable unsettled for the follow-up freeze to succeed.
         """
+        if now < self.clock:
+            self._went_back(now)
         check_amount(amount)
         entry = self._transfer_entry(tainted_transfer_id)
         if amount > entry.amount:

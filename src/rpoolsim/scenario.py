@@ -255,6 +255,15 @@ class PoolSpec(NamedTuple):
     rate_cap_ppm: int = DEFAULT_RATE_CAP_PPM
 
 
+#: declaring directive with fields -> (the spec its line parses to, the
+#: :class:`ScenarioScript` list that holds it)
+DECLARATIONS: dict[str, tuple[Callable[..., Any], str]] = {
+    "account": (GenesisAccount, "accounts"),
+    "signer": (SignerSpec, "signers"),
+    "pool": (PoolSpec, "pools"),
+}
+
+
 class Step(NamedTuple):
     time: int
     action: str
@@ -413,18 +422,12 @@ class _Parser:
         "signer": parse_declared,
     }
 
-    def fields(
-        self,
-        rows: _Rows,
-        tokens: list[str],
-        at: int,
-        unknown: str,
-        missing: str,
-    ) -> Params:
-        """Typed values of the ``key=value`` tokens after token ``at``.
-        ``unknown`` and ``missing`` are the error texts for a field outside
-        ``rows`` and for an absent required one (reported at token ``at``),
-        with ``{}`` for the key."""
+    def fields(self, of: str, name: str | None, tokens: list[str], at: int) -> Params:
+        """Typed values of the ``key=value`` tokens after token ``at`` of a
+        line of the directive or action ``of``, which declares ``name`` or
+        None.  A field outside the schema, and an absent required one at
+        token ``at``, are refused with the texts of :data:`_FIELD_TEXTS`."""
+        rows = _ROWS[of]
         values: Params = {}
         for i, token in enumerate(tokens[at + 1 :], at + 1):
             key, eq, value = token.partition("=")
@@ -433,13 +436,13 @@ class _Parser:
             if key in values:
                 raise self.fail(f"duplicate field {key!r}", i)
             if key not in rows:
-                raise self.fail(unknown.format(repr(key)), i)
-            parser, of, _ = rows[key]
-            values[key] = parser(self, key, i, value, of)
+                raise self.fail(_FIELD_TEXTS[of][0].format(of=of, key=key), i)
+            parser, kind, _ = rows[key]
+            values[key] = parser(self, key, i, value, kind)
         if len(values) < len(rows):
             for key, (_, _, required) in rows.items():
                 if required and key not in values:
-                    raise self.fail(missing.format(key), at)
+                    raise self.fail(_FIELD_TEXTS[of][1].format(of=of, name=name, key=key), at)
         return values
 
     # -- directives ----------------------------------------------------------
@@ -449,8 +452,7 @@ class _Parser:
         if self.saw_config:
             raise self.fail("duplicate config directive")
         self.saw_config = True
-        values = self.fields(_DIRECTIVE_ROWS["config"], tokens, 0, "unknown config field {}", "")
-        for key, value in values.items():
+        for key, value in self.fields("config", None, tokens, 0).items():
             setattr(self.script, key, value)
 
     def declare(self, directive: str, tokens: list[str]) -> str:
@@ -466,32 +468,13 @@ class _Parser:
         self.script.declared_at[directive, name] = (self.line_no, self.line)
         return name
 
-    def named_directive(
-        self, directive: str, tokens: list[str], hint: str = ""
-    ) -> tuple[str, Params]:
-        """(name, typed fields) of an account/signer/pool line; a missing
-        required field's error ends with ``hint``."""
+    def handle_declaration(self, tokens: list[str]) -> None:
+        """An account, signer or pool line: its spec, in the script's list
+        of that directive (see :data:`DECLARATIONS`)."""
+        directive = tokens[0]
         name = self.declare(directive, tokens)
-        values = self.fields(
-            _DIRECTIVE_ROWS[directive],
-            tokens,
-            1,
-            f"unknown {directive} field {{}}",
-            f"{directive} {name} needs {{}}{hint}",
-        )
-        return name, values
-
-    def handle_account(self, tokens: list[str]) -> None:
-        name, values = self.named_directive("account", tokens)
-        self.script.accounts.append(GenesisAccount(name, **values))
-
-    def handle_signer(self, tokens: list[str]) -> None:
-        name, values = self.named_directive("signer", tokens, "=" + "|".join(SIGNER_MODELS))
-        self.script.signers.append(SignerSpec(name, **values))
-
-    def handle_pool(self, tokens: list[str]) -> None:
-        name, values = self.named_directive("pool", tokens)
-        self.script.pools.append(PoolSpec(name=name, **values))
+        spec, listed = DECLARATIONS[directive]
+        getattr(self.script, listed).append(spec(name, **self.fields(directive, name, tokens, 1)))
 
     def handle_book(self, tokens: list[str]) -> None:
         if len(tokens) != 2:
@@ -510,13 +493,7 @@ class _Parser:
         action = tokens[2]
         if action not in ACTION_SPECS:
             raise self.fail(f"unknown action {action!r}", 2)
-        params = self.fields(
-            _STEP_ROWS[action],
-            tokens,
-            2,
-            f"unknown field {{}} for {action}",
-            f"{action} requires {{}}=",
-        )
+        params = self.fields(action, None, tokens, 2)
         expect_error = params.pop("expect_error", None)
         self.check_step_semantics(action, params, 2)
         self.script.steps.append(Step(time, action, params, expect_error))
@@ -550,15 +527,13 @@ class _Parser:
             label = params["as"]
             if label in self.labels:
                 raise self.fail(f"label {label!r} already used", at)
-            self.labels[label] = _STEP_ROWS[action]["as"][1]
+            self.labels[label] = _ROWS[action]["as"][1]
 
     # -- driver -------------------------------------------------------------
 
     DIRECTIVES: dict[str, Callable[[_Parser, list[str]], None]] = {
         "config": handle_config,
-        "account": handle_account,
-        "signer": handle_signer,
-        "pool": handle_pool,
+        **dict.fromkeys(DECLARATIONS, handle_declaration),
         "book": handle_book,
         "at": handle_step,
     }
@@ -586,13 +561,25 @@ def _rows(schema: dict[str, tuple[str, bool]]) -> _Rows:
     return {key: _row(*row) for key, row in schema.items()}
 
 
-#: Each action's rows plus ``expect_error``, whose type carries the action
-#: so that the parser can refuse it on the actions in NO_EXPECT_ERROR.
-_STEP_ROWS = {
-    action: _rows({**spec, "expect_error": (f"error:{action}", False)})
-    for action, spec in ACTION_SPECS.items()
+#: Each directive's and each action's rows; an action's add ``expect_error``,
+#: whose type carries the action so that the parser can refuse it on the
+#: actions in NO_EXPECT_ERROR.
+_ROWS = {
+    **{directive: _rows(schema) for directive, schema in DIRECTIVE_FIELDS.items()},
+    **{
+        action: _rows({**spec, "expect_error": (f"error:{action}", False)})
+        for action, spec in ACTION_SPECS.items()
+    },
 }
-_DIRECTIVE_ROWS = {directive: _rows(schema) for directive, schema in DIRECTIVE_FIELDS.items()}
+
+#: directive or action -> the texts that refuse a field outside its schema
+#: and an absent required field, formatted with the line's directive or
+#: action ``of``, its declared ``name`` and the field's ``key``
+_FIELD_TEXTS = {
+    **dict.fromkeys(ACTION_SPECS, ("unknown field {key!r} for {of}", "{of} requires {key}=")),
+    **dict.fromkeys(DIRECTIVE_FIELDS, ("unknown {of} field {key!r}", "{of} {name} needs {key}")),
+    "signer": ("unknown {of} field {key!r}", "{of} {name} needs {key}=" + "|".join(SIGNER_MODELS)),
+}
 
 
 def parse_scenario(text: str) -> ScenarioScript:

@@ -7,11 +7,20 @@ innermost function or method around it, the ``def`` itself included: the
 names of its classes and enclosing functions joined by dots, as in
 ``TestDeposit.test_rejected`` or ``WrapperLedger._went_back``, or ``None``
 outside every function.  Decorators run in the scope around a definition,
-so they carry that scope's name."""
+so they carry that scope's name.
+
+``SITES`` indexes every ``raise`` in ``src/`` by the function it is in and
+the class it raises, and :func:`raised_at` says where a caught error was
+raised, so a table of refusals can require each row to reach its site."""
 
 import ast
+import builtins
 import functools
+import importlib
 from pathlib import Path
+
+from rpoolsim.errors import ERRORS_BY_NAME
+from rpoolsim.scenario import ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,6 +72,48 @@ def raises(*folders: str):
         if isinstance(node, ast.Raise) and node.exc is not None:
             raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             yield file, where, ast.unparse(raised), node
+
+
+#: callee text -> the class of the error it returns, for the factories a ``raise`` calls
+FACTORIES = {"self.fail": ParseError, "script.refusal": ParseError}
+
+
+def _raised_classes(file: str, raised: str) -> list[type]:
+    """The exception classes a ``raise`` of ``raised`` in ``file`` can raise:
+    a modelled error, a class of the module or a builtin one, by its last
+    dotted name, each class in a table of them that the raise indexes, or
+    the class a known factory returns.  Any other callee fails."""
+    if raised in FACTORIES:
+        return [FACTORIES[raised]]
+    stem = Path(file).stem
+    module = importlib.import_module("rpoolsim" if stem == "__init__" else f"rpoolsim.{stem}")
+    name = raised.partition("[")[0].rpartition(".")[2]
+    value = ERRORS_BY_NAME.get(name) or getattr(module, name, getattr(builtins, name, None))
+    values = value.values() if isinstance(value, dict) else [value]
+    classes = [cls for cls in values if isinstance(cls, type) and issubclass(cls, BaseException)]
+    assert classes, f"{file}: cannot tell what `raise {raised}` raises; add it to FACTORIES"
+    return classes
+
+
+def _sites() -> dict[tuple[str, type], set[tuple[str, int]]]:
+    """(function, error) -> (file, line) of each ``raise`` of the error in the function."""
+    sites = {}
+    for file, where, raised, node in raises("src"):
+        for error in _raised_classes(file, raised):
+            sites.setdefault((where, error), set()).add((file, node.lineno))
+    return sites
+
+
+SITES = _sites()
+
+
+def raised_at(tb) -> tuple[str, int]:
+    """The file and line of the innermost frame of a traceback."""
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    path = Path(tb.tb_frame.f_code.co_filename).resolve()
+    file = path.relative_to(ROOT).as_posix() if path.is_relative_to(ROOT) else str(path)
+    return file, tb.tb_lineno
 
 
 def check_allowed(found: dict, allowed: dict[object, str], advice: str) -> None:

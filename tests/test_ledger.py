@@ -602,11 +602,14 @@ class TestRecordOrder:
         ledger.check_invariants()
 
 
-#: a value for each parameter, other than ``now``, of a ledger method that takes ``now``
+#: a value for each parameter, other than ``now``, of a ledger method that
+#: takes ``now``, which every other check of the method refuses: an amount
+#: of 0, a transfer id outside the log, a caller who is not the arbitrator,
+#: a reserved recipient or victim, no freeze targets and the open case c1
 _CLOCK_ARGS = {
-    "account": "a", "caller": "a", "sender": "a", "recipient": "b", "to": "b", "victim": "v",
-    "amount": 1, "include_unsettled": True, "transfer_id": 1, "tainted_transfer_id": 1,
-    "targets": [("a", 1)], "case_id": "c2",
+    "account": "a", "caller": "a", "sender": "a", "recipient": ARB, "to": ARB, "victim": ARB,
+    "amount": 0, "include_unsettled": True, "transfer_id": 0, "tainted_transfer_id": 0,
+    "targets": [], "case_id": "c1",
 }
 
 #: every public ledger method that takes ``now``, operations and views
@@ -676,7 +679,8 @@ _FAULTY_POOL_AND_BOOK_CALLS = {
 class TestClock:
     """The ledger's clock is the latest ``now`` an accepted operation used,
     from 0.  Every public method that takes ``now`` refuses an earlier one
-    before any other check and any write; only an accepted operation moves
+    before any other check and any write, as a call shows whose other
+    arguments every other check refuses.  Only an accepted operation moves
     the clock."""
 
     def test_the_methods_that_take_now_are_found(self, world):

@@ -2,7 +2,9 @@
 :class:`rpoolsim.World`.  A ledger, signer registry, pool, book, signer key or
 rating entity built by hand anywhere else fails here, named by file,
 function and line.  So does a test that expects a modelled error with a bare
-``pytest.raises`` where ``conftest.refused`` would check the world too."""
+``pytest.raises`` where ``conftest.refused`` would check the world too, and
+one that expects a ``ParseError``, which belongs in
+``tests/test_scenario.py``'s ``PARSE_REFUSALS``."""
 
 import ast
 import builtins
@@ -68,7 +70,8 @@ NAMED_ERRORS = {
     **ERRORS_BY_NAME,
 }
 
-#: every function that expects a modelled error without ``conftest.refused``, and why
+#: every function that expects a modelled error without ``conftest.refused``,
+#: or a ParseError outside the parse refusal table, and why
 RAISES_ALLOWED = {
     ("tests/conftest.py", "refused"): "the helper itself",
     **dict.fromkeys(
@@ -91,25 +94,32 @@ RAISES_ALLOWED = {
         "the replay refuses inside a copy it drops; the template's full state is compared after",
     ("tests/test_ledger.py", "TestCheckRate.test_rejections"):
         "check_rate takes no world, and its errors are ValueError and TypeError",
+    ("tests/test_scenario.py", "test_a_line_ends_at_lf_only"):
+        "also checks that the line parses with a space where the separator is",
+    ("tests/test_scenario.py", "test_grammar_round_trip"):
+        "breaks each field of a generated script that it first checks the grammar accepts",
 }
 
 
 def bare_raises_sites():
     """{(file, enclosing function or None): [line, ...]} for every
-    ``pytest.raises`` whose expected type is a modelled error, or is written
-    as anything but a class's name, since that may hold one."""
+    ``pytest.raises`` whose expected type is a modelled error or a
+    ParseError, or is written as anything but a class's name, since that
+    may hold one."""
     sites = {}
     for file, function, node in walk("tests"):
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises":
             expected = NAMED_ERRORS.get(ast.unparse(node.args[0]))
-            if expected is None or issubclass(expected, RPoolError):
+            if expected is None or issubclass(expected, (RPoolError, ParseError)):
                 sites.setdefault((file, function), []).append(node.lineno)
     return sites
 
 
-def test_refusals_are_checked_through_refused():
-    assert not issubclass(ParseError, RPoolError)
-    check_allowed(bare_raises_sites(), RAISES_ALLOWED, "check these through conftest.refused")
+def test_refusals_are_checked_through_refused_or_the_parse_table():
+    check_allowed(
+        bare_raises_sites(), RAISES_ALLOWED,
+        "check these through conftest.refused, or a ParseError as a row of PARSE_REFUSALS",
+    )
 
 
 @pytest.mark.parametrize(

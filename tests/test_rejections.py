@@ -15,18 +15,15 @@ A ``raise`` of a modelled error in a function of ``src/`` that no row
 names fails ``test_every_modelled_raise_site_has_a_row`` until a row
 reaches it; a ``raise`` from a table of errors counts once for each error
 in the table, and a ``raise`` of a factory's result must name the factory
-in ``FACTORIES``."""
+in ``astgates.FACTORIES``."""
 
-import builtins
-import importlib
 from collections.abc import Callable
 from functools import cache
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from astgates import ROOT, raises
+from astgates import SITES, raised_at
 from rpoolsim import (
     AttackScenario, ConstantRiskModel, World, exact_threshold, issue_report,
     profitability_threshold, simulate_attack, validate_reports,
@@ -43,7 +40,7 @@ from rpoolsim.errors import (
 from rpoolsim.oracle import RatingEntity, median_quote
 from rpoolsim.rates import PPM
 from rpoolsim.runner import ScenarioRunner
-from rpoolsim.scenario import ParseError, parse_scenario
+from rpoolsim.scenario import parse_scenario
 
 from conftest import ARB, WINDOW, full_state, give_unsettled, refused
 from test_attack import scn
@@ -512,38 +509,6 @@ ROWS = {
 }
 
 
-#: callee text -> the class of the error it returns, for the factories a ``raise`` calls
-FACTORIES = {"self.fail": ParseError, "script.refusal": ParseError}
-
-
-def _raised_classes(file: str, raised: str) -> list[type]:
-    """The exception classes a ``raise`` of ``raised`` in ``file`` can raise:
-    a modelled error, a class of the module or a builtin one, by its last
-    dotted name, each class in a table of them that the raise indexes, or
-    the class a known factory returns.  Any other callee fails."""
-    if raised in FACTORIES:
-        return [FACTORIES[raised]]
-    stem = Path(file).stem
-    module = importlib.import_module("rpoolsim" if stem == "__init__" else f"rpoolsim.{stem}")
-    name = raised.partition("[")[0].rpartition(".")[2]
-    value = ERRORS_BY_NAME.get(name) or getattr(module, name, getattr(builtins, name, None))
-    values = value.values() if isinstance(value, dict) else [value]
-    classes = [cls for cls in values if isinstance(cls, type) and issubclass(cls, BaseException)]
-    assert classes, f"{file}: cannot tell what `raise {raised}` raises; add it to FACTORIES"
-    return classes
-
-
-def _sites() -> dict[tuple[str, type], set[tuple[str, int]]]:
-    """(function, error) -> (file, line) of each ``raise`` of the error in the function."""
-    sites = {}
-    for file, where, raised, node in raises("src"):
-        for error in _raised_classes(file, raised):
-            sites.setdefault((where, error), set()).add((file, node.lineno))
-    return sites
-
-
-SITES = _sites()
-
 #: every site of a modelled error
 MODELLED = sorted(
     (site for site in SITES if issubclass(site[1], RPoolError)),
@@ -551,21 +516,12 @@ MODELLED = sorted(
 )
 
 
-def _raised_at(tb) -> tuple[str, int]:
-    """The file and line of the innermost frame of a traceback."""
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    path = Path(tb.tb_frame.f_code.co_filename).resolve()
-    file = path.relative_to(ROOT).as_posix() if path.is_relative_to(ROOT) else str(path)
-    return file, tb.tb_lineno
-
-
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS)
 def test_a_refused_operation_raises_at_its_site_and_changes_nothing(row):
     world = _template()[0].copy()
     with refused(world, row.error, row.match, state=full_state) as info:
         row.op(world)
-    at = _raised_at(info.tb)
+    at = raised_at(info.tb)
     assert at in SITES.get((row.site, row.error), ()), (
         f"raised at {at}: no raise of {row.error.__name__} in {row.site}"
     )

@@ -4,15 +4,19 @@ import contextlib
 import io
 import re
 import tempfile
+from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from astgates import SITES, raised_at
 from rpoolsim.cli import main
-from rpoolsim.errors import ERRORS_BY_NAME
+from rpoolsim.errors import ERRORS_BY_NAME, ReservedName
 from rpoolsim.rates import PPM, format_rate
+from rpoolsim.runner import ScenarioRunner
 from rpoolsim.scenario import (
     ACTION_SPECS,
     ASSERT_KINDS,
@@ -52,116 +56,14 @@ def test_minimal_header_defaults():
     assert len(script.steps) == 1
 
 
-def test_decreasing_time_rejected():
-    text = HEADER + "at 10 advance\nat 5 advance\n"
-    with pytest.raises(ParseError) as err:
-        parse_scenario(text)
-    assert err.value.line == 7
-    assert "decreases" in err.value.reason
-
-
-def test_unknown_action_named_in_error():
-    with pytest.raises(ParseError) as err:
-        parse_scenario("at 0 frobnicate account=alice\n")
-    assert "frobnicate" in err.value.reason
-
-
-def test_unknown_field_rejected():
-    with pytest.raises(ParseError) as err:
-        parse_scenario("at 0 wrap account=alice amount=5 color=red\n")
-    assert "color" in err.value.reason
-
-
-def test_unknown_directive_rejected():
-    with pytest.raises(ParseError):
-        parse_scenario("widget foo\n")
-
-
-def test_rate_precision_limit():
-    ok = HEADER + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=0.123456 expiry=60\n"
-    parse_scenario(ok)
-    bad = HEADER + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=0.1234567 expiry=60\n"
-    with pytest.raises(ParseError) as err:
-        parse_scenario(bad)
-    assert "decimal" in err.value.reason
-
-
-def test_rate_above_one_rejected():
-    bad = HEADER + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1.5 expiry=60\n"
-    with pytest.raises(ParseError):
-        parse_scenario(bad)
-
-
-@pytest.mark.parametrize(
-    "step",
-    [
-        "at 9223372036854775808 advance",
-        "at 0 issue_report signer=rater requestor=alice amount=5 "
-        "ttl=100000000000000000000000 as=r1",
-        "at 0 freeze case=c1 targets=alice:9223372036854775808",
-        "at 0 cancel_bid book=ob bid=9223372036854775808 by=alice",
-        "at ² advance",
-    ],
-)
-def test_ints_outside_the_encodable_range_rejected(step):
-    with pytest.raises(ParseError) as err:
-        parse_scenario(HEADER + step + "\n")
-    assert err.value.line == 6
-    parse_scenario(HEADER + "at 9223372036854775807 advance\n")
-
-
-def test_undefined_report_label():
-    bad = HEADER + "at 0 swap pool=main requestor=alice amount=5 reports=ghost\n"
-    with pytest.raises(ParseError) as err:
-        parse_scenario(bad)
-    assert "ghost" in err.value.reason
-
-
-def test_undeclared_pool():
-    with pytest.raises(ParseError):
-        parse_scenario("at 0 deposit pool=nope lp=alice amount=5\n")
-
-
-def test_duplicate_label():
-    bad = (
+def test_the_grammar_accepts_the_largest_int_and_six_decimal_places():
+    script = parse_scenario(
         HEADER
-        + "at 0 transfer from=alice to=bob amount=1 as=t1\n"
-        + "at 0 transfer from=alice to=bob amount=1 as=t1\n"
+        + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=0.123456 expiry=60\n"
+        + "at 9223372036854775807 advance\n"
     )
-    with pytest.raises(ParseError) as err:
-        parse_scenario(bad)
-    assert "t1" in err.value.reason
-
-
-def test_freeze_takes_exactly_one_form():
-    for tail in (
-        "at 0 freeze case=c1\n",
-        "at 0 freeze case=c1 targets=alice:5 transfer=t1 amount=5\n",
-        "at 0 freeze case=c1 transfer=t1\n",
-    ):
-        with pytest.raises(ParseError):
-            parse_scenario(HEADER + "at 0 transfer from=alice to=bob amount=1 as=t1\n" + tail)
-
-
-def test_unknown_expect_error_name():
-    with pytest.raises(ParseError) as err:
-        parse_scenario("at 0 wrap account=alice amount=5 expect_error=Nonsense\n")
-    assert "Nonsense" in err.value.reason
-
-
-def test_expect_error_not_allowed_on_assert():
-    with pytest.raises(ParseError):
-        parse_scenario("at 0 assert kind=nonce account=a value=0 expect_error=ZeroAmount\n")
-
-
-def test_assert_requires_comparison():
-    with pytest.raises(ParseError):
-        parse_scenario("at 0 assert kind=balance account=alice\n")
-
-
-def test_directives_must_precede_steps():
-    with pytest.raises(ParseError):
-        parse_scenario("at 0 advance\nconfig window=5 arbitrator=a\n")
+    assert script.steps[0].params["min_rate"] == 123_456
+    assert script.steps[1].time == INT_LIMIT - 1
 
 
 def test_comments_and_blanks_ignored():
@@ -173,13 +75,6 @@ def test_hash_inside_a_token_starts_a_comment():
     script = parse_scenario("account b base=5#x\nat 0 advance#now\n")
     assert script.accounts[0].base == 5
     assert len(script.steps) == 1
-
-
-def test_bad_token_before_a_comment_keeps_its_column():
-    with pytest.raises(ParseError) as err:
-        parse_scenario("account b base=x5#note\n")
-    assert (err.value.line, err.value.column) == (1, 11)
-    assert err.value.reason == "base must be a non-negative integer, got 'x5'"
 
 
 def test_fmt_without_steps_ends_at_last_header_line():
@@ -216,23 +111,6 @@ def test_fmt_idempotent_and_lossless(path):
 
 
 @pytest.mark.parametrize(
-    "first, second",
-    [
-        ("signer p model=constant", "pool p kappa_ppm=5"),
-        ("pool p kappa_ppm=5", "signer p model=constant"),
-        ("signer q model=constant", "book q"),
-        ("book q", "signer q model=constant"),
-    ],
-)
-def test_pool_or_book_never_shares_a_signers_name(first, second):
-    with pytest.raises(ParseError) as err:
-        parse_scenario(f"{first}\n{second}\n")
-    name_col = second.index(" ") + 2
-    assert (err.value.line, err.value.column) == (2, name_col)
-    assert "already declared as" in err.value.reason
-
-
-@pytest.mark.parametrize(
     "text",
     ["account x base=5\nsigner x model=constant\n", "signer x model=taint\naccount x\n"],
 )
@@ -241,181 +119,329 @@ def test_signer_may_share_an_accounts_name_in_either_order(text):
     assert script.accounts[0].name == script.signers[0].name == "x"
 
 
-def test_rate_digits_are_ascii_only():
-    bad = HEADER + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=\u0660.\u0665 expiry=60\n"
-    with pytest.raises(ParseError) as err:
-        parse_scenario(bad)
-    assert (err.value.line, err.value.column) == (6, 45)
-    assert "malformed rate" in err.value.reason
-
-
-@pytest.mark.parametrize(
-    "step, field",
-    [
-        ("at 0 deposit pool=nope lp=alice amount=5", "pool=nope"),
-        ("at 0 assert kind=pool pool=ob total=1", "pool=ob"),
-        ("at 0 post_bid book=main bidder=alice amount=5 min_rate=0.5 expiry=60", "book=main"),
-        ("at 0 issue_report signer=alice requestor=alice amount=5 ttl=9 as=r1", "signer=alice"),
-        ("at 0 swap pool=main requestor=alice amount=5 reports=ghost", "reports=ghost"),
-        ("at 0 cancel_bid book=ob bid=ghost by=alice", "bid=ghost"),
-        ("at 0 plan_recovery transfer=ghost amount=1", "transfer=ghost"),
-    ],
-)
-def test_undeclared_names_and_unknown_labels_point_at_the_field(step, field):
-    with pytest.raises(ParseError) as err:
-        parse_scenario(HEADER + step + "\n")
-    assert (err.value.line, err.value.column) == (6, step.index(field) + 1)
-    assert field.partition("=")[2] in err.value.reason
-
-
-T1 = "at 0 transfer from=alice to=bob amount=1 as=t1\n"
-
-#: (lines before the bad one, the bad line, its column, the reason): at
-#: least one case for each place the parser raises, with the column counted
-#: in code points, a tab or a non-ASCII space counting as one
-LOCATED_ERRORS = [
-    # field values
-    ("", "at 0 wrap account=alice amount=-5", 25,
-     "amount must be a non-negative integer, got '-5'"),
-    ("", "at\t0 wrap account=alice amount=x", 25, "amount must be a non-negative integer, got 'x'"),
-    ("", "at x advance", 4, "time must be a non-negative integer, got 'x'"),
-    # an INT is ASCII digits: no other script's digits, no superscripts, no sign
-    ("", "at \u0663 advance", 4, "time must be a non-negative integer, got '\u0663'"),
-    ("", "account b base=\u00b2", 11, "base must be a non-negative integer, got '\u00b2'"),
-    ("", "at 0 wrap account=alice amount=+5", 25,
-     "amount must be a non-negative integer, got '+5'"),
-    ("", "at 0 wrap account=alice amount=9223372036854775808", 25,
-     "amount must be below 2**63, got 9223372036854775808"),
-    ("", "at 0  wrap   account=1x    amount=5", 14, "account must be a name, got '1x'"),
-    ("", "account 1bad", 9, "account must be a name, got '1bad'"),
-    (HEADER, "at 0 deposit pool=nope lp=alice amount=5", 14, "'nope' is not a declared pool"),
-    (HEADER, "at 0 plan_recovery transfer=ghost amount=1", 20,
-     "'ghost' does not label an earlier transfer"),
-    (HEADER, "at 0 swap pool=main requestor=alice amount=5 reports=ghost", 46,
-     "'ghost' does not label an earlier report"),
-    (HEADER, "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1.5 expiry=60", 45,
-     "min_rate: rate '1.5' exceeds 1"),
-    (HEADER, "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1. expiry=60", 45,
-     "min_rate: malformed rate '1.'"),
-    (HEADER, "at 0 transfer from=alice to=bob amount=1 unsettled=yes", 42,
-     "unsettled must be true or false, got 'yes'"),
-    ("", "at 0 freeze case=c1 targets=alice", 21, "targets entries are name:amount, got 'alice'"),
-    ("", "at 0 freeze case=c1 targets=a:1,alice:x", 21,
-     "targets entries are name:amount, got 'alice:x'"),
-    (HEADER, "at 0 assert kind=bid book=ob bid=1 status=gone", 36,
-     "status must be one of ('open', 'cancelled', 'filled')"),
-    ("", "signer s2 model=magic", 11, "signer model must be constant or taint, got 'magic'"),
-    ("", "at 0 advance expect_error=ZeroAmount", 14, "expect_error is not allowed on 'advance'"),
-    ("", "at 0 wrap account=alice amount=5 expect_error=Nonsense", 34,
-     "unknown error name 'Nonsense'"),
-    # fields
-    ("", "at 0 wrap account=alice amount", 25, "expected key=value, got 'amount'"),
-    ("", "at 0 wrap account=alice account=alice amount=5", 25, "duplicate field 'account'"),
-    ("", "at 0 wrap account=alice amount=5 color=red", 34, "unknown field 'color' for wrap"),
-    ("", "config window=5 colour=red", 17, "unknown config field 'colour'"),
-    ("", "pool p2 kappa_ppm=5 risk=1", 21, "unknown pool field 'risk'"),
-    ("", "at 0 wrap account=alice", 6, "wrap requires amount="),
-    ("", "signer  s2 rate=0.5", 9, "signer s2 needs model=constant|taint"),
-    ("", "pool p2", 6, "pool p2 needs kappa_ppm"),
-    # directives
-    (HEADER, "config window=5", 1, "duplicate config directive"),
-    ("at 0 advance\n", "  config window=5", 3, "config must precede all steps"),
-    # a late declaration would take effect at genesis: refused at its directive
-    ("at 0 advance\n", "account a base=5", 1, "account must precede all steps"),
-    ("at 0 advance\n", "signer s model=constant", 1, "signer must precede all steps"),
-    ("at 0 advance\n", " pool p kappa_ppm=500000", 2, "pool must precede all steps"),
-    (HEADER + "at 0 advance\n", "book ob2", 1, "book must precede all steps"),
-    ("at 0 advance\n", "gadget foo", 1, "unknown directive 'gadget'"),
-    ("", "account", 1, "account needs a name"),
-    ("", "\tbook", 2, "book takes exactly one name"),
-    (HEADER, "account alice", 9, "'alice' already declared as account"),
-    (HEADER, "book main", 6, "'main' already declared as pool"),
-    ("", "book ob2 extra", 1, "book takes exactly one name"),
-    ("", "widget foo", 1, "unknown directive 'widget'"),
-    ("", "   widget#foo", 4, "unknown directive 'widget'"),
-    # steps
-    ("", "at 0", 1, "step syntax is: at <time> <action> [key=value ...]"),
-    ("at 10 advance\n", "at 5 advance", 4, "time 5 decreases (previous step at 10)"),
-    ("", "at 0 frobnicate account=alice", 6, "unknown action 'frobnicate'"),
-    ("", "at 0 freeze case=c1", 6, "freeze takes either targets= or transfer=+amount="),
-    ("", "at 0 freeze case=c1 targets=a:1 amount=5", 6,
-     "freeze takes either targets= or transfer=+amount="),
-    ("", "at 0 freeze case=c1 amount=5", 6, "freeze by plan needs both transfer= and amount="),
-    ("", "at 0 assert kind=weird", 6, "unknown assert kind 'weird'"),
-    (HEADER, "at 0 assert kind=nonce account=alice value=0 pool=main", 6,
-     "assert nonce does not take pool="),
-    ("", "at 0 assert kind=nonce account=alice", 6, "assert nonce requires value="),
-    # every field of the schema but one required field
-    ("", "at 0 wrap account=alice expect_error=ZeroAmount", 6, "wrap requires amount="),
-    ("", "at 0 assert kind=balance account=alice", 6,
-     "assert balance needs at least one of ['settled', 'unsettled']"),
-    (T1, "at 0 transfer from=alice to=bob amount=1 as=t1", 6, "label 't1' already used"),
-    # separators: a comment right after a token, and non-ASCII spaces
-    ("", "account b base=x5#note", 11, "base must be a non-negative integer, got 'x5'"),
-    ("", "at\u00a00 wrap\u3000account=alice amount=-1", 25,
-     "amount must be a non-negative integer, got '-1'"),
-    ("", "at 0\u3000\u3000wrap\u00a0account=alice\tamount=5\t\tcolor=red#x", 36,
-     "unknown field 'color' for wrap"),
-    ("", "at 0 wrap account=alice amount=5 as=t9#", 34, "unknown field 'as' for wrap"),
-]
-
-
-@pytest.mark.parametrize(
-    "before, bad, column, reason", LOCATED_ERRORS, ids=[case[1] for case in LOCATED_ERRORS]
-)
-def test_every_parse_error_names_its_line_column_and_reason(before, bad, column, reason):
-    line = before.count("\n") + 1
-    with pytest.raises(ParseError) as err:
-        parse_scenario(before + bad + "\nat 99 advance\n")
-    assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
-    assert str(err.value) == f"line {line}, column {column}: {reason}"
-
-
+T1 = "at 0 transfer from=alice to=bob amount=1 as=t1"
 KAPPA = "kappa_ppm must be strictly between 0 and 1000000"
-RESERVED = "'arb' is reserved and cannot hold an account"
-
-#: (header, "line:col: reason" or None): headers the grammar accepts, and
-#: where genesis refuses each, at the field the reason names or else at the
-#: refused declaration's name; None marks a header that genesis accepts
-GENESIS_REFUSALS = [
-    ("config arbitrator=arb\naccount arb settled=5", f"2:9: {RESERVED}"),
-    ("config arbitrator=arb\npool arb kappa_ppm=500000", f"2:6: {RESERVED}"),
-    ("pool p kappa_ppm=500000 risk_lo_ppm=1000001",
-     "1:25: risk_lo_ppm 1000001 ppm outside [0, 1000000]"),
-    ("pool p kappa_ppm=500000 risk_hi_ppm=1000001",
-     "1:25: risk_hi_ppm 1000001 ppm outside [0, 1000000]"),
-    ("pool p kappa_ppm=500000 risk_lo_ppm=600000 risk_hi_ppm=500000",
-     "1:6: risk bounds out of order"),
-    ("pool p kappa_ppm=500000 rate_cap_ppm=1000001",
-     "1:25: rate_cap_ppm 1000001 ppm outside [0, 1000000]"),
-    ("pool p kappa_ppm=500000 min_quorum=0", "1:6: quorum must be at least 1"),
-    ("pool p2 kappa_ppm=0", f"1:9: {KAPPA}"),
-    ("pool p kappa_ppm=1000000", f"1:8: {KAPPA}"),
-    # the column counts code points, as for any parse error
-    ("account a\n\tpool\u3000 p kappa_ppm=0  # comment", f"2:10: {KAPPA}"),
-    # the first refusal in genesis order wins: accounts before pools, and
-    # then file order
-    ("config arbitrator=arb\npool p kappa_ppm=0\naccount arb settled=5", f"3:9: {RESERVED}"),
-    ("pool p kappa_ppm=0\npool q kappa_ppm=500000 min_quorum=0", f"1:8: {KAPPA}"),
-    # base is not a wrapper account: the arbitrator may hold genesis base
-    ("config arbitrator=arb\naccount arb base=5", None),
-]
+RESERVED = "is reserved and cannot hold an account"
+#: the step after each refused script, so that no refusal is an effect of
+#: where the text ends
+LATER_STEP = "\nat 99 advance\n"
 
 
-@pytest.mark.parametrize("command", ["run", "fmt"])
-@pytest.mark.parametrize(
-    "header, error", GENESIS_REFUSALS, ids=[case[0] for case in GENESIS_REFUSALS]
+class Refusal(NamedTuple):
+    """A script that the parser, or the world its header describes, refuses:
+    the function whose ``raise`` throws the :class:`ParseError`, the script,
+    ``line:col: reason``, and the class of the error's ``__cause__``: the
+    world's own refusal for a genesis row, else ``NoneType``."""
+
+    site: str
+    text: str
+    error: str
+    cause: type = type(None)
+
+
+#: function -> row id -> (script, "line:col: reason"[, cause]).  Each row's
+#: error must be raised in its function, whose ``raise`` is the innermost
+#: frame of the traceback, and ``run`` and ``fmt`` must each exit 2 with one
+#: ``path:line:col: reason`` line on stderr.  The table holds at least one
+#: case for each place the parser raises, and a gate enforces that:
+#: ``test_every_parse_refusal_raise_is_reached_by_a_row`` fails for each
+#: ``raise`` of a ParseError in ``src/`` that no row reaches.  A column
+#: counts code points, a tab or a non-ASCII space counting as one.
+_REFUSALS_BY_SITE = {
+    "_Parser.parse_int": {
+        "amount-negative": ("at 0 wrap account=alice amount=-5",
+                            "1:25: amount must be a non-negative integer, got '-5'"),
+        "amount-after-a-tab": ("at\t0 wrap account=alice amount=x",
+                               "1:25: amount must be a non-negative integer, got 'x'"),
+        "time-letter": ("at x advance", "1:4: time must be a non-negative integer, got 'x'"),
+        # an INT is ASCII digits: no other script's digits, no superscripts, no sign
+        "time-arabic-digit": ("at \u0663 advance",
+                              "1:4: time must be a non-negative integer, got '\u0663'"),
+        "time-superscript": (HEADER + "at \u00b2 advance",
+                             "6:4: time must be a non-negative integer, got '\u00b2'"),
+        "base-superscript": ("account b base=\u00b2",
+                             "1:11: base must be a non-negative integer, got '\u00b2'"),
+        "amount-plus-sign": ("at 0 wrap account=alice amount=+5",
+                             "1:25: amount must be a non-negative integer, got '+5'"),
+        # INT fields and step times stay below 2**63
+        "amount-2**63": ("at 0 wrap account=alice amount=9223372036854775808",
+                         "1:25: amount must be below 2**63, got 9223372036854775808"),
+        "time-2**63": (HEADER + "at 9223372036854775808 advance",
+                       "6:4: time must be below 2**63, got 9223372036854775808"),
+        "ttl-above-2**63": (HEADER + "at 0 issue_report signer=rater requestor=alice amount=5 "
+                      "ttl=100000000000000000000000 as=r1",
+                      "6:57: ttl must be below 2**63, got 100000000000000000000000"),
+        "target-2**63": (HEADER + "at 0 freeze case=c1 targets=alice:9223372036854775808",
+                         "6:21: targets must be below 2**63, got 9223372036854775808"),
+        "bid-id-2**63": (HEADER + "at 0 cancel_bid book=ob bid=9223372036854775808 by=alice",
+                         "6:25: bid must be below 2**63, got 9223372036854775808"),
+        # a comment right after a token, and non-ASCII spaces
+        "comment-after-a-bad-token": ("account b base=x5#note",
+                                      "1:11: base must be a non-negative integer, got 'x5'"),
+        "non-ascii-spaces": ("at\u00a00 wrap\u3000account=alice amount=-1",
+                             "1:25: amount must be a non-negative integer, got '-1'"),
+    },
+    "_Parser.parse_name": {
+        "account-not-a-name": ("at 0  wrap   account=1x    amount=5",
+                               "1:14: account must be a name, got '1x'"),
+        "declared-not-a-name": ("account 1bad", "1:9: account must be a name, got '1bad'"),
+    },
+    "_Parser.parse_declared": {
+        "pool-undeclared": (HEADER + "at 0 deposit pool=nope lp=alice amount=5",
+                            "6:14: 'nope' is not a declared pool"),
+        "pool-undeclared-headless": ("at 0 deposit pool=nope lp=alice amount=5",
+                                     "1:14: 'nope' is not a declared pool"),
+        "pool-that-is-a-book": (HEADER + "at 0 assert kind=pool pool=ob total=1",
+                                "6:23: 'ob' is not a declared pool"),
+        "book-that-is-a-pool": (HEADER + "at 0 post_bid book=main bidder=alice amount=5 "
+                                "min_rate=0.5 expiry=60", "6:15: 'main' is not a declared book"),
+        "signer-undeclared": (HEADER + "at 0 issue_report signer=alice requestor=alice amount=5 "
+                              "ttl=9 as=r1", "6:19: 'alice' is not a declared signer"),
+    },
+    "_Parser.parse_label": {
+        "transfer-unbound": (HEADER + "at 0 plan_recovery transfer=ghost amount=1",
+                             "6:20: 'ghost' does not label an earlier transfer"),
+        "report-unbound": (HEADER + "at 0 swap pool=main requestor=alice amount=5 reports=ghost",
+                           "6:46: 'ghost' does not label an earlier report"),
+        "bid-unbound": (HEADER + "at 0 cancel_bid book=ob bid=ghost by=alice",
+                        "6:25: 'ghost' does not label an earlier bid"),
+    },
+    "_Parser.parse_rate_field": {
+        "rate-above-one": (HEADER + "at 0 post_bid book=ob bidder=alice amount=5 min_rate=1.5 "
+                           "expiry=60", "6:45: min_rate: rate '1.5' exceeds 1"),
+        "rate-without-decimals": (HEADER + "at 0 post_bid book=ob bidder=alice amount=5 "
+                                  "min_rate=1. expiry=60", "6:45: min_rate: malformed rate '1.'"),
+        "rate-seven-places": (HEADER + "at 0 post_bid book=ob bidder=alice amount=5 "
+                              "min_rate=0.1234567 expiry=60",
+                              "6:45: min_rate: rate '0.1234567' has more than six decimal places"),
+        # RATE digits are ASCII only, as INT's are
+        "rate-arabic-digits": (HEADER + "at 0 post_bid book=ob bidder=alice amount=5 "
+                               "min_rate=\u0660.\u0665 expiry=60",
+                               "6:45: min_rate: malformed rate '\u0660.\u0665'"),
+    },
+    "_Parser.parse_bool": {
+        "bool-yes": (HEADER + "at 0 transfer from=alice to=bob amount=1 unsettled=yes",
+                     "6:42: unsettled must be true or false, got 'yes'"),
+    },
+    "_Parser.parse_targets": {
+        "target-without-colon": ("at 0 freeze case=c1 targets=alice",
+                                 "1:21: targets entries are name:amount, got 'alice'"),
+        "target-amount-letter": ("at 0 freeze case=c1 targets=a:1,alice:x",
+                                 "1:21: targets entries are name:amount, got 'alice:x'"),
+    },
+    "_Parser.parse_status": {
+        "status-unknown": (HEADER + "at 0 assert kind=bid book=ob bid=1 status=gone",
+                           "6:36: status must be one of ('open', 'cancelled', 'filled')"),
+    },
+    "_Parser.parse_model": {
+        "model-unknown": ("signer s2 model=magic",
+                          "1:11: signer model must be constant or taint, got 'magic'"),
+    },
+    "_Parser.parse_error_name": {
+        "expect-error-on-advance": ("at 0 advance expect_error=ZeroAmount",
+                                    "1:14: expect_error is not allowed on 'advance'"),
+        "expect-error-on-assert": ("at 0 assert kind=nonce account=a value=0 "
+                                   "expect_error=ZeroAmount",
+                                   "1:42: expect_error is not allowed on 'assert'"),
+        "expect-error-unknown": ("at 0 wrap account=alice amount=5 expect_error=Nonsense",
+                                 "1:34: unknown error name 'Nonsense'"),
+    },
+    "_Parser.fields": {
+        "field-without-value": ("at 0 wrap account=alice amount",
+                                "1:25: expected key=value, got 'amount'"),
+        "field-twice": ("at 0 wrap account=alice account=alice amount=5",
+                        "1:25: duplicate field 'account'"),
+        "step-field-unknown": ("at 0 wrap account=alice amount=5 color=red",
+                               "1:34: unknown field 'color' for wrap"),
+        "config-field-unknown": ("config window=5 colour=red",
+                                 "1:17: unknown config field 'colour'"),
+        "pool-field-unknown": ("pool p2 kappa_ppm=5 risk=1", "1:21: unknown pool field 'risk'"),
+        "step-field-missing": ("at 0 wrap account=alice", "1:6: wrap requires amount="),
+        # every field of the schema but one required field
+        "step-field-missing-beside-expect-error": ("at 0 wrap account=alice "
+                                                   "expect_error=ZeroAmount",
+                                                   "1:6: wrap requires amount="),
+        "signer-model-missing": ("signer  s2 rate=0.5",
+                                 "1:9: signer s2 needs model=constant|taint"),
+        "pool-kappa-missing": ("pool p2", "1:6: pool p2 needs kappa_ppm"),
+        "mixed-spaces-before-a-comment": ("at 0\u3000\u3000wrap\u00a0account=alice\tamount=5"
+                                          "\t\tcolor=red#x",
+                                          "1:36: unknown field 'color' for wrap"),
+        "as-before-an-empty-comment": ("at 0 wrap account=alice amount=5 as=t9#",
+                                       "1:34: unknown field 'as' for wrap"),
+    },
+    "_Parser.handle_config": {
+        "config-twice": (HEADER + "config window=5", "6:1: duplicate config directive"),
+    },
+    "_Parser.parse": {
+        # a late declaration would take effect at genesis: refused at its directive
+        "config-after-a-step": ("at 0 advance\n  config window=5",
+                                "2:3: config must precede all steps"),
+        "config-after-a-step-at-column-1": ("at 0 advance\nconfig window=5 arbitrator=a",
+                                            "2:1: config must precede all steps"),
+        "account-after-a-step": ("at 0 advance\naccount a base=5",
+                                 "2:1: account must precede all steps"),
+        "signer-after-a-step": ("at 0 advance\nsigner s model=constant",
+                                "2:1: signer must precede all steps"),
+        "pool-after-a-step": ("at 0 advance\n pool p kappa_ppm=500000",
+                              "2:2: pool must precede all steps"),
+        "book-after-a-step": (HEADER + "at 0 advance\nbook ob2",
+                              "7:1: book must precede all steps"),
+        "directive-unknown": ("widget foo", "1:1: unknown directive 'widget'"),
+        "directive-unknown-before-a-comment": ("   widget#foo", "1:4: unknown directive 'widget'"),
+        "directive-unknown-after-a-step": ("at 0 advance\ngadget foo",
+                                           "2:1: unknown directive 'gadget'"),
+    },
+    "_Parser.declare": {
+        "account-without-name": ("account", "1:1: account needs a name"),
+        "account-twice": (HEADER + "account alice", "6:9: 'alice' already declared as account"),
+        "book-named-like-a-pool": (HEADER + "book main", "6:6: 'main' already declared as pool"),
+        # a signer may share an account's name only, in either order
+        "pool-named-like-a-signer": ("signer p model=constant\npool p kappa_ppm=5",
+                                     "2:6: 'p' already declared as signer"),
+        "signer-named-like-a-pool": ("pool p kappa_ppm=5\nsigner p model=constant",
+                                     "2:8: 'p' already declared as pool"),
+        "book-named-like-a-signer": ("signer q model=constant\nbook q",
+                                     "2:6: 'q' already declared as signer"),
+        "signer-named-like-a-book": ("book q\nsigner q model=constant",
+                                     "2:8: 'q' already declared as book"),
+    },
+    "_Parser.handle_book": {
+        "book-without-name": ("\tbook", "1:2: book takes exactly one name"),
+        "book-with-two-names": ("book ob2 extra", "1:1: book takes exactly one name"),
+    },
+    "_Parser.handle_step": {
+        "step-without-action": ("at 0", "1:1: step syntax is: at <time> <action> [key=value ...]"),
+        "time-decreases": ("at 10 advance\nat 5 advance",
+                           "2:4: time 5 decreases (previous step at 10)"),
+        "time-decreases-after-the-header": (HEADER + "at 10 advance\nat 5 advance",
+                                            "7:4: time 5 decreases (previous step at 10)"),
+        "action-unknown": ("at 0 frobnicate account=alice", "1:6: unknown action 'frobnicate'"),
+        "action-unknown-without-fields": ("at 0 frobnicate", "1:6: unknown action 'frobnicate'"),
+    },
+    "_Parser.check_step_semantics": {
+        "freeze-in-no-form": ("at 0 freeze case=c1",
+                              "1:6: freeze takes either targets= or transfer=+amount="),
+        "freeze-in-no-form-after-a-label": (HEADER + T1 + "\nat 0 freeze case=c1",
+                                            "7:6: freeze takes either targets= or "
+                                            "transfer=+amount="),
+        "freeze-targets-and-amount": ("at 0 freeze case=c1 targets=a:1 amount=5",
+                                      "1:6: freeze takes either targets= or transfer=+amount="),
+        "freeze-in-both-forms": (HEADER + T1 + "\nat 0 freeze case=c1 targets=alice:5 transfer=t1 "
+                                 "amount=5",
+                                 "7:6: freeze takes either targets= or transfer=+amount="),
+        "freeze-plan-without-transfer": ("at 0 freeze case=c1 amount=5",
+                                         "1:6: freeze by plan needs both transfer= and amount="),
+        "freeze-plan-without-amount": (HEADER + T1 + "\nat 0 freeze case=c1 transfer=t1",
+                                       "7:6: freeze by plan needs both transfer= and amount="),
+        "assert-kind-unknown": ("at 0 assert kind=weird", "1:6: unknown assert kind 'weird'"),
+        "assert-field-of-another-kind": (HEADER + "at 0 assert kind=nonce account=alice value=0 "
+                                         "pool=main", "6:6: assert nonce does not take pool="),
+        "assert-field-missing": ("at 0 assert kind=nonce account=alice",
+                                 "1:6: assert nonce requires value="),
+        "assert-without-comparison": ("at 0 assert kind=balance account=alice",
+                                      "1:6: assert balance needs at least one of ['settled', "
+                                      "'unsettled']"),
+        "label-twice": (T1 + "\n" + T1, "2:6: label 't1' already used"),
+        "label-twice-after-the-header": (HEADER + T1 + "\n" + T1, "7:6: label 't1' already used"),
+    },
+    # genesis: the grammar accepts the header and the world refuses it, at
+    # the field the reason names or else at the refused declaration's name
+    "ScenarioRunner.__init__": {
+        "arbitrator-holds-settled": ("config arbitrator=arb\naccount arb settled=5",
+                                     f"2:9: 'arb' {RESERVED}", ReservedName),
+        "pool-named-like-the-arbitrator": ("config arbitrator=arb\npool arb kappa_ppm=500000",
+                                           f"2:6: 'arb' {RESERVED}", ReservedName),
+        "pool-named-like-the-arbitrator-before-steps": (
+            "config arbitrator=main\naccount lp base=100\npool main kappa_ppm=500000\n"
+            "at 0 deposit pool=main lp=lp amount=40 expect_error=ReservedName",
+            f"3:6: 'main' {RESERVED}", ReservedName),
+        "risk-lo-above-one": ("pool p kappa_ppm=500000 risk_lo_ppm=1000001",
+                              "1:25: risk_lo_ppm 1000001 ppm outside [0, 1000000]", ValueError),
+        "risk-hi-above-one": ("pool p kappa_ppm=500000 risk_hi_ppm=1000001",
+                              "1:25: risk_hi_ppm 1000001 ppm outside [0, 1000000]", ValueError),
+        "risk-bounds-out-of-order": ("pool p kappa_ppm=500000 risk_lo_ppm=600000 "
+                                     "risk_hi_ppm=500000", "1:6: risk bounds out of order",
+                                     ValueError),
+        "risk-bounds-far-apart": ("pool p kappa_ppm=500000 risk_lo_ppm=900000 risk_hi_ppm=100000",
+                                  "1:6: risk bounds out of order", ValueError),
+        "rate-cap-above-one": ("pool p kappa_ppm=500000 rate_cap_ppm=1000001",
+                               "1:25: rate_cap_ppm 1000001 ppm outside [0, 1000000]", ValueError),
+        "quorum-zero": ("pool p kappa_ppm=500000 min_quorum=0", "1:6: quorum must be at least 1",
+                        ValueError),
+        "kappa-zero": ("pool p2 kappa_ppm=0", f"1:9: {KAPPA}", ValueError),
+        "kappa-one": ("pool p kappa_ppm=1000000", f"1:8: {KAPPA}", ValueError),
+        # the column counts code points, as for any parse error
+        "kappa-zero-after-wide-spaces": ("account a\n\tpool\u3000 p kappa_ppm=0  # comment",
+                                         f"2:10: {KAPPA}", ValueError),
+        # the first refusal in genesis order wins: accounts before pools, and
+        # then file order
+        "account-before-an-earlier-pool": ("config arbitrator=arb\npool p kappa_ppm=0\n"
+                                           "account arb settled=5", f"3:9: 'arb' {RESERVED}",
+                                           ReservedName),
+        "first-pool-in-file-order": ("pool p kappa_ppm=0\npool q kappa_ppm=500000 min_quorum=0",
+                                     f"1:8: {KAPPA}", ValueError),
+    },
+}
+#: row id -> the refused script
+PARSE_REFUSALS = {
+    name: Refusal(site, *row)
+    for site, rows in _REFUSALS_BY_SITE.items()
+    for name, row in rows.items()
+}
+
+
+@cache
+def _refusal(text):
+    """The ParseError that parsing ``text`` and :data:`LATER_STEP`, then
+    building the world, raises; None if both accept the script."""
+    try:
+        ScenarioRunner(parse_scenario(text + LATER_STEP))
+    except ParseError as err:
+        return err
+    return None
+
+
+@pytest.mark.parametrize("row", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS)
+def test_a_refused_script_fails_at_its_raise_and_through_run_and_fmt(tmp_path, capsys, row):
+    err = _refusal(row.text)
+    assert err is not None, "the script was accepted"
+    at = raised_at(err.__traceback__)
+    assert at in SITES.get((row.site, ParseError), ()), f"raised at {at}, not in {row.site}"
+    where, reason = row.error.split(": ", 1)
+    line, column = map(int, where.split(":"))
+    assert (err.line, err.column, err.reason) == (line, column, reason)
+    assert str(err) == f"line {line}, column {column}: {reason}"
+    assert type(err.__cause__) is row.cause
+    path = tmp_path / "refused.scn"
+    path.write_text(row.text + LATER_STEP, encoding="utf-8")
+    for command in ("run", "fmt"):
+        assert main([command, str(path)]) == 2, command
+        assert capsys.readouterr() == ("", f"{path}:{row.error}\n"), command
+
+
+#: (function, file, line) of every ``raise`` of a ParseError in ``src/``
+PARSE_RAISES = sorted(
+    (where, *at) for (where, error), lines in SITES.items() if error is ParseError for at in lines
 )
-def test_run_and_fmt_refuse_a_header_at_the_refused_name(tmp_path, capsys, command, header, error):
+
+
+@pytest.mark.parametrize(
+    "where, file, line", PARSE_RAISES, ids=[f"{where}:{line}" for where, _, line in PARSE_RAISES]
+)
+def test_every_parse_refusal_raise_is_reached_by_a_row(where, file, line):
+    errors = filter(None, (_refusal(row.text) for row in PARSE_REFUSALS.values()))
+    reached = {raised_at(err.__traceback__) for err in errors}
+    assert (file, line) in reached, f"add a row to PARSE_REFUSALS that {where} raises at line {line}"
+
+
+def test_run_and_fmt_accept_genesis_base_for_the_arbitrator(tmp_path, capsys):
+    # base is not a wrapper account: the arbitrator may hold genesis base
     path = tmp_path / "world.scn"
-    path.write_text(header + "\nat 0 advance\n", encoding="utf-8")
-    parse_scenario(path.read_text(encoding="utf-8"))  # the grammar accepts every row
-    code = main([command, str(path)])
-    captured = capsys.readouterr()
-    if error is None:
-        assert (code, captured.err) == (0, "")
-    else:
-        assert (code, captured.out, captured.err) == (2, "", f"{path}:{error}\n")
+    path.write_text("config arbitrator=arb\naccount arb base=5\nat 0 advance\n")
+    for command in ("run", "fmt"):
+        assert main([command, str(path)]) == 0, command
+        assert capsys.readouterr().err == ""
 
 
 #: characters that str.splitlines() breaks at but a scenario line does not
